@@ -1,20 +1,16 @@
-// Group commit — commit throughput vs committer count under the three
-// durability protocols:
+// Group commit — commit throughput vs committer count under the two
+// durability contracts:
 //
-//   * fsync-per-commit (DatabaseOptions::group_commit = false): the
-//     pre-group-commit baseline; every committer pays a private
-//     write+fsync under the log mutex.
-//   * group commit (the default): leader/follower — one leader fsyncs the
-//     whole buffered batch while followers wait on the flush condvar, so
-//     N concurrent committers share ~1 fsync.
+//   * strict (the default): leader/follower group commit — one leader
+//     fsyncs the whole buffered batch while followers wait on the flush
+//     condvar, so N concurrent committers share ~1 fsync.
 //   * relaxed (DatabaseOptions::durability = kRelaxed): commit
 //     acknowledges at WAL-append; the background flusher makes the tail
 //     durable within its cadence.
 //
 // The interesting read is items_per_second at Threads(16)/Threads(32):
-// group commit should scale near-linearly while fsync-per-commit stays
-// flat at ~1/fsync-latency, and Threads(1) group vs legacy bounds the
-// single-writer overhead of the leader/follower protocol (<10% target,
+// strict commit should scale near-linearly with committers, and
+// Threads(1) is the single-writer strict latency (one fsync per commit,
 // see EXPERIMENTS.md).
 
 #include <benchmark/benchmark.h>
@@ -29,17 +25,14 @@ namespace dmx {
 namespace bench {
 namespace {
 
-/// One database per durability protocol, shared by every thread count so
+/// One database per durability contract, shared by every thread count so
 /// repeated runs keep appending fresh keys.
 class ModeDb {
  public:
-  ModeDb(bool group_commit, Durability durability, uint64_t window_us = 0)
-      : dir_("group_commit") {
+  explicit ModeDb(Durability durability) : dir_("group_commit") {
     DatabaseOptions options;
     options.dir = dir_.path() + "/db";
-    options.group_commit = group_commit;
     options.durability = durability;
-    options.group_commit_window_us = window_us;
     BenchCheck(Database::Open(options, &db_), "open");
     Transaction* ddl = db_->Begin();
     Schema schema({{"k", TypeId::kInt64, false},
@@ -58,28 +51,14 @@ class ModeDb {
 };
 
 ModeDb* GroupDb() {
-  // Default configuration: pure leader/follower batching — the batch is
-  // whatever accumulated during the previous leader's fsync.
-  static ModeDb* fixture = new ModeDb(true, Durability::kStrict);
-  return fixture;
-}
-
-ModeDb* LegacyDb() {
-  static ModeDb* fixture = new ModeDb(false, Durability::kStrict);
-  return fixture;
-}
-
-ModeDb* GroupWindowDb() {
-  // A short batching window makes the leader linger for stragglers
-  // (sibling-gated, quiet-gap early exit), widening the batch at some
-  // commit latency cost.
-  static ModeDb* fixture =
-      new ModeDb(true, Durability::kStrict, /*window_us=*/200);
+  // Pure leader/follower batching — the batch is whatever accumulated
+  // during the previous leader's fsync.
+  static ModeDb* fixture = new ModeDb(Durability::kStrict);
   return fixture;
 }
 
 ModeDb* RelaxedDb() {
-  static ModeDb* fixture = new ModeDb(true, Durability::kRelaxed);
+  static ModeDb* fixture = new ModeDb(Durability::kRelaxed);
   return fixture;
 }
 
@@ -96,17 +75,6 @@ void CommitLoop(benchmark::State& state, ModeDb* fixture) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_CommitFsyncPerCommit(benchmark::State& state) {
-  CommitLoop(state, LegacyDb());
-}
-BENCHMARK(BM_CommitFsyncPerCommit)
-    ->Threads(1)
-    ->Threads(4)
-    ->Threads(16)
-    ->Threads(32)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_CommitGroup(benchmark::State& state) {
   CommitLoop(state, GroupDb());
 }
@@ -117,15 +85,6 @@ BENCHMARK(BM_CommitGroup)
     ->Threads(8)
     ->Threads(16)
     ->Threads(32)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_CommitGroupWindow(benchmark::State& state) {
-  CommitLoop(state, GroupWindowDb());
-}
-BENCHMARK(BM_CommitGroupWindow)
-    ->Threads(1)
-    ->Threads(16)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

@@ -45,9 +45,6 @@ Status Database::Open(const DatabaseOptions& options,
   // (rather than discards) sealed segments left by a prior incarnation.
   db->log_.SetRetainSegments(!options.wal_archive_dir.empty());
   DMX_RETURN_IF_ERROR(db->log_.Open(options.dir + "/wal", true, db->env_));
-  db->log_.SetGroupCommit(options.group_commit);
-  db->log_.SetGroupCommitWindow(options.group_commit_window_us,
-                                options.group_commit_max_batch);
   LogManager* log = &db->log_;
   db->buffer_pool_ = std::make_unique<BufferPool>(
       &db->page_file_, options.buffer_pool_pages,

@@ -78,17 +78,10 @@ struct DatabaseOptions {
   /// stays degraded until reopened. Benches and unit tests use this to
   /// hold the degraded state steady.
   bool auto_recovery = true;
-  /// Default commit-durability contract for new transactions.
+  /// Default commit-durability contract for new transactions. Strict
+  /// commits always use group commit: concurrent committers share one
+  /// fsync, and batches form from fsync latency alone (no timer).
   Durability durability = Durability::kStrict;
-  /// Group commit (leader/follower shared fsync) on the strict commit
-  /// path. Off = the legacy fsync-per-commit protocol (benchmarks use
-  /// this as the baseline; there is no other reason to disable it).
-  bool group_commit = true;
-  /// How long a group-commit leader lingers for stragglers before paying
-  /// the fsync, and the batch size that ends the wait early. 0 (default)
-  /// = no artificial delay: batches form naturally from fsync latency.
-  uint64_t group_commit_window_us = 0;
-  uint32_t group_commit_max_batch = 64;
   /// Cadence of the background flusher that makes relaxed commits
   /// durable. 0 disables the flusher thread (relaxed commits then become
   /// durable only when a strict flush or checkpoint happens to run).

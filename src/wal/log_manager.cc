@@ -37,18 +37,6 @@ LogManager::~LogManager() {
   (void)Close();  // best-effort final flush; errors unreportable here
 }
 
-void LogManager::SetGroupCommit(bool enabled) {
-  MutexLock lock(&mu_);
-  group_commit_ = enabled;
-}
-
-void LogManager::SetGroupCommitWindow(uint64_t window_us,
-                                      uint32_t max_batch) {
-  MutexLock lock(&mu_);
-  group_window_us_ = window_us;
-  group_max_batch_ = max_batch == 0 ? 1 : max_batch;
-}
-
 void LogManager::StartFlusher(uint64_t interval_us,
                               std::function<void(const Status&)> on_failure) {
   if (flusher_.joinable()) return;
@@ -285,12 +273,7 @@ Status LogManager::AppendLocked(LogRecord* rec) {
   next_lsn_.store(rec->lsn + framed.size(), std::memory_order_release);
   records_appended_.Increment();
   metric_appends_->Increment();
-  if (rec->type == LogRecType::kCommit) {
-    ++buffered_commits_;
-    // A leader lingering in its batching window exits early once the
-    // batch is full or goes quiet; wake it (and only it) to re-check.
-    if (flush_active_) batch_cv_.NotifyOne();
-  }
+  if (rec->type == LogRecType::kCommit) ++buffered_commits_;
   return Status::OK();
 }
 
@@ -343,30 +326,6 @@ Status LogManager::FlushTo(Lsn lsn) {
 }
 
 Status LogManager::FlushToLocked(Lsn lsn) {
-  return group_commit_ ? GroupFlushLocked(lsn) : LegacyFlushLocked(lsn);
-}
-
-Status LogManager::LegacyFlushLocked(Lsn lsn) {
-  if (poison_ != PoisonKind::kNone) return PoisonedLocked();
-  if (lsn <= flushed_lsn_.load(std::memory_order_relaxed)) {
-    return Status::OK();
-  }
-  if (buffer_.empty()) return Status::OK();
-  ScopedTimer timer(metric_sync_ns_);
-  metric_syncs_->Increment();
-  DMX_RETURN_IF_ERROR(file_->Write(
-      buffer_start_ - base_lsn_ - 1 + kLogHeaderSize, buffer_.data(),
-      buffer_.size()));
-  DMX_RETURN_IF_ERROR(file_->Sync(/*data_only=*/true));
-  buffer_start_ += buffer_.size();
-  flushed_lsn_.store(buffer_start_ - 1, std::memory_order_release);
-  buffer_.clear();
-  buffered_commits_ = 0;
-  relaxed_unflushed_.store(0, std::memory_order_release);
-  return Status::OK();
-}
-
-Status LogManager::GroupFlushLocked(Lsn lsn) {
   while (true) {
     if (poison_ != PoisonKind::kNone) return PoisonedLocked();
     if (lsn <= flushed_lsn_.load(std::memory_order_relaxed)) {
@@ -390,28 +349,6 @@ Status LogManager::GroupFlushLocked(Lsn lsn) {
   }
   if (buffer_.empty()) return Status::OK();
   flush_active_ = true;
-  if (group_window_us_ > 0 && buffered_commits_ > 1 &&
-      buffered_commits_ < group_max_batch_) {
-    // Batching window: linger for stragglers, but only when at least one
-    // sibling commit is already aboard — a lone committer must not pay
-    // the window as latency. AppendLocked notifies when a commit record
-    // lands; the linger ends early once the batch is full or goes quiet
-    // (every active committer is already aboard, so waiting out the full
-    // window would be pure added latency).
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(group_window_us_);
-    const auto quiet = std::chrono::microseconds(group_window_us_ / 4 + 1);
-    while (buffered_commits_ < group_max_batch_ &&
-           poison_ == PoisonKind::kNone) {
-      const auto limit =
-          std::min(deadline, std::chrono::steady_clock::now() + quiet);
-      const uint64_t before = buffered_commits_;
-      if (!batch_cv_.WaitUntil(limit) && buffered_commits_ == before) {
-        break;  // window exhausted, or no straggler within the quiet gap
-      }
-    }
-  }
   // Snapshot under the lock, then release it for the disk I/O: committers
   // arriving during the write+fsync append freely and form the next
   // batch. The buffer keeps its bytes until the flush succeeds, so

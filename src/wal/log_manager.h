@@ -39,7 +39,7 @@
 // step succeeds. While the fault persists, Resume keeps failing and the
 // manager stays poisoned; callers retry on their own schedule.
 //
-// Group commit (the default flush mode): a committer that needs lsn N
+// Group commit (the only flush protocol): a committer that needs lsn N
 // durable becomes the *leader* if no flush is running — it snapshots the
 // whole buffer, releases the mutex, and pays one write+fsync for every
 // record appended so far; committers that arrive while that fsync is in
@@ -47,12 +47,11 @@
 // on the condvar. When the leader finishes it acknowledges every follower
 // whose LSN the batch covered; an uncovered follower becomes the next
 // leader, so batches form naturally from fsync latency without any timer.
-// An optional batching window (group_window_us/max_batch) lets a leader
-// linger for stragglers when the workload is bursty. On a failed group
-// flush nothing is acknowledged: the buffer and counters are left intact,
-// every follower inside the failed batch gets the leader's original
-// failing Status (never a fabricated one), and strict committers can
-// abort cleanly exactly as with the old fsync-per-commit path.
+// A lone committer is its own leader and pays one fsync per commit. On a
+// failed group flush nothing is acknowledged: the buffer and counters are
+// left intact, every follower inside the failed batch gets the leader's
+// original failing Status (never a fabricated one), and strict committers
+// can abort cleanly.
 //
 // Segments and archiving: Rotate() freezes the flushed frames of the live
 // file into an immutable sealed segment (`<wal>.NNNNNN.seg`, wal_format.h)
@@ -110,10 +109,10 @@ class LogManager {
   /// FlushTo (the buffer-pool WAL hook and commits do).
   Status Append(LogRecord* rec);
 
-  /// Append + force in one unit (the strict commit record). In group
-  /// mode the force joins the leader/follower protocol, so concurrent
-  /// callers share one fsync. If the flush fails and the frame is still
-  /// the unflushed buffer tail, it is removed again and rec->lsn reset to
+  /// Append + force in one unit (the strict commit record). The force
+  /// joins the leader/follower protocol, so concurrent callers share one
+  /// fsync. If the flush fails and the frame is still the unflushed
+  /// buffer tail, it is removed again and rec->lsn reset to
   /// kInvalidLsn, so the caller's rollback chain never crosses an
   /// unacknowledged commit record and a clean Abort remains possible
   /// while the disk misbehaves. When concurrent appends have already
@@ -133,15 +132,6 @@ class LogManager {
   uint64_t unflushed_commits() const {
     return relaxed_unflushed_.load(std::memory_order_acquire);
   }
-
-  /// Select the flush protocol: group commit (default) or the legacy
-  /// hold-the-lock fsync-per-commit path (baseline for benchmarks).
-  void SetGroupCommit(bool enabled);
-
-  /// Tune the leader's batching window: wait up to `window_us` for more
-  /// commit records (up to `max_batch`) before paying the fsync. A zero
-  /// window (default) relies purely on natural batching.
-  void SetGroupCommitWindow(uint64_t window_us, uint32_t max_batch);
 
   /// Start the background group flusher for relaxed commits: wakes when
   /// relaxed commits are pending, batches them for `interval_us`, and
@@ -279,14 +269,10 @@ class LogManager {
   std::string SegmentPathLocked(uint32_t seqno) const REQUIRES(mu_);
   /// Refresh the wal.sealed_unarchived gauge from segments_.
   void UpdateLagGaugeLocked() REQUIRES(mu_);
-  /// Dispatches to the group or legacy protocol per group_commit_.
-  Status FlushToLocked(Lsn lsn) REQUIRES(mu_);
-  /// Legacy flush: write + fsync the whole buffer with mu_ held.
-  Status LegacyFlushLocked(Lsn lsn) REQUIRES(mu_);
   /// Group flush: leader/follower protocol. Releases mu_ around the disk
   /// I/O (re-acquired before returning), so concurrent appenders form the
   /// next batch while the leader's fsync is in flight.
-  Status GroupFlushLocked(Lsn lsn) REQUIRES(mu_);
+  Status FlushToLocked(Lsn lsn) REQUIRES(mu_);
   Status AppendLocked(LogRecord* rec) REQUIRES(mu_);
   /// Body of the background flusher thread.
   void FlusherLoop();
@@ -334,9 +320,6 @@ class LogManager {
   uint64_t append_tick_ GUARDED_BY(mu_) = 0;
 
   // --- group-commit state ---
-  bool group_commit_ GUARDED_BY(mu_) = true;
-  uint64_t group_window_us_ GUARDED_BY(mu_) = 0;
-  uint32_t group_max_batch_ GUARDED_BY(mu_) = 64;
   // One flush at a time; followers wait for flush_seq_ to advance, then
   // consult flush_target_/flush_result_ to learn whether the batch that
   // covered their LSN succeeded (and with which original Status).
@@ -344,18 +327,12 @@ class LogManager {
   uint64_t flush_seq_ GUARDED_BY(mu_) = 0;
   Lsn flush_target_ GUARDED_BY(mu_) = 0;
   Status flush_result_ GUARDED_BY(mu_);
-  // Commit records currently buffered (feeds wal.group_size and the
-  // batching window's early-exit test).
+  // Commit records currently buffered (feeds wal.group_size).
   uint64_t buffered_commits_ GUARDED_BY(mu_) = 0;
   // Relaxed commits acknowledged but not yet durable. Written under mu_,
   // read lock-free by unflushed_commits() (DESCRIBE, stats).
   std::atomic<uint64_t> relaxed_unflushed_{0};
   CondVar flush_cv_{&mu_};
-  // Wakes only the lingering leader when a commit record lands during the
-  // batching window. Kept separate from flush_cv_ so each arrival wakes
-  // one thread, not the whole follower crowd (an O(batch^2) wakeup storm
-  // that dominates commit CPU on small machines).
-  CondVar batch_cv_{&mu_};
 
   // --- background flusher (relaxed durability) ---
   bool flusher_stop_ GUARDED_BY(mu_) = false;

@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -34,6 +35,7 @@
 
 #include "src/core/database.h"
 #include "src/query/sql.h"
+#include "src/util/env.h"
 #include "src/util/fault_env.h"
 #include "src/util/metrics.h"
 #include "tests/test_util.h"
@@ -86,19 +88,80 @@ void CreateKv(Database* db) {
   ASSERT_TRUE(db->Commit(ddl).ok());
 }
 
+/// The POSIX Env with every file sync stretched by ~2 ms, so committers
+/// that arrive during a leader's fsync reliably pile up as followers.
+class SlowSyncFile : public RandomAccessFile {
+ public:
+  explicit SlowSyncFile(std::unique_ptr<RandomAccessFile> file)
+      : file_(std::move(file)) {}
+  Status Read(uint64_t offset, size_t n, char* scratch,
+              size_t* out_n) override {
+    return file_->Read(offset, n, scratch, out_n);
+  }
+  Status Write(uint64_t offset, const char* data, size_t n) override {
+    return file_->Write(offset, data, n);
+  }
+  Status Truncate(uint64_t size) override { return file_->Truncate(size); }
+  Status Sync(bool data_only) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return file_->Sync(data_only);
+  }
+  Status Size(uint64_t* out) override { return file_->Size(out); }
+  Status Close() override { return file_->Close(); }
+
+ private:
+  std::unique_ptr<RandomAccessFile> file_;
+};
+
+class SlowSyncEnv : public Env {
+ public:
+  Status NewRandomAccessFile(const std::string& path, bool create,
+                             std::unique_ptr<RandomAccessFile>* out) override {
+    std::unique_ptr<RandomAccessFile> file;
+    DMX_RETURN_IF_ERROR(base_->NewRandomAccessFile(path, create, &file));
+    *out = std::make_unique<SlowSyncFile>(std::move(file));
+    return Status::OK();
+  }
+  Status FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status GetFileSize(const std::string& path, uint64_t* out) override {
+    return base_->GetFileSize(path, out);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status CreateDir(const std::string& path) override {
+    return base_->CreateDir(path);
+  }
+  Status SyncDir(const std::string& path) override {
+    return base_->SyncDir(path);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* out) override {
+    return base_->ListDir(path, out);
+  }
+
+ private:
+  Env* const base_ = Env::Default();
+};
+
 // ---------------------------------------------------------------------------
 // Functional
 // ---------------------------------------------------------------------------
 
 TEST(GroupCommitTest, ConcurrentStrictCommittersShareFsyncs) {
   TempDir dir("group_commit");
+  // A slow fsync makes sharing deterministic enough to assert on: while
+  // one leader sleeps in its sync, the other committers append and ride
+  // along as followers.
+  SlowSyncEnv env;
   DatabaseOptions options;
   options.dir = dir.path() + "/db";
-  // A small batching window makes fsync sharing deterministic enough to
-  // assert on: while one leader lingers/fsyncs, the other committers
-  // append and ride along.
-  options.group_commit_window_us = 2000;
-  options.group_commit_max_batch = 8;
+  options.env = &env;
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(options, &db).ok());
   CreateKv(db.get());
@@ -191,11 +254,10 @@ TEST(GroupCommitTest, BackgroundFlusherDrainsRelaxedCommits) {
   EXPECT_EQ(db->log()->flushed_lsn(), db->log()->next_lsn() - 1);
 }
 
-TEST(GroupCommitTest, LegacyModeStillFsyncsPerCommit) {
+TEST(GroupCommitTest, LoneCommitterFsyncsEveryCommit) {
   TempDir dir("group_commit");
   DatabaseOptions options;
   options.dir = dir.path() + "/db";
-  options.group_commit = false;  // the benchmark baseline protocol
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(options, &db).ok());
   CreateKv(db.get());
@@ -204,10 +266,11 @@ TEST(GroupCommitTest, LegacyModeStillFsyncsPerCommit) {
   Lsn prev_flushed = db->log()->flushed_lsn();
   for (int i = 0; i < 4; ++i) {
     Transaction* txn = db->Begin();
-    ASSERT_TRUE(InsertRow(db.get(), txn, i, "legacy").ok());
+    ASSERT_TRUE(InsertRow(db.get(), txn, i, "lone").ok());
     ASSERT_TRUE(db->Commit(txn).ok());
-    // Per-commit fsync: every strict commit advances the durable horizon
-    // itself (only the post-commit end record may remain buffered).
+    // With no one to share with, the committer leads its own batch: every
+    // strict commit advances the durable horizon itself (only the
+    // post-commit end record may remain buffered).
     EXPECT_GT(db->log()->flushed_lsn(), prev_flushed);
     prev_flushed = db->log()->flushed_lsn();
   }
@@ -345,7 +408,6 @@ TEST(GroupCommitTortureTest, CrashMidGroupFlush) {
   options.io_retry_attempts = 1;
   options.auto_recovery = false;  // hold failures steady within a cycle
   options.group_flush_interval_us = 100;
-  options.group_commit_window_us = 200;
 
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(options, &db).ok());
@@ -518,8 +580,6 @@ TEST(GroupCommitStressTest, ThirtyTwoCommittersHammerTheHandoff) {
   TempDir dir("group_commit_stress");
   DatabaseOptions options;
   options.dir = dir.path() + "/db";
-  options.group_commit_window_us = 100;
-  options.group_commit_max_batch = 16;
   options.group_flush_interval_us = 100;
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(options, &db).ok());

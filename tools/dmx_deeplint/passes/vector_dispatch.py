@@ -17,13 +17,19 @@ from model import Finding
 
 RULE = "vector-dispatch"
 
-# Keep in sync with tools/dmx_lint.py (the line-level lint remains the
-# fast pre-commit check; deeplint is the one that cannot be format-dodged).
+# The one definition of the required entry points; tools/dmx_lint.py (the
+# fast line-level pre-commit check) imports these sets.
+#
+# Every storage method must provide these. partition_scan and checkpoint
+# are genuinely optional (the kernel probes for nullptr).
 SM_REQUIRED = frozenset((
     "name", "validate", "create", "drop", "open", "insert", "update",
     "erase", "fetch", "open_scan", "cost", "undo", "redo", "count",
     "verify",
 ))
+# Every attachment type must provide these. on_delete is optional
+# (pure-validation attachments have nothing to maintain on delete);
+# lookup/open_scan/cost are what makes an attachment an access path.
 AT_REQUIRED = frozenset((
     "name", "create_instance", "drop_instance", "open", "instance_count",
     "on_insert", "on_update",

@@ -45,21 +45,10 @@ import re
 import sys
 from pathlib import Path
 
-# Entry points every storage method must provide. partition_scan and
-# checkpoint are genuinely optional (the kernel probes for nullptr).
-SM_REQUIRED = {
-    "name", "validate", "create", "drop", "open", "insert", "update",
-    "erase", "fetch", "open_scan", "cost", "undo", "redo", "count",
-    "verify",
-}
-
-# Entry points every attachment type must provide. on_delete is optional
-# (pure-validation attachments have nothing to maintain on delete);
-# lookup/open_scan/cost are what makes an attachment an access path.
-AT_REQUIRED = {
-    "name", "create_instance", "drop_instance", "open", "instance_count",
-    "on_insert", "on_update",
-}
+# The required entry-point sets of both procedure vectors are defined once,
+# in deeplint's vector-dispatch pass; this line-level lint shares them.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "dmx_deeplint"))
+from passes.vector_dispatch import AT_REQUIRED, SM_REQUIRED  # noqa: E402
 
 SUPPRESS_RE = re.compile(r"//\s*dmx-lint:\s*allow-([\w-]+)")
 
