@@ -103,8 +103,11 @@ Status IdxOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<IndexState>();
   DMX_RETURN_IF_ERROR(IndexTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
   for (const IndexInstance& inst : st->desc.instances) {
-    st->trees.push_back(
-        std::make_unique<BTree>(ctx.db->buffer_pool(), inst.anchor));
+    auto tree = std::make_unique<BTree>(ctx.db->buffer_pool(), inst.anchor);
+    // A damaged tree must still open so CHECK and REPAIR can reach it;
+    // costing retries the walk and reports its error.
+    (void)tree->LoadCounts();
+    st->trees.push_back(std::move(tree));
   }
   *state = std::move(st);
   return Status::OK();
@@ -368,11 +371,6 @@ Status IdxCost(AtContext& ctx, uint32_t instance_no,
   BTree* tree = st->TreeFor(instance_no);
   out->usable = false;
   if (inst == nullptr || tree == nullptr) return Status::OK();
-  uint64_t leaves = 0, entries = 0;
-  uint32_t height = 1;
-  DMX_RETURN_IF_ERROR(tree->LeafPages(&leaves));
-  DMX_RETURN_IF_ERROR(tree->Count(&entries));
-  DMX_RETURN_IF_ERROR(tree->Height(&height));
 
   // Relevance: "a B-tree access path will return a low cost if there is a
   // predicate on the key of the B-tree" — here generalized to multi-field
@@ -415,6 +413,11 @@ Status IdxCost(AtContext& ctx, uint32_t instance_no,
   if (out->handled_predicates.empty()) {
     return Status::OK();  // not usable without a key predicate
   }
+  uint64_t leaves = 0, entries = 0;
+  uint32_t height = 1;
+  DMX_RETURN_IF_ERROR(tree->LeafPages(&leaves));
+  DMX_RETURN_IF_ERROR(tree->Count(&entries));
+  DMX_RETURN_IF_ERROR(tree->Height(&height));
   out->usable = true;
   out->selectivity = key_selectivity;
   // Descend + scan the qualifying leaf fraction, then fetch every

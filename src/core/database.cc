@@ -360,7 +360,7 @@ Status Database::CreateRelation(Transaction* txn, const std::string& name,
                                 const Schema& schema,
                                 const std::string& sm_name,
                                 const AttrList& attrs) {
-  DMX_RETURN_IF_ERROR(CheckTxnWritable(txn));
+  DMX_RETURN_IF_ERROR(CheckTxnWritable());
   int sm = registry_.FindStorageMethod(sm_name);
   if (sm < 0) {
     return Status::InvalidArgument("no storage method '" + sm_name + "'");
@@ -422,7 +422,7 @@ Status Database::CreateRelation(Transaction* txn, const std::string& name,
 }
 
 Status Database::DropRelation(Transaction* txn, const std::string& name) {
-  DMX_RETURN_IF_ERROR(CheckTxnWritable(txn));
+  DMX_RETURN_IF_ERROR(CheckTxnWritable());
   const RelationDescriptor* desc;
   DMX_RETURN_IF_ERROR(FindRelation(name, &desc));
   RelationId id = desc->id;
@@ -486,7 +486,7 @@ Status Database::CreateAttachment(Transaction* txn, const std::string& rel,
                                   const std::string& at_name,
                                   const AttrList& attrs,
                                   uint32_t* instance_no) {
-  DMX_RETURN_IF_ERROR(CheckTxnWritable(txn));
+  DMX_RETURN_IF_ERROR(CheckTxnWritable());
   const RelationDescriptor* desc;
   DMX_RETURN_IF_ERROR(FindRelation(rel, &desc));
   int at = registry_.FindAttachmentType(at_name);
@@ -539,7 +539,7 @@ Status Database::CreateAttachment(Transaction* txn, const std::string& rel,
 Status Database::DropAttachment(Transaction* txn, const std::string& rel,
                                 const std::string& at_name,
                                 uint32_t instance_no) {
-  DMX_RETURN_IF_ERROR(CheckTxnWritable(txn));
+  DMX_RETURN_IF_ERROR(CheckTxnWritable());
   const RelationDescriptor* desc;
   DMX_RETURN_IF_ERROR(FindRelation(rel, &desc));
   int at = registry_.FindAttachmentType(at_name);
@@ -659,7 +659,7 @@ Status Database::InsertRecord(Transaction* txn,
                               const RelationDescriptor* desc,
                               const Slice& record, std::string* record_key) {
   if (!txn->active()) return Status::Aborted("transaction not active");
-  DMX_RETURN_IF_ERROR(CheckTxnWritable(txn));
+  DMX_RETURN_IF_ERROR(CheckTxnWritable());
   DMX_RETURN_IF_ERROR(CheckWritable(desc));
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kInsert));
   DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(),
@@ -722,7 +722,7 @@ Status Database::UpdateRecord(Transaction* txn,
                               const Slice& record_key,
                               const Slice& new_record, std::string* new_key) {
   if (!txn->active()) return Status::Aborted("transaction not active");
-  DMX_RETURN_IF_ERROR(CheckTxnWritable(txn));
+  DMX_RETURN_IF_ERROR(CheckTxnWritable());
   DMX_RETURN_IF_ERROR(CheckWritable(desc));
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kUpdate));
   DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(),
@@ -790,7 +790,7 @@ Status Database::DeleteRecord(Transaction* txn,
                               const RelationDescriptor* desc,
                               const Slice& record_key) {
   if (!txn->active()) return Status::Aborted("transaction not active");
-  DMX_RETURN_IF_ERROR(CheckTxnWritable(txn));
+  DMX_RETURN_IF_ERROR(CheckTxnWritable());
   DMX_RETURN_IF_ERROR(CheckWritable(desc));
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kDelete));
   DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(),
@@ -1101,11 +1101,10 @@ Status Database::CheckWritable(const RelationDescriptor* desc) {
 
 // -- graceful degradation --------------------------------------------------------
 
-Status Database::CheckTxnWritable(Transaction* txn) const {
-  // A transaction that began while the log was refusing appends carries a
-  // deferred error; surface it on its first write, with the original
-  // cause — more specific than the generic degraded-mode Busy below.
-  if (txn != nullptr && !txn->log_error().ok()) return txn->log_error();
+Status Database::CheckTxnWritable() const {
+  // A poisoned log refuses every append; say so with the original cause —
+  // more specific than the generic degraded-mode Busy below.
+  DMX_RETURN_IF_ERROR(log_.PoisonStatus());
   // Degraded read-only mode: new write work is refused with Busy while
   // reads keep serving.
   return error_handler_->CheckWritable();
@@ -1335,7 +1334,7 @@ Status Database::CheckRelation(Transaction* txn, const std::string& rel,
 
 Status Database::RepairRelation(Transaction* txn, const std::string& rel,
                                 RepairResult* out) {
-  DMX_RETURN_IF_ERROR(CheckTxnWritable(txn));
+  DMX_RETURN_IF_ERROR(CheckTxnWritable());
   const RelationDescriptor* desc;
   DMX_RETURN_IF_ERROR(FindRelation(rel, &desc));
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kUpdate));

@@ -456,11 +456,10 @@ class Database {
   /// would be skipped, silently breaking the guarantee it enforces).
   Status CheckWritable(const RelationDescriptor* desc);
 
-  /// Gate every write and DDL path: Busy while the database is degraded,
-  /// and the transaction's deferred begin-append error (if its begin hit a
-  /// poisoned log) surfaces here — on the first write — instead of at
-  /// commit.
-  Status CheckTxnWritable(Transaction* txn) const;
+  /// Gate every write and DDL path: a poisoned log's error (with its
+  /// original cause) and Busy while the database is degraded surface
+  /// here, before any page changes — not as a failed append afterwards.
+  Status CheckTxnWritable() const;
 
   /// Route a failed relation-modification Status to the ErrorHandler when
   /// it shows the local environment failing (a retry-exhausted transient

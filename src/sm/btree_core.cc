@@ -252,7 +252,8 @@ struct SplitResult {
 namespace {
 
 Status InsertRec(BufferPool* bp, PageId node, const std::string& composite,
-                 std::optional<SplitResult>* split, bool* inserted) {
+                 std::optional<SplitResult>* split, bool* inserted,
+                 bool* leaf_split) {
   PageHandle h;
   DMX_RETURN_IF_ERROR(bp->Fetch(node, &h));
   if (NodeType(*h.page()) == kLeaf) {
@@ -283,6 +284,7 @@ Status InsertRec(BufferPool* bp, PageId node, const std::string& composite,
     WriteLeaf(h.page(), leaf, PageLsn(*h.page()));
     h.MarkDirty();
     *inserted = true;
+    *leaf_split = split->has_value();
     return Status::OK();
   }
 
@@ -299,7 +301,8 @@ Status InsertRec(BufferPool* bp, PageId node, const std::string& composite,
     }
   }
   std::optional<SplitResult> child_split;
-  DMX_RETURN_IF_ERROR(InsertRec(bp, child, composite, &child_split, inserted));
+  DMX_RETURN_IF_ERROR(
+      InsertRec(bp, child, composite, &child_split, inserted, leaf_split));
   if (!child_split.has_value()) return Status::OK();
 
   n.entries.insert(n.entries.begin() + static_cast<long>(child_pos),
@@ -345,8 +348,13 @@ Status BTree::Insert(const Slice& key, const Slice& value, bool unique) {
   PageId root;
   DMX_RETURN_IF_ERROR(RootPage(&root));
   std::optional<SplitResult> split;
-  bool inserted = false;
-  DMX_RETURN_IF_ERROR(InsertRec(bp_, root, composite, &split, &inserted));
+  bool inserted = false, leaf_split = false;
+  DMX_RETURN_IF_ERROR(
+      InsertRec(bp_, root, composite, &split, &inserted, &leaf_split));
+  if (inserted && counted_.load()) {
+    entries_.fetch_add(1);
+    if (leaf_split) leaves_.fetch_add(1);
+  }
   if (split.has_value()) {
     // Grow a new root.
     InternalNode new_root;
@@ -358,6 +366,7 @@ Status BTree::Insert(const Slice& key, const Slice& value, bool unique) {
     WriteInternal(h.page(), new_root, kInvalidLsn);
     h.MarkDirty();
     DMX_RETURN_IF_ERROR(SetRootPage(new_root_id));
+    if (counted_.load()) height_.fetch_add(1);
   }
   return Status::OK();
 }
@@ -379,6 +388,8 @@ Status BTree::Remove(const Slice& key, const Slice& value, bool idempotent) {
   leaf.entries.erase(it);
   WriteLeaf(h.page(), leaf, PageLsn(*h.page()));
   h.MarkDirty();
+  // Leaves are never merged, so only the entry count moves.
+  if (counted_.load()) entries_.fetch_sub(1);
   return Status::OK();
 }
 
@@ -417,11 +428,12 @@ Status BTree::NewIterator(std::unique_ptr<BTreeIterator>* it,
   return Status::OK();
 }
 
-Status BTree::Count(uint64_t* n) {
-  *n = 0;
+Status BTree::LoadCounts() {
+  uint64_t entries = 0, leaves = 0;
+  uint32_t height = 1;
   PageId node;
   DMX_RETURN_IF_ERROR(RootPage(&node));
-  // Descend to the leftmost leaf.
+  // Descend the leftmost spine (height), then follow the leaf chain.
   while (true) {
     PageHandle h;
     DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
@@ -429,34 +441,42 @@ Status BTree::Count(uint64_t* n) {
     InternalNode in;
     DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &in));
     node = in.leftmost;
+    ++height;
   }
   while (node != kInvalidPageId) {
     PageHandle h;
     DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
-    *n += EntryCount(*h.page());
+    entries += EntryCount(*h.page());
+    ++leaves;
     node = NodeLink(*h.page());
   }
+  entries_.store(entries);
+  leaves_.store(leaves);
+  height_.store(height);
+  counted_.store(true);
+  return Status::OK();
+}
+
+Status BTree::EnsureCounts() {
+  if (counted_.load()) return Status::OK();
+  return LoadCounts();
+}
+
+Status BTree::Count(uint64_t* n) {
+  DMX_RETURN_IF_ERROR(EnsureCounts());
+  *n = entries_.load();
   return Status::OK();
 }
 
 Status BTree::LeafPages(uint64_t* n) {
-  *n = 0;
-  PageId node;
-  DMX_RETURN_IF_ERROR(RootPage(&node));
-  while (true) {
-    PageHandle h;
-    DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
-    if (NodeType(*h.page()) == kLeaf) break;
-    InternalNode in;
-    DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &in));
-    node = in.leftmost;
-  }
-  while (node != kInvalidPageId) {
-    PageHandle h;
-    DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
-    ++*n;
-    node = NodeLink(*h.page());
-  }
+  DMX_RETURN_IF_ERROR(EnsureCounts());
+  *n = leaves_.load();
+  return Status::OK();
+}
+
+Status BTree::Height(uint32_t* height) {
+  DMX_RETURN_IF_ERROR(EnsureCounts());
+  *height = height_.load();
   return Status::OK();
 }
 
@@ -511,6 +531,7 @@ Status BTree::SeparatorKeys(int target, std::vector<std::string>* seps) {
 
 Status BTree::Verify(std::vector<std::string>* problems, uint64_t* entries) {
   *entries = 0;
+  const size_t problems_before = problems->size();
   auto bad = [&](PageId id, const std::string& what) {
     problems->push_back("btree page " + std::to_string(id) + ": " + what);
   };
@@ -632,22 +653,21 @@ Status BTree::Verify(std::vector<std::string>* problems, uint64_t* entries) {
               ", expected " + std::to_string(expect));
     }
   }
-  return Status::OK();
-}
-
-Status BTree::Height(uint32_t* height) {
-  *height = 1;
-  PageId node;
-  DMX_RETURN_IF_ERROR(RootPage(&node));
-  while (true) {
-    PageHandle h;
-    DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
-    if (NodeType(*h.page()) == kLeaf) return Status::OK();
-    InternalNode in;
-    DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &in));
-    node = in.leftmost;
-    ++*height;
+  // A clean sweep saw the true shape: the maintained counts must agree.
+  if (problems->size() == problems_before && leaf_depth >= 0 &&
+      counted_.load()) {
+    auto drift = [&](const char* what, uint64_t walked, uint64_t kept) {
+      if (walked == kept) return;
+      problems->push_back("btree " + std::string(what) +
+                          " count mismatch: walk finds " +
+                          std::to_string(walked) + ", maintained count says " +
+                          std::to_string(kept));
+    };
+    drift("entry", *entries, entries_.load());
+    drift("leaf page", leaves.size(), leaves_.load());
+    drift("height", static_cast<uint64_t>(leaf_depth) + 1, height_.load());
   }
+  return Status::OK();
 }
 
 namespace {

@@ -10,6 +10,8 @@
 //
 // Concurrency: callers serialize through the lock manager (record/relation
 // locks); the tree itself performs no latching beyond buffer-pool pins.
+// Shape counts (entries, leaf pages, height) are maintained in atomics so
+// the planner can read them at any time without walking the tree.
 // Recovery: callers log *logical* operations; BTree::Insert/Remove are
 // idempotent (insert skips an already-present (key,value); remove of an
 // absent entry is a no-op success when `idempotent` is set), which makes
@@ -19,6 +21,7 @@
 #ifndef DMX_SM_BTREE_CORE_H_
 #define DMX_SM_BTREE_CORE_H_
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,19 +67,27 @@ class BTree {
                      const std::optional<std::string>& low = std::nullopt,
                      bool low_inclusive = true);
 
-  /// Entry count (walks the leaf chain).
-  Status Count(uint64_t* n);
-  /// Leaf page count (costing).
-  Status LeafPages(uint64_t* n);
+  /// Walk the leftmost spine and the leaf chain once and load the shape
+  /// counts; from then on Insert and Remove keep them current. Owners
+  /// call this when they open the tree, before any writer can reach it,
+  /// so no insert slips between the walk and the first maintained update.
+  /// On failure (an unreadable page) the counts stay unloaded and the
+  /// next reader retries the walk.
+  Status LoadCounts();
 
-  /// Tree height (1 = root is a leaf). For cost estimation.
+  /// Entry count, leaf page count and height (1 = root is a leaf): the
+  /// maintained counts, O(1) once loaded (see LoadCounts).
+  Status Count(uint64_t* n);
+  Status LeafPages(uint64_t* n);
   Status Height(uint32_t* h);
 
   /// Structural consistency sweep (CHECK support): validates node types,
   /// entry parse and ordering, separator bounds, uniform leaf depth, and
-  /// the leaf chain. Findings — including unreadable (CRC-failing) pages —
-  /// are appended to *problems; *entries receives the number of leaf
-  /// entries seen. Returns non-OK only when the sweep itself cannot run.
+  /// the leaf chain, then (on a clean sweep) that the maintained counts
+  /// match what the sweep saw. Findings — including unreadable
+  /// (CRC-failing) pages — are appended to *problems; *entries receives
+  /// the number of leaf entries seen. Returns non-OK only when the sweep
+  /// itself cannot run.
   Status Verify(std::vector<std::string>* problems, uint64_t* entries);
 
   /// Up to `target - 1` composite separator entries (key + value, the
@@ -98,9 +109,17 @@ class BTree {
   Status SetRootPage(PageId root);
   /// Leaf that should contain `key`+`value`.
   Status FindLeaf(const Slice& key, const Slice& value, PageId* leaf);
+  /// Load the counts unless already loaded.
+  Status EnsureCounts();
 
   BufferPool* bp_;
   PageId anchor_;
+  // Shape counts; meaningful only once counted_ is set (stored after the
+  // three counts).
+  std::atomic<bool> counted_{false};
+  std::atomic<uint64_t> entries_{0};
+  std::atomic<uint64_t> leaves_{0};
+  std::atomic<uint32_t> height_{0};
 };
 
 /// Key-sequential access over a BTree. Position = the composite

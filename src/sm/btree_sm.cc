@@ -106,6 +106,9 @@ Status BtOpen(SmContext& ctx, std::unique_ptr<ExtState>* state) {
   DMX_RETURN_IF_ERROR(
       DecodeDesc(Slice(ctx.desc->sm_desc), &st->anchor, &st->key_fields));
   st->tree = std::make_unique<BTree>(ctx.db->buffer_pool(), st->anchor);
+  // A damaged tree must still open so CHECK and REPAIR can reach it;
+  // costing retries the walk and reports its error.
+  (void)st->tree->LoadCounts();
   *state = std::move(st);
   return Status::OK();
 }
@@ -304,11 +307,6 @@ Status BtPartitionScan(SmContext& ctx, const ScanSpec& spec, int target,
 Status BtCost(SmContext& ctx, const std::vector<ExprPtr>& predicates,
               AccessCost* out) {
   BtSmState* st = StateOf(ctx);
-  uint64_t leaves = 0, records = 0;
-  uint32_t height = 1;
-  DMX_RETURN_IF_ERROR(st->tree->LeafPages(&leaves));
-  DMX_RETURN_IF_ERROR(st->tree->Count(&records));
-  DMX_RETURN_IF_ERROR(st->tree->Height(&height));
   out->usable = true;
   out->selectivity = EstimateSelectivity(predicates);
   out->handled_predicates.clear();
@@ -329,6 +327,11 @@ Status BtCost(SmContext& ctx, const std::vector<ExprPtr>& predicates,
       out->handled_predicates.push_back(static_cast<int>(i));
     }
   }
+  uint64_t leaves = 0, records = 0;
+  uint32_t height = 1;
+  DMX_RETURN_IF_ERROR(st->tree->LeafPages(&leaves));
+  DMX_RETURN_IF_ERROR(st->tree->Count(&records));
+  DMX_RETURN_IF_ERROR(st->tree->Height(&height));
   if (keyed) {
     out->io_cost = height + key_selectivity * static_cast<double>(leaves);
     out->cpu_cost = key_selectivity * static_cast<double>(records);

@@ -33,7 +33,10 @@ void PageHandle::Release() {
 
 BufferPool::BufferPool(PageFile* file, size_t capacity,
                        std::function<Status(Lsn)> wal_flush)
-    : file_(file), capacity_(capacity), wal_flush_(std::move(wal_flush)) {
+    : file_(file),
+      capacity_(capacity),
+      wal_flush_(std::move(wal_flush)),
+      images_(std::make_unique_for_overwrite<Page[]>(capacity)) {
   frames_.resize(capacity_);
   MetricsRegistry* metrics = MetricsRegistry::Global();
   metric_hits_ = metrics->GetCounter("bufferpool.hits");
@@ -55,13 +58,14 @@ void BufferPool::Unpin(size_t frame, PageId pid) {
   f.referenced = true;
 }
 
-Status BufferPool::FlushFrame(Frame& f) {
+Status BufferPool::FlushFrame(size_t frame) {
+  Frame& f = frames_[frame];
   if (!f.dirty) return Status::OK();
   if (wal_flush_) {
-    Lsn lsn = PageLsn(f.page);
+    Lsn lsn = PageLsn(images_[frame]);
     if (lsn != kInvalidLsn) DMX_RETURN_IF_ERROR(wal_flush_(lsn));
   }
-  DMX_RETURN_IF_ERROR(file_->Write(f.pid, f.page));
+  DMX_RETURN_IF_ERROR(file_->Write(f.pid, images_[frame]));
   f.dirty = false;
   stats_.flushes.Increment();
   metric_flushes_->Increment();
@@ -86,7 +90,7 @@ Status BufferPool::GetFreeFrame(size_t* frame) {
       f.referenced = false;
       continue;
     }
-    DMX_RETURN_IF_ERROR(FlushFrame(f));
+    DMX_RETURN_IF_ERROR(FlushFrame(idx));
     table_.erase(f.pid);
     f.in_use = false;
     stats_.evictions.Increment();
@@ -106,7 +110,7 @@ Status BufferPool::Fetch(PageId id, PageHandle* out) {
     f.referenced = true;
     stats_.hits.Increment();
     metric_hits_->Increment();
-    *out = PageHandle(this, it->second, id, &f.page);
+    *out = PageHandle(this, it->second, id, &images_[it->second]);
     return Status::OK();
   }
   stats_.misses.Increment();
@@ -114,14 +118,14 @@ Status BufferPool::Fetch(PageId id, PageHandle* out) {
   size_t frame;
   DMX_RETURN_IF_ERROR(GetFreeFrame(&frame));
   Frame& f = frames_[frame];
-  DMX_RETURN_IF_ERROR(file_->Read(id, &f.page));
+  DMX_RETURN_IF_ERROR(file_->Read(id, &images_[frame]));
   f.pid = id;
   f.pin_count = 1;
   f.dirty = false;
   f.referenced = true;
   f.in_use = true;
   table_[id] = frame;
-  *out = PageHandle(this, frame, id, &f.page);
+  *out = PageHandle(this, frame, id, &images_[frame]);
   return Status::OK();
 }
 
@@ -131,14 +135,14 @@ Status BufferPool::New(PageId* id, PageHandle* out) {
   size_t frame;
   DMX_RETURN_IF_ERROR(GetFreeFrame(&frame));
   Frame& f = frames_[frame];
-  memset(f.page.data, 0, kPageSize);
+  memset(images_[frame].data, 0, kPageSize);
   f.pid = *id;
   f.pin_count = 1;
   f.dirty = true;
   f.referenced = true;
   f.in_use = true;
   table_[*id] = frame;
-  *out = PageHandle(this, frame, *id, &f.page);
+  *out = PageHandle(this, frame, *id, &images_[frame]);
   return Status::OK();
 }
 
@@ -161,8 +165,8 @@ Status BufferPool::FreePage(PageId id) {
 
 Status BufferPool::FlushAll() {
   MutexLock lock(&mu_);
-  for (Frame& f : frames_) {
-    if (f.in_use) DMX_RETURN_IF_ERROR(FlushFrame(f));
+  for (size_t i = 0; i < capacity_; ++i) {
+    if (frames_[i].in_use) DMX_RETURN_IF_ERROR(FlushFrame(i));
   }
   return file_->Sync();
 }

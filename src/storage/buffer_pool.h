@@ -10,6 +10,7 @@
 #define DMX_STORAGE_BUFFER_POOL_H_
 
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -103,8 +104,8 @@ class BufferPool {
  private:
   friend class PageHandle;
 
+  // Frame i's page image is images_[i].
   struct Frame {
-    Page page;
     PageId pid = kInvalidPageId;
     int pin_count = 0;
     bool dirty = false;
@@ -115,12 +116,16 @@ class BufferPool {
   void Unpin(size_t frame, PageId pid);
   // Finds a victim frame, writing it back if dirty.
   Status GetFreeFrame(size_t* frame) REQUIRES(mu_);
-  Status FlushFrame(Frame& f) REQUIRES(mu_);
+  Status FlushFrame(size_t frame) REQUIRES(mu_);
 
   PageFile* file_;
   size_t capacity_;
   std::function<Status(Lsn)> wal_flush_;
   std::vector<Frame> frames_ GUARDED_BY(mu_);
+  // Page images, deliberately left uninitialized: Fetch overwrites the
+  // whole image and New zeroes it, so a frame's memory is first touched
+  // (and becomes resident) only when a page lands in it.
+  std::unique_ptr<Page[]> images_;
   std::unordered_map<PageId, size_t> table_ GUARDED_BY(mu_);
   size_t clock_hand_ GUARDED_BY(mu_) = 0;
   BufferPoolStats stats_;  // atomic counters, written under mu_

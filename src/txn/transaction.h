@@ -48,20 +48,13 @@ class Transaction {
   const std::string& user() const { return user_; }
   void set_user(std::string user) { user_ = std::move(user); }
 
+  /// LSN of this transaction's newest log record. kInvalidLsn means the
+  /// transaction has logged nothing — a read-only transaction, whose
+  /// commit needs no log force and whose abort has nothing to roll back.
+  /// There is no begin record: the first record logged carries
+  /// prev_lsn = kInvalidLsn.
   Lsn last_lsn() const { return last_lsn_; }
   void set_last_lsn(Lsn lsn) { last_lsn_ = lsn; }
-
-  /// LSN of this transaction's begin record (kInvalidLsn if the begin
-  /// append failed). last_lsn() == begin_lsn() means the transaction has
-  /// logged no effects — a read-only transaction, whose commit needs no
-  /// log force and whose abort has nothing to roll back.
-  Lsn begin_lsn() const { return begin_lsn_; }
-
-  /// Deferred error from a failed begin-record append (the log was
-  /// poisoned when this transaction started). Reads may proceed; the
-  /// Database surfaces this Status on the transaction's first write
-  /// instead of letting the commit fail mysteriously later.
-  const Status& log_error() const { return log_error_; }
 
   /// Durability mode for this transaction's commit. Strict (default):
   /// Commit returns only after the commit record is fsynced (sharing the
@@ -105,9 +98,7 @@ class Transaction {
   std::string user_;
   TxnState state_ = TxnState::kActive;
   Lsn last_lsn_ = kInvalidLsn;
-  Lsn begin_lsn_ = kInvalidLsn;
   bool relaxed_durability_ = false;
-  Status log_error_;
   std::vector<std::pair<std::string, Lsn>> savepoints_;
   std::map<TxnEvent, std::vector<QueuedAction>> deferred_;
 };

@@ -17,20 +17,8 @@ Transaction* TransactionManager::Begin() {
   TxnId id = next_txn_id_.fetch_add(1);
   auto txn = std::unique_ptr<Transaction>(new Transaction(id));
   txn->set_relaxed_durability(default_relaxed_);
-  LogRecord rec;
-  rec.type = LogRecType::kBegin;
-  rec.txn = id;
-  rec.prev_lsn = kInvalidLsn;
-  // Begin cannot report a Status. A failed append (poisoned log) is
-  // deferred on the transaction instead: reads proceed, and the Database
-  // returns this Status on the transaction's first write attempt.
-  Status s = log_->Append(&rec);
-  if (s.ok()) {
-    txn->set_last_lsn(rec.lsn);
-    txn->begin_lsn_ = rec.lsn;
-  } else {
-    txn->log_error_ = s;
-  }
+  // No begin record: a transaction reaches the log only with its first
+  // effect, so read-only transactions never write to it at all.
   Transaction* raw = txn.get();
   MutexLock lock(&mu_);
   live_[id] = std::move(txn);
@@ -42,11 +30,11 @@ Status TransactionManager::FinishTxn(Transaction* txn, bool committed) {
     obs->OnTransactionEnd(txn, committed);
   }
   locks_->UnlockAll(txn->id());
-  // A transaction that logged no effects needs no end record: recovery
-  // treats its lone begin as a loser with nothing to undo. Skipping keeps
-  // read-only transactions entirely off the disk — which is also what
-  // lets them finish while the database is degraded.
-  if (txn->last_lsn() != txn->begin_lsn()) {
+  // A transaction that logged nothing needs no end record: recovery never
+  // hears of it. Skipping keeps read-only transactions entirely off the
+  // disk — which is also what lets them finish while the database is
+  // degraded.
+  if (txn->last_lsn() != kInvalidLsn) {
     LogRecord end;
     end.type = LogRecType::kEnd;
     end.txn = txn->id();
@@ -72,10 +60,10 @@ Status TransactionManager::Commit(Transaction* txn) {
     return pre;
   }
 
-  // Read-only transactions (nothing logged past the begin record) commit
-  // without touching the log: no commit record, no force. This keeps reads
-  // serving while the database is degraded.
-  if (txn->last_lsn() != txn->begin_lsn()) {
+  // Read-only transactions (nothing logged) commit without touching the
+  // log: no commit record, no force. This keeps reads serving while the
+  // database is degraded.
+  if (txn->last_lsn() != kInvalidLsn) {
     LogRecord commit;
     commit.type = LogRecType::kCommit;
     commit.txn = txn->id();
@@ -125,7 +113,7 @@ Status TransactionManager::Abort(Transaction* txn) {
   // matching FinishTxn skips the end record too). This is what makes the
   // abort of an in-flight writer whose commit force failed — and of any
   // read-only transaction — safe while the log is refusing writes.
-  if (txn->last_lsn() != txn->begin_lsn()) {
+  if (txn->last_lsn() != kInvalidLsn) {
     LogRecord abort_rec;
     abort_rec.type = LogRecType::kAbort;
     abort_rec.txn = txn->id();

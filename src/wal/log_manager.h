@@ -238,6 +238,13 @@ class LogManager {
     return poison_ != PoisonKind::kNone;
   }
 
+  /// OK while healthy; while poisoned, the Status every append returns
+  /// (naming the original cause). Writers check it before touching pages.
+  Status PoisonStatus() const {
+    MutexLock lock(&mu_);
+    return poison_ == PoisonKind::kNone ? Status::OK() : PoisonedLocked();
+  }
+
   /// Repair a poisoned log in place (the background-recovery contract):
   /// finish the interrupted truncation, probe the write path (flush any
   /// buffered frames, or rewrite + sync the header when the buffer is

@@ -1,12 +1,15 @@
 // Direct tests of the shared page-based B+-tree (splits, duplicates,
-// uniqueness, iteration, position save/restore, persistence).
+// uniqueness, iteration, position save/restore, persistence, maintained
+// shape counts).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <random>
+#include <set>
 
+#include "src/core/database.h"
 #include "src/sm/btree_core.h"
 #include "tests/test_util.h"
 
@@ -281,6 +284,216 @@ TEST_P(BTreeChurn, MatchesShadowMultimap) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeChurn,
                          ::testing::Values(101u, 202u, 303u));
+
+// -- maintained shape counts --------------------------------------------------
+
+struct Shape {
+  uint64_t entries = 0, leaves = 0;
+  uint32_t height = 0;
+  bool operator==(const Shape&) const = default;
+};
+
+Shape ShapeOf(BTree* tree) {
+  Shape s;
+  EXPECT_TRUE(tree->Count(&s.entries).ok());
+  EXPECT_TRUE(tree->LeafPages(&s.leaves).ok());
+  EXPECT_TRUE(tree->Height(&s.height).ok());
+  return s;
+}
+
+TEST_F(BTreeTest, MaintainedCountsMatchTheWalkThroughChurn) {
+  ASSERT_TRUE(tree_->LoadCounts().ok());
+  std::mt19937 rng(7);
+  // Wide values: few entries per node, so leaf and root splits both occur.
+  const std::string pad(150, 'p');
+  std::vector<std::pair<std::string, std::string>> live;  // distinct pairs
+  std::set<std::pair<std::string, std::string>> present;
+  uint32_t max_height = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const int action = static_cast<int>(rng() % 10);
+    if (action < 6 || live.empty()) {
+      std::string key = Key(static_cast<int>(rng() % 4000));
+      std::string value = pad + std::to_string(rng() % 3);  // duplicates
+      ASSERT_TRUE(tree_->Insert(Slice(key), Slice(value)).ok());
+      if (present.emplace(key, value).second) live.emplace_back(key, value);
+    } else if (action < 8) {
+      const size_t i = rng() % live.size();
+      // Removed once for real, then replayed idempotently (logical redo).
+      ASSERT_TRUE(
+          tree_->Remove(Slice(live[i].first), Slice(live[i].second)).ok());
+      ASSERT_TRUE(tree_->Remove(Slice(live[i].first), Slice(live[i].second),
+                                /*idempotent=*/true)
+                      .ok());
+      EXPECT_TRUE(
+          tree_->Remove(Slice(live[i].first), Slice(live[i].second))
+              .IsNotFound());
+      present.erase(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    } else if (action == 8) {
+      // Exact (key, value) replay: an idempotent no-op.
+      const auto& [key, value] = live[rng() % live.size()];
+      ASSERT_TRUE(tree_->Insert(Slice(key), Slice(value)).ok());
+    } else {
+      // A unique-constraint veto changes nothing.
+      const auto& [key, value] = live[rng() % live.size()];
+      EXPECT_TRUE(
+          tree_->Insert(Slice(key), Slice(value + "x"), /*unique=*/true)
+              .IsConstraint());
+    }
+    if (step % 500 == 499) {
+      const Shape kept = ShapeOf(tree_.get());
+      BTree walker(bp_.get(), anchor_);  // its first read walks the tree
+      ASSERT_EQ(kept, ShapeOf(&walker)) << "step " << step;
+      max_height = std::max(max_height, kept.height);
+      std::vector<std::string> problems;
+      uint64_t entries = 0;
+      ASSERT_TRUE(tree_->Verify(&problems, &entries).ok());
+      EXPECT_TRUE(problems.empty()) << problems.front();
+      EXPECT_EQ(entries, kept.entries);
+    }
+  }
+  EXPECT_GE(max_height, 3u) << "churn should split internal nodes too";
+}
+
+TEST_F(BTreeTest, VerifyReportsMaintainedCountDrift) {
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(tree_->Insert(Slice(Key(i)), Slice("v")).ok());
+  }
+  ASSERT_TRUE(tree_->LoadCounts().ok());
+  // A second handle on the same anchor writes behind the first one's back.
+  BTree stray(bp_.get(), anchor_);
+  ASSERT_TRUE(stray.Insert(Slice("stray"), Slice("v")).ok());
+  std::vector<std::string> problems;
+  uint64_t entries = 0;
+  ASSERT_TRUE(tree_->Verify(&problems, &entries).ok());
+  EXPECT_EQ(entries, 101u);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("entry count mismatch: walk finds 101, "
+                             "maintained count says 100"),
+            std::string::npos)
+      << problems[0];
+}
+
+// Through the Database: rollback, restart and REPAIR all reach the counts
+// via logical redo/undo or a fresh open, and CHECK — which cross-checks
+// the counts against its walk — stays clean.
+class BTreeCountsDbTest : public ::testing::Test {
+ protected:
+  BTreeCountsDbTest() : dir_("btree_counts") {
+    options_.dir = dir_.path();
+    EXPECT_TRUE(Database::Open(options_, &db_).ok());
+  }
+
+  static std::vector<Value> Row(int64_t k) {
+    return {Value::Int(k), Value::String("g" + std::to_string(k % 37))};
+  }
+
+  void ExpectClean(const std::string& rel) {
+    Transaction* txn = db_->Begin();
+    CheckResult check;
+    ASSERT_TRUE(db_->CheckRelation(txn, rel, &check).ok());
+    ASSERT_TRUE(db_->Commit(txn).ok());
+    for (const CheckFinding& f : check.findings) {
+      ADD_FAILURE() << rel << ": " << f.component << ": " << f.detail;
+    }
+    EXPECT_TRUE(check.clean) << rel;
+  }
+
+  TempDir dir_;
+  DatabaseOptions options_;
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(BTreeCountsDbTest, CountsSurviveRollbackRestartAndRepair) {
+  Schema schema({{"k", TypeId::kInt64, false}, {"g", TypeId::kString, true}});
+  Transaction* ddl = db_->Begin();
+  ASSERT_TRUE(db_->CreateRelation(ddl, "t", schema, "heap", {}).ok());
+  ASSERT_TRUE(db_->CreateAttachment(ddl, "t", "btree_index",
+                                    {{"fields", "g"}})  // duplicate keys
+                  .ok());
+  ASSERT_TRUE(
+      db_->CreateRelation(ddl, "b", schema, "btree", {{"key", "k"}}).ok());
+  ASSERT_TRUE(db_->Commit(ddl).ok());
+
+  std::mt19937 rng(11);
+  std::vector<std::string> t_keys, b_keys;
+  int64_t next = 0;
+  auto churn = [&](Transaction* txn, int steps) {
+    for (int i = 0; i < steps; ++i) {
+      if (rng() % 4 != 0 || t_keys.empty()) {
+        std::string tk, bk;
+        ASSERT_TRUE(db_->Insert(txn, "t", Row(next), &tk).ok());
+        ASSERT_TRUE(db_->Insert(txn, "b", Row(next), &bk).ok());
+        ++next;
+        t_keys.push_back(std::move(tk));
+        b_keys.push_back(std::move(bk));
+      } else {
+        const size_t i_t = rng() % t_keys.size();
+        const size_t i_b = rng() % b_keys.size();
+        ASSERT_TRUE(db_->Delete(txn, "t", Slice(t_keys[i_t])).ok());
+        ASSERT_TRUE(db_->Delete(txn, "b", Slice(b_keys[i_b])).ok());
+        t_keys[i_t] = t_keys.back();
+        t_keys.pop_back();
+        b_keys[i_b] = b_keys.back();
+        b_keys.pop_back();
+      }
+    }
+  };
+
+  Transaction* txn = db_->Begin();
+  churn(txn, 3000);
+  ASSERT_TRUE(db_->Commit(txn).ok());
+
+  // Savepoint rollback: the undo goes through Insert/Remove.
+  txn = db_->Begin();
+  churn(txn, 200);
+  ASSERT_TRUE(db_->Savepoint(txn, "sp").ok());
+  const auto t_saved = t_keys;
+  const auto b_saved = b_keys;
+  churn(txn, 1500);
+  ASSERT_TRUE(db_->RollbackToSavepoint(txn, "sp").ok());
+  t_keys = t_saved;
+  b_keys = b_saved;
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  ExpectClean("t");
+  ExpectClean("b");
+
+  // Restart with a loser: its flushed records are redone, then undone.
+  Transaction* loser = db_->Begin();
+  churn(loser, 800);
+  txn = db_->Begin();  // a strict commit flushes the loser's records too
+  ASSERT_TRUE(db_->Insert(txn, "t", Row(next++)).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  db_->SimulateCrashOnClose();
+  db_.reset();
+  ASSERT_TRUE(Database::Open(options_, &db_).ok());
+  ExpectClean("t");
+  ExpectClean("b");
+
+  // Drift planted behind the index's back is a CHECK finding; REPAIR
+  // rebuilds the index and the counts with it.
+  const PageId anchor = testing::BTreeIndexAnchor(db_.get(), "t", 1);
+  ASSERT_NE(anchor, kInvalidPageId);
+  BTree stray(db_->buffer_pool(), anchor);
+  ASSERT_TRUE(stray.Insert(Slice("stray"), Slice("key")).ok());
+  txn = db_->Begin();
+  CheckResult check;
+  ASSERT_TRUE(db_->CheckRelation(txn, "t", &check).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  EXPECT_FALSE(check.clean);
+  bool drift_found = false;
+  for (const CheckFinding& f : check.findings) {
+    drift_found |= f.detail.find("entry count mismatch") != std::string::npos;
+  }
+  EXPECT_TRUE(drift_found);
+  txn = db_->Begin();
+  RepairResult repair;
+  ASSERT_TRUE(db_->RepairRelation(txn, "t", &repair).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  EXPECT_EQ(repair.repaired.size(), 1u);
+  ExpectClean("t");
+}
 
 }  // namespace
 }  // namespace dmx

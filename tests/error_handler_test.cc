@@ -252,7 +252,7 @@ TEST(LogManagerResumeTest, PoisonCarriesCauseAndResumeClears) {
   EXPECT_EQ(back.txn, 3u);
 }
 
-// -- deferred begin-append error ---------------------------------------------
+// -- writes gated on the log's poison ---------------------------------------
 
 TEST(DeferredBeginErrorTest, SurfacesOnFirstWriteNotAtCommit) {
   TempDir dir("deferred");
@@ -273,9 +273,11 @@ TEST(DeferredBeginErrorTest, SurfacesOnFirstWriteNotAtCommit) {
   ASSERT_TRUE(
       db->Insert(w, "t", {Value::Int(1), Value::String("a")}).ok());
   ASSERT_TRUE(db->Commit(w).ok());
+  // Began before the poisoning: must be gated all the same.
+  Transaction* early = db->Begin();
 
   // Poison the log directly (bypassing Checkpoint, so the ErrorHandler
-  // stays healthy and the deferred error is what gates the write). The
+  // stays healthy and the log's own poison is what gates the write). The
   // pending tail must be flushed first or Truncate refuses with Busy
   // before it ever reaches the disk.
   ASSERT_TRUE(db->log()->FlushAll().ok());
@@ -284,8 +286,9 @@ TEST(DeferredBeginErrorTest, SurfacesOnFirstWriteNotAtCommit) {
   ASSERT_TRUE(db->log()->poisoned());
   faults.ClearFaults();
 
-  Transaction* txn = db->Begin();  // begin append fails; error deferred
-  EXPECT_FALSE(txn->log_error().ok());
+  const Lsn lsn_before = db->log()->next_lsn();
+  Transaction* txn = db->Begin();  // appends nothing, so cannot fail
+  EXPECT_EQ(db->log()->next_lsn(), lsn_before);
 
   // Reads still serve, and the read-only commit needs no log write.
   const RelationDescriptor* desc = nullptr;
@@ -303,13 +306,53 @@ TEST(DeferredBeginErrorTest, SurfacesOnFirstWriteNotAtCommit) {
       << blocked.ToString();
   EXPECT_TRUE(db->Commit(txn).ok());  // nothing logged: commit is trivial
 
+  // The gate reads the log, not the transaction: one that began healthy
+  // is refused before it changes a page.
+  Status early_blocked =
+      db->Insert(early, "t", {Value::Int(4), Value::String("d")});
+  EXPECT_NE(early_blocked.ToString().find("poisoned"), std::string::npos)
+      << early_blocked.ToString();
+  EXPECT_TRUE(db->Commit(early).ok());
+  Transaction* reader = db->Begin();
+  EXPECT_TRUE(db->CountRecords(reader, desc, &n).ok());
+  EXPECT_EQ(n, 1u);
+  EXPECT_TRUE(db->Commit(reader).ok());
+
   // Resume repairs in place; fresh transactions write again.
   ASSERT_TRUE(db->log()->Resume().ok());
   Transaction* after = db->Begin();
-  EXPECT_TRUE(after->log_error().ok());
+  EXPECT_TRUE(db->log()->PoisonStatus().ok());
   EXPECT_TRUE(
       db->Insert(after, "t", {Value::Int(3), Value::String("c")}).ok());
   EXPECT_TRUE(db->Commit(after).ok());
+}
+
+// Read-only transactions stay off the log entirely: no begin, commit or
+// end record, so nothing accumulates in the unflushed buffer.
+TEST(ReadOnlyTxnTest, TenThousandReadOnlyTransactionsLeaveTheLogUntouched) {
+  TempDir dir("readonly");
+  DatabaseOptions options;
+  options.dir = dir.path() + "/db";
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(options, &db).ok());
+  Transaction* ddl = db->Begin();
+  Schema schema({{"k", TypeId::kInt64, false}});
+  ASSERT_TRUE(db->CreateRelation(ddl, "t", schema, "heap", {}).ok());
+  ASSERT_TRUE(db->Insert(ddl, "t", {Value::Int(1)}).ok());
+  ASSERT_TRUE(db->Commit(ddl).ok());
+  const RelationDescriptor* desc = nullptr;
+  ASSERT_TRUE(db->FindRelation("t", &desc).ok());
+
+  const Lsn before = db->log()->next_lsn();
+  for (int i = 0; i < 10000; ++i) {
+    Transaction* txn = db->Begin();
+    uint64_t n = 0;
+    ASSERT_TRUE(db->CountRecords(txn, desc, &n).ok());
+    ASSERT_EQ(n, 1u);
+    // Both ways out of a read-only transaction are log-free.
+    ASSERT_TRUE((i % 2 == 0 ? db->Commit(txn) : db->Abort(txn)).ok());
+  }
+  EXPECT_EQ(db->log()->next_lsn(), before);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include "src/query/executor.h"
 #include "src/query/plan_cache.h"
 #include "src/query/planner.h"
+#include "src/query/sql.h"
+#include "src/sm/btree_core.h"
 #include "src/sm/key_codec.h"
 #include "tests/test_util.h"
 
@@ -348,6 +350,84 @@ TEST_F(QueryTest, KeyCodecDecodeRoundTrip) {
   ASSERT_TRUE(
       DecodeFieldKey(Slice(key2), {TypeId::kString}, &decoded2).ok());
   EXPECT_EQ(decoded2[0].string_value(), tricky);
+}
+
+// Planning is flat in table size: access-path costing reads maintained
+// counts, so one PlanAccess touches the same number of buffer-pool pages on
+// the Figure-1 EMPLOYEE relation (heap + UNIQUE btree_index(id) +
+// btree_index(salary) + hash_index(dept) + CHECK) at 1,000 rows as at
+// 20,000 — and the chosen paths are the ones the cost model always chose.
+struct Figure1Planning {
+  uint64_t id_eq_touches = 0;
+  uint32_t id_tree_height = 0;
+  std::vector<std::string> plans;  // id =, salary BETWEEN, dept =, none
+};
+
+void PlanOnFigure1(int rows, Figure1Planning* out) {
+  TempDir dir("figure1_plan");
+  DatabaseOptions options;
+  options.dir = dir.path();
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(options, &db).ok());
+  Session session(db.get());
+  QueryResult r;
+  for (const char* ddl :
+       {"CREATE TABLE emp (id INT NOT NULL, name STRING, salary DOUBLE, "
+        "dept STRING) USING heap",
+        "CREATE UNIQUE INDEX ON emp (id)", "CREATE INDEX ON emp (salary)",
+        "CREATE INDEX ON emp (dept) USING hash_index",
+        "ALTER TABLE emp ADD CHECK (salary >= 0)", "BEGIN"}) {
+    ASSERT_TRUE(session.Execute(ddl, &r).ok()) << ddl;
+  }
+  for (int b = 0; b < rows; b += 500) {
+    std::string sql = "INSERT INTO emp VALUES ";
+    for (int i = b; i < b + 500; ++i) {
+      if (i > b) sql += ",";
+      sql += "(" + std::to_string(i) + ", 'n" + std::to_string(i) + "', " +
+             std::to_string(1000 + (i * 7919) % 100000) + ", 'd" +
+             std::to_string(i % 50) + "')";
+    }
+    ASSERT_TRUE(session.Execute(sql, &r).ok());
+  }
+  ASSERT_TRUE(session.Execute("COMMIT", &r).ok());
+
+  const RelationDescriptor* desc = nullptr;
+  ASSERT_TRUE(db->FindRelation("emp", &desc).ok());
+  const ExprPtr preds[] = {
+      Expr::Cmp(ExprOp::kEq, 0, Value::Int(rows / 2)),
+      Expr::And(Expr::Cmp(ExprOp::kGe, 2, Value::Double(20000)),
+                Expr::Cmp(ExprOp::kLe, 2, Value::Double(21000))),
+      Expr::Cmp(ExprOp::kEq, 3, Value::String("d7")),
+      nullptr};
+  const BufferPoolStats& stats = db->buffer_pool()->stats();
+  for (const ExprPtr& pred : preds) {
+    Transaction* txn = db->Begin();
+    AccessPlan plan;
+    const uint64_t before = stats.hits + stats.misses;
+    ASSERT_TRUE(PlanAccess(db.get(), txn, desc, pred, &plan).ok());
+    if (out->plans.empty()) {
+      out->id_eq_touches = stats.hits + stats.misses - before;
+    }
+    out->plans.push_back(plan.DebugString(db->registry()));
+    ASSERT_TRUE(db->Commit(txn).ok());
+  }
+  const PageId anchor = testing::BTreeIndexAnchor(db.get(), "emp", 1);
+  ASSERT_NE(anchor, kInvalidPageId);
+  BTree id_tree(db->buffer_pool(), anchor);
+  ASSERT_TRUE(id_tree.Height(&out->id_tree_height).ok());
+}
+
+TEST(PlanningScaleTest, PlanAccessIsFlatInTableSize) {
+  Figure1Planning small, large;
+  ASSERT_NO_FATAL_FAILURE(PlanOnFigure1(1000, &small));
+  ASSERT_NO_FATAL_FAILURE(PlanOnFigure1(20000, &large));
+  EXPECT_EQ(small.id_eq_touches, large.id_eq_touches);
+  EXPECT_LE(large.id_eq_touches, 4u * large.id_tree_height);
+  const std::vector<std::string> expected = {
+      "btree_index#1", "storage-method scan", "hash_index#1",
+      "storage-method scan"};
+  EXPECT_EQ(small.plans, expected);
+  EXPECT_EQ(large.plans, expected);
 }
 
 }  // namespace

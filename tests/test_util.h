@@ -6,6 +6,8 @@
 #include <string>
 #include <unistd.h>
 
+#include "src/core/database.h"
+
 namespace dmx {
 namespace testing {
 
@@ -23,6 +25,12 @@ class TempDir {
  private:
   std::string path_;
 };
+
+/// Anchor page of btree_index instance `instance_no` on relation `rel`
+/// (decoded from the type descriptor layout documented in
+/// src/attach/btree_index.h), or kInvalidPageId when there is none.
+PageId BTreeIndexAnchor(Database* db, const std::string& rel,
+                        uint32_t instance_no);
 
 }  // namespace testing
 }  // namespace dmx
