@@ -33,7 +33,7 @@ BENCHMARK(BM_WritableGateHealthy);
 void BM_WritableGateDegraded(benchmark::State& state) {
   ErrorHandler eh;  // no recovery thread: stays degraded
   eh.ReportWriteFailure("wal commit force",
-                        // dmx-lint: allow-raw-ioerror (fault input)
+                        // deeplint: allow(status-discipline, fault input)
                         Status::RetryableIOError("no space left on device"));
   for (auto _ : state) {
     benchmark::DoNotOptimize(eh.CheckWritable());
@@ -44,10 +44,10 @@ BENCHMARK(BM_WritableGateDegraded);
 // Taxonomy classification of a failed Status (runs on every reported
 // write failure).
 void BM_ClassifyStatus(benchmark::State& state) {
-  // dmx-lint: allow-raw-ioerror (bench fabricates classifier inputs)
+  // deeplint: allow(status-discipline, bench fabricates classifier inputs)
   const Status transient = Status::RetryableIOError("enospc");
   const Status hard = Status::Corruption("bad crc");
-  // dmx-lint: allow-raw-ioerror (bench fabricates classifier inputs)
+  // deeplint: allow(status-discipline, bench fabricates classifier inputs)
   const Status fatal = Status::IOError("foreign server unreachable");
   for (auto _ : state) {
     benchmark::DoNotOptimize(ErrorHandler::Classify(transient));

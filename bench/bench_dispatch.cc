@@ -31,7 +31,7 @@ Status NoopInsert(SmContext&, const Slice&, std::string*) {
 }
 
 SmOps MakeOps(const char* name) {
-  // dmx-lint: allow-sm-incomplete (dispatch-cost rig: only insert fires)
+  // deeplint: allow(vector-dispatch, dispatch-cost rig: only insert fires)
   SmOps ops;
   ops.name = name;
   ops.insert = NoopInsert;

@@ -2,8 +2,8 @@
 // mode state machine, and the background auto-recovery thread.
 //
 // Every I/O failure is classified at the Env/WAL/PageFile boundary (the
-// only layers allowed to construct IOError — see tools/dmx_lint.py
-// raw-ioerror) into one of three classes:
+// only layers allowed to construct IOError — see deeplint's
+// status-discipline pass) into one of three classes:
 //
 //   * transient-retryable — the same call may succeed if repeated (ENOSPC
 //     that clears, EAGAIN, injected transient faults). The RetryingEnv

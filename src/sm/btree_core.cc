@@ -670,14 +670,6 @@ Status BTree::Verify(std::vector<std::string>* problems, uint64_t* entries) {
   return Status::OK();
 }
 
-namespace {
-bool g_leaf_cache_enabled = true;
-}  // namespace
-
-void BTreeIteratorSetLeafCacheEnabled(bool enabled) {
-  g_leaf_cache_enabled = enabled;
-}
-
 struct BTreeIterator::LeafCache {
   PageId page_id = kInvalidPageId;
   Page image;         // raw page bytes at parse time
@@ -686,7 +678,6 @@ struct BTreeIterator::LeafCache {
 };
 
 Status BTreeIterator::Next(std::string* key, std::string* value) {
-  if (!g_leaf_cache_enabled) cache_.reset();
   // Fast path: the cached leaf still matches the on-disk image and has an
   // unserved entry.
   if (cache_ != nullptr && cache_->page_id != kInvalidPageId) {
@@ -737,7 +728,6 @@ Status BTreeIterator::Next(std::string* key, std::string* value) {
       DMX_RETURN_IF_ERROR(BTreeSplitEntry(Slice(*it), key, value));
       pos_ = *it;
       exclusive_ = true;
-      if (!g_leaf_cache_enabled) return Status::OK();
       // Populate the cache for subsequent Next() calls.
       cache_ = std::make_shared<LeafCache>();
       cache_->page_id = node;

@@ -156,11 +156,6 @@ class BTreeIterator {
   std::shared_ptr<LeafCache> cache_;
 };
 
-/// Ablation toggle (benchmarks): disable the iterator's leaf cache so
-/// every Next() re-descends from the root and re-parses the leaf. Global;
-/// not for concurrent flipping.
-void BTreeIteratorSetLeafCacheEnabled(bool enabled);
-
 /// Composite entry encoding helpers (key + value, length-framed so the
 /// composite ordering equals (key, value) lexicographic ordering).
 std::string BTreeComposeEntry(const Slice& key, const Slice& value);

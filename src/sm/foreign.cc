@@ -65,7 +65,8 @@ Status Resolve(ForeignState* st, Database** fdb,
     // An unreachable foreign server is transient-fatal-to-op: the local
     // environment is healthy, so this IOError is deliberately
     // non-retryable and never trips degraded mode.
-    return Status::IOError(  // dmx-lint: allow-raw-ioerror (no Env beneath)
+    // deeplint: allow(status-discipline, no Env beneath)
+    return Status::IOError(
         "foreign server '" + st->server + "' unreachable");
   }
   return (*fdb)->FindRelation(st->relation, fdesc);

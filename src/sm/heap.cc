@@ -29,7 +29,7 @@ struct HeapState : public ExtState {
   /// writers' IX, so state reads never race a writer. GUARDED_BY would
   /// therefore be wrong: it would force readers to take a lock they are
   /// correct not to need.
-  Mutex mu;  // dmx-lint: allow-unguarded (reader exclusion via S lock)
+  Mutex mu;  // deeplint: allow(mutex-discipline, reader exclusion via S lock)
 };
 
 HeapState* StateOf(SmContext& ctx) {

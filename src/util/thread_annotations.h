@@ -11,11 +11,11 @@
 // compilers the attributes expand to nothing and the wrappers cost exactly
 // what the std primitives they wrap cost.
 //
-// Conventions (enforced by tools/dmx_lint.py):
+// Conventions (enforced by deeplint's mutex-discipline pass):
 //   * Never declare a raw std::mutex member — use dmx::Mutex so the
 //     analysis sees lock/unlock operations.
 //   * Every Mutex member must have at least one GUARDED_BY companion (or a
-//     `dmx-lint: allow-unguarded` comment explaining why not).
+//     `deeplint: allow(mutex-discipline, reason)` comment saying why not).
 //   * Lock with MutexLock (RAII); internal helpers that assume the lock is
 //     held are annotated REQUIRES(mu_) — the historical *Locked suffix
 //     becomes machine-checked.

@@ -3,22 +3,50 @@
 
 Usage: deeplint_test.py <repo-root>
 
-Asserts, with the tokens frontend pinned for determinism:
-  1. the real src/ tree is clean and docs/LOCK_ORDER.md matches the
-     lock-order graph derived from it (doc drift fails);
+Asserts:
+  1. src/, tools/, bench/ and examples/ are clean and docs/LOCK_ORDER.md
+     matches the lock-order graph derived from them (doc drift fails);
   2. the broken fixtures are flagged: the lock cycle, each
-     blocking-under-lock shape, each status-discipline shape, and the
-     brace-initialized procedure vector;
+     blocking-under-lock shape, each status-discipline shape, every
+     procedure-vector defect and direct dispatch at its line, and each
+     mutex-discipline shape at its line — but not a comment that merely
+     names std::mutex;
   3. a reasoned allow() silences its finding, a reasonless one is
      itself a [suppression] finding, and --no-suppressions reports
-     waived findings again;
-  4. the brace-init vector fixture is a dmx_lint.py false negative
-     (regex clean, AST flagged) — the reason the AST port exists.
+     waived findings again.
 """
 
 import subprocess
 import sys
 from pathlib import Path
+
+FIX = "tests/lint/fixtures/deeplint/"
+
+# (fixture:line, finding text) pairs the fixture run must report.
+EXPECTED_AT = (
+    # vector-dispatch: incomplete vectors, pairing, list_instances,
+    # sibling bypass — including the brace-initialized declaration.
+    ("bad_smops.cc:18", "SmOps registration 'o' leaves required entry "
+                        "points unset: erase, fetch, redo, verify"),
+    ("bad_smops.cc:18", "SmOps 'o' registers undo without redo"),
+    ("bad_smops.cc:39", "AtOps registration 'o' leaves required entry "
+                        "points unset: on_update"),
+    ("bad_smops.cc:39", "access-path AtOps 'o' (lookup/open_scan) must "
+                        "provide list_instances"),
+    ("bad_smops.cc:56", "direct dispatch HeapStorageMethodOps().count"),
+    ("vector_braceinit.cc:15", "required entry points unset: redo"),
+    ("vector_braceinit.cc:15", "registers undo without redo"),
+    # status-discipline: both IOError forms, drop, blind retry.
+    ("bad_smops.cc:61", "Status::IOError constructed outside"),
+    ("bad_smops.cc:66", "Status::RetryableIOError constructed outside"),
+    ("status_abuse.cc:18", "drops a call result with no reason comment"),
+    ("status_abuse.cc:23", "never consults Status::IsRetryable"),
+    # mutex-discipline: raw std::mutex twice, the unguarded member.
+    ("bad_mutex.h:12", "[mutex-discipline] std::mutex is invisible"),
+    ("bad_mutex.h:18", "[mutex-discipline] std::mutex is invisible"),
+    ("bad_mutex.h:28", "[mutex-discipline] member Mutex "
+                       "UnguardedMutexHolder::mu_ guards nothing"),
+)
 
 
 def run(tool, *argv):
@@ -34,22 +62,29 @@ def main():
         return 2
     root = Path(sys.argv[1]).resolve()
     deeplint = root / "tools" / "dmx_deeplint" / "deeplint.py"
-    dmx_lint = root / "tools" / "dmx_lint.py"
-    fixtures = root / "tests" / "lint" / "fixtures" / "deeplint"
+    fixtures = root / FIX
     failures = []
 
     # 1. Real tree clean; the checked-in lock hierarchy is current.
-    rc, out = run(deeplint, "--frontend", "tokens", "--check-lock-order",
-                  root / "docs" / "LOCK_ORDER.md", root / "src")
+    rc, out = run(deeplint, "--check-lock-order",
+                  root / "docs" / "LOCK_ORDER.md",
+                  *(root / d for d in ("src", "tools", "bench", "examples")))
     if rc != 0:
-        failures.append(f"src/ should deeplint clean with a current "
-                        f"docs/LOCK_ORDER.md, got rc={rc}:\n{out}")
+        failures.append(f"src tools bench examples should deeplint clean "
+                        f"with a current docs/LOCK_ORDER.md, got "
+                        f"rc={rc}:\n{out}")
 
     # 2. Broken fixtures are flagged, each shape at least once.
-    rc, out = run(deeplint, "--frontend", "tokens", fixtures)
+    rc, out = run(deeplint, fixtures)
     if rc != 1:
         failures.append(f"fixtures should fail deeplint with rc=1, got "
                         f"rc={rc}:\n{out}")
+    lines = out.splitlines()
+    for where, what in EXPECTED_AT:
+        prefix = f"{FIX}{where}: "
+        if not any(l.startswith(prefix) and what in l for l in lines):
+            failures.append(f"expected {what!r} at {where}, "
+                            f"output:\n{out}")
     for needle in (
             # lock-order: the fixture cycle, both edges named.
             "[lock-order]", "Account::mu_ -> Ledger::mu_",
@@ -57,40 +92,37 @@ def main():
             # blocking-under-lock: syscall, Env I/O, foreign-mutex wait.
             "Flusher::HoldsAcrossFsync", "Flusher::HoldsAcrossEnvIo",
             "TwoLocks::WaitsHoldingForeign",
-            # status-discipline: confinement, drop, blind retry.
-            "Status::IOError constructed outside",
-            "drops a call result with no reason comment",
-            "never consults Status::IsRetryable",
-            # vector-dispatch: the brace-init vector, both rules.
-            "required entry points unset: redo",
-            "registers undo without redo",
+            # status-discipline: confinement outside src/util, src/wal.
+            f"{FIX}status_abuse.cc:13: [status-discipline] "
+            "Status::IOError",
             # suppression hygiene: reasonless allow() is a finding.
             "[suppression]", "allow(blocking-under-lock) without a reason",
     ):
         if needle not in out:
             failures.append(f"expected fixture finding {needle!r}, "
                             f"output:\n{out}")
+    # Tokens, not lines: the comment above bad_mutex.h:12 names
+    # std::mutex and is not a finding.
+    if f"{FIX}bad_mutex.h:11:" in out:
+        failures.append(f"a comment naming std::mutex must not be "
+                        f"flagged, output:\n{out}")
 
-    # 3a. The reasoned waiver silences its fsync finding.
-    if "WaivedByDesign" in out:
-        failures.append(f"reasoned allow() should silence "
-                        f"Flusher::WaivedByDesign, output:\n{out}")
+    # 3a. Reasoned waivers silence their findings.
+    for waived in ("WaivedByDesign", "CallerSynchronized"):
+        if waived in out:
+            failures.append(f"reasoned allow() should silence {waived}, "
+                            f"output:\n{out}")
     # 3b. The reasonless allow() suppresses nothing.
     if "Flusher::ReasonlessWaiver" not in out:
         failures.append(f"reasonless allow() must not suppress, "
                         f"output:\n{out}")
-    # 3c. The nightly audit mode reports the waived finding again.
-    rc, out = run(deeplint, "--frontend", "tokens", "--no-suppressions",
-                  fixtures / "blocking.cc")
-    if "WaivedByDesign" not in out:
-        failures.append(f"--no-suppressions should report the waived "
-                        f"finding, output:\n{out}")
-
-    # 4. dmx_lint.py's registration regex misses the brace-init vector.
-    rc, out = run(dmx_lint, fixtures / "vector_braceinit.cc")
-    if rc != 0:
-        failures.append(f"vector_braceinit.cc is meant to be a dmx_lint "
-                        f"false negative, got rc={rc}:\n{out}")
+    # 3c. The nightly audit mode reports the waived findings again.
+    rc, out = run(deeplint, "--no-suppressions", fixtures / "blocking.cc",
+                  fixtures / "bad_mutex.h")
+    for waived in ("WaivedByDesign", "CallerSynchronized::mu_"):
+        if waived not in out:
+            failures.append(f"--no-suppressions should report the waived "
+                            f"{waived} finding, output:\n{out}")
 
     if failures:
         print("deeplint_test FAILED:", file=sys.stderr)

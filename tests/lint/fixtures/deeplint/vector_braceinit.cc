@@ -1,9 +1,9 @@
 // deeplint fixture: an incomplete procedure vector declared with brace
-// initialization split from its field assignments. tools/dmx_lint.py's
-// line regex misses this declaration form entirely (its registration
-// pattern wants `SmOps o;` or `SmOps o = SomeOps();`) — the AST-level
-// vector-dispatch pass must still flag it. deeplint_test.py asserts
-// both halves: dmx_lint.py exits clean here, deeplint does not.
+// initialization split from its field assignments. A line regex
+// wanting `SmOps o;` or `SmOps o = SomeOps();` misses this form, which
+// is why vector-dispatch works on tokens: deeplint_test.py asserts that
+// the pass flags both the missing redo and the unpaired undo at the
+// registration line.
 
 #include "src/core/extension.h"
 

@@ -1,1 +1,1 @@
-"""deeplint — AST-level semantic lint for the DMX tree (see deeplint.py)."""
+"""deeplint — token-level semantic lint for DMX (see deeplint.py)."""

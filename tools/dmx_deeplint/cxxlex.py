@@ -2,7 +2,7 @@
 
 Produces a stream of (kind, text, line) tokens with comments, string
 literals, character literals, and preprocessor directives stripped (but
-line numbers preserved), which is exactly the level the fallback frontend
+line numbers preserved), which is exactly the level the token frontend
 needs: real token boundaries so multi-line declarations, comments inside
 expressions, and string contents can never confuse a pass the way they
 confuse line-regex lint.  This is not a preprocessor: macros are seen as

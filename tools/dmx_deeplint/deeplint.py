@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""deeplint: AST-level semantic lint for the DMX tree.
+"""deeplint: token-level semantic lint for the DMX tree.
 
-Pluggable passes over a shared translation-unit model:
+Pluggable passes over a shared translation-unit model (model.py), built
+by a self-contained lexer and scope tracker (frontend_tokens.py) that
+needs no toolchain:
 
   lock-order           global mutex-acquisition graph must be acyclic;
                        the derived hierarchy is docs/LOCK_ORDER.md
@@ -11,14 +13,12 @@ Pluggable passes over a shared translation-unit model:
                        boundary; no uncommented (void) drops; retry loops
                        must consult IsRetryable
   vector-dispatch      procedure-vector completeness and
-                       dispatch-through-vector, on tokens instead of
-                       line regexes
+                       dispatch-through-vector
+  mutex-discipline     no raw std:: mutex/lock/condition-variable; every
+                       member Mutex named by a GUARDED_BY/REQUIRES
 
-Frontends (--frontend):
-  tokens   self-contained lexer + scope tracker; no toolchain needed
-  cindex   libclang (clang.cindex) over compile_commands.json; exact
-           semantic types. Requires the clang python bindings.
-  auto     cindex when importable, else tokens (default)
+src/util/thread_annotations.h, which wraps the std:: primitives, is
+never linted.
 
 Suppression: `// deeplint: allow(<pass>, <reason>)` on the finding's
 line or the line above. The reason is mandatory — a reasonless allow()
@@ -31,34 +31,19 @@ Exit codes: 0 clean, 1 findings, 2 usage/environment error.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import frontend_tokens  # noqa: E402
 from model import Finding  # noqa: E402
 from passes import ALL_PASSES  # noqa: E402
 from passes import lock_order  # noqa: E402
 
 SUPPRESS_RE = re.compile(
     r"//\s*deeplint:\s*allow\(\s*([\w-]+)\s*(?:,\s*([^)]*))?\)")
-# dmx_lint.py waivers carry their reason in parens; honor them for the
-# AST-level pass that checks the same property instead of demanding a
-# second comment on the same line.
-DMX_ALLOW_RE = re.compile(
-    r"//\s*dmx-lint:\s*allow-([\w-]+)\s*(?:\(([^)]*)\))?")
-DMX_RULE_MAP = {
-    "raw-ioerror": "status-discipline",
-    "sm-incomplete": "vector-dispatch",
-    "at-incomplete": "vector-dispatch",
-    "undo-redo-pair": "vector-dispatch",
-    "lookup-needs-list": "vector-dispatch",
-    "repair-needs-release": "vector-dispatch",
-    "guard-needs-verify": "vector-dispatch",
-    "direct-dispatch": "vector-dispatch",
-}
 
 DEFAULT_EXCLUDE = ("thread_annotations.h",)
 
@@ -97,25 +82,8 @@ def load_config(path):
 
 def collect_files(args, root):
     files = []
-    # With explicit paths, --compdb only supplies compile arguments to
-    # the cindex frontend; without them it is also the file list.
-    if args.compdb and not args.paths:
-        db = Path(args.compdb) / "compile_commands.json"
-        if not db.is_file():
-            print(f"deeplint: no compile_commands.json under "
-                  f"{args.compdb}", file=sys.stderr)
-            return None
-        for entry in json.load(open(db)):
-            p = Path(entry["file"])
-            if not p.is_absolute():
-                p = Path(entry["directory"]) / p
-            files.append(p.resolve())
-        # Headers are not compile-db entries; pull in the tree's own.
-        seen_dirs = {f.parent for f in files if root in f.parents}
-        for d in seen_dirs:
-            files.extend(p.resolve() for p in d.glob("*.h"))
     roots = [Path(p) for p in args.paths]
-    if not roots and not args.compdb:
+    if not roots:
         roots = [root / d for d in ("src", "tools", "bench", "examples")
                  if (root / d).is_dir()]
     for r in roots:
@@ -151,11 +119,6 @@ def scan_suppressions(paths, root):
         except OSError:
             continue
         for i, line in enumerate(lines, 1):
-            m = DMX_ALLOW_RE.search(line)
-            if m and m.group(1) in DMX_RULE_MAP and \
-                    (m.group(2) or "").strip():
-                per.setdefault(i, []).append(
-                    (DMX_RULE_MAP[m.group(1)], m.group(2)))
             for m in SUPPRESS_RE.finditer(line):
                 rule, reason = m.group(1), m.group(2) or ""
                 per.setdefault(i, []).append((rule, reason))
@@ -195,31 +158,11 @@ def relpath(p, root):
         return str(p)
 
 
-def make_frontend(kind, config, compdb=None):
-    if kind in ("auto", "cindex"):
-        try:
-            import frontend_cindex
-            fe = frontend_cindex.CindexFrontend(config, compdb=compdb)
-            if fe.available():
-                return fe, "cindex"
-            raise RuntimeError(fe.unavailable_reason())
-        except Exception as e:
-            if kind == "cindex":
-                print(f"deeplint: cindex frontend unavailable: {e}",
-                      file=sys.stderr)
-                return None, None
-    import frontend_tokens
-    return frontend_tokens.TokenFrontend(config), "tokens"
-
-
 def main():
     ap = argparse.ArgumentParser(
         prog="deeplint", description=__doc__.splitlines()[0])
-    ap.add_argument("paths", nargs="*", help="files/dirs (default: src/)")
-    ap.add_argument("--compdb", metavar="DIR",
-                    help="build dir holding compile_commands.json")
-    ap.add_argument("--frontend", choices=("auto", "tokens", "cindex"),
-                    default="auto")
+    ap.add_argument("paths", nargs="*",
+                    help="files/dirs (default: src tools bench examples)")
     ap.add_argument("--passes", metavar="P1,P2",
                     help="comma-separated subset (default: all)")
     ap.add_argument("--no-suppressions", action="store_true",
@@ -253,11 +196,7 @@ def main():
                   file=sys.stderr)
             return 2
 
-    frontend, fe_name = make_frontend(args.frontend, config,
-                                      compdb=args.compdb)
-    if frontend is None:
-        return 2
-    models = frontend.build(files)
+    models = frontend_tokens.TokenFrontend(config).build(files)
     for tu in models:
         tu.path = relpath(tu.path, root)
 
@@ -299,7 +238,7 @@ def main():
         Path(args.output).write_text(report + ("\n" if report else ""),
                                      encoding="utf-8")
     n = len(findings)
-    print(f"deeplint[{fe_name}]: "
+    print("deeplint: "
           + (f"{n} finding(s) in {len(files)} files"
              if n else f"OK ({len(files)} files, "
                        f"{len(pass_names)} passes)"),

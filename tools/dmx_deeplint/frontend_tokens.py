@@ -1,16 +1,12 @@
 """Self-contained token/scope frontend for deeplint.
 
-Builds the shared TUModel (model.py) from a real token stream — comments,
+Builds the TUModel (model.py) from a real token stream — comments,
 strings and preprocessor lines stripped, multi-line declarations seen as
 one token sequence — plus a lightweight structural parse: namespace/class
 scopes, member declarations (mutexes, member types, CondVar->Mutex
 bindings), and function definitions whose bodies are walked with a scope
 stack tracking RAII MutexLock lifetimes and manual Lock()/Unlock() pairs.
-
-It is the frontend that always works: no compiler, no libclang. The
-clang.cindex frontend (frontend_cindex.py) produces the same model with
-full semantic type resolution when the bindings are installed; passes
-cannot tell them apart.
+It needs no compiler and no libclang.
 """
 
 from __future__ import annotations
@@ -19,7 +15,8 @@ from pathlib import Path
 
 from cxxlex import tokenize
 from model import (CallEvent, ClassInfo, DirectDispatch, FunctionModel,
-                   LockEvent, StatusFact, TUModel, VectorReg, WaitEvent)
+                   LockEvent, MutexFact, StatusFact, TUModel, VectorReg,
+                   WaitEvent)
 
 KEYWORDS_NOT_CALLS = frozenset((
     "if", "while", "for", "switch", "return", "sizeof", "alignof",
@@ -45,6 +42,20 @@ ANNOTATION_IDENTS = frozenset((
 
 OPS_SUFFIXES = ("StorageMethodOps", "AttachmentTypeOps", "AttachmentOps")
 
+# std:: synchronization primitives Clang Thread Safety Analysis cannot
+# see; src/util/thread_annotations.h wraps them as Mutex/MutexLock/CondVar.
+RAW_SYNC = frozenset((
+    "mutex", "recursive_mutex", "shared_mutex", "condition_variable",
+    "condition_variable_any", "lock_guard", "unique_lock", "scoped_lock",
+))
+
+# Annotations whose argument names the mutex a member or method is bound
+# to: a member Mutex no such annotation in its file names guards nothing.
+GUARD_ANNOTATIONS = frozenset((
+    "GUARDED_BY", "PT_GUARDED_BY", "REQUIRES", "REQUIRES_SHARED",
+    "EXCLUSIVE_LOCKS_REQUIRED", "ACQUIRE", "RELEASE",
+))
+
 
 class _FuncDef:
     __slots__ = ("qual", "cls", "name", "line", "body", "entry_args",
@@ -68,6 +79,7 @@ class TokenFrontend:
         self._file_tokens = {}
         self._file_funcs = {}
         self._file_lines = {}
+        self._mutex_members = {}  # path -> [(class, name, line)]
 
     # ---- public API ---------------------------------------------------
 
@@ -189,7 +201,7 @@ class TokenFrontend:
             t = toks[j]
             if t.text == ";":
                 if cls is not None and name_chain is None:
-                    self._record_member(cls, toks[start:j])
+                    self._record_member(path, cls, toks[start:j])
                 elif cls is None and name_chain is None:
                     self._record_global(path, toks[start:j])
                 return j + 1
@@ -197,7 +209,7 @@ class TokenFrontend:
                 # Brace-initialized member: `CondVar cv_{&mu_};`
                 k = self._skip_balanced(toks, j, "{", "}")
                 if cls is not None:
-                    self._record_member(cls, toks[start:j],
+                    self._record_member(path, cls, toks[start:j],
                                         init=toks[j + 1:k - 1])
                 while k < n and toks[k].text != ";":
                     k += 1
@@ -287,7 +299,7 @@ class TokenFrontend:
                     else:
                         j += 1
                 if cls is not None:
-                    self._record_member(cls, toks[start:j])
+                    self._record_member(path, cls, toks[start:j])
                 elif cls is None:
                     self._record_global(path, toks[start:j])
                 return j + 1
@@ -316,11 +328,11 @@ class TokenFrontend:
             return None
         return chain
 
-    def _record_member(self, cls, decl, init=None):
+    def _record_member(self, path, cls, decl, init=None):
         info = self.classes.setdefault(cls, ClassInfo(cls))
         # Find the member name: last ident before the annotation/initializer
         # boundary; everything before it is the type.
-        idents, name = [], None
+        idents, name_at = [], 0
         for k, t in enumerate(decl):
             if t.kind == "ident" and t.text in ANNOTATION_IDENTS:
                 break
@@ -328,15 +340,20 @@ class TokenFrontend:
                 break
             if t.kind == "ident" and t.text not in QUALIFIER_IDENTS:
                 idents.append(t.text)
-        if len(idents) >= 2:
-            name, type_idents = idents[-1], idents[:-1]
-        elif idents:
+                name_at = k
+        if len(idents) < 2:
             return  # untyped / macro line
-        else:
-            return
+        name, type_idents = idents[-1], idents[:-1]
         info.members[name] = tuple(type_idents)
         if "Mutex" in type_idents:
             info.mutexes.append(name)
+            # A Mutex held by value (not a pointer, reference or template
+            # argument) is one this class owns and must annotate.
+            if type_idents[-1] == "Mutex" and all(
+                    t.kind == "ident" or t.text == "::"
+                    for t in decl[:name_at]):
+                self._mutex_members.setdefault(path, []).append(
+                    (cls, name, decl[name_at].line))
         if "CondVar" in type_idents and init is not None:
             expr = [t.text for t in init if t.text not in ("&",)]
             if expr:
@@ -379,6 +396,7 @@ class TokenFrontend:
         toks = self._file_tokens[path]
         self._scan_status_facts(path, toks, tu)
         self._scan_dispatch(toks, tu)
+        self._scan_mutex_facts(path, toks, tu)
         for cls, info in self.classes.items():
             tu.classes[cls] = info
         for fd in self._file_funcs[path]:
@@ -751,6 +769,23 @@ class TokenFrontend:
                     i + 5 < n and toks[i + 5].text == "(":
                 tu.dispatches.append(DirectDispatch(
                     f"{t.text}().{toks[i + 4].text}(...)", t.line))
+
+    def _scan_mutex_facts(self, path, toks, tu):
+        n = len(toks)
+        named = set()  # identifiers inside GUARDED_BY(...)/REQUIRES(...)
+        for i, t in enumerate(toks):
+            if t.text == "std" and i + 2 < n and toks[i + 1].text == "::" \
+                    and toks[i + 2].text in RAW_SYNC:
+                tu.mutex_facts.append(MutexFact(
+                    "raw", f"std::{toks[i + 2].text}", t.line))
+            elif t.text in GUARD_ANNOTATIONS and i + 1 < n and \
+                    toks[i + 1].text == "(":
+                e = self._skip_balanced(toks, i + 1, "(", ")")
+                named.update(a.text for a in toks[i + 2:e - 1]
+                             if a.kind == "ident")
+        for cls, name, line in self._mutex_members.get(path, ()):
+            tu.mutex_facts.append(MutexFact(
+                "member", f"{cls}::{name}", line, guarded=name in named))
 
     # ---- token utilities ----------------------------------------------
 

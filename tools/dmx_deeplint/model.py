@@ -1,12 +1,12 @@
-"""Shared translation-unit model every deeplint frontend produces.
+"""Translation-unit model the deeplint passes run on.
 
-Both frontends — the libclang (clang.cindex) AST walker and the
-self-contained token frontend — reduce a C++ source file to this model;
-the passes only ever see the model, so they run identically under either.
-The model is deliberately small: functions with their lock events, call
-sites annotated with the held-lock set, condition-variable waits,
-procedure-vector registrations, and the handful of raw-source facts
-(IOError constructions, (void) drops) the status pass needs.
+The token frontend (frontend_tokens.py) reduces each C++ source file to
+this model; the passes only ever see the model. It is deliberately
+small: functions with their lock events, call sites annotated with the
+held-lock set, condition-variable waits, procedure-vector registrations,
+and the handful of raw-source facts the status pass (IOError
+constructions, (void) drops) and the mutex pass (raw std:: primitives,
+member Mutex declarations) need.
 """
 
 from __future__ import annotations
@@ -84,6 +84,15 @@ class StatusFact:
 
 
 @dataclass
+class MutexFact:
+    """Declarations the mutex-discipline pass consumes."""
+    kind: str            # "raw" (std:: primitive) | "member" (Mutex member)
+    detail: str          # "std::mutex" | "Class::mu_"
+    line: int
+    guarded: bool = False  # member: named by GUARDED_BY/REQUIRES in its file
+
+
+@dataclass
 class ClassInfo:
     name: str
     mutexes: list = field(default_factory=list)    # member mutex names
@@ -99,6 +108,7 @@ class TUModel:
     vectors: list = field(default_factory=list)    # [VectorReg]
     dispatches: list = field(default_factory=list)  # [DirectDispatch]
     status_facts: list = field(default_factory=list)  # [StatusFact]
+    mutex_facts: list = field(default_factory=list)  # [MutexFact]
 
 
 @dataclass

@@ -1,8 +1,7 @@
 """status-discipline: the fault taxonomy survives from Env to handler.
 
-Three rules, extending dmx_lint's line-regex raw-ioerror rule to real
-token level (comments/strings/multi-line can no longer hide or fake a
-construction):
+Three rules, on tokens (comments/strings/multi-line can neither hide nor
+fake a construction):
 
   * ioerror-confinement — Status::IOError / Status::RetryableIOError may
     be constructed only under the configured directories (src/util,

@@ -1,13 +1,12 @@
 """vector-dispatch: procedure-vector completeness + dispatch discipline.
 
-The AST-level port of dmx_lint.py's two core paper contracts. The regex
-lint matches `SmOps v;` declaration shapes line-by-line and silently
-skips anything it cannot parse — brace-initialized registrations
-(`SmOps ops{};`), comments between tokens, assignments split across
-lines. Here registrations are recovered from the token stream inside
-function bodies (declaration .. field assignments .. `return var;`), so a
-registration that leaves a required entry point unset is found no matter
-how it is formatted, and a sibling-vector bypass
+The paper's two core contracts: every registered vector is complete (a
+missing entry point is a nullptr dispatch), and cross-extension work
+goes through the registered vector. Registrations are recovered from the
+token stream inside function bodies (declaration .. field assignments ..
+`return var;`), so brace-initialized registrations (`SmOps ops{};`),
+comments between tokens and assignments split across lines cannot hide
+an unset entry point, and a sibling-vector bypass
 (`HeapStorageMethodOps().insert(...)`) is found even when wrapped.
 """
 
@@ -17,9 +16,6 @@ from model import Finding
 
 RULE = "vector-dispatch"
 
-# The one definition of the required entry points; tools/dmx_lint.py (the
-# fast line-level pre-commit check) imports these sets.
-#
 # Every storage method must provide these. partition_scan and checkpoint
 # are genuinely optional (the kernel probes for nullptr).
 SM_REQUIRED = frozenset((

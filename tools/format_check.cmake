@@ -1,5 +1,6 @@
-# Runs `clang-format --dry-run --Werror` over the formatted directories
-# (same scope as the CI lint lane). Invoked by the root `lint` target:
+# Runs `clang-format --dry-run --Werror` over the formatted directories.
+# The one definition of the format check: the root `lint` target and the
+# CI lint lane both run it:
 #   cmake -DCLANG_FORMAT=... -DSOURCE_DIR=... -P tools/format_check.cmake
 
 file(GLOB_RECURSE files
