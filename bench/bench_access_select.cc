@@ -121,7 +121,7 @@ void BM_PlannerChosenPath(benchmark::State& state) {
   const int kind = static_cast<int>(state.range(0));
   ExprPtr pred = PredicateFor(kind);
   BoundPlan plan;
-  plan.relation = *fixture->desc;
+  plan.relation = db->catalog()->Snapshot(fixture->desc->name);
   {
     Transaction* txn = db->Begin();
     BenchCheck(PlanAccess(db, txn, fixture->desc, pred, &plan.access),
@@ -148,7 +148,7 @@ void BM_ForcedFullScan(benchmark::State& state) {
   Database* db = fixture->db.get();
   const int kind = static_cast<int>(state.range(0));
   BoundPlan plan;
-  plan.relation = *fixture->desc;
+  plan.relation = db->catalog()->Snapshot(fixture->desc->name);
   plan.access.path = AccessPathId::StorageMethod();
   plan.access.spec.filter = PredicateFor(kind);
   state.SetLabel(KindName(kind));

@@ -31,7 +31,7 @@ ExprPtr SelectivePredicate() {
 
 std::shared_ptr<BoundPlan> MakeScanPlan() {
   auto plan = std::make_shared<BoundPlan>();
-  plan->relation = *F()->desc();
+  plan->relation = F()->db()->catalog()->Snapshot(F()->desc()->name);
   plan->access.path = AccessPathId::StorageMethod();
   plan->access.spec.filter = SelectivePredicate();
   return plan;

@@ -5,13 +5,17 @@
 //
 // Runs the same point query (a) through the bound-plan cache, (b)
 // re-planned from the catalog on every execution, and (c) measures the
-// re-translation triggered when DDL invalidates a dependent plan.
+// re-translation triggered when DDL invalidates a dependent plan. At the
+// SQL layer it compares (d) an ad hoc point select, whose literal makes
+// every execution a new statement, with (e) the same select written with
+// `?`, which reuses one bound plan and binds the value per execution.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "src/query/executor.h"
 #include "src/query/plan_cache.h"
+#include "src/query/sql.h"
 
 namespace dmx {
 namespace bench {
@@ -75,10 +79,9 @@ void BM_RePlanEveryExecution(benchmark::State& state) {
     Transaction* txn = db->Begin();
     // Catalog access + full access-path enumeration, every time.
     BoundPlan plan;
-    const RelationDescriptor* fresh;
-    BenchCheck(db->FindRelation("bench", &fresh), "catalog");
-    plan.relation = *fresh;
-    BenchCheck(PlanAccess(db, txn, fresh, pred, &plan.access), "plan");
+    BenchCheck(db->FindRelation("bench", &plan.relation), "catalog");
+    BenchCheck(PlanAccess(db, txn, plan.relation.get(), pred, &plan.access),
+               "plan");
     rows += RunPlan(db, txn, &plan);
     BenchCheck(db->Commit(txn), "commit");
   }
@@ -120,6 +123,48 @@ void BM_InvalidationRetranslate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InvalidationRetranslate)->Unit(benchmark::kMillisecond);
+
+// SQL point selects over the 20,000 ids: ad hoc (a literal per id: lex,
+// parse, plan and a plan-cache miss each time) or prepared (`id = ?`: lex,
+// parse and a plan-cache hit). As in dmx_e2e, a session serves 1,000
+// statements, which bounds the ad hoc statements' never-evicting cache.
+void RunSqlPointSelects(benchmark::State& state, bool prepared) {
+  Database* db = F()->db.db();
+  std::unique_ptr<Session> session;
+  QueryResult result;
+  int64_t id = 0;
+  uint64_t n = 0, rows = 0, hits = 0;
+  for (auto _ : state) {
+    if (n++ % 1000 == 0) {
+      if (session != nullptr) hits += session->plan_cache()->stats().hits;
+      session = std::make_unique<Session>(db);
+    }
+    id = (id + 7919) % static_cast<int64_t>(kRows);
+    const Status s =
+        prepared ? session->Execute("SELECT * FROM bench WHERE id = ?",
+                                    {Value::Int(id)}, &result)
+                 : session->Execute(
+                       "SELECT * FROM bench WHERE id = " + std::to_string(id),
+                       &result);
+    BenchCheck(s, "select");
+    rows += result.rows.size();
+  }
+  if (session != nullptr) hits += session->plan_cache()->stats().hits;
+  state.counters["plan_cache_hits"] = static_cast<double>(hits);
+  state.counters["rows"] = static_cast<double>(rows);
+  benchmark::DoNotOptimize(rows);
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_SqlAdhocPointSelect(benchmark::State& state) {
+  RunSqlPointSelects(state, /*prepared=*/false);
+}
+BENCHMARK(BM_SqlAdhocPointSelect);
+
+void BM_SqlPreparedPointSelect(benchmark::State& state) {
+  RunSqlPointSelects(state, /*prepared=*/true);
+}
+BENCHMARK(BM_SqlPreparedPointSelect);
 
 }  // namespace
 }  // namespace bench

@@ -103,8 +103,12 @@ Status StripedUpdate(SmContext& ctx, const Slice& record_key, const Slice&,
 class StripedScan : public Scan {
  public:
   StripedScan(Database* db, const RelationDescriptor* desc, StripedState* st,
-              ExprPtr filter)
-      : db_(db), desc_(desc), st_(st), filter_(std::move(filter)) {}
+              ExprPtr filter, const std::vector<Value>* params)
+      : db_(db),
+        desc_(desc),
+        st_(st),
+        filter_(std::move(filter)),
+        params_(params) {}
 
   Status Next(ScanItem* out) override {
     while (true) {
@@ -120,7 +124,8 @@ class StripedScan : public Scan {
       RecordView view{Slice(it->second), &desc_->schema};
       if (filter_ != nullptr) {
         bool passes = false;
-        Status s = db_->evaluator()->EvalPredicate(*filter_, view, &passes);
+        Status s =
+            db_->evaluator()->EvalPredicate(*filter_, view, &passes, params_);
         if (!s.ok()) return s;
         if (!passes) continue;
       }
@@ -148,6 +153,7 @@ class StripedScan : public Scan {
   const RelationDescriptor* desc_;
   StripedState* st_;
   ExprPtr filter_;
+  const std::vector<Value>* params_;  // the statement's `?` values, or null
   int stripe_ = 0;
   std::string pos_;
 };
@@ -155,7 +161,8 @@ class StripedScan : public Scan {
 Status StripedOpenScan(SmContext& ctx, const ScanSpec& spec,
                        std::unique_ptr<Scan>* scan) {
   *scan = std::make_unique<StripedScan>(
-      ctx.db, ctx.desc, static_cast<StripedState*>(ctx.state), spec.filter);
+      ctx.db, ctx.desc, static_cast<StripedState*>(ctx.state), spec.filter,
+      spec.params);
   return Status::OK();
 }
 

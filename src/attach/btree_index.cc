@@ -383,8 +383,7 @@ Status IdxCost(AtContext& ctx, uint32_t instance_no,
     for (size_t i = 0; i < predicates.size(); ++i) {
       int f;
       ExprOp op;
-      Value constant;
-      if (!MatchFieldCompare(predicates[i], &f, &op, &constant) ||
+      if (!MatchFieldCompare(predicates[i], &f, &op) ||
           f != field || op == ExprOp::kNe) {
         continue;
       }

@@ -266,8 +266,7 @@ Status HashCost(AtContext& ctx, uint32_t instance_no,
     for (size_t i = 0; i < predicates.size(); ++i) {
       int f;
       ExprOp op;
-      Value constant;
-      if (MatchFieldCompare(predicates[i], &f, &op, &constant) &&
+      if (MatchFieldCompare(predicates[i], &f, &op) &&
           op == ExprOp::kEq && f == field) {
         handled.push_back(static_cast<int>(i));
         found = true;

@@ -22,7 +22,7 @@ Status Catalog::Load(const std::string& path, Env* env) {
   }
   next_id_ = next_id;
   for (uint32_t i = 0; i < count; ++i) {
-    auto desc = std::make_unique<RelationDescriptor>();
+    auto desc = std::make_shared<RelationDescriptor>();
     DMX_RETURN_IF_ERROR(RelationDescriptor::DecodeFrom(&s, desc.get()));
     by_name_[desc->name] = desc->id;
     by_id_[desc->id] = std::move(desc);
@@ -57,7 +57,7 @@ Status Catalog::AddRelation(RelationDescriptor desc, RelationId* id) {
   desc.version = 1;
   *id = desc.id;
   by_name_[desc.name] = desc.id;
-  by_id_[desc.id] = std::make_unique<RelationDescriptor>(std::move(desc));
+  by_id_[desc.id] = std::make_shared<RelationDescriptor>(std::move(desc));
   return Status::OK();
 }
 
@@ -80,7 +80,7 @@ Status Catalog::RestoreRelation(RelationDescriptor desc) {
   }
   by_name_[desc.name] = desc.id;
   RelationId id = desc.id;
-  by_id_[id] = std::make_unique<RelationDescriptor>(std::move(desc));
+  by_id_[id] = std::make_shared<RelationDescriptor>(std::move(desc));
   return Status::OK();
 }
 
@@ -93,7 +93,7 @@ Status Catalog::UpdateRelation(const RelationDescriptor& desc) {
   // Copy-on-write: retire the old object instead of assigning over it, so
   // readers holding its pointer (or Slices into its strings) never race
   // with the replacement.
-  auto fresh = std::make_unique<RelationDescriptor>(desc);
+  auto fresh = std::make_shared<RelationDescriptor>(desc);
   fresh->version = it->second->version + 1;
   retired_.push_back(std::move(it->second));
   it->second = std::move(fresh);
@@ -107,7 +107,7 @@ Status Catalog::MutateRelation(
   if (it == by_id_.end()) {
     return Status::NotFound("relation id " + std::to_string(id));
   }
-  auto fresh = std::make_unique<RelationDescriptor>(*it->second);
+  auto fresh = std::make_shared<RelationDescriptor>(*it->second);
   if (!fn(*fresh)) return Status::OK();
   ++fresh->version;
   retired_.push_back(std::move(it->second));
@@ -125,7 +125,7 @@ Status Catalog::RenameRelation(RelationId id, const std::string& new_name) {
     return Status::InvalidArgument("relation '" + new_name +
                                    "' already exists");
   }
-  auto fresh = std::make_unique<RelationDescriptor>(*it->second);
+  auto fresh = std::make_shared<RelationDescriptor>(*it->second);
   fresh->name = new_name;
   ++fresh->version;
   by_name_.erase(it->second->name);
@@ -146,6 +146,14 @@ const RelationDescriptor* Catalog::Find(RelationId id) const {
   MutexLock lock(&mu_);
   auto it = by_id_.find(id);
   return it == by_id_.end() ? nullptr : it->second.get();
+}
+
+std::shared_ptr<const RelationDescriptor> Catalog::Snapshot(
+    const std::string& name) const {
+  MutexLock lock(&mu_);
+  auto it = by_name_.find(name);
+  if (it == by_name_.end()) return nullptr;
+  return by_id_.at(it->second);
 }
 
 uint64_t Catalog::VersionOf(RelationId id) const {

@@ -6,8 +6,10 @@
 // contents of its own descriptor data, but the common system manages the
 // composite relation descriptor."
 //
-// The catalog is loaded entirely at open; descriptors are handed to query
-// compilation by value so plans never touch the catalog at run time.
+// The catalog is loaded entirely at open. Every descriptor object is
+// immutable once installed: DDL swaps in a fresh one. Query compilation
+// shares the current object (Snapshot), so a bound plan carries its
+// descriptor and never touches the catalog at run time.
 // Persistence is an atomic whole-file rewrite (write temp + rename),
 // performed when a DDL transaction commits.
 
@@ -70,10 +72,16 @@ class Catalog {
   /// Lookup by name / id. Returns a stable pointer owned by the catalog;
   /// valid until the relation is dropped, but frozen at the state it had
   /// when fetched — an Update/Mutate/Rename swaps in a fresh object, so
-  /// re-Find after updating to observe the change. Copy the descriptor
-  /// when embedding into a plan.
+  /// re-Find after updating to observe the change.
   const RelationDescriptor* Find(const std::string& name) const;
   const RelationDescriptor* Find(RelationId id) const;
+
+  /// Shared ownership of the current descriptor object (null if absent):
+  /// what a bound plan embeds. Sharing instead of copying is safe because
+  /// the object is never mutated; it outlives a later drop for as long as
+  /// a plan holds it.
+  std::shared_ptr<const RelationDescriptor> Snapshot(
+      const std::string& name) const;
 
   /// Current version of a relation, or 0 if dropped — the plan-validity
   /// check ("a uniform mechanism for recording the dependencies of
@@ -87,13 +95,14 @@ class Catalog {
   Env* env_ GUARDED_BY(mu_) = nullptr;
   std::string path_ GUARDED_BY(mu_);
   RelationId next_id_ GUARDED_BY(mu_) = 1;
-  std::map<RelationId, std::unique_ptr<RelationDescriptor>> by_id_
+  std::map<RelationId, std::shared_ptr<const RelationDescriptor>> by_id_
       GUARDED_BY(mu_);
   std::map<std::string, RelationId> by_name_ GUARDED_BY(mu_);
-  /// Superseded descriptors, kept alive so readers that fetched a pointer
-  /// before an update never dangle. Bounded by the number of DDL /
+  /// Superseded descriptors, kept alive so readers that fetched a raw
+  /// pointer before an update never dangle. Bounded by the number of DDL /
   /// quarantine events in the process lifetime.
-  std::vector<std::unique_ptr<RelationDescriptor>> retired_ GUARDED_BY(mu_);
+  std::vector<std::shared_ptr<const RelationDescriptor>> retired_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace dmx

@@ -271,6 +271,16 @@ Status Database::FindRelation(const std::string& name,
   return Status::OK();
 }
 
+Status Database::FindRelation(
+    const std::string& name,
+    std::shared_ptr<const RelationDescriptor>* desc) const {
+  *desc = catalog_.Snapshot(name);
+  if (*desc == nullptr) {
+    return Status::InvalidArgument("no relation named '" + name + "'");
+  }
+  return Status::OK();
+}
+
 Database::RelationRuntime* Database::GetRuntime(RelationId id) {
   MutexLock lock(&runtime_mu_);
   auto it = runtimes_.find(id);

@@ -411,6 +411,10 @@ class Database {
   /// Descriptor lookup helper returning InvalidArgument for unknown names.
   Status FindRelation(const std::string& name,
                       const RelationDescriptor** desc) const;
+  /// The same, sharing the catalog's immutable descriptor object (what a
+  /// bound plan embeds; see Catalog::Snapshot).
+  Status FindRelation(const std::string& name,
+                      std::shared_ptr<const RelationDescriptor>* desc) const;
 
   /// Build an SmContext/AtContext for `desc` with lazily-opened state.
   /// Public so extension implementations can reach other relations (e.g.

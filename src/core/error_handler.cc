@@ -113,17 +113,21 @@ void ErrorHandler::RecoveryLoop() {
       MutexLock lock(&mu_);
       attempt_no = ++attempt_;
       listener = listener_;
-      if (s.ok()) {
-        degraded_.store(false, std::memory_order_release);
-        reason_.clear();
-        cause_ = Status::OK();
-        metric_successes_->Increment();
-        metric_degraded_->Reset();  // gauge: back to 0
-        cv_.NotifyAll();            // release WaitUntilHealthy callers
-      }
     }
+    // Report the attempt before a success releases WaitUntilHealthy
+    // callers: a caller that waited for health has seen every attempt, and
+    // may destroy what its listener refers to once the wait returns.
     if (listener) listener(s.ok(), attempt_no);
-    if (s.ok()) continue;
+    if (s.ok()) {
+      MutexLock lock(&mu_);
+      degraded_.store(false, std::memory_order_release);
+      reason_.clear();
+      cause_ = Status::OK();
+      metric_successes_->Increment();
+      metric_degraded_->Reset();  // gauge: back to 0
+      cv_.NotifyAll();            // release WaitUntilHealthy callers
+      continue;
+    }
 
     // The fault persists: back off (interruptibly) before the next probe.
     {

@@ -67,7 +67,9 @@ class ErrorHandler {
   using RecoverFn = std::function<Status()>;
 
   /// Test hook fired after every recovery attempt (success flag, 1-based
-  /// attempt number within the current outage). Called with no lock held.
+  /// attempt number within the current outage). Called with no lock held,
+  /// and for a successful attempt before WaitUntilHealthy callers are
+  /// released.
   using RecoveryListener = std::function<void(bool success, uint64_t attempt)>;
 
   ErrorHandler();  // default Options

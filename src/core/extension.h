@@ -102,6 +102,10 @@ struct ScanSpec {
   /// Filter predicate evaluated by the extension against records still in
   /// its buffer pool (common predicate-evaluation service). May be null.
   ExprPtr filter;
+  /// Values for the filter's `?` parameters, owned by the executing
+  /// statement and valid for the life of the scan; null when the statement
+  /// has none. Pass it to ExprEvaluator::EvalPredicate with the filter.
+  const std::vector<Value>* params = nullptr;
 
   /// Fields the caller needs (projection pushdown); empty = all.
   std::vector<int> fields;

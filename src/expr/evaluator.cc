@@ -42,16 +42,18 @@ void ExprEvaluator::RegisterFunction(const std::string& name,
   functions_[name] = std::move(fn);
 }
 
-Status ExprEvaluator::EvalPredicate(const Expr& e, const TupleAccessor& row,
-                                    bool* passes) const {
+Status ExprEvaluator::EvalPredicate(
+    const Expr& e, const TupleAccessor& row, bool* passes,
+    const std::vector<Value>* params) const {
   Value v;
-  DMX_RETURN_IF_ERROR(Eval(e, row, &v));
+  DMX_RETURN_IF_ERROR(Eval(e, row, &v, params));
   *passes = !v.is_null() && v.type() == TypeId::kBool && v.bool_value();
   return Status::OK();
 }
 
 Status ExprEvaluator::Eval(const Expr& e, const TupleAccessor& row,
-                           Value* result) const {
+                           Value* result,
+                           const std::vector<Value>* params) const {
   switch (e.op()) {
     case ExprOp::kConst:
       *result = e.constant();
@@ -66,11 +68,13 @@ Status ExprEvaluator::Eval(const Expr& e, const TupleAccessor& row,
       }
       return row.GetField(e.field_index(), result);
     case ExprOp::kParam:
-      if (e.param_index() < 0 ||
-          static_cast<size_t>(e.param_index()) >= params_.size()) {
-        return Status::InvalidArgument("parameter not bound");
+      if (params == nullptr || e.param_index() < 0 ||
+          static_cast<size_t>(e.param_index()) >= params->size()) {
+        return Status::InvalidArgument(
+            "parameter ?" + std::to_string(e.param_index() + 1) +
+            " not bound");
       }
-      *result = params_[static_cast<size_t>(e.param_index())];
+      *result = (*params)[static_cast<size_t>(e.param_index())];
       return Status::OK();
     case ExprOp::kCall: {
       auto it = functions_.find(e.func_name());
@@ -81,7 +85,7 @@ Status ExprEvaluator::Eval(const Expr& e, const TupleAccessor& row,
       args.reserve(e.children().size());
       for (const auto& c : e.children()) {
         Value v;
-        DMX_RETURN_IF_ERROR(Eval(*c, row, &v));
+        DMX_RETURN_IF_ERROR(Eval(*c, row, &v, params));
         args.push_back(std::move(v));
       }
       return it->second(args, result);
@@ -91,7 +95,7 @@ Status ExprEvaluator::Eval(const Expr& e, const TupleAccessor& row,
       bool saw_null = false;
       for (const auto& c : e.children()) {
         Value v;
-        DMX_RETURN_IF_ERROR(Eval(*c, row, &v));
+        DMX_RETURN_IF_ERROR(Eval(*c, row, &v, params));
         if (v.is_null()) {
           saw_null = true;
         } else if (v.type() != TypeId::kBool) {
@@ -108,7 +112,7 @@ Status ExprEvaluator::Eval(const Expr& e, const TupleAccessor& row,
       bool saw_null = false;
       for (const auto& c : e.children()) {
         Value v;
-        DMX_RETURN_IF_ERROR(Eval(*c, row, &v));
+        DMX_RETURN_IF_ERROR(Eval(*c, row, &v, params));
         if (v.is_null()) {
           saw_null = true;
         } else if (v.type() != TypeId::kBool) {
@@ -123,7 +127,7 @@ Status ExprEvaluator::Eval(const Expr& e, const TupleAccessor& row,
     }
     case ExprOp::kNot: {
       Value v;
-      DMX_RETURN_IF_ERROR(Eval(*e.child(0), row, &v));
+      DMX_RETURN_IF_ERROR(Eval(*e.child(0), row, &v, params));
       if (!v.is_null() && v.type() != TypeId::kBool) {
         return Status::InvalidArgument("NOT operand not boolean");
       }
@@ -132,7 +136,7 @@ Status ExprEvaluator::Eval(const Expr& e, const TupleAccessor& row,
     }
     case ExprOp::kIsNull: {
       Value v;
-      DMX_RETURN_IF_ERROR(Eval(*e.child(0), row, &v));
+      DMX_RETURN_IF_ERROR(Eval(*e.child(0), row, &v, params));
       *result = Value::Bool(v.is_null());
       return Status::OK();
     }
@@ -142,16 +146,16 @@ Status ExprEvaluator::Eval(const Expr& e, const TupleAccessor& row,
     case ExprOp::kLe:
     case ExprOp::kGt:
     case ExprOp::kGe:
-      return EvalComparison(e, row, result);
+      return EvalComparison(e, row, result, params);
     case ExprOp::kAdd:
     case ExprOp::kSub:
     case ExprOp::kMul:
     case ExprOp::kDiv:
-      return EvalArithmetic(e, row, result);
+      return EvalArithmetic(e, row, result, params);
     case ExprOp::kLike: {
       Value text, pat;
-      DMX_RETURN_IF_ERROR(Eval(*e.child(0), row, &text));
-      DMX_RETURN_IF_ERROR(Eval(*e.child(1), row, &pat));
+      DMX_RETURN_IF_ERROR(Eval(*e.child(0), row, &text, params));
+      DMX_RETURN_IF_ERROR(Eval(*e.child(1), row, &pat, params));
       if (text.is_null() || pat.is_null()) {
         *result = Value::Null();
         return Status::OK();
@@ -166,16 +170,17 @@ Status ExprEvaluator::Eval(const Expr& e, const TupleAccessor& row,
     case ExprOp::kEncloses:
     case ExprOp::kWithin:
     case ExprOp::kOverlaps:
-      return EvalSpatial(e, row, result);
+      return EvalSpatial(e, row, result, params);
   }
   return Status::Internal("unhandled expression op");
 }
 
-Status ExprEvaluator::EvalComparison(const Expr& e, const TupleAccessor& row,
-                                     Value* result) const {
+Status ExprEvaluator::EvalComparison(
+    const Expr& e, const TupleAccessor& row, Value* result,
+    const std::vector<Value>* params) const {
   Value a, b;
-  DMX_RETURN_IF_ERROR(Eval(*e.child(0), row, &a));
-  DMX_RETURN_IF_ERROR(Eval(*e.child(1), row, &b));
+  DMX_RETURN_IF_ERROR(Eval(*e.child(0), row, &a, params));
+  DMX_RETURN_IF_ERROR(Eval(*e.child(1), row, &b, params));
   if (a.is_null() || b.is_null()) {
     *result = Value::Null();
     return Status::OK();
@@ -202,11 +207,12 @@ Status ExprEvaluator::EvalComparison(const Expr& e, const TupleAccessor& row,
   return Status::OK();
 }
 
-Status ExprEvaluator::EvalArithmetic(const Expr& e, const TupleAccessor& row,
-                                     Value* result) const {
+Status ExprEvaluator::EvalArithmetic(
+    const Expr& e, const TupleAccessor& row, Value* result,
+    const std::vector<Value>* params) const {
   Value a, b;
-  DMX_RETURN_IF_ERROR(Eval(*e.child(0), row, &a));
-  DMX_RETURN_IF_ERROR(Eval(*e.child(1), row, &b));
+  DMX_RETURN_IF_ERROR(Eval(*e.child(0), row, &a, params));
+  DMX_RETURN_IF_ERROR(Eval(*e.child(1), row, &b, params));
   if (a.is_null() || b.is_null()) {
     *result = Value::Null();
     return Status::OK();
@@ -246,15 +252,16 @@ Status ExprEvaluator::EvalArithmetic(const Expr& e, const TupleAccessor& row,
   return Status::OK();
 }
 
-Status ExprEvaluator::EvalSpatial(const Expr& e, const TupleAccessor& row,
-                                  Value* result) const {
+Status ExprEvaluator::EvalSpatial(
+    const Expr& e, const TupleAccessor& row, Value* result,
+    const std::vector<Value>* params) const {
   if (e.children().size() != 8) {
     return Status::InvalidArgument("spatial predicate needs 8 operands");
   }
   double rect[8];
   for (int i = 0; i < 8; ++i) {
     Value v;
-    DMX_RETURN_IF_ERROR(Eval(*e.child(i), row, &v));
+    DMX_RETURN_IF_ERROR(Eval(*e.child(i), row, &v, params));
     if (v.is_null()) {
       *result = Value::Null();
       return Status::OK();

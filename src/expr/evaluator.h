@@ -69,8 +69,12 @@ class ValuesAccessor : public TupleAccessor {
 
 /// Evaluates expression trees with SQL-style three-valued NULL semantics.
 ///
-/// Thread-compatible: one evaluator per execution context; the function
-/// registry may be shared after setup.
+/// Holds no per-statement state. The parameter values of one execution
+/// ("variable data can be used by the predicate evaluator") arrive with
+/// each call as a non-owning `params` pointer: the statement that binds
+/// them keeps the vector alive while it runs, and a statement without `?`
+/// passes null. So one evaluator serves every session and thread once its
+/// function registry is set up.
 class ExprEvaluator {
  public:
   ExprEvaluator() = default;
@@ -78,56 +82,57 @@ class ExprEvaluator {
   /// Register a function callable via ExprOp::kCall nodes.
   void RegisterFunction(const std::string& name, UserFunction fn);
 
-  /// Bind runtime parameters referenced by ExprOp::kParam nodes
-  /// ("variable data can be used by the predicate evaluator").
-  void SetParams(std::vector<Value> params) { params_ = std::move(params); }
-
   /// Evaluate `e` against a tuple. NULL inputs propagate per SQL semantics.
-  Status Eval(const Expr& e, const TupleAccessor& row, Value* result) const;
+  /// A kParam node reads `(*params)[index]`; an index past the end (or a
+  /// null `params`) is InvalidArgument.
+  Status Eval(const Expr& e, const TupleAccessor& row, Value* result,
+              const std::vector<Value>* params = nullptr) const;
 
   /// Zero-copy convenience: evaluate against a packed record image.
-  Status Eval(const Expr& e, const RecordView& row, Value* result) const {
+  Status Eval(const Expr& e, const RecordView& row, Value* result,
+              const std::vector<Value>* params = nullptr) const {
     RecordAccessor acc(row);
-    return Eval(e, acc, result);
+    return Eval(e, acc, result, params);
   }
   /// Convenience: evaluate against a materialized value row.
-  Status Eval(const Expr& e, const std::vector<Value>& row,
-              Value* result) const {
+  Status Eval(const Expr& e, const std::vector<Value>& row, Value* result,
+              const std::vector<Value>* params = nullptr) const {
     ValuesAccessor acc(row);
-    return Eval(e, acc, result);
+    return Eval(e, acc, result, params);
   }
 
   /// Evaluate a filter predicate: `*passes` is true iff the result is the
   /// non-NULL boolean TRUE (a NULL predicate result filters the row out).
-  Status EvalPredicate(const Expr& e, const TupleAccessor& row,
-                       bool* passes) const;
-  Status EvalPredicate(const Expr& e, const RecordView& row,
-                       bool* passes) const {
+  Status EvalPredicate(const Expr& e, const TupleAccessor& row, bool* passes,
+                       const std::vector<Value>* params = nullptr) const;
+  Status EvalPredicate(const Expr& e, const RecordView& row, bool* passes,
+                       const std::vector<Value>* params = nullptr) const {
     RecordAccessor acc(row);
-    return EvalPredicate(e, acc, passes);
+    return EvalPredicate(e, acc, passes, params);
   }
   Status EvalPredicate(const Expr& e, const std::vector<Value>& row,
-                       bool* passes) const {
+                       bool* passes,
+                       const std::vector<Value>* params = nullptr) const {
     ValuesAccessor acc(row);
-    return EvalPredicate(e, acc, passes);
+    return EvalPredicate(e, acc, passes, params);
   }
 
   /// Evaluate with no row (constants/params/calls only).
-  Status EvalConst(const Expr& e, Value* result) const {
+  Status EvalConst(const Expr& e, Value* result,
+                   const std::vector<Value>* params = nullptr) const {
     RecordView none;
-    return Eval(e, none, result);
+    return Eval(e, none, result, params);
   }
 
  private:
   Status EvalComparison(const Expr& e, const TupleAccessor& row,
-                        Value* result) const;
+                        Value* result, const std::vector<Value>* params) const;
   Status EvalArithmetic(const Expr& e, const TupleAccessor& row,
-                        Value* result) const;
-  Status EvalSpatial(const Expr& e, const TupleAccessor& row,
-                     Value* result) const;
+                        Value* result, const std::vector<Value>* params) const;
+  Status EvalSpatial(const Expr& e, const TupleAccessor& row, Value* result,
+                     const std::vector<Value>* params) const;
 
   std::map<std::string, UserFunction> functions_;
-  std::vector<Value> params_;
 };
 
 /// SQL LIKE matcher with `%` (any run) and `_` (any single char).

@@ -292,21 +292,31 @@ ExprPtr JoinConjuncts(const std::vector<ExprPtr>& conjuncts) {
   return acc;
 }
 
+namespace {
+
+// The operand kinds an access key can be built from: a literal, or a `?`
+// parameter whose value arrives with each execution.
+bool IsBindable(const Expr& e) {
+  return e.op() == ExprOp::kConst || e.op() == ExprOp::kParam;
+}
+
+}  // namespace
+
 bool MatchFieldCompare(const ExprPtr& e, int* field, ExprOp* op,
-                       Value* constant) {
+                       ExprPtr* operand) {
   if (!e || !IsComparison(e->op()) || e->children().size() != 2) return false;
   const ExprPtr& l = e->child(0);
   const ExprPtr& r = e->child(1);
-  if (l->op() == ExprOp::kField && r->op() == ExprOp::kConst) {
+  if (l->op() == ExprOp::kField && IsBindable(*r)) {
     *field = l->field_index();
     *op = e->op();
-    *constant = r->constant();
+    if (operand != nullptr) *operand = r;
     return true;
   }
-  if (l->op() == ExprOp::kConst && r->op() == ExprOp::kField) {
+  if (IsBindable(*l) && r->op() == ExprOp::kField) {
     *field = r->field_index();
     *op = MirrorComparison(e->op());
-    *constant = l->constant();
+    if (operand != nullptr) *operand = l;
     return true;
   }
   return false;

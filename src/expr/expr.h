@@ -117,10 +117,13 @@ void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out);
 /// Re-join conjuncts with AND; returns nullptr for an empty list.
 ExprPtr JoinConjuncts(const std::vector<ExprPtr>& conjuncts);
 
-/// If `e` is of the form `field OP const` (or `const OP field`, with OP
-/// mirrored), report the normalized parts and return true. Used by access
-/// path implementations to judge predicate relevance.
-bool MatchFieldCompare(const ExprPtr& e, int* field, ExprOp* op, Value* constant);
+/// If `e` is of the form `field OP operand` (or `operand OP field`, with OP
+/// mirrored), where the operand is a constant or a parameter, report the
+/// normalized parts and return true. Access paths use it to judge predicate
+/// relevance, so `id = ?` is planned exactly like `id = 5`; the planner keeps
+/// `*operand` (optional) and evaluates it when the scan opens.
+bool MatchFieldCompare(const ExprPtr& e, int* field, ExprOp* op,
+                       ExprPtr* operand = nullptr);
 
 /// If `e` is a spatial predicate whose record rectangle is exactly the four
 /// given field indexes, return true. Used by the R-tree attachment.

@@ -6,33 +6,39 @@
 namespace dmx {
 
 AccessSource::AccessSource(Database* db, Transaction* txn,
-                           const BoundPlan* plan)
-    : db_(db), txn_(txn), plan_(plan) {}
+                           const BoundPlan* plan,
+                           const std::vector<Value>* params)
+    : db_(db), txn_(txn), plan_(plan), params_(params) {}
 
 Status AccessSource::Open() {
   opened_ = true;
   const AccessPlan& access = plan_->access;
-  if (access.probe_key.has_value()) {
+  const RelationDescriptor* desc = plan_->relation.get();
+  ScanSpec spec = access.spec;
+  spec.params = params_;
+  std::string probe_key;
+  DMX_RETURN_IF_ERROR(BindAccessKey(*db_->evaluator(), access, desc->schema,
+                                    params_, &spec, &probe_key, &empty_));
+  if (empty_) return Status::OK();
+  if (access.probe) {
     probe_results_.clear();
     probe_pos_ = 0;
-    DMX_RETURN_IF_ERROR(db_->Lookup(txn_, plan_->relation.name, access.path,
-                                    Slice(*access.probe_key),
-                                    &probe_results_));
-    return Status::OK();
+    return db_->Lookup(txn_, desc->name, access.path, Slice(probe_key),
+                       &probe_results_);
   }
-  return db_->OpenScanOn(txn_, &plan_->relation, access.path, access.spec,
-                         &scan_);
+  return db_->OpenScanOn(txn_, desc, access.path, spec, &scan_);
 }
 
 Status AccessSource::Next(Row* row) {
   if (!opened_) DMX_RETURN_IF_ERROR(Open());
+  if (empty_) return Status::NotFound("no key qualifies");
   const AccessPlan& access = plan_->access;
-  const Schema* schema = &plan_->relation.schema;
+  const Schema* schema = &plan_->relation->schema;
   while (true) {
     std::string record_key;
     std::string access_key;
     RecordView direct_view;
-    if (access.probe_key.has_value()) {
+    if (access.probe) {
       if (probe_pos_ >= probe_results_.size()) {
         return Status::NotFound("end of probe");
       }
@@ -84,7 +90,7 @@ Status AccessSource::Next(Row* row) {
       if (access.residual != nullptr) {
         bool passes = false;
         DMX_RETURN_IF_ERROR(db_->evaluator()->EvalPredicate(
-            *access.residual, values, &passes));
+            *access.residual, values, &passes, params_));
         if (!passes) continue;
       }
       row->values = std::move(values);
@@ -95,15 +101,15 @@ Status AccessSource::Next(Row* row) {
     // Access-path protocol: fetch the record via the storage method, then
     // re-check the residual predicate.
     std::string record;
-    Status fs = db_->FetchRecord(txn_, &plan_->relation, Slice(record_key),
-                                 &record);
+    Status fs = db_->FetchRecord(txn_, plan_->relation.get(),
+                                 Slice(record_key), &record);
     if (fs.IsNotFound()) continue;  // key raced a delete; skip
     DMX_RETURN_IF_ERROR(fs);
     RecordView view{Slice(record), schema};
     if (access.residual != nullptr) {
       bool passes = false;
-      DMX_RETURN_IF_ERROR(
-          db_->evaluator()->EvalPredicate(*access.residual, view, &passes));
+      DMX_RETURN_IF_ERROR(db_->evaluator()->EvalPredicate(
+          *access.residual, view, &passes, params_));
       if (!passes) continue;
     }
     row->values = view.GetValues();
@@ -118,8 +124,8 @@ Status FilterSource::Next(Row* row) {
     if (!s.ok()) return s;
     if (predicate_ == nullptr) return Status::OK();
     bool passes = false;
-    DMX_RETURN_IF_ERROR(
-        db_->evaluator()->EvalPredicate(*predicate_, row->values, &passes));
+    DMX_RETURN_IF_ERROR(db_->evaluator()->EvalPredicate(
+        *predicate_, row->values, &passes, params_));
     if (passes) return Status::OK();
   }
 }
@@ -158,8 +164,8 @@ Status NestedLoopJoinSource::Next(Row* row) {
     row->record_key.clear();
     if (predicate_ != nullptr) {
       bool passes = false;
-      DMX_RETURN_IF_ERROR(
-          db_->evaluator()->EvalPredicate(*predicate_, row->values, &passes));
+      DMX_RETURN_IF_ERROR(db_->evaluator()->EvalPredicate(
+          *predicate_, row->values, &passes, params_));
       if (!passes) continue;
     }
     return Status::OK();
@@ -173,16 +179,22 @@ Status IndexJoinSource::Next(Row* row) {
       if (!s.ok()) return s;
       outer_valid_ = true;
       // Compose the probe key from the outer row's join columns.
-      std::vector<Value> key_values;
-      for (int c : outer_key_columns_) {
-        key_values.push_back(outer_row_.values[static_cast<size_t>(c)]);
-      }
       std::string key;
-      DMX_RETURN_IF_ERROR(EncodeValueKey(key_values, &key));
+      bool null = false;
+      for (size_t i = 0; i < outer_key_columns_.size() && !null; ++i) {
+        const Value& v =
+            outer_row_.values[static_cast<size_t>(outer_key_columns_[i])];
+        const TypeId type =
+            inner_->schema.column(static_cast<size_t>(inner_key_fields_[i]))
+                .type;
+        DMX_RETURN_IF_ERROR(AppendKeyOperand(v, type, &key, &null));
+      }
       matches_.clear();
       match_pos_ = 0;
-      DMX_RETURN_IF_ERROR(db_->Lookup(txn_, inner_->name, inner_path_,
-                                      Slice(key), &matches_));
+      if (!null) {
+        DMX_RETURN_IF_ERROR(db_->Lookup(txn_, inner_->name, inner_path_,
+                                        Slice(key), &matches_));
+      }
     }
     if (match_pos_ >= matches_.size()) {
       outer_valid_ = false;
@@ -275,8 +287,13 @@ Histogram* QueueWaitHistogram() {
 }  // namespace
 
 ParallelScanSource::ParallelScanSource(Database* db, Transaction* txn,
-                                       const BoundPlan* plan, int workers)
-    : db_(db), txn_(txn), plan_(plan), target_workers_(workers) {}
+                                       const BoundPlan* plan, int workers,
+                                       const std::vector<Value>* params)
+    : db_(db),
+      txn_(txn),
+      plan_(plan),
+      target_workers_(workers),
+      params_(params) {}
 
 ParallelScanSource::~ParallelScanSource() {
   MutexLock lock(&mu_);
@@ -301,11 +318,21 @@ void ParallelScanSource::EnableProfile(PlanProfile* profile,
 Status ParallelScanSource::Open() {
   opened_ = true;
   const AccessPlan& access = plan_->access;
+  const RelationDescriptor* desc = plan_->relation.get();
+  // Bound exactly as AccessSource binds it; the partitions inherit the
+  // parameters, so every worker's filter sees this execution's values.
+  ScanSpec spec = access.spec;
+  spec.params = params_;
+  std::string probe_key;  // storage-method scans never probe
+  bool empty = false;
+  DMX_RETURN_IF_ERROR(BindAccessKey(*db_->evaluator(), access, desc->schema,
+                                    params_, &spec, &probe_key, &empty));
+  if (empty) return Status::OK();  // no workers: Next reports the end
   std::vector<ScanSpec> partitions;
-  Status ps = db_->PartitionScan(txn_, &plan_->relation, access.spec,
-                                 target_workers_, &partitions);
+  Status ps =
+      db_->PartitionScan(txn_, desc, spec, target_workers_, &partitions);
   if (ps.IsNotSupported() || partitions.empty()) {
-    partitions.assign(1, access.spec);  // serial fallback, same machinery
+    partitions.assign(1, spec);  // serial fallback, same machinery
   } else if (!ps.ok()) {
     return ps;
   }
@@ -315,8 +342,7 @@ Status ParallelScanSource::Open() {
   scans_.clear();
   for (const ScanSpec& sub : partitions) {
     std::unique_ptr<Scan> scan;
-    DMX_RETURN_IF_ERROR(
-        db_->OpenScanOn(txn_, &plan_->relation, access.path, sub, &scan));
+    DMX_RETURN_IF_ERROR(db_->OpenScanOn(txn_, desc, access.path, sub, &scan));
     scans_.push_back(std::move(scan));
   }
   ParallelScansCounter()->Increment();
@@ -353,7 +379,7 @@ void ParallelScanSource::RunWorker(size_t idx) {
   const uint64_t start = MetricsNowNanos();
   Scan* scan = scans_[idx].get();
   const AccessPlan& access = plan_->access;
-  const Schema* schema = &plan_->relation.schema;
+  const Schema* schema = &plan_->relation->schema;
   uint64_t produced = 0;
 
   // Partial-aggregate state, mirroring AggregateSource exactly: count

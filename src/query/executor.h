@@ -33,19 +33,28 @@ class RowSource {
 /// Executes a planned single-relation access: storage-method scan with
 /// pushed filter, ordered access-path scan + fetch, or direct probe +
 /// fetch; applies the residual predicate.
+///
+/// `params` (every source below takes it) are the executing statement's
+/// `?` values, or null when it has none. They are not copied: the
+/// statement keeps them alive until its sources are destroyed.
 class AccessSource : public RowSource {
  public:
   /// `plan` must outlive the source (hold the shared_ptr at the call site).
-  AccessSource(Database* db, Transaction* txn, const BoundPlan* plan);
+  AccessSource(Database* db, Transaction* txn, const BoundPlan* plan,
+               const std::vector<Value>* params = nullptr);
   Status Next(Row* row) override;
 
  private:
+  /// Binds the plan's key operands to `params_` (BindAccessKey), then
+  /// opens the scan or runs the probe.
   Status Open();
 
   Database* db_;
   Transaction* txn_;
   const BoundPlan* plan_;
+  const std::vector<Value>* params_;
   bool opened_ = false;
+  bool empty_ = false;  // a NULL key operand: nothing can qualify
   std::unique_ptr<Scan> scan_;               // scan-shaped paths
   std::vector<std::string> probe_results_;   // probe-shaped paths
   size_t probe_pos_ = 0;
@@ -55,14 +64,18 @@ class AccessSource : public RowSource {
 class FilterSource : public RowSource {
  public:
   FilterSource(Database* db, std::unique_ptr<RowSource> child,
-               ExprPtr predicate)
-      : db_(db), child_(std::move(child)), predicate_(std::move(predicate)) {}
+               ExprPtr predicate, const std::vector<Value>* params = nullptr)
+      : db_(db),
+        child_(std::move(child)),
+        predicate_(std::move(predicate)),
+        params_(params) {}
   Status Next(Row* row) override;
 
  private:
   Database* db_;
   std::unique_ptr<RowSource> child_;
   ExprPtr predicate_;
+  const std::vector<Value>* params_;
 };
 
 /// Projects child rows onto the given column indexes.
@@ -86,11 +99,13 @@ class NestedLoopJoinSource : public RowSource {
   using InnerFactory = std::function<Status(std::unique_ptr<RowSource>*)>;
 
   NestedLoopJoinSource(Database* db, std::unique_ptr<RowSource> outer,
-                       InnerFactory inner_factory, ExprPtr predicate)
+                       InnerFactory inner_factory, ExprPtr predicate,
+                       const std::vector<Value>* params = nullptr)
       : db_(db),
         outer_(std::move(outer)),
         inner_factory_(std::move(inner_factory)),
-        predicate_(std::move(predicate)) {}
+        predicate_(std::move(predicate)),
+        params_(params) {}
   Status Next(Row* row) override;
 
  private:
@@ -98,6 +113,7 @@ class NestedLoopJoinSource : public RowSource {
   std::unique_ptr<RowSource> outer_;
   InnerFactory inner_factory_;
   ExprPtr predicate_;
+  const std::vector<Value>* params_;
   Row outer_row_;
   bool outer_valid_ = false;
   std::unique_ptr<RowSource> inner_;
@@ -105,19 +121,23 @@ class NestedLoopJoinSource : public RowSource {
 
 /// Index nested-loop join: for each outer row, probes an access path on the
 /// inner relation with a key composed from outer columns, fetches the
-/// matching records, and emits combined rows.
+/// matching records, and emits combined rows. The probe key is built like
+/// every other access key (AppendKeyOperand): outer column i is compared
+/// against inner field `inner_key_fields[i]`, and a NULL never matches.
 class IndexJoinSource : public RowSource {
  public:
   IndexJoinSource(Database* db, Transaction* txn,
                   std::unique_ptr<RowSource> outer,
                   const RelationDescriptor* inner, AccessPathId inner_path,
-                  std::vector<int> outer_key_columns)
+                  std::vector<int> outer_key_columns,
+                  std::vector<int> inner_key_fields)
       : db_(db),
         txn_(txn),
         outer_(std::move(outer)),
         inner_(inner),
         inner_path_(inner_path),
-        outer_key_columns_(std::move(outer_key_columns)) {}
+        outer_key_columns_(std::move(outer_key_columns)),
+        inner_key_fields_(std::move(inner_key_fields)) {}
   Status Next(Row* row) override;
 
  private:
@@ -127,6 +147,7 @@ class IndexJoinSource : public RowSource {
   const RelationDescriptor* inner_;
   AccessPathId inner_path_;
   std::vector<int> outer_key_columns_;
+  std::vector<int> inner_key_fields_;
   Row outer_row_;
   std::vector<std::string> matches_;
   size_t match_pos_ = 0;
@@ -165,9 +186,10 @@ struct PlanProfile;
 class ParallelScanSource : public RowSource {
  public:
   /// `plan` must outlive the source. `workers` is the planner's target
-  /// partition count (>= 2); the storage method may return fewer.
+  /// partition count (>= 2); the storage method may return fewer. Every
+  /// worker's scan filters with `params` (see AccessSource).
   ParallelScanSource(Database* db, Transaction* txn, const BoundPlan* plan,
-                     int workers);
+                     int workers, const std::vector<Value>* params = nullptr);
   ~ParallelScanSource() override;
 
   /// Push a simple aggregate below the exchange: each worker emits one
@@ -198,6 +220,7 @@ class ParallelScanSource : public RowSource {
   Transaction* txn_;
   const BoundPlan* plan_;
   const int target_workers_;
+  const std::vector<Value>* params_;
   bool opened_ = false;
 
   bool agg_enabled_ = false;

@@ -51,9 +51,8 @@ Status PlanCache::GetAccessPlan(Transaction* txn, const std::string& relation,
                                 std::shared_ptr<const BoundPlan>* out,
                                 const std::vector<int>* needed_fields) {
   return Get(key, [&](BoundPlan* plan) -> Status {
-    const RelationDescriptor* desc;
-    DMX_RETURN_IF_ERROR(db_->FindRelation(relation, &desc));
-    plan->relation = *desc;  // descriptor embedded in the plan
+    DMX_RETURN_IF_ERROR(db_->FindRelation(relation, &plan->relation));
+    const RelationDescriptor* desc = plan->relation.get();
     plan->dependencies = {{desc->id, desc->version}};
     return PlanAccess(db_, txn, desc, predicate, &plan->access,
                       needed_fields);

@@ -14,7 +14,14 @@
 //
 // A bound plan embeds a *snapshot* of the relation descriptor (so execution
 // touches no catalogs) plus (relation id, version) dependencies; any DDL on
-// a dependency bumps its version and the next lookup re-translates.
+// a dependency bumps its version and the next lookup re-translates. The
+// snapshot is the catalog's own immutable descriptor object, shared rather
+// than copied, so a cached plan costs no descriptor bytes of its own.
+//
+// Plans are keyed by SQL text and hold no parameter values: a `?` operand
+// stays an expression in the plan (see KeyOperands) and each execution
+// binds its own values, so one plan serves every execution of a
+// parameterised statement, from any number of sessions at once.
 
 #ifndef DMX_QUERY_PLAN_CACHE_H_
 #define DMX_QUERY_PLAN_CACHE_H_
@@ -32,8 +39,8 @@ namespace dmx {
 /// A retained translation of a query.
 struct BoundPlan {
   /// Descriptor snapshot taken at bind time; the executor reads this, not
-  /// the catalog.
-  RelationDescriptor relation;
+  /// the catalog. Never null in a plan that runs.
+  std::shared_ptr<const RelationDescriptor> relation;
   AccessPlan access;
   /// (relation id, catalog version at bind time) — validity certificate.
   std::vector<std::pair<RelationId, uint64_t>> dependencies;

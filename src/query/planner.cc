@@ -60,104 +60,48 @@ Status EnumerateAccessPaths(Database* db, Transaction* txn,
 
 namespace {
 
-// Compose key bounds for an ordered multi-field access path: the longest
-// equality prefix over the leading key fields, then range predicates on
-// the next field (the paper's partial-key access).
-void BuildKeyRange(const std::vector<ExprPtr>& conjuncts,
-                   const std::vector<int>& key_fields, ScanSpec* spec) {
-  // Equality value per field, if any.
-  auto eq_value = [&](int field, Value* out) {
+// Record the key operands of an attachment path: the longest equality
+// prefix over the leading key fields, then the range operands on the next
+// field (the paper's partial-key access).
+void CollectKeyOperands(const std::vector<ExprPtr>& conjuncts,
+                        const std::vector<int>& key_fields, KeyOperands* key) {
+  auto eq_operand = [&](int field) -> ExprPtr {
     for (const ExprPtr& c : conjuncts) {
       int f;
       ExprOp op;
-      Value constant;
-      if (MatchFieldCompare(c, &f, &op, &constant) && f == field &&
+      ExprPtr operand;
+      if (MatchFieldCompare(c, &f, &op, &operand) && f == field &&
           op == ExprOp::kEq) {
-        *out = std::move(constant);
-        return true;
+        return operand;
       }
     }
-    return false;
+    return nullptr;
   };
-
-  std::string prefix;
-  size_t depth = 0;
   for (int field : key_fields) {
-    Value v;
-    if (!eq_value(field, &v)) break;
-    if (!EncodeKeyValue(v, &prefix).ok()) break;
-    ++depth;
+    ExprPtr operand = eq_operand(field);
+    if (operand == nullptr) break;
+    key->eq.push_back(std::move(operand));
   }
-
-  std::string low = prefix;
-  std::string high = prefix;
-  bool have_range = false;
-  if (depth < key_fields.size()) {
-    // Range predicates on the field following the prefix tighten the
-    // bounds within the prefix.
-    int next = key_fields[depth];
-    std::optional<Value> lo_v, hi_v;
-    for (const ExprPtr& c : conjuncts) {
-      int f;
-      ExprOp op;
-      Value constant;
-      if (!MatchFieldCompare(c, &f, &op, &constant) || f != next) continue;
-      switch (op) {
-        case ExprOp::kGt:
-        case ExprOp::kGe:
-          if (!lo_v || constant.Compare(*lo_v) > 0) lo_v = constant;
-          break;
-        case ExprOp::kLt:
-        case ExprOp::kLe:
-          if (!hi_v || constant.Compare(*hi_v) < 0) hi_v = constant;
-          break;
-        default:
-          break;
-      }
-    }
-    if (lo_v) {
-      EncodeKeyValue(*lo_v, &low).ok();
-      have_range = true;
-    }
-    if (hi_v) {
-      EncodeKeyValue(*hi_v, &high).ok();
-      high += '\xff';  // include multi-field extensions of the bound
-      have_range = true;
-    }
-  }
-
-  if (depth == 0 && !have_range) return;  // nothing to bound
-  if (low != prefix || depth > 0) {
-    spec->low_key = low;
-    spec->low_inclusive = true;  // residual re-checks strictness
-  }
-  if (high != prefix || depth > 0) {
-    if (high == prefix) high += '\xff';  // pure prefix: cover extensions
-    spec->high_key = high;
-    spec->high_inclusive = true;
-  }
-}
-
-// Compose the hash probe key: equality values in hashed-field order.
-bool BuildProbeKey(const std::vector<ExprPtr>& conjuncts,
-                   const std::vector<int>& key_fields, std::string* probe) {
-  probe->clear();
-  for (int field : key_fields) {
-    bool found = false;
-    for (const ExprPtr& c : conjuncts) {
-      int f;
-      ExprOp op;
-      Value constant;
-      if (MatchFieldCompare(c, &f, &op, &constant) && f == field &&
-          op == ExprOp::kEq) {
-        if (!EncodeKeyValue(constant, probe).ok()) return false;
-        found = true;
+  if (key->eq.size() == key_fields.size()) return;
+  const int next = key_fields[key->eq.size()];
+  for (const ExprPtr& c : conjuncts) {
+    int f;
+    ExprOp op;
+    ExprPtr operand;
+    if (!MatchFieldCompare(c, &f, &op, &operand) || f != next) continue;
+    switch (op) {
+      case ExprOp::kGt:
+      case ExprOp::kGe:
+        key->low.push_back(std::move(operand));
         break;
-      }
+      case ExprOp::kLt:
+      case ExprOp::kLe:
+        key->high.push_back(std::move(operand));
+        break;
+      default:
+        break;
     }
-    if (!found) return false;
   }
-  return true;
 }
 
 // Does `needed` (field indexes) fall entirely inside `key_fields`?
@@ -229,7 +173,8 @@ Status PlanAccess(Database* db, Transaction* txn,
   out->path = best->path;
   out->cost = best->cost;
   out->spec = ScanSpec();
-  out->probe_key.reset();
+  out->key = KeyOperands();
+  out->probe = false;
   out->residual = nullptr;
   out->needs_fetch = false;
   out->index_only = false;
@@ -277,17 +222,6 @@ Status PlanAccess(Database* db, Transaction* txn,
 
   const AtOps& ops = registry->at_ops(best->path.at_id());
   const std::string name = ops.name;
-  if (name == "hash_index") {
-    std::string probe;
-    if (!BuildProbeKey(conjuncts, key_fields, &probe)) {
-      return Status::Internal("hash path chosen without equality cover");
-    }
-    out->probe_key = std::move(probe);
-    // Probe results carry no access key, so hash paths always fetch.
-    out->index_only = false;
-    out->needs_fetch = true;
-    return Status::OK();
-  }
   if (name == "rtree_index") {
     // The rtree scan extracts its query rectangle from the pushed filter;
     // it returns record keys only.
@@ -296,8 +230,95 @@ Status PlanAccess(Database* db, Transaction* txn,
     out->needs_fetch = true;
     return Status::OK();
   }
-  // Ordered paths (btree_index and future ordered access paths).
-  BuildKeyRange(conjuncts, key_fields, &out->spec);
+  CollectKeyOperands(conjuncts, key_fields, &out->key);
+  if (name == "hash_index") {
+    if (out->key.eq.size() != key_fields.size()) {
+      return Status::Internal("hash path chosen without equality cover");
+    }
+    out->probe = true;
+    // Probe results carry no access key, so hash paths always fetch.
+    out->index_only = false;
+    out->needs_fetch = true;
+  }
+  // Ordered paths (btree_index and future ordered access paths) scan the
+  // key range BindAccessKey builds from the operands.
+  return Status::OK();
+}
+
+Status AppendKeyOperand(const Value& v, TypeId field_type, std::string* key,
+                        bool* null) {
+  if (v.is_null()) {
+    *null = true;
+    return Status::OK();
+  }
+  const bool numeric_field =
+      field_type == TypeId::kInt64 || field_type == TypeId::kDouble;
+  if (v.type() != field_type && !(numeric_field && v.is_numeric())) {
+    return Status::InvalidArgument(std::string("cannot compare ") +
+                                   TypeName(field_type) + " with " +
+                                   TypeName(v.type()));
+  }
+  return EncodeKeyValue(v, key);
+}
+
+Status BindAccessKey(const ExprEvaluator& evaluator, const AccessPlan& plan,
+                     const Schema& schema,
+                     const std::vector<Value>* params, ScanSpec* spec,
+                     std::string* probe_key, bool* empty) {
+  *empty = false;
+  const KeyOperands& key = plan.key;
+  if (key.eq.empty() && key.low.empty() && key.high.empty()) {
+    return Status::OK();  // nothing to bound: a full scan of the path
+  }
+  auto field_type = [&](size_t i) {
+    return schema.column(static_cast<size_t>(plan.key_fields[i])).type;
+  };
+  std::string prefix;
+  for (size_t i = 0; i < key.eq.size(); ++i) {
+    Value v;
+    DMX_RETURN_IF_ERROR(evaluator.EvalConst(*key.eq[i], &v, params));
+    DMX_RETURN_IF_ERROR(AppendKeyOperand(v, field_type(i), &prefix, empty));
+    if (*empty) return Status::OK();
+  }
+  if (plan.probe) {
+    *probe_key = std::move(prefix);
+    return Status::OK();
+  }
+  // The tightest bound per side: the largest lower and smallest upper, on
+  // the key field after the prefix. The residual re-checks strictness, so
+  // every bound is inclusive.
+  auto tightest = [&](const std::vector<ExprPtr>& operands, int sign,
+                      std::optional<std::string>* bound) -> Status {
+    Value best;
+    for (const ExprPtr& operand : operands) {
+      Value v;
+      DMX_RETURN_IF_ERROR(evaluator.EvalConst(*operand, &v, params));
+      std::string ignored;
+      DMX_RETURN_IF_ERROR(
+          AppendKeyOperand(v, field_type(key.eq.size()), &ignored, empty));
+      if (*empty) return Status::OK();
+      if (best.is_null() || sign * v.Compare(best) > 0) best = std::move(v);
+    }
+    *bound = prefix;
+    if (!best.is_null()) {
+      DMX_RETURN_IF_ERROR(EncodeKeyValue(best, &**bound));
+    }
+    return Status::OK();
+  };
+  std::optional<std::string> low, high;
+  if (!key.low.empty() || !key.eq.empty()) {
+    DMX_RETURN_IF_ERROR(tightest(key.low, +1, &low));
+    if (*empty) return Status::OK();
+  }
+  if (!key.high.empty() || !key.eq.empty()) {
+    DMX_RETURN_IF_ERROR(tightest(key.high, -1, &high));
+    if (*empty) return Status::OK();
+    *high += '\xff';  // include multi-field extensions of the bound
+  }
+  spec->low_key = std::move(low);
+  spec->low_inclusive = true;
+  spec->high_key = std::move(high);
+  spec->high_inclusive = true;
   return Status::OK();
 }
 

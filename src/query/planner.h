@@ -8,10 +8,14 @@
 // The planner enumerates access path 0 (the storage method) plus every
 // instance of every access-path attachment on the relation, asks each for a
 // cost, and picks the cheapest usable one. The chosen AccessPlan carries
-// everything the executor needs: the path id, a ScanSpec (with key range
-// and pushed filter for paths that evaluate predicates themselves), an
-// optional direct probe key (hash paths have no ordered scans), and the
+// everything the executor needs: the path id, a ScanSpec (pushed filter and
+// projection), the key operands of an ordered or probe-shaped path, and the
 // residual predicate the executor re-checks after fetching records.
+//
+// Key operands are expressions — a literal or a `?` parameter — not encoded
+// keys. The plan is therefore independent of parameter values: BindAccessKey
+// evaluates the operands when a scan opens, so one bound plan serves every
+// execution of `id = ?` with the same unique-index probe `id = 5` gets.
 
 #ifndef DMX_QUERY_PLANNER_H_
 #define DMX_QUERY_PLANNER_H_
@@ -24,13 +28,29 @@
 
 namespace dmx {
 
+/// The operands an attachment path's access key is composed from, each a
+/// constant or a `?` parameter (MatchFieldCompare's operand), in the order
+/// of AccessPlan::key_fields.
+struct KeyOperands {
+  /// Equality operands over the leading key fields, one per field.
+  std::vector<ExprPtr> eq;
+  /// Lower and upper bound operands on the key field after the equality
+  /// prefix; the tightest of each wins when the key is bound.
+  std::vector<ExprPtr> low;
+  std::vector<ExprPtr> high;
+};
+
 /// A planned single-relation access.
 struct AccessPlan {
   AccessPathId path;
   AccessCost cost;
+  /// Scan template: pushed filter and projection. Key bounds are filled in
+  /// per execution from `key` (see BindAccessKey).
   ScanSpec spec;
-  /// For probe-only access paths (hash): the direct-by-key lookup key.
-  std::optional<std::string> probe_key;
+  KeyOperands key;
+  /// Probe-only access path (hash): `key.eq` covers every key field and the
+  /// bound key is looked up directly instead of scanned.
+  bool probe = false;
   /// Predicate the executor evaluates against fetched records; null when
   /// the access path evaluates everything itself (storage-method scans).
   ExprPtr residual;
@@ -71,6 +91,25 @@ Status PlanAccess(Database* db, Transaction* txn,
                   const RelationDescriptor* desc, const ExprPtr& predicate,
                   AccessPlan* out,
                   const std::vector<int>* needed_fields = nullptr);
+
+/// Bind `plan`'s access key to one execution: evaluate the key operands
+/// with `params` and encode them — the equality prefix, then the tightest
+/// range on the next key field — into `spec`'s key bounds, or into
+/// `probe_key` for a probe path. The one key-building path for constants
+/// and parameters alike. Sets *empty when an operand is NULL (no comparison
+/// with NULL is true, so nothing qualifies). An operand the evaluator could
+/// not compare with its key field is InvalidArgument, as a scan's filter
+/// would report; a missing parameter is InvalidArgument too.
+Status BindAccessKey(const ExprEvaluator& evaluator, const AccessPlan& plan,
+                     const Schema& schema,
+                     const std::vector<Value>* params, ScanSpec* spec,
+                     std::string* probe_key, bool* empty);
+
+/// Append one key operand `v`, compared against a key field of type
+/// `field_type`, to `key`. A NULL `v` sets *null and appends nothing; a
+/// type the evaluator could not compare with the field is InvalidArgument.
+Status AppendKeyOperand(const Value& v, TypeId field_type, std::string* key,
+                        bool* null);
 
 /// All candidate costs, for tests/benches that inspect planner behaviour.
 struct AccessCandidate {

@@ -221,6 +221,10 @@ class Parser {
     return ParseOr(scope, out);
   }
 
+  // Index of the next `?` placeholder, in textual order across the whole
+  // statement.
+  int NextParamIndex() { return next_param_++; }
+
  private:
   Status ParseOr(const NameScope& scope, ExprPtr* out) {
     ExprPtr left;
@@ -394,7 +398,7 @@ class Parser {
     }
     if (t.IsSym("?")) {
       Take();
-      *out = Expr::Param(next_param_++);
+      *out = Expr::Param(NextParamIndex());
       return Status::OK();
     }
     if (t.type == TokType::kIdent) {
@@ -419,9 +423,49 @@ class Parser {
   int next_param_ = 0;
 };
 
-// Parse a literal Value (INSERT tuples).
-Status ParseLiteral(Parser* p, Value* out) {
+// The value bound to the statement's `?` number `index` (0-based).
+Status ParamValue(int index, const std::vector<Value>* params, Value* out) {
+  if (params == nullptr || index < 0 ||
+      static_cast<size_t>(index) >= params->size()) {
+    return Status::InvalidArgument(
+        "parameter ?" + std::to_string(index + 1) + " not bound");
+  }
+  *out = (*params)[static_cast<size_t>(index)];
+  return Status::OK();
+}
+
+// Replace every `?` in `e` by the constant bound to it: for expressions
+// the database keeps (CHECK predicates), which outlive the statement.
+Status BindParams(const ExprPtr& e, const std::vector<Value>* params,
+                  ExprPtr* out) {
+  if (e->op() == ExprOp::kParam) {
+    Value v;
+    DMX_RETURN_IF_ERROR(ParamValue(e->param_index(), params, &v));
+    *out = Expr::Const(std::move(v));
+    return Status::OK();
+  }
+  if (e->children().empty()) {
+    *out = e;
+    return Status::OK();
+  }
+  std::vector<ExprPtr> children(e->children().size());
+  for (size_t i = 0; i < children.size(); ++i) {
+    DMX_RETURN_IF_ERROR(BindParams(e->child(i), params, &children[i]));
+  }
+  *out = e->op() == ExprOp::kCall
+             ? Expr::Call(e->func_name(), std::move(children))
+             : Expr::Nary(e->op(), std::move(children));
+  return Status::OK();
+}
+
+// Parse a literal Value (INSERT tuples). A `?` takes the statement's next
+// parameter from `params` (null when the statement has none).
+Status ParseLiteral(Parser* p, const std::vector<Value>* params, Value* out) {
   const Token& t = p->Peek();
+  if (t.IsSym("?")) {
+    p->Take();
+    return ParamValue(p->NextParamIndex(), params, out);
+  }
   if (t.type == TokType::kNumber) {
     std::string text = p->Take().text;
     if (text.find('.') != std::string::npos) {
@@ -469,8 +513,9 @@ std::string Upper(const std::string& s) {
 // Friend of Session; implements each statement kind.
 class SqlExecutor {
  public:
-  SqlExecutor(Session* session, const std::string& sql)
-      : session_(session), db_(session->db_), sql_(sql) {}
+  SqlExecutor(Session* session, const std::string& sql,
+              const std::vector<Value>* params)
+      : session_(session), db_(session->db_), sql_(sql), params_(params) {}
 
   Status Run(QueryResult* result) {
     std::vector<Token> tokens;
@@ -763,6 +808,8 @@ class SqlExecutor {
     ExprPtr predicate;
     DMX_RETURN_IF_ERROR(p.ParseExpr(scope, &predicate));
     DMX_RETURN_IF_ERROR(p.ExpectSym(")"));
+    // The constraint outlives this statement: store its `?` as constants.
+    DMX_RETURN_IF_ERROR(BindParams(predicate, params_, &predicate));
     AttrList attrs;
     std::string encoded;
     predicate->EncodeTo(&encoded);
@@ -1091,7 +1138,7 @@ class SqlExecutor {
       std::vector<Value> tuple;
       while (true) {
         Value v;
-        DMX_RETURN_IF_ERROR(ParseLiteral(&p, &v));
+        DMX_RETURN_IF_ERROR(ParseLiteral(&p, params_, &v));
         tuple.push_back(std::move(v));
         if (p.TakeSym(",")) continue;
         DMX_RETURN_IF_ERROR(p.ExpectSym(")"));
@@ -1133,7 +1180,7 @@ class SqlExecutor {
     bool join = p.TakeSym(",");
     if (join) DMX_RETURN_IF_ERROR(p.ExpectIdent(&t2));
 
-    const RelationDescriptor *d1, *d2 = nullptr;
+    std::shared_ptr<const RelationDescriptor> d1, d2;
     DMX_RETURN_IF_ERROR(db_->FindRelation(t1, &d1));
     NameScope scope;
     scope.Add(t1, d1->schema, 0);
@@ -1167,10 +1214,14 @@ class SqlExecutor {
     }
     int64_t limit = -1;
     if (p.TakeKw("LIMIT")) {
-      if (p.Peek().type != TokType::kNumber) {
-        return Status::InvalidArgument("LIMIT expects a number");
+      Value n;
+      if (p.Peek().type == TokType::kNumber || p.Peek().IsSym("?")) {
+        DMX_RETURN_IF_ERROR(ParseLiteral(&p, params_, &n));
       }
-      limit = std::stoll(p.Take().text);
+      if (n.is_null() || n.type() != TypeId::kInt64) {
+        return Status::InvalidArgument("LIMIT expects an integer");
+      }
+      limit = n.int_value();
     }
     if (!p.AtEnd()) {
       return Status::InvalidArgument("trailing tokens near '" +
@@ -1224,7 +1275,7 @@ class SqlExecutor {
         }
         // Surface degraded plans: quarantined access paths were skipped
         // during enumeration, so the chosen path routes around damage.
-        for (const RelationDescriptor* d : {d1, d2}) {
+        for (const RelationDescriptor* d : {d1.get(), d2.get()}) {
           if (d == nullptr) continue;
           for (const RelationDescriptor::QuarantineEntry& q : d->quarantined) {
             result->rows.push_back(
@@ -1241,9 +1292,9 @@ class SqlExecutor {
         // Run the query to completion, then report the operator tree
         // (root first, children indented) instead of the result rows.
         QueryResult scratch;
-        DMX_RETURN_IF_ERROR(Materialize(std::move(source), items, scope, d1,
-                                        d2, order_col, order_desc, limit,
-                                        &scratch));
+        DMX_RETURN_IF_ERROR(Materialize(std::move(source), items, scope,
+                                        d1.get(), d2.get(), order_col,
+                                        order_desc, limit, &scratch));
         profile_.FinalizeRowsIn();
         result->columns = {"operator", "rows_in", "rows_out", "time_ms"};
         if (!profile_.ops.empty()) {
@@ -1252,7 +1303,7 @@ class SqlExecutor {
         result->affected = scratch.affected;
         return Status::OK();
       }
-      return Materialize(std::move(source), items, scope, d1, d2,
+      return Materialize(std::move(source), items, scope, d1.get(), d2.get(),
                          order_col, order_desc, limit, result);
     });
   }
@@ -1328,7 +1379,7 @@ class SqlExecutor {
       // Exchange operator over the storage method's partitioned scan; the
       // filter runs below the exchange inside each worker's scan.
       auto psrc = std::make_unique<ParallelScanSource>(
-          db_, txn, plan_holder->get(), access.parallel_workers);
+          db_, txn, plan_holder->get(), access.parallel_workers, params_);
       parallel_src_ = psrc.get();
       std::vector<size_t> worker_nodes;
       if (analyze_) {
@@ -1347,7 +1398,8 @@ class SqlExecutor {
           std::move(worker_nodes));
       return Status::OK();
     }
-    *source = std::make_unique<AccessSource>(db_, txn, plan_holder->get());
+    *source = std::make_unique<AccessSource>(db_, txn, plan_holder->get(),
+                                             params_);
     *source = Profiled(
         std::move(*source),
         "access(" + table + "): " +
@@ -1417,8 +1469,10 @@ class SqlExecutor {
     return false;
   }
 
-  Status BuildJoin(Transaction* txn, const RelationDescriptor* d1,
-                   const RelationDescriptor* d2, const ExprPtr& where,
+  Status BuildJoin(Transaction* txn,
+                   const std::shared_ptr<const RelationDescriptor>& d1,
+                   const std::shared_ptr<const RelationDescriptor>& d2,
+                   const ExprPtr& where,
                    std::shared_ptr<const BoundPlan>* plan_holder,
                    std::unique_ptr<RowSource>* source) {
     int left_col = -1, right_col = -1;
@@ -1429,13 +1483,13 @@ class SqlExecutor {
     // Outer side: full scan of d1 with its single-relation conjuncts...
     // (kept simple: outer scans everything; residual applies post-join).
     auto outer_plan = std::make_shared<BoundPlan>();
-    outer_plan->relation = *d1;
+    outer_plan->relation = d1;
     outer_plan->dependencies = {{d1->id, d1->version}};
     DMX_RETURN_IF_ERROR(
-        PlanAccess(db_, txn, d1, nullptr, &outer_plan->access));
+        PlanAccess(db_, txn, d1.get(), nullptr, &outer_plan->access));
     *plan_holder = outer_plan;
     std::unique_ptr<RowSource> outer =
-        std::make_unique<AccessSource>(db_, txn, outer_plan.get());
+        std::make_unique<AccessSource>(db_, txn, outer_plan.get(), params_);
     outer = Profiled(std::move(outer),
                      "access(" + d1->name + "): " +
                          outer_plan->access.DebugString(db_->registry()));
@@ -1443,13 +1497,13 @@ class SqlExecutor {
 
     if (equi) {
       AccessPathId inner_path;
-      if (FindJoinIndexPath(txn, d2, right_col, &inner_path)) {
+      if (FindJoinIndexPath(txn, d2.get(), right_col, &inner_path)) {
         join_method_ = std::string("index nested loop (inner ") +
                        db_->registry()->at_ops(inner_path.at_id()).name +
                        "#" + std::to_string(inner_path.instance) + ")";
         std::unique_ptr<RowSource> join = std::make_unique<IndexJoinSource>(
-            db_, txn, std::move(outer), d2, inner_path,
-            std::vector<int>{left_col});
+            db_, txn, std::move(outer), d2.get(), inner_path,
+            std::vector<int>{left_col}, std::vector<int>{right_col});
         join = Profiled(std::move(join),
                         "index_join(" + d2->name + "): " + join_method_,
                         {outer_idx});
@@ -1457,7 +1511,7 @@ class SqlExecutor {
         if (residual != nullptr) {
           const size_t join_idx = top_idx_;
           *source = std::make_unique<FilterSource>(db_, std::move(join),
-                                                   residual);
+                                                   residual, params_);
           *source = Profiled(std::move(*source), "filter(residual)",
                              {join_idx});
         } else {
@@ -1470,12 +1524,11 @@ class SqlExecutor {
     // Plain nested loop with the whole predicate on combined rows.
     join_method_ = "nested loop (inner rescanned per outer row)";
     Database* db = db_;
-    const RelationDescriptor* inner_desc = d2;
     auto inner_plan = std::make_shared<BoundPlan>();
-    inner_plan->relation = *d2;
+    inner_plan->relation = d2;
     inner_plan->dependencies = {{d2->id, d2->version}};
     DMX_RETURN_IF_ERROR(
-        PlanAccess(db_, txn, d2, nullptr, &inner_plan->access));
+        PlanAccess(db_, txn, d2.get(), nullptr, &inner_plan->access));
     // Every rescan of the inner accumulates into one profile node, so the
     // paper's call-amplification shows up as rows_out >> the table size.
     size_t inner_idx = 0;
@@ -1487,18 +1540,18 @@ class SqlExecutor {
     }
     const bool analyze = analyze_;
     PlanProfile* profile = &profile_;
-    auto factory = [db, txn, inner_plan, analyze, profile, inner_idx](
+    const std::vector<Value>* params = params_;
+    auto factory = [db, txn, inner_plan, analyze, profile, inner_idx, params](
                        std::unique_ptr<RowSource>* out) -> Status {
-      *out = std::make_unique<AccessSource>(db, txn, inner_plan.get());
+      *out = std::make_unique<AccessSource>(db, txn, inner_plan.get(), params);
       if (analyze) {
         *out = std::make_unique<ProfiledSource>(std::move(*out), profile,
                                                 inner_idx);
       }
       return Status::OK();
     };
-    (void)inner_desc;
     *source = std::make_unique<NestedLoopJoinSource>(
-        db_, std::move(outer), std::move(factory), where);
+        db_, std::move(outer), std::move(factory), where, params_);
     *source = Profiled(std::move(*source), "nested_loop_join",
                        {outer_idx, inner_idx});
     return Status::OK();
@@ -1623,7 +1676,7 @@ class SqlExecutor {
     Parser& p = *parser_;
     std::string table;
     DMX_RETURN_IF_ERROR(p.ExpectIdent(&table));
-    const RelationDescriptor* desc;
+    std::shared_ptr<const RelationDescriptor> desc;
     DMX_RETURN_IF_ERROR(db_->FindRelation(table, &desc));
     NameScope scope;
     scope.Add(table, desc->schema, 0);
@@ -1649,12 +1702,11 @@ class SqlExecutor {
       // Collect target keys first (avoid scanning while mutating).
       std::vector<std::pair<std::string, std::vector<Value>>> targets;
       {
-        AccessPlan access;
-        DMX_RETURN_IF_ERROR(PlanAccess(db_, txn, desc, where, &access));
         BoundPlan plan;
-        plan.relation = *desc;
-        plan.access = access;
-        AccessSource source(db_, txn, &plan);
+        plan.relation = desc;
+        DMX_RETURN_IF_ERROR(
+            PlanAccess(db_, txn, desc.get(), where, &plan.access));
+        AccessSource source(db_, txn, &plan, params_);
         Row row;
         while (true) {
           Status s = source.Next(&row);
@@ -1667,7 +1719,8 @@ class SqlExecutor {
         std::vector<Value> new_values = values;
         for (const auto& [index, expr] : sets) {
           Value v;
-          DMX_RETURN_IF_ERROR(db_->evaluator()->Eval(*expr, values, &v));
+          DMX_RETURN_IF_ERROR(
+              db_->evaluator()->Eval(*expr, values, &v, params_));
           new_values[static_cast<size_t>(index)] = std::move(v);
         }
         DMX_RETURN_IF_ERROR(
@@ -1686,7 +1739,7 @@ class SqlExecutor {
     DMX_RETURN_IF_ERROR(p.ExpectKw("FROM"));
     std::string table;
     DMX_RETURN_IF_ERROR(p.ExpectIdent(&table));
-    const RelationDescriptor* desc;
+    std::shared_ptr<const RelationDescriptor> desc;
     DMX_RETURN_IF_ERROR(db_->FindRelation(table, &desc));
     NameScope scope;
     scope.Add(table, desc->schema, 0);
@@ -1697,12 +1750,11 @@ class SqlExecutor {
     DMX_RETURN_IF_ERROR(InTxn([&](Transaction* txn) -> Status {
       std::vector<std::string> keys;
       {
-        AccessPlan access;
-        DMX_RETURN_IF_ERROR(PlanAccess(db_, txn, desc, where, &access));
         BoundPlan plan;
-        plan.relation = *desc;
-        plan.access = access;
-        AccessSource source(db_, txn, &plan);
+        plan.relation = desc;
+        DMX_RETURN_IF_ERROR(
+            PlanAccess(db_, txn, desc.get(), where, &plan.access));
+        AccessSource source(db_, txn, &plan, params_);
         Row row;
         while (true) {
           Status s = source.Next(&row);
@@ -1752,6 +1804,9 @@ class SqlExecutor {
   Session* session_;
   Database* db_;
   const std::string& sql_;
+  // The statement's `?` values, or null when it has none; bound into every
+  // source, scan and evaluation this execution runs (never into the plan).
+  const std::vector<Value>* params_;
   std::unique_ptr<Parser> parser_;
   bool explain_ = false;
   bool analyze_ = false;
@@ -1776,11 +1831,8 @@ Status Session::Execute(const std::string& sql,
                         const std::vector<Value>& params,
                         QueryResult* result) {
   *result = QueryResult();
-  db_->evaluator()->SetParams(params);
-  SqlExecutor executor(this, sql);
-  Status s = executor.Run(result);
-  db_->evaluator()->SetParams({});
-  return s;
+  SqlExecutor executor(this, sql, params.empty() ? nullptr : &params);
+  return executor.Run(result);
 }
 
 std::string QueryResult::ToString() const {

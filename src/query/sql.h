@@ -8,9 +8,9 @@
 //   ALTER TABLE t ADD [DEFERRED] CHECK (expr) [NAME ident]
 //   ALTER TABLE t SET STORAGE sm [WITH (k = v, ...)]   (live migration)
 //   DESCRIBE t
-//   INSERT INTO t VALUES (v, ...), (v, ...) ...
+//   INSERT INTO t VALUES (v, ...), (v, ...) ...   (v: a literal or ?)
 //   SELECT * | cols | COUNT(*) | SUM(c)|AVG(c)|MIN(c)|MAX(c)
-//     FROM t [, u] [WHERE expr] [ORDER BY col [ASC|DESC]] [LIMIT n]
+//     FROM t [, u] [WHERE expr] [ORDER BY col [ASC|DESC]] [LIMIT n|?]
 //   UPDATE t SET col = expr, ... [WHERE expr]
 //   DELETE FROM t [WHERE expr]
 //   EXPLAIN SELECT ...                 (reports the chosen access path)
@@ -27,9 +27,12 @@
 //
 // Types: INT, DOUBLE, STRING (or TEXT), BOOL. Expressions support
 // comparisons, AND/OR/NOT, arithmetic, LIKE, BETWEEN, IN (...), IS [NOT]
-// NULL, literals
-// (integers, decimals, 'strings', TRUE/FALSE, NULL), and `?` runtime
-// parameters (bind values via Session::Execute's params overload).
+// NULL, literals (integers, decimals, 'strings', TRUE/FALSE, NULL), and `?`
+// runtime parameters. A `?` is accepted wherever a literal is: in
+// expressions, INSERT tuples and LIMIT; a CHECK predicate, which outlives
+// its statement, stores the bound values as constants. Placeholders are numbered in
+// textual order across the statement and bound by Session::Execute's
+// params overload.
 //
 // Two-table SELECTs run a join; when the WHERE clause contains an equality
 // between a column of each table and the inner table has a B-tree or hash
@@ -38,7 +41,12 @@
 //
 // SELECT statements are bound through the session's PlanCache: repeated
 // queries reuse their translation until DDL invalidates it (the paper's
-// query-binding model).
+// query-binding model). A plan holds `?` operands as expressions, never
+// their values, so `SELECT ... WHERE id = ?` is translated once — to the
+// same unique-index probe `id = 5` gets — and every execution binds its
+// own parameters when its scan opens. Parameters belong to the execution,
+// not to the session or the database: concurrent sessions running the
+// same parameterised statement never see each other's values.
 
 #ifndef DMX_QUERY_SQL_H_
 #define DMX_QUERY_SQL_H_
@@ -73,10 +81,13 @@ class Session {
   /// Execute one SQL statement.
   Status Execute(const std::string& sql, QueryResult* result);
 
-  /// Execute with runtime parameters bound to `?` placeholders, in order
-  /// (the common evaluator's "variable data"). The statement's bound plan
-  /// is cached by SQL text, so repeated executions with different
-  /// parameters reuse one translation.
+  /// Execute with runtime parameters bound to `?` placeholders, in
+  /// textual order (the common evaluator's "variable data"). The statement's
+  /// bound plan is cached by SQL text and holds no parameter values, so
+  /// repeated executions with different parameters reuse one translation,
+  /// including its access path: `id = ?` on a unique index is an index
+  /// probe. `params` is read, not copied, and only for the duration of the
+  /// call; a placeholder without a value is InvalidArgument.
   Status Execute(const std::string& sql, const std::vector<Value>& params,
                  QueryResult* result);
 

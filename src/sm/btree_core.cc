@@ -17,6 +17,14 @@ namespace {
 // Leaf entries: varint32 length + composite bytes, sorted ascending.
 // Internal entries: varint32 length + separator composite + u32 child;
 // child subtree holds composites >= separator (leftmost holds the rest).
+// Entries are packed from kEntriesOff with no gaps, and every byte after
+// the last entry is zero.
+//
+// Descents, lookups, a leaf insert that fits and a remove work on the page
+// in place: they compare Slices into the page and memmove the packed
+// entries, producing exactly the bytes WriteLeaf would (zeroed tail
+// included). Only splits decode the node into a LeafNode/InternalNode and
+// re-serialize it.
 constexpr size_t kTypeOff = 8;
 constexpr size_t kCountOff = 9;
 constexpr size_t kLinkOff = 11;
@@ -78,6 +86,68 @@ Status ParseInternal(const Page& p, InternalNode* out) {
   return Status::OK();
 }
 
+// Where `composite` falls among a leaf's packed entries, found by walking
+// the page without copying an entry.
+struct LeafSlot {
+  size_t offset = 0;   // page offset of the first entry >= composite
+  size_t length = 0;   // encoded size of that entry (prefix + bytes)
+  bool equal = false;  // that entry is `composite` itself
+  size_t end = 0;      // page offset just past the last entry
+  size_t payload = 0;  // summed entry lengths (for SerializedLeafSize)
+};
+
+Status LocateInLeaf(const Page& p, const Slice& composite, LeafSlot* out) {
+  const uint16_t n = EntryCount(p);
+  Slice in(p.data + kEntriesOff, kPageSize - kEntriesOff);
+  bool placed = false;
+  for (uint16_t i = 0; i < n; ++i) {
+    const size_t offset = kPageSize - in.size();
+    Slice e;
+    if (!GetLengthPrefixedSlice(&in, &e)) {
+      return Status::Corruption("btree leaf entry");
+    }
+    out->payload += e.size();
+    if (!placed && e.compare(composite) >= 0) {
+      placed = true;
+      out->offset = offset;
+      out->length = kPageSize - in.size() - offset;
+      out->equal = e == composite;
+    }
+  }
+  out->end = kPageSize - in.size();
+  if (!placed) out->offset = out->end;
+  return Status::OK();
+}
+
+// The child of internal node `p` whose subtree holds `composite` (the last
+// separator <= composite; the leftmost child when there is none), compared
+// in the page. `*pos` is 0 for the leftmost child, i + 1 for entry i's.
+Status ChildFor(const Page& p, const Slice& composite, PageId* child,
+                size_t* pos) {
+  *child = NodeLink(p);
+  *pos = 0;
+  const uint16_t n = EntryCount(p);
+  Slice in(p.data + kEntriesOff, kPageSize - kEntriesOff);
+  for (uint16_t i = 0; i < n; ++i) {
+    Slice sep;
+    uint32_t ch;
+    if (!GetLengthPrefixedSlice(&in, &sep)) {
+      return Status::Corruption("btree internal separator");
+    }
+    if (!GetFixed32(&in, &ch)) {
+      return Status::Corruption("btree internal child");
+    }
+    if (composite.compare(sep) < 0) break;
+    *child = ch;
+    *pos = i + 1u;
+  }
+  return Status::OK();
+}
+
+void SetEntryCount(Page* p, uint16_t count) {
+  memcpy(p->data + kCountOff, &count, 2);
+}
+
 size_t SerializedLeafSize(const LeafNode& n) {
   size_t s = kEntriesOff;
   for (const auto& e : n.entries) s += 5 + e.size();
@@ -120,6 +190,22 @@ void WriteInternal(Page* p, const InternalNode& n, Lsn keep_lsn) {
 }
 
 }  // namespace
+
+Status BTreeRewriteNode(Page* page) {
+  if (NodeType(*page) == kLeaf) {
+    LeafNode n;
+    DMX_RETURN_IF_ERROR(ParseLeaf(*page, &n));
+    WriteLeaf(page, n, PageLsn(*page));
+    return Status::OK();
+  }
+  if (NodeType(*page) == kInternal) {
+    InternalNode n;
+    DMX_RETURN_IF_ERROR(ParseInternal(*page, &n));
+    WriteInternal(page, n, PageLsn(*page));
+    return Status::OK();
+  }
+  return Status::InvalidArgument("not a btree node");
+}
 
 std::string BTreeComposeEntry(const Slice& key, const Slice& value) {
   // Escape 0x00 in the key as 0x00 0xFF and terminate with 0x00 0x00 so
@@ -225,17 +311,8 @@ Status BTree::FindLeaf(const Slice& key, const Slice& value, PageId* leaf) {
       *leaf = node;
       return Status::OK();
     }
-    InternalNode n;
-    DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &n));
-    PageId child = n.leftmost;
-    for (const auto& [sep, ch] : n.entries) {
-      if (Slice(composite).compare(Slice(sep)) >= 0) {
-        child = ch;
-      } else {
-        break;
-      }
-    }
-    node = child;
+    size_t pos;
+    DMX_RETURN_IF_ERROR(ChildFor(*h.page(), Slice(composite), &node, &pos));
   }
 }
 
@@ -257,54 +334,70 @@ Status InsertRec(BufferPool* bp, PageId node, const std::string& composite,
   PageHandle h;
   DMX_RETURN_IF_ERROR(bp->Fetch(node, &h));
   if (NodeType(*h.page()) == kLeaf) {
-    LeafNode leaf;
-    DMX_RETURN_IF_ERROR(ParseLeaf(*h.page(), &leaf));
-    auto it = std::lower_bound(leaf.entries.begin(), leaf.entries.end(),
-                               composite);
-    if (it != leaf.entries.end() && *it == composite) {
+    Page* page = h.page();
+    LeafSlot slot;
+    DMX_RETURN_IF_ERROR(LocateInLeaf(*page, Slice(composite), &slot));
+    if (slot.equal) {
       *inserted = false;  // exact (key,value) already present: idempotent
       return Status::OK();
     }
-    leaf.entries.insert(it, composite);
-    if (SerializedLeafSize(leaf) > kNodeCapacity && leaf.entries.size() > 1) {
-      // Split: right half to a fresh page.
-      size_t mid = leaf.entries.size() / 2;
-      LeafNode right;
-      right.entries.assign(leaf.entries.begin() + mid, leaf.entries.end());
-      leaf.entries.resize(mid);
-      right.next = leaf.next;
-      PageId right_id;
-      PageHandle rh;
-      DMX_RETURN_IF_ERROR(bp->New(&right_id, &rh));
-      leaf.next = right_id;
-      WriteLeaf(rh.page(), right, kInvalidLsn);
-      rh.MarkDirty();
-      *split = SplitResult{right.entries.front(), right_id};
+    // The split test SerializedLeafSize would apply to the grown node.
+    const uint16_t count = EntryCount(*page);
+    const size_t grown =
+        kEntriesOff + 5 * (count + 1u) + slot.payload + composite.size();
+    if (grown <= kNodeCapacity || count == 0) {
+      // Fits: shift the entries after the slot up and write it in place.
+      std::string prefix;
+      PutVarint32(&prefix, static_cast<uint32_t>(composite.size()));
+      const size_t add = prefix.size() + composite.size();
+      assert(slot.end + add <= kPageSize);
+      char* at = page->data + slot.offset;
+      memmove(at + add, at, slot.end - slot.offset);
+      memcpy(at, prefix.data(), prefix.size());
+      memcpy(at + prefix.size(), composite.data(), composite.size());
+      SetEntryCount(page, static_cast<uint16_t>(count + 1));
+      h.MarkDirty();
+      *inserted = true;
+      *leaf_split = false;
+      return Status::OK();
     }
-    WriteLeaf(h.page(), leaf, PageLsn(*h.page()));
+    // Too full: decode, insert, and split the right half to a fresh page.
+    LeafNode leaf;
+    DMX_RETURN_IF_ERROR(ParseLeaf(*page, &leaf));
+    auto it = std::lower_bound(leaf.entries.begin(), leaf.entries.end(),
+                               composite);
+    leaf.entries.insert(it, composite);
+    size_t mid = leaf.entries.size() / 2;
+    LeafNode right;
+    right.entries.assign(leaf.entries.begin() + mid, leaf.entries.end());
+    leaf.entries.resize(mid);
+    right.next = leaf.next;
+    PageId right_id;
+    PageHandle rh;
+    DMX_RETURN_IF_ERROR(bp->New(&right_id, &rh));
+    leaf.next = right_id;
+    WriteLeaf(rh.page(), right, kInvalidLsn);
+    rh.MarkDirty();
+    *split = SplitResult{right.entries.front(), right_id};
+    WriteLeaf(page, leaf, PageLsn(*page));
     h.MarkDirty();
     *inserted = true;
-    *leaf_split = split->has_value();
+    *leaf_split = true;
     return Status::OK();
   }
 
-  InternalNode n;
-  DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &n));
-  PageId child = n.leftmost;
-  size_t child_pos = 0;  // 0 = leftmost, i+1 = entries[i].child
-  for (size_t i = 0; i < n.entries.size(); ++i) {
-    if (Slice(composite).compare(Slice(n.entries[i].first)) >= 0) {
-      child = n.entries[i].second;
-      child_pos = i + 1;
-    } else {
-      break;
-    }
-  }
+  PageId child;
+  size_t child_pos;  // 0 = leftmost, i+1 = entries[i].child
+  DMX_RETURN_IF_ERROR(
+      ChildFor(*h.page(), Slice(composite), &child, &child_pos));
   std::optional<SplitResult> child_split;
   DMX_RETURN_IF_ERROR(
       InsertRec(bp, child, composite, &child_split, inserted, leaf_split));
   if (!child_split.has_value()) return Status::OK();
 
+  // A child split adds a separator here: decode, insert, re-serialize.
+  InternalNode n;
+  DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &n));
   n.entries.insert(n.entries.begin() + static_cast<long>(child_pos),
                    {child_split->separator, child_split->right});
   if (SerializedInternalSize(n) > kNodeCapacity && n.entries.size() > 2) {
@@ -377,16 +470,18 @@ Status BTree::Remove(const Slice& key, const Slice& value, bool idempotent) {
   DMX_RETURN_IF_ERROR(FindLeaf(key, value, &leaf_id));
   PageHandle h;
   DMX_RETURN_IF_ERROR(bp_->Fetch(leaf_id, &h));
-  LeafNode leaf;
-  DMX_RETURN_IF_ERROR(ParseLeaf(*h.page(), &leaf));
-  auto it = std::lower_bound(leaf.entries.begin(), leaf.entries.end(),
-                             composite);
-  if (it == leaf.entries.end() || *it != composite) {
+  Page* page = h.page();
+  LeafSlot slot;
+  DMX_RETURN_IF_ERROR(LocateInLeaf(*page, Slice(composite), &slot));
+  if (!slot.equal) {
     return idempotent ? Status::OK()
                       : Status::NotFound("btree entry absent");
   }
-  leaf.entries.erase(it);
-  WriteLeaf(h.page(), leaf, PageLsn(*h.page()));
+  // Close the gap in place and zero the bytes it frees at the end.
+  char* at = page->data + slot.offset;
+  memmove(at, at + slot.length, slot.end - slot.offset - slot.length);
+  memset(page->data + slot.end - slot.length, 0, slot.length);
+  SetEntryCount(page, static_cast<uint16_t>(EntryCount(*page) - 1));
   h.MarkDirty();
   // Leaves are never merged, so only the entry count moves.
   if (counted_.load()) entries_.fetch_sub(1);
@@ -395,18 +490,27 @@ Status BTree::Remove(const Slice& key, const Slice& value, bool idempotent) {
 
 Status BTree::Lookup(const Slice& key, std::vector<std::string>* values) {
   values->clear();
-  std::unique_ptr<BTreeIterator> it;
-  DMX_RETURN_IF_ERROR(
-      NewIterator(&it, BTreeComposeEntry(key, Slice()), true));
-  // The iterator position composite(key,"") sorts before all (key, v>"")
-  // and any equal entry (key,"") itself; use inclusive start.
-  std::string k, v;
-  while (true) {
-    Status s = it->Next(&k, &v);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
-    if (Slice(k) != key) break;
-    values->push_back(v);
+  // Every entry with this key starts with composite(key, ""): the escaped
+  // key and its 0x00 0x00 terminator, which no other key's encoding shares.
+  // Walk the leaves in place from there until an entry sorts past it.
+  const std::string start = BTreeComposeEntry(key, Slice());
+  PageId node;
+  DMX_RETURN_IF_ERROR(FindLeaf(key, Slice(), &node));
+  while (node != kInvalidPageId) {
+    PageHandle h;
+    DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
+    const uint16_t n = EntryCount(*h.page());
+    Slice in(h.page()->data + kEntriesOff, kPageSize - kEntriesOff);
+    for (uint16_t i = 0; i < n; ++i) {
+      Slice e;
+      if (!GetLengthPrefixedSlice(&in, &e)) {
+        return Status::Corruption("btree leaf entry");
+      }
+      if (e.compare(Slice(start)) < 0) continue;
+      if (!e.starts_with(Slice(start))) return Status::OK();
+      values->emplace_back(e.data() + start.size(), e.size() - start.size());
+    }
+    node = NodeLink(*h.page());
   }
   return Status::OK();
 }

@@ -156,6 +156,12 @@ class BTreeIterator {
   std::shared_ptr<LeafCache> cache_;
 };
 
+/// Decode the B-tree node on `page` and re-serialize it the way a split
+/// does (ParseLeaf + WriteLeaf, or ParseInternal + WriteInternal), keeping
+/// its LSN. Insert and Remove edit pages in place; every node they leave
+/// must be byte-identical to this rewrite of itself, which the tests check.
+Status BTreeRewriteNode(Page* page);
+
 /// Composite entry encoding helpers (key + value, length-framed so the
 /// composite ordering equals (key, value) lexicographic ordering).
 std::string BTreeComposeEntry(const Slice& key, const Slice& value);

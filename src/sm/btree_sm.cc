@@ -208,8 +208,8 @@ class BtSmScan : public Scan {
       RecordView view(Slice(holder_), &desc_->schema);
       if (spec_.filter != nullptr) {
         bool passes = false;
-        DMX_RETURN_IF_ERROR(
-            db_->evaluator()->EvalPredicate(*spec_.filter, view, &passes));
+        DMX_RETURN_IF_ERROR(db_->evaluator()->EvalPredicate(
+            *spec_.filter, view, &passes, spec_.params));
         if (!passes) continue;
       }
       out->record_key = key;
@@ -318,8 +318,7 @@ Status BtCost(SmContext& ctx, const std::vector<ExprPtr>& predicates,
   for (size_t i = 0; i < predicates.size(); ++i) {
     int field;
     ExprOp op;
-    Value constant;
-    if (MatchFieldCompare(predicates[i], &field, &op, &constant) &&
+    if (MatchFieldCompare(predicates[i], &field, &op) &&
         !st->key_fields.empty() && field == st->key_fields[0] &&
         op != ExprOp::kNe) {
       keyed = true;

@@ -1,6 +1,7 @@
 #include "src/sm/heap.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <set>
 
@@ -20,8 +21,10 @@ constexpr size_t kUpdateReserve = 256;
 struct HeapState : public ExtState {
   PageId first = kInvalidPageId;
   PageId last = kInvalidPageId;
-  uint64_t pages = 0;
-  uint64_t records = 0;
+  /// Atomic because costing reads them before any relation lock is taken
+  /// (planning precedes the scan), while a writer may be updating them.
+  std::atomic<uint64_t> pages{0};
+  std::atomic<uint64_t> records{0};
   /// Serializes page mutation and the chain-tail/counter fields across
   /// concurrent writer transactions. Record X locks don't help here: two
   /// inserters lock different records yet mutate the same tail page.
@@ -306,8 +309,8 @@ class HeapScan : public Scan {
       RecordView view(data, &desc_->schema);
       if (spec_.filter != nullptr) {
         bool passes = false;
-        DMX_RETURN_IF_ERROR(
-            db_->evaluator()->EvalPredicate(*spec_.filter, view, &passes));
+        DMX_RETURN_IF_ERROR(db_->evaluator()->EvalPredicate(
+            *spec_.filter, view, &passes, spec_.params));
         if (!passes) continue;
       }
       out->record_key = current.Encode();

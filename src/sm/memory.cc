@@ -197,8 +197,8 @@ class MemScan : public Scan {
       RecordView view(Slice(it->second), &desc_->schema);
       if (spec_.filter != nullptr) {
         bool passes = false;
-        DMX_RETURN_IF_ERROR(
-            db_->evaluator()->EvalPredicate(*spec_.filter, view, &passes));
+        DMX_RETURN_IF_ERROR(db_->evaluator()->EvalPredicate(
+            *spec_.filter, view, &passes, spec_.params));
         if (!passes) continue;
       }
       out->record_key = it->first;

@@ -17,6 +17,14 @@ uint32_t FrameCrc(uint32_t gen, const char* body, size_t n) {
   return WalFrameCrc(gen, body, n);
 }
 
+// Unflushed bytes past which Append writes the buffer out without waiting
+// for a commit. A bulk load in one transaction otherwise buffers its whole
+// log (megabytes): the buffer keeps that capacity for the life of the
+// database, and the multi-megabyte flush copy it frees raises malloc's
+// dynamic mmap threshold, after which every large allocation in the
+// process lands in (and fragments) the heap arenas.
+constexpr size_t kMaxBufferedBytes = 256 << 10;
+
 }  // namespace
 
 LogManager::LogManager() {
@@ -279,7 +287,14 @@ Status LogManager::AppendLocked(LogRecord* rec) {
 
 Status LogManager::Append(LogRecord* rec) {
   MutexLock lock(&mu_);
-  return AppendLocked(rec);
+  DMX_RETURN_IF_ERROR(AppendLocked(rec));
+  if (buffer_.size() >= kMaxBufferedBytes && file_) {
+    // Writing log records early is always allowed. A failure changes
+    // nothing (the bytes stay buffered) and the next commit's flush
+    // retries and reports it, so the record stays appended either way.
+    (void)FlushToLocked(rec->lsn);
+  }
+  return Status::OK();
 }
 
 Status LogManager::AppendAndFlush(LogRecord* rec) {

@@ -106,7 +106,9 @@ class LogManager {
   Status Close();
 
   /// Append a record; assigns rec->lsn. Does not force to disk — call
-  /// FlushTo (the buffer-pool WAL hook and commits do).
+  /// FlushTo (the buffer-pool WAL hook and commits do) — except that once
+  /// the unflushed buffer passes 256 KiB it is written out here, so one
+  /// large transaction cannot grow the buffer without bound.
   Status Append(LogRecord* rec);
 
   /// Append + force in one unit (the strict commit record). The force

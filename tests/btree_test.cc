@@ -285,6 +285,112 @@ TEST_P(BTreeChurn, MatchesShadowMultimap) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeChurn,
                          ::testing::Values(101u, 202u, 303u));
 
+// -- in-place edits -----------------------------------------------------------
+
+// Insert and Remove edit leaves in place and choose children by comparing
+// Slices in the page; only splits decode and re-serialize a node. Drive
+// random inserts and removes (keys with NUL bytes, duplicate keys, enough
+// entries to split leaves and internal nodes, a pool small enough to evict)
+// and after every operation check each node page against the
+// decode-and-rewrite path: BTreeRewriteNode of a copy must reproduce the
+// page byte for byte. Verify, Lookup and a full scan check the contents
+// against a shadow set along the way.
+class BTreeInPlaceTest : public ::testing::Test {
+ protected:
+  // Every node page must equal its own decode-and-rewrite, byte for byte.
+  static void ExpectNodesMatchRewrite(PageFile* pf, BufferPool* bp,
+                                      PageId anchor, int step) {
+    for (PageId pid = 1; pid < pf->page_count(); ++pid) {
+      if (pid == anchor) continue;
+      PageHandle h;
+      ASSERT_TRUE(bp->Fetch(pid, &h).ok()) << "page " << pid;
+      Page rewritten = *h.page();
+      ASSERT_TRUE(BTreeRewriteNode(&rewritten).ok()) << "page " << pid;
+      ASSERT_EQ(memcmp(rewritten.data, h.page()->data, kPageSize), 0)
+          << "page " << pid << " after step " << step;
+    }
+  }
+
+  static std::string RandomBytes(std::mt19937* rng, size_t max_len) {
+    std::string out((*rng)() % (max_len + 1), '\0');
+    for (char& c : out) {
+      // Mostly letters, with NULs and 0xff to exercise the key escaping.
+      uint32_t r = (*rng)() % 10;
+      c = r == 0 ? '\0' : r == 1 ? '\xff' : static_cast<char>('a' + r);
+    }
+    return out;
+  }
+};
+
+TEST_F(BTreeInPlaceTest, EditsMatchDecodeAndRewrite) {
+  for (uint32_t seed : {7u, 8u}) {
+    TempDir dir("btree_inplace");
+    PageFile pf;
+    ASSERT_TRUE(pf.Open(dir.path() + "/db", true).ok());
+    BufferPool bp(&pf, 64);
+    PageId anchor;
+    ASSERT_TRUE(BTree::Create(&bp, &anchor).ok());
+    BTree tree(&bp, anchor);
+    ASSERT_TRUE(tree.LoadCounts().ok());
+
+    std::mt19937 rng(seed);
+    std::vector<std::string> keys, values;
+    // Long entries keep nodes small, so internal nodes split too.
+    for (int i = 0; i < 400; ++i) keys.push_back(RandomBytes(&rng, 250));
+    for (int i = 0; i < 12; ++i) values.push_back(RandomBytes(&rng, 250));
+    std::set<std::pair<std::string, std::string>> shadow;
+    uint32_t height = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const std::string& key = keys[rng() % keys.size()];
+      const std::string& value = values[rng() % values.size()];
+      if (rng() % 10 < 7) {
+        ASSERT_TRUE(tree.Insert(Slice(key), Slice(value)).ok());
+        shadow.emplace(key, value);
+      } else {
+        // Remove a present entry most of the time, else a likely-absent one.
+        auto victim = shadow.empty() || rng() % 5 == 0
+                          ? std::make_pair(key, value)
+                          : *std::next(shadow.begin(),
+                                       static_cast<long>(rng() %
+                                                         shadow.size()));
+        const bool present = shadow.erase(victim) == 1;
+        Status s = tree.Remove(Slice(victim.first), Slice(victim.second));
+        ASSERT_EQ(s.ok(), present) << s.ToString();
+      }
+      ExpectNodesMatchRewrite(&pf, &bp, anchor, step);
+      if (HasFatalFailure()) return;
+      if (step % 500 != 499) continue;
+      std::vector<std::string> problems;
+      uint64_t entries = 0;
+      ASSERT_TRUE(tree.Verify(&problems, &entries).ok());
+      EXPECT_TRUE(problems.empty()) << problems.front();
+      EXPECT_EQ(entries, shadow.size());
+      for (int probe = 0; probe < 20; ++probe) {
+        const std::string& k = keys[rng() % keys.size()];
+        std::vector<std::string> want, got;
+        for (auto it = shadow.lower_bound({k, ""});
+             it != shadow.end() && it->first == k; ++it) {
+          want.push_back(it->second);
+        }
+        ASSERT_TRUE(tree.Lookup(Slice(k), &got).ok());
+        EXPECT_EQ(got, want);
+      }
+    }
+    ASSERT_TRUE(tree.Height(&height).ok());
+    EXPECT_GE(height, 3u) << "the run should split internal nodes";
+    std::unique_ptr<BTreeIterator> it;
+    ASSERT_TRUE(tree.NewIterator(&it).ok());
+    std::string key, value;
+    auto expect = shadow.begin();
+    while (it->Next(&key, &value).ok()) {
+      ASSERT_NE(expect, shadow.end());
+      EXPECT_EQ(std::make_pair(key, value), *expect);
+      ++expect;
+    }
+    EXPECT_EQ(expect, shadow.end());
+  }
+}
+
 // -- maintained shape counts --------------------------------------------------
 
 struct Shape {

@@ -144,15 +144,23 @@ TEST_F(ExprTest, UserFunctionsAndParams) {
                            *out = Value::Int(args[0].int_value() * 2);
                            return Status::OK();
                          });
-  eval_.SetParams({Value::Int(84)});
+  // Parameters travel with the call, not with the evaluator.
+  const std::vector<Value> params = {Value::Int(84)};
   // double_it(f0) == $0
   auto e = Expr::Eq(Expr::Call("double_it", {Expr::Field(0)}), Expr::Param(0));
-  EXPECT_TRUE(Passes(e));
+  bool passes = false;
+  ASSERT_TRUE(eval_.EvalPredicate(*e, view_, &passes, &params).ok());
+  EXPECT_TRUE(passes);
+  const std::vector<Value> other = {Value::Int(85)};
+  ASSERT_TRUE(eval_.EvalPredicate(*e, view_, &passes, &other).ok());
+  EXPECT_FALSE(passes);
   // Unknown function errors.
   Value v;
   EXPECT_TRUE(eval_.Eval(*Expr::Call("nope", {}), view_, &v).IsNotFound());
-  // Unbound param errors.
-  EXPECT_FALSE(eval_.Eval(*Expr::Param(3), view_, &v).ok());
+  // Unbound param errors: past the end, or no parameters at all.
+  EXPECT_TRUE(eval_.Eval(*Expr::Param(3), view_, &v, &params)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(eval_.Eval(*Expr::Param(0), view_, &v).IsInvalidArgument());
 }
 
 TEST_F(ExprTest, SpatialPredicates) {
@@ -250,20 +258,33 @@ TEST_F(ExprTest, SplitAndJoinConjuncts) {
 TEST_F(ExprTest, MatchFieldCompare) {
   int field;
   ExprOp op;
-  Value constant;
+  ExprPtr operand;
   auto e = Expr::Cmp(ExprOp::kLt, 2, Value::Double(9.0));
-  ASSERT_TRUE(MatchFieldCompare(e, &field, &op, &constant));
+  ASSERT_TRUE(MatchFieldCompare(e, &field, &op, &operand));
   EXPECT_EQ(field, 2);
   EXPECT_EQ(op, ExprOp::kLt);
-  EXPECT_EQ(constant.AsDouble(), 9.0);
+  ASSERT_EQ(operand->op(), ExprOp::kConst);
+  EXPECT_EQ(operand->constant().AsDouble(), 9.0);
   // Mirrored: 5 <= f0  ->  f0 >= 5.
   auto m = Expr::Binary(ExprOp::kLe, Expr::Const(Value::Int(5)), Expr::Field(0));
-  ASSERT_TRUE(MatchFieldCompare(m, &field, &op, &constant));
+  ASSERT_TRUE(MatchFieldCompare(m, &field, &op, &operand));
   EXPECT_EQ(field, 0);
   EXPECT_EQ(op, ExprOp::kGe);
-  // Not a field-vs-const comparison.
+  // A parameter is an operand like a constant: f1 = ?2 (mirrored ?2 = f1).
+  auto p = Expr::Eq(Expr::Param(1), Expr::Field(1));
+  ASSERT_TRUE(MatchFieldCompare(p, &field, &op));  // operand is optional
+  ASSERT_TRUE(MatchFieldCompare(p, &field, &op, &operand));
+  EXPECT_EQ(field, 1);
+  EXPECT_EQ(op, ExprOp::kEq);
+  ASSERT_EQ(operand->op(), ExprOp::kParam);
+  EXPECT_EQ(operand->param_index(), 1);
+  // Not a field-vs-operand comparison.
   auto ff = Expr::Eq(Expr::Field(0), Expr::Field(1));
-  EXPECT_FALSE(MatchFieldCompare(ff, &field, &op, &constant));
+  EXPECT_FALSE(MatchFieldCompare(ff, &field, &op, &operand));
+  auto fx = Expr::Eq(Expr::Field(0),
+                     Expr::Binary(ExprOp::kAdd, Expr::Param(0),
+                                  Expr::Const(Value::Int(1))));
+  EXPECT_FALSE(MatchFieldCompare(fx, &field, &op, &operand));
 }
 
 TEST_F(ExprTest, MatchSpatial) {

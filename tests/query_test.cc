@@ -52,6 +52,24 @@ class QueryTest : public ::testing::Test {
     ASSERT_TRUE(db_->Commit(txn).ok());
   }
 
+  // The descriptor a bound plan embeds: the catalog's object, shared.
+  std::shared_ptr<const RelationDescriptor> Snapshot() {
+    return db_->catalog()->Snapshot("points");
+  }
+
+  // The key bounds `plan` scans for one execution with `params`.
+  ScanSpec BoundSpec(const AccessPlan& plan,
+                     const std::vector<Value>* params = nullptr) {
+    ScanSpec spec;
+    std::string probe;
+    bool empty = false;
+    EXPECT_TRUE(BindAccessKey(*db_->evaluator(), plan, Desc()->schema,
+                              params, &spec, &probe, &empty)
+                    .ok());
+    EXPECT_FALSE(empty);
+    return spec;
+  }
+
   const RelationDescriptor* Desc() {
     const RelationDescriptor* desc = nullptr;
     EXPECT_TRUE(db_->FindRelation("points", &desc).ok());
@@ -81,8 +99,10 @@ TEST_F(QueryTest, PlannerPicksBTreeForKeyPredicate) {
   EXPECT_FALSE(plan.path.is_storage_method());
   EXPECT_EQ(plan.DebugString(db_->registry()), "btree_index#1");
   EXPECT_TRUE(plan.needs_fetch);
-  EXPECT_TRUE(plan.spec.low_key.has_value());
-  EXPECT_TRUE(plan.spec.high_key.has_value());
+  ASSERT_EQ(plan.key.eq.size(), 1u);  // the operand, bound at scan open
+  ScanSpec spec = BoundSpec(plan);
+  EXPECT_TRUE(spec.low_key.has_value());
+  EXPECT_TRUE(spec.high_key.has_value());
   // But a predicate on a non-indexed field still scans.
   AccessPlan plan2;
   auto pred2 = Expr::Cmp(ExprOp::kEq, 2, Value::Double(1.0));
@@ -99,7 +119,7 @@ TEST_F(QueryTest, PlannerPicksHashOverBTreeForEquality) {
   auto pred = Expr::Cmp(ExprOp::kEq, 0, Value::Int(42));
   ASSERT_TRUE(PlanAccess(db_.get(), txn, Desc(), pred, &plan).ok());
   EXPECT_EQ(plan.DebugString(db_->registry()), "hash_index#1");
-  EXPECT_TRUE(plan.probe_key.has_value());
+  EXPECT_TRUE(plan.probe);
   // Range predicate: hash is unusable, and on a table this small the
   // calibrated cost model (kRecordFetchCost per qualifying fetch) puts the
   // crossover below 33% selectivity — the scan wins.
@@ -135,7 +155,7 @@ TEST_F(QueryTest, ExecutorAgreesAcrossAccessPaths) {
   // relation this small) to check both executors produce identical rows.
   int bt = db_->registry()->FindAttachmentType("btree_index");
   BoundPlan plan;
-  plan.relation = *Desc();
+  plan.relation = Snapshot();
   plan.access.path = AccessPathId::Attachment(static_cast<AtId>(bt), 1);
   plan.access.needs_fetch = true;
   plan.access.residual = pred;
@@ -149,7 +169,7 @@ TEST_F(QueryTest, ExecutorAgreesAcrossAccessPaths) {
   ASSERT_TRUE(CollectRows(&indexed, &via_index).ok());
   // Via forced storage-method scan.
   BoundPlan scan_plan;
-  scan_plan.relation = *Desc();
+  scan_plan.relation = Snapshot();
   scan_plan.access.path = AccessPathId::StorageMethod();
   scan_plan.access.spec.filter = pred;
   AccessSource scanned(db_.get(), txn, &scan_plan);
@@ -212,7 +232,7 @@ TEST_F(QueryTest, NestedLoopJoinProducesAllPairs) {
   Transaction* txn = db_->Begin();
   // Join points with itself on id == id (via values): 200 matches.
   BoundPlan outer_plan;
-  outer_plan.relation = *Desc();
+  outer_plan.relation = Snapshot();
   ASSERT_TRUE(
       PlanAccess(db_.get(), txn, Desc(), nullptr, &outer_plan.access).ok());
   auto outer = std::make_unique<AccessSource>(db_.get(), txn, &outer_plan);
@@ -238,7 +258,7 @@ TEST_F(QueryTest, NestedLoopJoinProducesAllPairs) {
 TEST_F(QueryTest, AggregateSource) {
   Transaction* txn = db_->Begin();
   BoundPlan plan;
-  plan.relation = *Desc();
+  plan.relation = Snapshot();
   ASSERT_TRUE(PlanAccess(db_.get(), txn, Desc(), nullptr, &plan.access).ok());
   {
     auto src = std::make_unique<AccessSource>(db_.get(), txn, &plan);
@@ -271,11 +291,12 @@ TEST_F(QueryTest, MultiFieldPrefixKeyRange) {
   AccessPlan plan;
   ASSERT_TRUE(PlanAccess(db_.get(), txn, Desc(), pred, &plan).ok());
   ASSERT_FALSE(plan.path.is_storage_method());
-  EXPECT_TRUE(plan.spec.low_key.has_value());
-  EXPECT_TRUE(plan.spec.high_key.has_value());
+  ScanSpec spec = BoundSpec(plan);
+  EXPECT_TRUE(spec.low_key.has_value());
+  EXPECT_TRUE(spec.high_key.has_value());
   // Execute: ids 101..119 odd = 10 rows.
   BoundPlan bound;
-  bound.relation = *Desc();
+  bound.relation = Snapshot();
   bound.access = plan;
   AccessSource source(db_.get(), txn, &bound);
   std::vector<Row> rows;
@@ -304,7 +325,7 @@ TEST_F(QueryTest, IndexOnlyPlanSkipsRecordFetches) {
 
   db_->ResetStats();
   BoundPlan bound;
-  bound.relation = *Desc();
+  bound.relation = Snapshot();
   bound.access = plan;
   AccessSource source(db_.get(), txn, &bound);
   std::vector<Row> rows;
