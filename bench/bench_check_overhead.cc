@@ -68,6 +68,29 @@ void BM_CheckWithBtreeAndUnique(benchmark::State& state) {
 BENCHMARK(BM_CheckWithBtreeAndUnique)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
+// A hash index on a 10-value column: every base record probes a key that
+// 1/10th of the table shares, so a verifier that walks all entries under
+// the key is quadratic in the rows per key.
+void BM_CheckWithLowCardinalityHash(benchmark::State& state) {
+  ScopedDb sdb;
+  Transaction* txn = sdb.db()->Begin();
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    BenchCheck(sdb.db()->Insert(txn, "bench",
+                                {Value::Int(i),
+                                 Value::String("c" + std::to_string(i % 10)),
+                                 Value::Double(static_cast<double>(i)),
+                                 Value::String("p")}),
+               "load insert");
+  }
+  BenchCheck(sdb.db()->CreateAttachment(txn, "bench", "hash_index",
+                                        {{"fields", "category"}}),
+             "create hash index");
+  BenchCheck(sdb.db()->Commit(txn), "commit load");
+  RunCheck(sdb.db(), state);
+}
+BENCHMARK(BM_CheckWithLowCardinalityHash)->Arg(25000)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace bench
 }  // namespace dmx

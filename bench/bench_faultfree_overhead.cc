@@ -76,6 +76,7 @@ void BM_WalAppend(benchmark::State& state) {
   const std::string payload = RandomBuffer(128);
   uint64_t n = 0;
   for (auto _ : state) {
+    // deeplint: allow(status-discipline, a bare LogManager, no database)
     LogRecord rec = MakeUpdateRecord(1, ExtKind::kStorageMethod, 0, 1,
                                      payload);
     BenchCheck(log.Append(&rec), "append");
@@ -96,6 +97,7 @@ void BM_WalAppendFlushSync(benchmark::State& state) {
   BenchCheck(log.Open(dir.path() + "/wal", true), "open");
   const std::string payload = RandomBuffer(128);
   for (auto _ : state) {
+    // deeplint: allow(status-discipline, a bare LogManager, no database)
     LogRecord rec = MakeUpdateRecord(1, ExtKind::kStorageMethod, 0, 1,
                                      payload);
     BenchCheck(log.Append(&rec), "append");

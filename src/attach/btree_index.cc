@@ -2,8 +2,10 @@
 
 #include <atomic>
 
+#include "src/core/attachment_instances.h"
 #include "src/core/costing.h"
 #include "src/core/database.h"
+#include "src/core/extension_log.h"
 #include "src/sm/btree_core.h"
 #include "src/sm/btree_sm.h"
 #include "src/sm/key_codec.h"
@@ -15,81 +17,37 @@ namespace {
 std::atomic<uint64_t> g_skipped_updates{0};
 
 struct IndexInstance {
+  static constexpr const char* kType = "btree index";
   uint32_t no = 0;
   PageId anchor = kInvalidPageId;
   bool unique = false;
   std::vector<int> fields;
-};
-
-struct IndexTypeDesc {
-  uint32_t next_no = 1;
-  std::vector<IndexInstance> instances;
 
   void EncodeTo(std::string* dst) const {
-    PutVarint32(dst, next_no);
-    PutVarint32(dst, static_cast<uint32_t>(instances.size()));
-    for (const IndexInstance& inst : instances) {
-      PutVarint32(dst, inst.no);
-      PutFixed32(dst, inst.anchor);
-      dst->push_back(inst.unique ? 1 : 0);
-      PutVarint32(dst, static_cast<uint32_t>(inst.fields.size()));
-      for (int f : inst.fields) PutVarint32(dst, static_cast<uint32_t>(f));
-    }
+    PutFixed32(dst, anchor);
+    dst->push_back(unique ? 1 : 0);
+    PutFieldList(dst, fields);
   }
-
-  static Status DecodeFrom(Slice in, IndexTypeDesc* out) {
-    out->instances.clear();
-    if (in.empty()) {
-      out->next_no = 1;
-      return Status::OK();
+  static Status DecodeFrom(Slice* in, IndexInstance* inst) {
+    if (!GetFixed32(in, &inst->anchor) || in->empty()) {
+      return Status::Corruption("btree index instance");
     }
-    uint32_t next, count;
-    if (!GetVarint32(&in, &next) || !GetVarint32(&in, &count)) {
-      return Status::Corruption("btree index descriptor");
-    }
-    out->next_no = next;
-    for (uint32_t i = 0; i < count; ++i) {
-      IndexInstance inst;
-      uint32_t no, anchor, nfields;
-      if (!GetVarint32(&in, &no) || !GetFixed32(&in, &anchor) ||
-          in.empty()) {
-        return Status::Corruption("btree index instance");
-      }
-      inst.no = no;
-      inst.anchor = anchor;
-      inst.unique = in[0] != 0;
-      in.remove_prefix(1);
-      if (!GetVarint32(&in, &nfields)) {
-        return Status::Corruption("btree index fields");
-      }
-      for (uint32_t f = 0; f < nfields; ++f) {
-        uint32_t idx;
-        if (!GetVarint32(&in, &idx)) {
-          return Status::Corruption("btree index field");
-        }
-        inst.fields.push_back(static_cast<int>(idx));
-      }
-      out->instances.push_back(std::move(inst));
-    }
-    return Status::OK();
-  }
-
-  const IndexInstance* Find(uint32_t no) const {
-    for (const IndexInstance& inst : instances) {
-      if (inst.no == no) return &inst;
-    }
-    return nullptr;
+    inst->unique = (*in)[0] != 0;
+    in->remove_prefix(1);
+    return GetFieldList(in, &inst->fields, "btree index fields",
+                        "btree index field");
   }
 };
+using IndexList = InstanceList<IndexInstance>;
 
 struct IndexState : public ExtState {
-  IndexTypeDesc desc;
-  // Parallel to desc.instances.
+  IndexList desc;
+  // Parallel to desc.
   std::vector<std::unique_ptr<BTree>> trees;
 
   BTree* TreeFor(uint32_t no) {
-    for (size_t i = 0; i < desc.instances.size(); ++i) {
-      if (desc.instances[i].no == no) return trees[i].get();
+    for (size_t i = 0; i < desc.size(); ++i) {
+      if (desc[i].no == no) return trees[i].get();
     }
     return nullptr;
   }
@@ -101,8 +59,8 @@ IndexState* StateOf(AtContext& ctx) {
 
 Status IdxOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<IndexState>();
-  DMX_RETURN_IF_ERROR(IndexTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
-  for (const IndexInstance& inst : st->desc.instances) {
+  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
+  for (const IndexInstance& inst : st->desc) {
     auto tree = std::make_unique<BTree>(ctx.db->buffer_pool(), inst.anchor);
     // A damaged tree must still open so CHECK and REPAIR can reach it;
     // costing retries the walk and reports its error.
@@ -110,16 +68,6 @@ Status IdxOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
     st->trees.push_back(std::move(tree));
   }
   *state = std::move(st);
-  return Status::OK();
-}
-
-Status IdxLog(AtContext& ctx, std::string payload) {
-  LogRecord rec = MakeUpdateRecord(
-      ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId,
-      ExtKind::kAttachment, ctx.at_id, ctx.desc->id, std::move(payload));
-  rec.prev_lsn = ctx.txn != nullptr ? ctx.txn->last_lsn() : kInvalidLsn;
-  DMX_RETURN_IF_ERROR(ctx.db->log()->Append(&rec));
-  if (ctx.txn != nullptr) ctx.txn->set_last_lsn(rec.lsn);
   return Status::OK();
 }
 
@@ -140,13 +88,13 @@ Status AddEntry(AtContext& ctx, const IndexInstance& inst, BTree* tree,
                               " violated");
   }
   DMX_RETURN_IF_ERROR(s);
-  return IdxLog(ctx, EntryPayload('I', inst.no, key, record_key));
+  return LogExtensionUpdate(ctx, EntryPayload('I', inst.no, key, record_key));
 }
 
 Status RemoveEntry(AtContext& ctx, BTree* tree, uint32_t instance,
                    const Slice& key, const Slice& record_key) {
   DMX_RETURN_IF_ERROR(tree->Remove(key, record_key, /*idempotent=*/true));
-  return IdxLog(ctx, EntryPayload('D', instance, key, record_key));
+  return LogExtensionUpdate(ctx, EntryPayload('D', instance, key, record_key));
 }
 
 Status IdxCreateInstance(AtContext& ctx, const AttrList& attrs,
@@ -160,9 +108,8 @@ Status IdxCreateInstance(AtContext& ctx, const AttrList& attrs,
       ParseFieldList(ctx.desc->schema, attrs.Get("fields"), &inst.fields));
   inst.unique = attrs.Get("unique") == "1" || attrs.Get("unique") == "true";
 
-  IndexTypeDesc desc;
-  DMX_RETURN_IF_ERROR(IndexTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  inst.no = desc.next_no++;
+  IndexList desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
   DMX_RETURN_IF_ERROR(BTree::Create(ctx.db->buffer_pool(), &inst.anchor));
 
   // Bulk-load from the existing relation contents.
@@ -184,35 +131,8 @@ Status IdxCreateInstance(AtContext& ctx, const AttrList& attrs,
     }
   }
 
-  desc.instances.push_back(inst);
-  new_desc->clear();
+  *instance_no = desc.Add(std::move(inst));
   desc.EncodeTo(new_desc);
-  *instance_no = inst.no;
-  return Status::OK();
-}
-
-Status IdxDropInstance(AtContext& ctx, uint32_t instance_no,
-                       std::string* new_desc) {
-  IndexTypeDesc desc;
-  DMX_RETURN_IF_ERROR(IndexTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  bool found = false;
-  std::vector<IndexInstance> kept;
-  for (const IndexInstance& inst : desc.instances) {
-    if (inst.no == instance_no) {
-      found = true;
-    } else {
-      kept.push_back(inst);
-    }
-  }
-  if (!found) {
-    return Status::NotFound("btree index instance " +
-                            std::to_string(instance_no));
-  }
-  desc.instances = std::move(kept);
-  new_desc->clear();
-  // An empty instance list makes descriptor field N NULL again; instance
-  // numbers of dropped indexes are then allowed to restart from 1.
-  if (!desc.instances.empty()) desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
@@ -221,10 +141,10 @@ Status IdxReleaseInstance(AtContext& ctx, uint32_t instance_no) {
   // a relation drop, instance_no == UINT32_MAX). The descriptor visible in
   // the context may already lack the instance (attachment drop), so also
   // consult the cached state parsed from the pre-drop descriptor.
-  IndexTypeDesc desc;
-  IndexTypeDesc::DecodeFrom(ctx.at_desc, &desc).ok();
+  IndexList desc;
+  desc.Decode(ctx.at_desc).ok();
   if (instance_no == UINT32_MAX) {
-    for (const IndexInstance& inst : desc.instances) {
+    for (const IndexInstance& inst : desc) {
       DMX_RETURN_IF_ERROR(BTree::Destroy(ctx.db->buffer_pool(), inst.anchor));
     }
     return Status::OK();
@@ -241,8 +161,8 @@ Status IdxOnInsert(AtContext& ctx, const Slice& record_key,
                    const Slice& new_record) {
   IndexState* st = StateOf(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (size_t i = 0; i < st->desc.instances.size(); ++i) {
-    const IndexInstance& inst = st->desc.instances[i];
+  for (size_t i = 0; i < st->desc.size(); ++i) {
+    const IndexInstance& inst = st->desc[i];
     // Quarantined instances skip maintenance: REPAIR rebuilds them from
     // the base relation, so falling behind is safe.
     if (ctx.desc->IsQuarantined(ctx.at_id, inst.no)) continue;
@@ -260,8 +180,8 @@ Status IdxOnUpdate(AtContext& ctx, const Slice& old_key,
   IndexState* st = StateOf(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (size_t i = 0; i < st->desc.instances.size(); ++i) {
-    const IndexInstance& inst = st->desc.instances[i];
+  for (size_t i = 0; i < st->desc.size(); ++i) {
+    const IndexInstance& inst = st->desc[i];
     if (ctx.desc->IsQuarantined(ctx.at_id, inst.no)) continue;
     std::string okey, nkey;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(old_view, inst.fields, &okey));
@@ -284,8 +204,8 @@ Status IdxOnDelete(AtContext& ctx, const Slice& record_key,
                    const Slice& old_record) {
   IndexState* st = StateOf(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (size_t i = 0; i < st->desc.instances.size(); ++i) {
-    const IndexInstance& inst = st->desc.instances[i];
+  for (size_t i = 0; i < st->desc.size(); ++i) {
+    const IndexInstance& inst = st->desc[i];
     if (ctx.desc->IsQuarantined(ctx.at_id, inst.no)) continue;
     std::string key;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(view, inst.fields, &key));
@@ -339,8 +259,7 @@ Status IdxOpenScan(AtContext& ctx, uint32_t instance_no, const ScanSpec& spec,
   IndexState* st = StateOf(ctx);
   BTree* tree = st->TreeFor(instance_no);
   if (tree == nullptr) {
-    return Status::NotFound("btree index instance " +
-                            std::to_string(instance_no));
+    return IndexList::NotFound(instance_no);
   }
   std::optional<std::string> low;
   if (spec.low_key.has_value()) {
@@ -358,8 +277,7 @@ Status IdxLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
   IndexState* st = StateOf(ctx);
   BTree* tree = st->TreeFor(instance_no);
   if (tree == nullptr) {
-    return Status::NotFound("btree index instance " +
-                            std::to_string(instance_no));
+    return IndexList::NotFound(instance_no);
   }
   return tree->Lookup(key, record_keys);
 }
@@ -457,20 +375,6 @@ Status IdxRedo(AtContext& ctx, const LogRecord& rec, Lsn) {
   return IdxApply(ctx, rec, /*undo=*/false);
 }
 
-uint32_t IdxInstanceCount(const Slice& at_desc) {
-  IndexTypeDesc desc;
-  if (!IndexTypeDesc::DecodeFrom(at_desc, &desc).ok()) return 0;
-  return static_cast<uint32_t>(desc.instances.size());
-}
-
-Status IdxListInstances(const Slice& at_desc, std::vector<uint32_t>* out) {
-  IndexTypeDesc desc;
-  DMX_RETURN_IF_ERROR(IndexTypeDesc::DecodeFrom(at_desc, &desc));
-  out->clear();
-  for (const IndexInstance& inst : desc.instances) out->push_back(inst.no);
-  return Status::OK();
-}
-
 // Dual-enumeration consistency check: a structural sweep of the tree, then
 // every base record must appear in the index under its computed key, the
 // entry count must match the relation's record count (which together rule
@@ -480,8 +384,7 @@ Status IdxVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   const IndexInstance* inst = st->desc.Find(instance_no);
   BTree* tree = st->TreeFor(instance_no);
   if (inst == nullptr || tree == nullptr) {
-    return Status::NotFound("btree index instance " +
-                            std::to_string(instance_no));
+    return IndexList::NotFound(instance_no);
   }
   std::vector<std::string> problems;
   uint64_t entries = 0;
@@ -551,16 +454,10 @@ Status IdxVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
 // pre-repair descriptor) only at commit.
 Status IdxRepairInstance(AtContext& ctx, uint32_t instance_no,
                          std::string* new_desc) {
-  IndexTypeDesc desc;
-  DMX_RETURN_IF_ERROR(IndexTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  IndexInstance* inst = nullptr;
-  for (IndexInstance& i : desc.instances) {
-    if (i.no == instance_no) inst = &i;
-  }
-  if (inst == nullptr) {
-    return Status::NotFound("btree index instance " +
-                            std::to_string(instance_no));
-  }
+  IndexList desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
+  IndexInstance* inst = desc.Find(instance_no);
+  if (inst == nullptr) return IndexList::NotFound(instance_no);
   PageId fresh;
   DMX_RETURN_IF_ERROR(BTree::Create(ctx.db->buffer_pool(), &fresh));
   BTree tree(ctx.db->buffer_pool(), fresh);
@@ -596,7 +493,6 @@ Status IdxRepairInstance(AtContext& ctx, uint32_t instance_no,
     return s;
   }
   inst->anchor = fresh;
-  new_desc->clear();
   desc.EncodeTo(new_desc);
   return Status::OK();
 }
@@ -604,20 +500,11 @@ Status IdxRepairInstance(AtContext& ctx, uint32_t instance_no,
 // Unique indexes enforce a data invariant; while one is quarantined its
 // maintenance skip would let duplicates slip in, so writes must be refused.
 bool IdxGuardsIntegrity(const Slice& at_desc, uint32_t instance_no) {
-  IndexTypeDesc desc;
-  if (!IndexTypeDesc::DecodeFrom(at_desc, &desc).ok()) return false;
-  const IndexInstance* inst = desc.Find(instance_no);
-  return inst != nullptr && inst->unique;
-}
-
-Status IdxInstanceFields(const Slice& at_desc, uint32_t instance,
-                         std::vector<int>* fields) {
-  IndexTypeDesc desc;
-  DMX_RETURN_IF_ERROR(IndexTypeDesc::DecodeFrom(at_desc, &desc));
-  const IndexInstance* inst = desc.Find(instance);
-  if (inst == nullptr) return Status::NotFound("btree index instance");
-  *fields = inst->fields;
-  return Status::OK();
+  bool unique = false;
+  Status s = IndexList::Visit(at_desc, [&](IndexInstance& inst) {
+    unique = unique || (inst.no == instance_no && inst.unique);
+  });
+  return s.ok() && unique;
 }
 
 }  // namespace
@@ -629,7 +516,7 @@ const AtOps& BTreeIndexOps() {
     AtOps o;
     o.name = "btree_index";
     o.create_instance = IdxCreateInstance;
-    o.drop_instance = IdxDropInstance;
+    o.drop_instance = &DropInstanceOf<IndexInstance>;
     o.release_instance = IdxReleaseInstance;
     o.open = IdxOpen;
     o.on_insert = IdxOnInsert;
@@ -640,9 +527,9 @@ const AtOps& BTreeIndexOps() {
     o.cost = IdxCost;
     o.undo = IdxUndo;
     o.redo = IdxRedo;
-    o.instance_count = IdxInstanceCount;
-    o.list_instances = IdxListInstances;
-    o.instance_fields = IdxInstanceFields;
+    o.instance_count = &InstanceCountOf<IndexInstance>;
+    o.list_instances = &ListInstancesOf<IndexInstance>;
+    o.instance_fields = &InstanceFieldsOf<IndexInstance>;
     o.verify = IdxVerify;
     o.repair_instance = IdxRepairInstance;
     o.guards_integrity = IdxGuardsIntegrity;

@@ -1,5 +1,6 @@
 #include "src/attach/check_constraint.h"
 
+#include "src/core/attachment_instances.h"
 #include "src/core/database.h"
 #include "src/util/coding.h"
 
@@ -14,63 +15,37 @@ std::string EncodePredicateAttr(const ExprPtr& predicate) {
 namespace {
 
 struct CheckInstance {
+  static constexpr const char* kType = "check";
   uint32_t no = 0;
   std::string name;
   ExprPtr predicate;
   std::string predicate_bytes;
-};
-
-struct CheckTypeDesc {
-  uint32_t next_no = 1;
-  std::vector<CheckInstance> instances;
 
   void EncodeTo(std::string* dst) const {
-    PutVarint32(dst, next_no);
-    PutVarint32(dst, static_cast<uint32_t>(instances.size()));
-    for (const CheckInstance& inst : instances) {
-      PutVarint32(dst, inst.no);
-      PutLengthPrefixedSlice(dst, inst.name);
-      PutLengthPrefixedSlice(dst, inst.predicate_bytes);
-    }
+    PutLengthPrefixedSlice(dst, name);
+    PutLengthPrefixedSlice(dst, predicate_bytes);
   }
-
-  static Status DecodeFrom(Slice in, CheckTypeDesc* out) {
-    out->instances.clear();
-    if (in.empty()) {
-      out->next_no = 1;
-      return Status::OK();
+  static Status DecodeFrom(Slice* in, CheckInstance* inst) {
+    Slice name, pred;
+    if (!GetLengthPrefixedSlice(in, &name) ||
+        !GetLengthPrefixedSlice(in, &pred)) {
+      return Status::Corruption("check instance");
     }
-    uint32_t next, count;
-    if (!GetVarint32(&in, &next) || !GetVarint32(&in, &count)) {
-      return Status::Corruption("check descriptor");
-    }
-    out->next_no = next;
-    for (uint32_t i = 0; i < count; ++i) {
-      CheckInstance inst;
-      uint32_t no;
-      Slice name, pred;
-      if (!GetVarint32(&in, &no) || !GetLengthPrefixedSlice(&in, &name) ||
-          !GetLengthPrefixedSlice(&in, &pred)) {
-        return Status::Corruption("check instance");
-      }
-      inst.no = no;
-      inst.name = name.ToString();
-      inst.predicate_bytes = pred.ToString();
-      Slice pin(inst.predicate_bytes);
-      DMX_RETURN_IF_ERROR(Expr::DecodeFrom(&pin, &inst.predicate));
-      out->instances.push_back(std::move(inst));
-    }
-    return Status::OK();
+    inst->name = name.ToString();
+    inst->predicate_bytes = pred.ToString();
+    Slice pin(inst->predicate_bytes);
+    return Expr::DecodeFrom(&pin, &inst->predicate);
   }
 };
+using CheckList = InstanceList<CheckInstance>;
 
 struct CheckState : public ExtState {
-  CheckTypeDesc desc;
+  CheckList desc;
 };
 
 Status ChkOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<CheckState>();
-  DMX_RETURN_IF_ERROR(CheckTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
+  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
   *state = std::move(st);
   return Status::OK();
 }
@@ -110,42 +85,17 @@ Status ChkCreateInstance(AtContext& ctx, const AttrList& attrs,
   }
   if (!s.IsNotFound()) return s;
 
-  CheckTypeDesc desc;
-  DMX_RETURN_IF_ERROR(CheckTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  inst.no = desc.next_no++;
-  *instance_no = inst.no;
-  desc.instances.push_back(std::move(inst));
-  new_desc->clear();
+  CheckList desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
+  *instance_no = desc.Add(std::move(inst));
   desc.EncodeTo(new_desc);
-  return Status::OK();
-}
-
-Status ChkDropInstance(AtContext& ctx, uint32_t instance_no,
-                       std::string* new_desc) {
-  CheckTypeDesc desc;
-  DMX_RETURN_IF_ERROR(CheckTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  bool found = false;
-  std::vector<CheckInstance> kept;
-  for (CheckInstance& inst : desc.instances) {
-    if (inst.no == instance_no) {
-      found = true;
-    } else {
-      kept.push_back(std::move(inst));
-    }
-  }
-  if (!found) {
-    return Status::NotFound("check instance " + std::to_string(instance_no));
-  }
-  desc.instances = std::move(kept);
-  new_desc->clear();
-  if (!desc.instances.empty()) desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
 Status ChkTest(AtContext& ctx, const Slice& record) {
   CheckState* st = static_cast<CheckState*>(ctx.state);
   RecordView view(record, &ctx.desc->schema);
-  for (const CheckInstance& inst : st->desc.instances) {
+  for (const CheckInstance& inst : st->desc) {
     bool passes = false;
     DMX_RETURN_IF_ERROR(
         ctx.db->evaluator()->EvalPredicate(*inst.predicate, view, &passes));
@@ -168,31 +118,12 @@ Status ChkOnUpdate(AtContext& ctx, const Slice&, const Slice&, const Slice&,
   return ChkTest(ctx, new_record);
 }
 
-uint32_t ChkInstanceCount(const Slice& at_desc) {
-  CheckTypeDesc desc;
-  if (!CheckTypeDesc::DecodeFrom(at_desc, &desc).ok()) return 0;
-  return static_cast<uint32_t>(desc.instances.size());
-}
-
-Status ChkListInstances(const Slice& at_desc, std::vector<uint32_t>* out) {
-  CheckTypeDesc desc;
-  DMX_RETURN_IF_ERROR(CheckTypeDesc::DecodeFrom(at_desc, &desc));
-  out->clear();
-  for (const CheckInstance& inst : desc.instances) out->push_back(inst.no);
-  return Status::OK();
-}
-
 // Verify re-evaluates the predicate over every base record — catches rows
 // that slipped in while the constraint was quarantined or before it existed.
 Status ChkVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   CheckState* st = static_cast<CheckState*>(ctx.state);
-  const CheckInstance* inst = nullptr;
-  for (const CheckInstance& i : st->desc.instances) {
-    if (i.no == instance_no) inst = &i;
-  }
-  if (inst == nullptr) {
-    return Status::NotFound("check instance " + std::to_string(instance_no));
-  }
+  const CheckInstance* inst = st->desc.Find(instance_no);
+  if (inst == nullptr) return CheckList::NotFound(instance_no);
   const std::string tag = "check#" + std::to_string(instance_no) + ": ";
 
   std::unique_ptr<Scan> scan;
@@ -216,17 +147,6 @@ Status ChkVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   return Status::OK();
 }
 
-// A quarantined check constraint stops vetoing writes, so writes must be
-// refused until REPAIR re-validates the data.
-bool ChkGuardsIntegrity(const Slice& at_desc, uint32_t instance_no) {
-  CheckTypeDesc desc;
-  if (!CheckTypeDesc::DecodeFrom(at_desc, &desc).ok()) return false;
-  for (const CheckInstance& inst : desc.instances) {
-    if (inst.no == instance_no) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 const AtOps& CheckConstraintOps() {
@@ -234,14 +154,16 @@ const AtOps& CheckConstraintOps() {
     AtOps o;
     o.name = "check";
     o.create_instance = ChkCreateInstance;
-    o.drop_instance = ChkDropInstance;
+    o.drop_instance = &DropInstanceOf<CheckInstance>;
     o.open = ChkOpen;
     o.on_insert = ChkOnInsert;
     o.on_update = ChkOnUpdate;
-    o.instance_count = ChkInstanceCount;
-    o.list_instances = ChkListInstances;
+    o.instance_count = &InstanceCountOf<CheckInstance>;
+    o.list_instances = &ListInstancesOf<CheckInstance>;
     o.verify = ChkVerify;
-    o.guards_integrity = ChkGuardsIntegrity;
+    // A quarantined check constraint stops vetoing writes, so writes must
+    // be refused until REPAIR re-validates the data.
+    o.guards_integrity = &GuardsIntegrityOf<CheckInstance>;
     return o;
   }();
   return ops;

@@ -1,5 +1,6 @@
 #include "src/attach/deferred_check.h"
 
+#include "src/core/attachment_instances.h"
 #include "src/core/database.h"
 #include "src/util/coding.h"
 
@@ -9,63 +10,36 @@ namespace {
 // Reuses the check-constraint descriptor shape: instances with a name and
 // an encoded predicate.
 struct DcInstance {
+  static constexpr const char* kType = "deferred check";
   uint32_t no = 0;
   std::string name;
   ExprPtr predicate;
   std::string predicate_bytes;
-};
-
-struct DcTypeDesc {
-  uint32_t next_no = 1;
-  std::vector<DcInstance> instances;
 
   void EncodeTo(std::string* dst) const {
-    PutVarint32(dst, next_no);
-    PutVarint32(dst, static_cast<uint32_t>(instances.size()));
-    for (const DcInstance& inst : instances) {
-      PutVarint32(dst, inst.no);
-      PutLengthPrefixedSlice(dst, inst.name);
-      PutLengthPrefixedSlice(dst, inst.predicate_bytes);
-    }
+    PutLengthPrefixedSlice(dst, name);
+    PutLengthPrefixedSlice(dst, predicate_bytes);
   }
-
-  static Status DecodeFrom(Slice in, DcTypeDesc* out) {
-    out->instances.clear();
-    if (in.empty()) {
-      out->next_no = 1;
-      return Status::OK();
+  static Status DecodeFrom(Slice* in, DcInstance* inst) {
+    Slice name, pred;
+    if (!GetLengthPrefixedSlice(in, &name) ||
+        !GetLengthPrefixedSlice(in, &pred)) {
+      return Status::Corruption("deferred check instance");
     }
-    uint32_t next, count;
-    if (!GetVarint32(&in, &next) || !GetVarint32(&in, &count)) {
-      return Status::Corruption("deferred check descriptor");
-    }
-    out->next_no = next;
-    for (uint32_t i = 0; i < count; ++i) {
-      DcInstance inst;
-      uint32_t no;
-      Slice name, pred;
-      if (!GetVarint32(&in, &no) || !GetLengthPrefixedSlice(&in, &name) ||
-          !GetLengthPrefixedSlice(&in, &pred)) {
-        return Status::Corruption("deferred check instance");
-      }
-      inst.no = no;
-      inst.name = name.ToString();
-      inst.predicate_bytes = pred.ToString();
-      Slice pin(inst.predicate_bytes);
-      DMX_RETURN_IF_ERROR(Expr::DecodeFrom(&pin, &inst.predicate));
-      out->instances.push_back(std::move(inst));
-    }
-    return Status::OK();
+    inst->name = name.ToString();
+    inst->predicate_bytes = pred.ToString();
+    Slice pin(inst->predicate_bytes);
+    return Expr::DecodeFrom(&pin, &inst->predicate);
   }
 };
 
 struct DcState : public ExtState {
-  DcTypeDesc desc;
+  InstanceList<DcInstance> desc;
 };
 
 Status DcOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<DcState>();
-  DMX_RETURN_IF_ERROR(DcTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
+  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
   *state = std::move(st);
   return Status::OK();
 }
@@ -82,36 +56,10 @@ Status DcCreateInstance(AtContext& ctx, const AttrList& attrs,
   inst.predicate_bytes = attrs.Get("predicate");
   Slice pin(inst.predicate_bytes);
   DMX_RETURN_IF_ERROR(Expr::DecodeFrom(&pin, &inst.predicate));
-  DcTypeDesc desc;
-  DMX_RETURN_IF_ERROR(DcTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  inst.no = desc.next_no++;
-  *instance_no = inst.no;
-  desc.instances.push_back(std::move(inst));
-  new_desc->clear();
+  InstanceList<DcInstance> desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
+  *instance_no = desc.Add(std::move(inst));
   desc.EncodeTo(new_desc);
-  return Status::OK();
-}
-
-Status DcDropInstance(AtContext& ctx, uint32_t instance_no,
-                      std::string* new_desc) {
-  DcTypeDesc desc;
-  DMX_RETURN_IF_ERROR(DcTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  bool found = false;
-  std::vector<DcInstance> kept;
-  for (DcInstance& inst : desc.instances) {
-    if (inst.no == instance_no) {
-      found = true;
-    } else {
-      kept.push_back(std::move(inst));
-    }
-  }
-  if (!found) {
-    return Status::NotFound("deferred check instance " +
-                            std::to_string(instance_no));
-  }
-  desc.instances = std::move(kept);
-  new_desc->clear();
-  if (!desc.instances.empty()) desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
@@ -133,13 +81,13 @@ Status DcDefer(AtContext& ctx, const Slice& record_key) {
     DMX_RETURN_IF_ERROR(
         db->MakeAtContext(txn, desc, static_cast<AtId>(at), &actx));
     DcState* st = static_cast<DcState*>(actx.state);
-    if (st == nullptr || st->desc.instances.empty()) return Status::OK();
+    if (st == nullptr || st->desc.empty()) return Status::OK();
     std::string record;
     Status fs = db->FetchRecord(txn, desc, Slice(key), &record);
     if (fs.IsNotFound()) return Status::OK();  // deleted later in the txn
     DMX_RETURN_IF_ERROR(fs);
     RecordView view(Slice(record), &desc->schema);
-    for (const DcInstance& inst : st->desc.instances) {
+    for (const DcInstance& inst : st->desc) {
       bool passes = false;
       DMX_RETURN_IF_ERROR(
           db->evaluator()->EvalPredicate(*inst.predicate, view, &passes));
@@ -164,12 +112,6 @@ Status DcOnUpdate(AtContext& ctx, const Slice&, const Slice& new_key,
   return DcDefer(ctx, new_key);
 }
 
-uint32_t DcInstanceCount(const Slice& at_desc) {
-  DcTypeDesc desc;
-  if (!DcTypeDesc::DecodeFrom(at_desc, &desc).ok()) return 0;
-  return static_cast<uint32_t>(desc.instances.size());
-}
-
 }  // namespace
 
 const AtOps& DeferredCheckOps() {
@@ -177,11 +119,11 @@ const AtOps& DeferredCheckOps() {
     AtOps o;
     o.name = "deferred_check";
     o.create_instance = DcCreateInstance;
-    o.drop_instance = DcDropInstance;
+    o.drop_instance = &DropInstanceOf<DcInstance>;
     o.open = DcOpen;
     o.on_insert = DcOnInsert;
     o.on_update = DcOnUpdate;
-    o.instance_count = DcInstanceCount;
+    o.instance_count = &InstanceCountOf<DcInstance>;
     return o;
   }();
   return ops;

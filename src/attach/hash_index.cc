@@ -1,9 +1,12 @@
 #include "src/attach/hash_index.h"
 
 #include <unordered_map>
+#include <unordered_set>
 
+#include "src/core/attachment_instances.h"
 #include "src/core/costing.h"
 #include "src/core/database.h"
+#include "src/core/extension_log.h"
 #include "src/sm/btree_sm.h"
 #include "src/sm/key_codec.h"
 #include "src/util/coding.h"
@@ -12,62 +15,19 @@ namespace dmx {
 namespace {
 
 struct HashInstance {
+  static constexpr const char* kType = "hash";
   uint32_t no = 0;
   std::vector<int> fields;
-};
 
-struct HashTypeDesc {
-  uint32_t next_no = 1;
-  std::vector<HashInstance> instances;
-
-  void EncodeTo(std::string* dst) const {
-    PutVarint32(dst, next_no);
-    PutVarint32(dst, static_cast<uint32_t>(instances.size()));
-    for (const HashInstance& inst : instances) {
-      PutVarint32(dst, inst.no);
-      PutVarint32(dst, static_cast<uint32_t>(inst.fields.size()));
-      for (int f : inst.fields) PutVarint32(dst, static_cast<uint32_t>(f));
-    }
-  }
-
-  static Status DecodeFrom(Slice in, HashTypeDesc* out) {
-    out->instances.clear();
-    if (in.empty()) {
-      out->next_no = 1;
-      return Status::OK();
-    }
-    uint32_t next, count;
-    if (!GetVarint32(&in, &next) || !GetVarint32(&in, &count)) {
-      return Status::Corruption("hash descriptor");
-    }
-    out->next_no = next;
-    for (uint32_t i = 0; i < count; ++i) {
-      HashInstance inst;
-      uint32_t no, nfields;
-      if (!GetVarint32(&in, &no) || !GetVarint32(&in, &nfields)) {
-        return Status::Corruption("hash instance");
-      }
-      inst.no = no;
-      for (uint32_t f = 0; f < nfields; ++f) {
-        uint32_t idx;
-        if (!GetVarint32(&in, &idx)) return Status::Corruption("hash field");
-        inst.fields.push_back(static_cast<int>(idx));
-      }
-      out->instances.push_back(std::move(inst));
-    }
-    return Status::OK();
-  }
-
-  const HashInstance* Find(uint32_t no) const {
-    for (const HashInstance& inst : instances) {
-      if (inst.no == no) return &inst;
-    }
-    return nullptr;
+  void EncodeTo(std::string* dst) const { PutFieldList(dst, fields); }
+  static Status DecodeFrom(Slice* in, HashInstance* inst) {
+    return GetFieldList(in, &inst->fields, "hash instance", "hash field");
   }
 };
+using HashList = InstanceList<HashInstance>;
 
 struct HashState : public ExtState {
-  HashTypeDesc desc;
+  HashList desc;
   // instance -> (key -> record keys)
   std::unordered_map<uint32_t,
                      std::unordered_multimap<std::string, std::string>>
@@ -84,13 +44,7 @@ Status HashLog(AtContext& ctx, char op, uint32_t instance, const Slice& key,
   PutVarint32(&payload, instance);
   PutLengthPrefixedSlice(&payload, key);
   payload.append(record_key.data(), record_key.size());
-  LogRecord rec = MakeUpdateRecord(
-      ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId,
-      ExtKind::kAttachment, ctx.at_id, ctx.desc->id, std::move(payload));
-  rec.prev_lsn = ctx.txn != nullptr ? ctx.txn->last_lsn() : kInvalidLsn;
-  DMX_RETURN_IF_ERROR(ctx.db->log()->Append(&rec));
-  if (ctx.txn != nullptr) ctx.txn->set_last_lsn(rec.lsn);
-  return Status::OK();
+  return LogExtensionUpdate(ctx, std::move(payload));
 }
 
 void TableAdd(HashState* st, uint32_t instance, const std::string& key,
@@ -114,7 +68,7 @@ Status HashRebuild(AtContext& ctx);
 
 Status HashOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<HashState>();
-  DMX_RETURN_IF_ERROR(HashTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
+  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
   AtContext prime = ctx;
   prime.state = st.get();
   DMX_RETURN_IF_ERROR(HashRebuild(prime));
@@ -125,7 +79,7 @@ Status HashOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
 Status HashRebuild(AtContext& ctx) {
   HashState* st = StateOf(ctx);
   st->tables.clear();
-  if (st->desc.instances.empty()) return Status::OK();
+  if (st->desc.empty()) return Status::OK();
   const SmOps& sm = ctx.db->registry()->sm_ops(ctx.desc->sm_id);
   SmContext sctx;
   DMX_RETURN_IF_ERROR(ctx.db->MakeSmContext(nullptr, ctx.desc, &sctx));
@@ -136,7 +90,7 @@ Status HashRebuild(AtContext& ctx) {
     Status s = scan->Next(&item);
     if (s.IsNotFound()) break;
     DMX_RETURN_IF_ERROR(s);
-    for (const HashInstance& inst : st->desc.instances) {
+    for (const HashInstance& inst : st->desc) {
       std::string key;
       DMX_RETURN_IF_ERROR(EncodeFieldKey(item.view, inst.fields, &key));
       TableAdd(st, inst.no, key, item.record_key);
@@ -154,35 +108,10 @@ Status HashCreateInstance(AtContext& ctx, const AttrList& attrs,
   HashInstance inst;
   DMX_RETURN_IF_ERROR(
       ParseFieldList(ctx.desc->schema, attrs.Get("fields"), &inst.fields));
-  HashTypeDesc desc;
-  DMX_RETURN_IF_ERROR(HashTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  inst.no = desc.next_no++;
-  *instance_no = inst.no;
-  desc.instances.push_back(std::move(inst));
-  new_desc->clear();
+  HashList desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
+  *instance_no = desc.Add(std::move(inst));
   desc.EncodeTo(new_desc);
-  return Status::OK();
-}
-
-Status HashDropInstance(AtContext& ctx, uint32_t instance_no,
-                        std::string* new_desc) {
-  HashTypeDesc desc;
-  DMX_RETURN_IF_ERROR(HashTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  bool found = false;
-  std::vector<HashInstance> kept;
-  for (HashInstance& inst : desc.instances) {
-    if (inst.no == instance_no) {
-      found = true;
-    } else {
-      kept.push_back(std::move(inst));
-    }
-  }
-  if (!found) {
-    return Status::NotFound("hash instance " + std::to_string(instance_no));
-  }
-  desc.instances = std::move(kept);
-  new_desc->clear();
-  if (!desc.instances.empty()) desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
@@ -190,7 +119,7 @@ Status HashOnInsert(AtContext& ctx, const Slice& record_key,
                     const Slice& new_record) {
   HashState* st = StateOf(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (const HashInstance& inst : st->desc.instances) {
+  for (const HashInstance& inst : st->desc) {
     if (ctx.desc->IsQuarantined(ctx.at_id, inst.no)) continue;
     std::string key;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(view, inst.fields, &key));
@@ -207,7 +136,7 @@ Status HashOnUpdate(AtContext& ctx, const Slice& old_key,
   HashState* st = StateOf(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (const HashInstance& inst : st->desc.instances) {
+  for (const HashInstance& inst : st->desc) {
     if (ctx.desc->IsQuarantined(ctx.at_id, inst.no)) continue;
     std::string okey, nkey;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(old_view, inst.fields, &okey));
@@ -225,7 +154,7 @@ Status HashOnDelete(AtContext& ctx, const Slice& record_key,
                     const Slice& old_record) {
   HashState* st = StateOf(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (const HashInstance& inst : st->desc.instances) {
+  for (const HashInstance& inst : st->desc) {
     if (ctx.desc->IsQuarantined(ctx.at_id, inst.no)) continue;
     std::string key;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(view, inst.fields, &key));
@@ -242,8 +171,7 @@ Status HashLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
   auto tit = st->tables.find(instance_no);
   if (tit == st->tables.end()) {
     if (st->desc.Find(instance_no) == nullptr) {
-      return Status::NotFound("hash instance " +
-                              std::to_string(instance_no));
+      return HashList::NotFound(instance_no);
     }
     return Status::OK();
   }
@@ -318,33 +246,31 @@ Status HashUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
 // Restart redo is superseded by rebuild().
 Status HashRedo(AtContext&, const LogRecord&, Lsn) { return Status::OK(); }
 
-uint32_t HashInstanceCount(const Slice& at_desc) {
-  HashTypeDesc desc;
-  if (!HashTypeDesc::DecodeFrom(at_desc, &desc).ok()) return 0;
-  return static_cast<uint32_t>(desc.instances.size());
-}
-
-Status HashListInstances(const Slice& at_desc, std::vector<uint32_t>* out) {
-  HashTypeDesc desc;
-  DMX_RETURN_IF_ERROR(HashTypeDesc::DecodeFrom(at_desc, &desc));
-  out->clear();
-  for (const HashInstance& inst : desc.instances) out->push_back(inst.no);
-  return Status::OK();
-}
-
 // Cross-check the live table for one instance against a fresh enumeration
 // of the base relation: every base record's key must map to its record key
-// exactly once, and the table must hold nothing else.
+// exactly once, and the table must hold nothing else. Base records probe a
+// set of (key, record key) pairs, so the check stays linear however many
+// records share a key.
 Status HashVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   HashState* st = StateOf(ctx);
   const HashInstance* inst = st->desc.Find(instance_no);
-  if (inst == nullptr) {
-    return Status::NotFound("hash instance " + std::to_string(instance_no));
-  }
+  if (inst == nullptr) return HashList::NotFound(instance_no);
   static const std::unordered_multimap<std::string, std::string> kEmpty;
   auto tit = st->tables.find(instance_no);
   const auto& table = tit != st->tables.end() ? tit->second : kEmpty;
   const std::string tag = "hash_index#" + std::to_string(instance_no) + ": ";
+
+  auto pair_of = [](const Slice& key, const Slice& record_key) {
+    std::string pair;
+    PutLengthPrefixedSlice(&pair, key);
+    pair.append(record_key.data(), record_key.size());
+    return pair;
+  };
+  std::unordered_set<std::string> entries;
+  entries.reserve(table.size());
+  for (const auto& [key, record_key] : table) {
+    entries.insert(pair_of(key, record_key));
+  }
 
   uint64_t base_records = 0;
   std::unique_ptr<Scan> scan;
@@ -363,15 +289,7 @@ Status HashVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
                       ks.ToString());
       continue;
     }
-    auto [begin, end] = table.equal_range(key);
-    bool found = false;
-    for (auto it = begin; it != end; ++it) {
-      if (it->second == item.record_key) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    if (!entries.contains(pair_of(key, item.record_key))) {
       report->Problem(tag + "base record has no matching hash entry");
     }
   }
@@ -384,16 +302,6 @@ Status HashVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   return Status::OK();
 }
 
-Status HashInstanceFields(const Slice& at_desc, uint32_t instance,
-                          std::vector<int>* fields) {
-  HashTypeDesc desc;
-  DMX_RETURN_IF_ERROR(HashTypeDesc::DecodeFrom(at_desc, &desc));
-  const HashInstance* inst = desc.Find(instance);
-  if (inst == nullptr) return Status::NotFound("hash instance");
-  *fields = inst->fields;
-  return Status::OK();
-}
-
 }  // namespace
 
 const AtOps& HashIndexOps() {
@@ -401,7 +309,7 @@ const AtOps& HashIndexOps() {
     AtOps o;
     o.name = "hash_index";
     o.create_instance = HashCreateInstance;
-    o.drop_instance = HashDropInstance;
+    o.drop_instance = &DropInstanceOf<HashInstance>;
     o.open = HashOpen;
     o.on_insert = HashOnInsert;
     o.on_update = HashOnUpdate;
@@ -411,9 +319,9 @@ const AtOps& HashIndexOps() {
     o.undo = HashUndo;
     o.redo = HashRedo;
     o.rebuild = HashRebuild;
-    o.instance_count = HashInstanceCount;
-    o.list_instances = HashListInstances;
-    o.instance_fields = HashInstanceFields;
+    o.instance_count = &InstanceCountOf<HashInstance>;
+    o.list_instances = &ListInstancesOf<HashInstance>;
+    o.instance_fields = &InstanceFieldsOf<HashInstance>;
     o.verify = HashVerify;
     return o;
   }();

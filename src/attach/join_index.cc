@@ -4,7 +4,9 @@
 #include <memory>
 #include <set>
 
+#include "src/core/attachment_instances.h"
 #include "src/core/database.h"
+#include "src/core/extension_log.h"
 #include "src/sm/btree_sm.h"
 #include "src/sm/key_codec.h"
 #include "src/util/coding.h"
@@ -93,76 +95,33 @@ std::shared_ptr<JoinData> JoinDataOf(const std::string& name) {
 }
 
 struct JiInstance {
+  static constexpr const char* kType = "join index";
   uint32_t no = 0;
   std::string name;
   int side = 1;
   std::vector<int> fields;
-};
-
-struct JiTypeDesc {
-  uint32_t next_no = 1;
-  std::vector<JiInstance> instances;
 
   void EncodeTo(std::string* dst) const {
-    PutVarint32(dst, next_no);
-    PutVarint32(dst, static_cast<uint32_t>(instances.size()));
-    for (const JiInstance& inst : instances) {
-      PutVarint32(dst, inst.no);
-      PutLengthPrefixedSlice(dst, inst.name);
-      dst->push_back(static_cast<char>(inst.side));
-      PutVarint32(dst, static_cast<uint32_t>(inst.fields.size()));
-      for (int f : inst.fields) PutVarint32(dst, static_cast<uint32_t>(f));
-    }
+    PutLengthPrefixedSlice(dst, name);
+    dst->push_back(static_cast<char>(side));
+    PutFieldList(dst, fields);
   }
-
-  static Status DecodeFrom(Slice in, JiTypeDesc* out) {
-    out->instances.clear();
-    if (in.empty()) {
-      out->next_no = 1;
-      return Status::OK();
+  static Status DecodeFrom(Slice* in, JiInstance* inst) {
+    Slice name;
+    if (!GetLengthPrefixedSlice(in, &name) || in->empty()) {
+      return Status::Corruption("join index instance");
     }
-    uint32_t next, count;
-    if (!GetVarint32(&in, &next) || !GetVarint32(&in, &count)) {
-      return Status::Corruption("join index descriptor");
-    }
-    out->next_no = next;
-    for (uint32_t i = 0; i < count; ++i) {
-      JiInstance inst;
-      uint32_t no, nfields;
-      Slice name;
-      if (!GetVarint32(&in, &no) || !GetLengthPrefixedSlice(&in, &name) ||
-          in.empty()) {
-        return Status::Corruption("join index instance");
-      }
-      inst.no = no;
-      inst.name = name.ToString();
-      inst.side = in[0];
-      in.remove_prefix(1);
-      if (!GetVarint32(&in, &nfields)) {
-        return Status::Corruption("join index fields");
-      }
-      for (uint32_t f = 0; f < nfields; ++f) {
-        uint32_t idx;
-        if (!GetVarint32(&in, &idx)) {
-          return Status::Corruption("join index field");
-        }
-        inst.fields.push_back(static_cast<int>(idx));
-      }
-      out->instances.push_back(std::move(inst));
-    }
-    return Status::OK();
-  }
-
-  const JiInstance* Find(uint32_t no) const {
-    for (const JiInstance& inst : instances) {
-      if (inst.no == no) return &inst;
-    }
-    return nullptr;
+    inst->name = name.ToString();
+    inst->side = (*in)[0];
+    in->remove_prefix(1);
+    return GetFieldList(in, &inst->fields, "join index fields",
+                        "join index field");
   }
 };
+using JiList = InstanceList<JiInstance>;
 
 struct JiState : public ExtState {
-  JiTypeDesc desc;
+  JiList desc;
   std::map<uint32_t, std::shared_ptr<JoinData>> data;
 };
 
@@ -176,21 +135,15 @@ Status JiLog(AtContext& ctx, char op, const JiInstance& inst,
   payload.push_back(static_cast<char>(inst.side));
   PutLengthPrefixedSlice(&payload, jk);
   payload.append(rkey.data(), rkey.size());
-  LogRecord rec = MakeUpdateRecord(
-      ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId,
-      ExtKind::kAttachment, ctx.at_id, ctx.desc->id, std::move(payload));
-  rec.prev_lsn = ctx.txn != nullptr ? ctx.txn->last_lsn() : kInvalidLsn;
-  DMX_RETURN_IF_ERROR(ctx.db->log()->Append(&rec));
-  if (ctx.txn != nullptr) ctx.txn->set_last_lsn(rec.lsn);
-  return Status::OK();
+  return LogExtensionUpdate(ctx, std::move(payload));
 }
 
 Status JiRebuild(AtContext& ctx);
 
 Status JiOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<JiState>();
-  DMX_RETURN_IF_ERROR(JiTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
-  for (const JiInstance& inst : st->desc.instances) {
+  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
+  for (const JiInstance& inst : st->desc) {
     st->data[inst.no] = JoinDataOf(inst.name);
   }
   AtContext prime = ctx;
@@ -203,8 +156,8 @@ Status JiOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
 // Rescan this relation's side of every named join structure.
 Status JiRebuild(AtContext& ctx) {
   JiState* st = StateOf(ctx);
-  if (st->desc.instances.empty()) return Status::OK();
-  for (const JiInstance& inst : st->desc.instances) {
+  if (st->desc.empty()) return Status::OK();
+  for (const JiInstance& inst : st->desc) {
     st->data[inst.no]->ClearSide(inst.side);
   }
   const SmOps& sm = ctx.db->registry()->sm_ops(ctx.desc->sm_id);
@@ -217,7 +170,7 @@ Status JiRebuild(AtContext& ctx) {
     Status s = scan->Next(&item);
     if (s.IsNotFound()) break;
     DMX_RETURN_IF_ERROR(s);
-    for (const JiInstance& inst : st->desc.instances) {
+    for (const JiInstance& inst : st->desc) {
       std::string jk;
       DMX_RETURN_IF_ERROR(EncodeFieldKey(item.view, inst.fields, &jk));
       st->data[inst.no]->Add(inst.side, jk, item.record_key);
@@ -244,37 +197,24 @@ Status JiCreateInstance(AtContext& ctx, const AttrList& attrs,
   }
   DMX_RETURN_IF_ERROR(
       ParseFieldList(ctx.desc->schema, attrs.Get("fields"), &inst.fields));
-  JiTypeDesc desc;
-  DMX_RETURN_IF_ERROR(JiTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  inst.no = desc.next_no++;
-  *instance_no = inst.no;
-  desc.instances.push_back(std::move(inst));
-  new_desc->clear();
+  JiList desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
+  *instance_no = desc.Add(std::move(inst));
   desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
+// Dropping an instance also empties this relation's side of its shared
+// pair table.
 Status JiDropInstance(AtContext& ctx, uint32_t instance_no,
                       std::string* new_desc) {
-  JiTypeDesc desc;
-  DMX_RETURN_IF_ERROR(JiTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  bool found = false;
-  std::vector<JiInstance> kept;
-  for (JiInstance& inst : desc.instances) {
-    if (inst.no == instance_no) {
-      found = true;
-      JoinDataOf(inst.name)->ClearSide(inst.side);
-    } else {
-      kept.push_back(std::move(inst));
-    }
-  }
-  if (!found) {
-    return Status::NotFound("join index instance " +
-                            std::to_string(instance_no));
-  }
-  desc.instances = std::move(kept);
-  new_desc->clear();
-  if (!desc.instances.empty()) desc.EncodeTo(new_desc);
+  JiList desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
+  const JiInstance* inst = desc.Find(instance_no);
+  if (inst == nullptr) return JiList::NotFound(instance_no);
+  JoinDataOf(inst->name)->ClearSide(inst->side);
+  DMX_RETURN_IF_ERROR(desc.Drop(instance_no));
+  desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
@@ -282,7 +222,7 @@ Status JiOnInsert(AtContext& ctx, const Slice& record_key,
                   const Slice& new_record) {
   JiState* st = StateOf(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (const JiInstance& inst : st->desc.instances) {
+  for (const JiInstance& inst : st->desc) {
     std::string jk;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(view, inst.fields, &jk));
     st->data[inst.no]->Add(inst.side, jk, record_key.ToString());
@@ -296,7 +236,7 @@ Status JiOnUpdate(AtContext& ctx, const Slice& old_key, const Slice& new_key,
   JiState* st = StateOf(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (const JiInstance& inst : st->desc.instances) {
+  for (const JiInstance& inst : st->desc) {
     std::string ojk, njk;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(old_view, inst.fields, &ojk));
     DMX_RETURN_IF_ERROR(EncodeFieldKey(new_view, inst.fields, &njk));
@@ -313,7 +253,7 @@ Status JiOnDelete(AtContext& ctx, const Slice& record_key,
                   const Slice& old_record) {
   JiState* st = StateOf(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (const JiInstance& inst : st->desc.instances) {
+  for (const JiInstance& inst : st->desc) {
     std::string jk;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(view, inst.fields, &jk));
     st->data[inst.no]->Remove(inst.side, jk, record_key.ToString());
@@ -327,8 +267,7 @@ Status JiLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
   JiState* st = StateOf(ctx);
   const JiInstance* inst = st->desc.Find(instance_no);
   if (inst == nullptr) {
-    return Status::NotFound("join index instance " +
-                            std::to_string(instance_no));
+    return JiList::NotFound(instance_no);
   }
   *record_keys = st->data[instance_no]->OtherSide(inst->side, key.ToString());
   return Status::OK();
@@ -368,20 +307,6 @@ Status JiUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
 
 Status JiRedo(AtContext&, const LogRecord&, Lsn) { return Status::OK(); }
 
-uint32_t JiInstanceCount(const Slice& at_desc) {
-  JiTypeDesc desc;
-  if (!JiTypeDesc::DecodeFrom(at_desc, &desc).ok()) return 0;
-  return static_cast<uint32_t>(desc.instances.size());
-}
-
-Status JiListInstances(const Slice& at_desc, std::vector<uint32_t>* out) {
-  JiTypeDesc desc;
-  DMX_RETURN_IF_ERROR(JiTypeDesc::DecodeFrom(at_desc, &desc));
-  out->clear();
-  for (const JiInstance& inst : desc.instances) out->push_back(inst.no);
-  return Status::OK();
-}
-
 // Verify covers this relation's side of the shared pair table: every base
 // record must appear under its join key, and the side's entry count must
 // match the base row count (the other side is verified by its own relation).
@@ -389,8 +314,7 @@ Status JiVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   JiState* st = StateOf(ctx);
   const JiInstance* inst = st->desc.Find(instance_no);
   if (inst == nullptr) {
-    return Status::NotFound("join index instance " +
-                            std::to_string(instance_no));
+    return JiList::NotFound(instance_no);
   }
   const std::string tag = "join_index#" + std::to_string(instance_no) + ": ";
   JoinData* data = st->data[instance_no].get();
@@ -441,8 +365,8 @@ const AtOps& JoinIndexOps() {
     o.undo = JiUndo;
     o.redo = JiRedo;
     o.rebuild = JiRebuild;
-    o.instance_count = JiInstanceCount;
-    o.list_instances = JiListInstances;
+    o.instance_count = &InstanceCountOf<JiInstance>;
+    o.list_instances = &ListInstancesOf<JiInstance>;
     o.verify = JiVerify;
     return o;
   }();

@@ -1,5 +1,6 @@
 #include "src/attach/ref_integrity.h"
 
+#include "src/core/attachment_instances.h"
 #include "src/core/database.h"
 #include "src/sm/btree_sm.h"
 #include "src/util/coding.h"
@@ -8,86 +9,46 @@ namespace dmx {
 namespace {
 
 struct RiInstance {
+  static constexpr const char* kType = "refint";
   uint32_t no = 0;
   bool is_parent = false;
   bool cascade = false;  // parent role: cascade vs restrict
   RelationId other = kInvalidRelationId;
   std::vector<int> fields;        // on this relation
   std::vector<int> other_fields;  // on the other relation
-};
-
-struct RiTypeDesc {
-  uint32_t next_no = 1;
-  std::vector<RiInstance> instances;
 
   void EncodeTo(std::string* dst) const {
-    PutVarint32(dst, next_no);
-    PutVarint32(dst, static_cast<uint32_t>(instances.size()));
-    for (const RiInstance& inst : instances) {
-      PutVarint32(dst, inst.no);
-      dst->push_back(inst.is_parent ? 1 : 0);
-      dst->push_back(inst.cascade ? 1 : 0);
-      PutFixed32(dst, inst.other);
-      PutVarint32(dst, static_cast<uint32_t>(inst.fields.size()));
-      for (int f : inst.fields) PutVarint32(dst, static_cast<uint32_t>(f));
-      PutVarint32(dst, static_cast<uint32_t>(inst.other_fields.size()));
-      for (int f : inst.other_fields) {
-        PutVarint32(dst, static_cast<uint32_t>(f));
-      }
-    }
+    dst->push_back(is_parent ? 1 : 0);
+    dst->push_back(cascade ? 1 : 0);
+    PutFixed32(dst, other);
+    PutFieldList(dst, fields);
+    PutFieldList(dst, other_fields);
   }
-
-  static Status DecodeFrom(Slice in, RiTypeDesc* out) {
-    out->instances.clear();
-    if (in.empty()) {
-      out->next_no = 1;
-      return Status::OK();
+  static Status DecodeFrom(Slice* in, RiInstance* inst) {
+    if (in->size() < 2) return Status::Corruption("refint instance");
+    inst->is_parent = (*in)[0] != 0;
+    inst->cascade = (*in)[1] != 0;
+    in->remove_prefix(2);
+    if (!GetFixed32(in, &inst->other)) {
+      return Status::Corruption("refint other");
     }
-    uint32_t next, count;
-    if (!GetVarint32(&in, &next) || !GetVarint32(&in, &count)) {
-      return Status::Corruption("refint descriptor");
-    }
-    out->next_no = next;
-    for (uint32_t i = 0; i < count; ++i) {
-      RiInstance inst;
-      uint32_t no, other, n;
-      if (!GetVarint32(&in, &no) || in.size() < 2) {
-        return Status::Corruption("refint instance");
-      }
-      inst.no = no;
-      inst.is_parent = in[0] != 0;
-      inst.cascade = in[1] != 0;
-      in.remove_prefix(2);
-      if (!GetFixed32(&in, &other) || !GetVarint32(&in, &n)) {
-        return Status::Corruption("refint other");
-      }
-      inst.other = other;
-      for (uint32_t f = 0; f < n; ++f) {
-        uint32_t idx;
-        if (!GetVarint32(&in, &idx)) return Status::Corruption("refint field");
-        inst.fields.push_back(static_cast<int>(idx));
-      }
-      if (!GetVarint32(&in, &n)) return Status::Corruption("refint ofields");
-      for (uint32_t f = 0; f < n; ++f) {
-        uint32_t idx;
-        if (!GetVarint32(&in, &idx)) return Status::Corruption("refint field");
-        inst.other_fields.push_back(static_cast<int>(idx));
-      }
-      out->instances.push_back(std::move(inst));
-    }
-    return Status::OK();
+    DMX_RETURN_IF_ERROR(
+        GetFieldList(in, &inst->fields, "refint other", "refint field"));
+    return GetFieldList(in, &inst->other_fields, "refint ofields",
+                        "refint field");
   }
 };
+using RiList = InstanceList<RiInstance>;
 
 struct RiState : public ExtState {
-  RiTypeDesc desc;
+  RiList desc;
 };
 
 RiState* StateOf(AtContext& ctx) { return static_cast<RiState*>(ctx.state); }
 
 Status RiOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<RiState>();
-  DMX_RETURN_IF_ERROR(RiTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
+  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
   *state = std::move(st);
   return Status::OK();
 }
@@ -169,35 +130,10 @@ Status RiCreateInstance(AtContext& ctx, const AttrList& attrs,
     return Status::InvalidArgument("refint field lists differ in length");
   }
 
-  RiTypeDesc desc;
-  DMX_RETURN_IF_ERROR(RiTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  inst.no = desc.next_no++;
-  *instance_no = inst.no;
-  desc.instances.push_back(std::move(inst));
-  new_desc->clear();
+  RiList desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
+  *instance_no = desc.Add(std::move(inst));
   desc.EncodeTo(new_desc);
-  return Status::OK();
-}
-
-Status RiDropInstance(AtContext& ctx, uint32_t instance_no,
-                      std::string* new_desc) {
-  RiTypeDesc desc;
-  DMX_RETURN_IF_ERROR(RiTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  bool found = false;
-  std::vector<RiInstance> kept;
-  for (RiInstance& inst : desc.instances) {
-    if (inst.no == instance_no) {
-      found = true;
-    } else {
-      kept.push_back(std::move(inst));
-    }
-  }
-  if (!found) {
-    return Status::NotFound("refint instance " + std::to_string(instance_no));
-  }
-  desc.instances = std::move(kept);
-  new_desc->clear();
-  if (!desc.instances.empty()) desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
@@ -217,7 +153,7 @@ Status RiCheckParentExists(AtContext& ctx, const RiInstance& inst,
 Status RiOnInsert(AtContext& ctx, const Slice&, const Slice& new_record) {
   RiState* st = StateOf(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (const RiInstance& inst : st->desc.instances) {
+  for (const RiInstance& inst : st->desc) {
     if (inst.is_parent) continue;
     DMX_RETURN_IF_ERROR(RiCheckParentExists(ctx, inst, view));
   }
@@ -229,7 +165,7 @@ Status RiOnUpdate(AtContext& ctx, const Slice&, const Slice&,
   RiState* st = StateOf(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (const RiInstance& inst : st->desc.instances) {
+  for (const RiInstance& inst : st->desc) {
     if (!inst.is_parent) {
       DMX_RETURN_IF_ERROR(RiCheckParentExists(ctx, inst, new_view));
       continue;
@@ -258,7 +194,7 @@ Status RiOnUpdate(AtContext& ctx, const Slice&, const Slice&,
 Status RiOnDelete(AtContext& ctx, const Slice&, const Slice& old_record) {
   RiState* st = StateOf(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (const RiInstance& inst : st->desc.instances) {
+  for (const RiInstance& inst : st->desc) {
     if (!inst.is_parent) continue;
     std::vector<Value> values;
     if (!KeyValues(view, inst.fields, &values)) continue;
@@ -287,32 +223,13 @@ Status RiOnDelete(AtContext& ctx, const Slice&, const Slice& old_record) {
   return Status::OK();
 }
 
-uint32_t RiInstanceCount(const Slice& at_desc) {
-  RiTypeDesc desc;
-  if (!RiTypeDesc::DecodeFrom(at_desc, &desc).ok()) return 0;
-  return static_cast<uint32_t>(desc.instances.size());
-}
-
-Status RiListInstances(const Slice& at_desc, std::vector<uint32_t>* out) {
-  RiTypeDesc desc;
-  DMX_RETURN_IF_ERROR(RiTypeDesc::DecodeFrom(at_desc, &desc));
-  out->clear();
-  for (const RiInstance& inst : desc.instances) out->push_back(inst.no);
-  return Status::OK();
-}
-
 // Child-side verify: every non-NULL foreign key must have a parent row.
 // Parent-side instances are passive (the child side holds the invariant),
 // so they verify trivially.
 Status RiVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   RiState* st = StateOf(ctx);
-  const RiInstance* inst = nullptr;
-  for (const RiInstance& i : st->desc.instances) {
-    if (i.no == instance_no) inst = &i;
-  }
-  if (inst == nullptr) {
-    return Status::NotFound("refint instance " + std::to_string(instance_no));
-  }
+  const RiInstance* inst = st->desc.Find(instance_no);
+  if (inst == nullptr) return RiList::NotFound(instance_no);
   if (inst->is_parent) return Status::OK();
   const std::string tag = "refint#" + std::to_string(instance_no) + ": ";
 
@@ -336,19 +253,6 @@ Status RiVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   return Status::OK();
 }
 
-// Child-side refint guards integrity: while quarantined its parent-exists
-// veto is skipped, so writes are refused. Parent-side instances enforce
-// nothing on this relation's own writes that the child side can't recheck,
-// but dangling children could still be created through them — guard both.
-bool RiGuardsIntegrity(const Slice& at_desc, uint32_t instance_no) {
-  RiTypeDesc desc;
-  if (!RiTypeDesc::DecodeFrom(at_desc, &desc).ok()) return false;
-  for (const RiInstance& inst : desc.instances) {
-    if (inst.no == instance_no) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 const AtOps& RefIntegrityOps() {
@@ -356,15 +260,20 @@ const AtOps& RefIntegrityOps() {
     AtOps o;
     o.name = "refint";
     o.create_instance = RiCreateInstance;
-    o.drop_instance = RiDropInstance;
+    o.drop_instance = &DropInstanceOf<RiInstance>;
     o.open = RiOpen;
     o.on_insert = RiOnInsert;
     o.on_update = RiOnUpdate;
     o.on_delete = RiOnDelete;
-    o.instance_count = RiInstanceCount;
-    o.list_instances = RiListInstances;
+    o.instance_count = &InstanceCountOf<RiInstance>;
+    o.list_instances = &ListInstancesOf<RiInstance>;
     o.verify = RiVerify;
-    o.guards_integrity = RiGuardsIntegrity;
+    // Child-side refint guards integrity: while quarantined its
+    // parent-exists veto is skipped, so writes are refused. Parent-side
+    // instances enforce nothing on this relation's own writes that the
+    // child side can't recheck, but dangling children could still be
+    // created through them — guard both.
+    o.guards_integrity = &GuardsIntegrityOf<RiInstance>;
     return o;
   }();
   return ops;

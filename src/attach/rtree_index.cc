@@ -5,8 +5,10 @@
 #include <map>
 #include <memory>
 
+#include "src/core/attachment_instances.h"
 #include "src/core/costing.h"
 #include "src/core/database.h"
+#include "src/core/extension_log.h"
 #include "src/sm/btree_sm.h"
 #include "src/util/coding.h"
 
@@ -244,59 +246,26 @@ class RTree {
 // -- attachment plumbing --------------------------------------------------------
 
 struct RtInstance {
+  static constexpr const char* kType = "rtree";
   uint32_t no = 0;
   int fields[4] = {-1, -1, -1, -1};
-};
-
-struct RtTypeDesc {
-  uint32_t next_no = 1;
-  std::vector<RtInstance> instances;
 
   void EncodeTo(std::string* dst) const {
-    PutVarint32(dst, next_no);
-    PutVarint32(dst, static_cast<uint32_t>(instances.size()));
-    for (const RtInstance& inst : instances) {
-      PutVarint32(dst, inst.no);
-      for (int f : inst.fields) PutVarint32(dst, static_cast<uint32_t>(f));
-    }
+    for (int f : fields) PutVarint32(dst, static_cast<uint32_t>(f));
   }
-
-  static Status DecodeFrom(Slice in, RtTypeDesc* out) {
-    out->instances.clear();
-    if (in.empty()) {
-      out->next_no = 1;
-      return Status::OK();
-    }
-    uint32_t next, count;
-    if (!GetVarint32(&in, &next) || !GetVarint32(&in, &count)) {
-      return Status::Corruption("rtree descriptor");
-    }
-    out->next_no = next;
-    for (uint32_t i = 0; i < count; ++i) {
-      RtInstance inst;
-      uint32_t no;
-      if (!GetVarint32(&in, &no)) return Status::Corruption("rtree instance");
-      inst.no = no;
-      for (int& f : inst.fields) {
-        uint32_t idx;
-        if (!GetVarint32(&in, &idx)) return Status::Corruption("rtree field");
-        f = static_cast<int>(idx);
-      }
-      out->instances.push_back(inst);
+  static Status DecodeFrom(Slice* in, RtInstance* inst) {
+    for (int& f : inst->fields) {
+      uint32_t idx;
+      if (!GetVarint32(in, &idx)) return Status::Corruption("rtree field");
+      f = static_cast<int>(idx);
     }
     return Status::OK();
   }
-
-  const RtInstance* Find(uint32_t no) const {
-    for (const RtInstance& inst : instances) {
-      if (inst.no == no) return &inst;
-    }
-    return nullptr;
-  }
 };
+using RtList = InstanceList<RtInstance>;
 
 struct RtState : public ExtState {
-  RtTypeDesc desc;
+  RtList desc;
   std::map<uint32_t, RTree> trees;
 };
 
@@ -330,21 +299,11 @@ std::string RectPayload(char op, uint32_t instance, const Rect& r,
   return payload;
 }
 
-Status RtLog(AtContext& ctx, std::string payload) {
-  LogRecord rec = MakeUpdateRecord(
-      ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId,
-      ExtKind::kAttachment, ctx.at_id, ctx.desc->id, std::move(payload));
-  rec.prev_lsn = ctx.txn != nullptr ? ctx.txn->last_lsn() : kInvalidLsn;
-  DMX_RETURN_IF_ERROR(ctx.db->log()->Append(&rec));
-  if (ctx.txn != nullptr) ctx.txn->set_last_lsn(rec.lsn);
-  return Status::OK();
-}
-
 Status RtRebuild(AtContext& ctx);
 
 Status RtOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<RtState>();
-  DMX_RETURN_IF_ERROR(RtTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
+  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
   AtContext prime = ctx;
   prime.state = st.get();
   DMX_RETURN_IF_ERROR(RtRebuild(prime));
@@ -355,7 +314,7 @@ Status RtOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
 Status RtRebuild(AtContext& ctx) {
   RtState* st = StateOf(ctx);
   st->trees.clear();
-  if (st->desc.instances.empty()) return Status::OK();
+  if (st->desc.empty()) return Status::OK();
   const SmOps& sm = ctx.db->registry()->sm_ops(ctx.desc->sm_id);
   SmContext sctx;
   DMX_RETURN_IF_ERROR(ctx.db->MakeSmContext(nullptr, ctx.desc, &sctx));
@@ -366,7 +325,7 @@ Status RtRebuild(AtContext& ctx) {
     Status s = scan->Next(&item);
     if (s.IsNotFound()) break;
     DMX_RETURN_IF_ERROR(s);
-    for (const RtInstance& inst : st->desc.instances) {
+    for (const RtInstance& inst : st->desc) {
       Rect r;
       bool has_null;
       DMX_RETURN_IF_ERROR(RectOf(item.view, inst, &r, &has_null));
@@ -394,35 +353,10 @@ Status RtCreateInstance(AtContext& ctx, const AttrList& attrs,
   }
   RtInstance inst;
   for (int i = 0; i < 4; ++i) inst.fields[i] = fields[static_cast<size_t>(i)];
-  RtTypeDesc desc;
-  DMX_RETURN_IF_ERROR(RtTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  inst.no = desc.next_no++;
-  *instance_no = inst.no;
-  desc.instances.push_back(inst);
-  new_desc->clear();
+  RtList desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
+  *instance_no = desc.Add(inst);
   desc.EncodeTo(new_desc);
-  return Status::OK();
-}
-
-Status RtDropInstance(AtContext& ctx, uint32_t instance_no,
-                      std::string* new_desc) {
-  RtTypeDesc desc;
-  DMX_RETURN_IF_ERROR(RtTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  bool found = false;
-  std::vector<RtInstance> kept;
-  for (const RtInstance& inst : desc.instances) {
-    if (inst.no == instance_no) {
-      found = true;
-    } else {
-      kept.push_back(inst);
-    }
-  }
-  if (!found) {
-    return Status::NotFound("rtree instance " + std::to_string(instance_no));
-  }
-  desc.instances = std::move(kept);
-  new_desc->clear();
-  if (!desc.instances.empty()) desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
@@ -430,13 +364,14 @@ Status RtOnInsert(AtContext& ctx, const Slice& record_key,
                   const Slice& new_record) {
   RtState* st = StateOf(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (const RtInstance& inst : st->desc.instances) {
+  for (const RtInstance& inst : st->desc) {
     Rect r;
     bool has_null;
     DMX_RETURN_IF_ERROR(RectOf(view, inst, &r, &has_null));
     if (has_null) continue;
     st->trees[inst.no].Insert(r, record_key.ToString());
-    DMX_RETURN_IF_ERROR(RtLog(ctx, RectPayload('I', inst.no, r, record_key)));
+    DMX_RETURN_IF_ERROR(
+        LogExtensionUpdate(ctx, RectPayload('I', inst.no, r, record_key)));
   }
   return Status::OK();
 }
@@ -446,7 +381,7 @@ Status RtOnUpdate(AtContext& ctx, const Slice& old_key, const Slice& new_key,
   RtState* st = StateOf(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (const RtInstance& inst : st->desc.instances) {
+  for (const RtInstance& inst : st->desc) {
     Rect orect, nrect;
     bool onull, nnull;
     DMX_RETURN_IF_ERROR(RectOf(old_view, inst, &orect, &onull));
@@ -456,12 +391,12 @@ Status RtOnUpdate(AtContext& ctx, const Slice& old_key, const Slice& new_key,
     if (!onull) {
       st->trees[inst.no].Remove(orect, old_key.ToString());
       DMX_RETURN_IF_ERROR(
-          RtLog(ctx, RectPayload('D', inst.no, orect, old_key)));
+          LogExtensionUpdate(ctx, RectPayload('D', inst.no, orect, old_key)));
     }
     if (!nnull) {
       st->trees[inst.no].Insert(nrect, new_key.ToString());
       DMX_RETURN_IF_ERROR(
-          RtLog(ctx, RectPayload('I', inst.no, nrect, new_key)));
+          LogExtensionUpdate(ctx, RectPayload('I', inst.no, nrect, new_key)));
     }
   }
   return Status::OK();
@@ -471,13 +406,14 @@ Status RtOnDelete(AtContext& ctx, const Slice& record_key,
                   const Slice& old_record) {
   RtState* st = StateOf(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (const RtInstance& inst : st->desc.instances) {
+  for (const RtInstance& inst : st->desc) {
     Rect r;
     bool has_null;
     DMX_RETURN_IF_ERROR(RectOf(view, inst, &r, &has_null));
     if (has_null) continue;
     st->trees[inst.no].Remove(r, record_key.ToString());
-    DMX_RETURN_IF_ERROR(RtLog(ctx, RectPayload('D', inst.no, r, record_key)));
+    DMX_RETURN_IF_ERROR(
+        LogExtensionUpdate(ctx, RectPayload('D', inst.no, r, record_key)));
   }
   return Status::OK();
 }
@@ -496,7 +432,7 @@ Status RtLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
   RtState* st = StateOf(ctx);
   record_keys->clear();
   if (st->desc.Find(instance_no) == nullptr) {
-    return Status::NotFound("rtree instance " + std::to_string(instance_no));
+    return RtList::NotFound(instance_no);
   }
   if (key.size() != 33) {
     return Status::InvalidArgument("rtree probe key must be 33 bytes");
@@ -574,7 +510,7 @@ Status RtOpenScan(AtContext& ctx, uint32_t instance_no, const ScanSpec& spec,
   RtState* st = StateOf(ctx);
   const RtInstance* inst = st->desc.Find(instance_no);
   if (inst == nullptr) {
-    return Status::NotFound("rtree instance " + std::to_string(instance_no));
+    return RtList::NotFound(instance_no);
   }
   // The query rectangle comes from a recognized spatial conjunct of the
   // pushed filter.
@@ -634,20 +570,6 @@ Status RtUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
 
 Status RtRedo(AtContext&, const LogRecord&, Lsn) { return Status::OK(); }
 
-uint32_t RtInstanceCount(const Slice& at_desc) {
-  RtTypeDesc desc;
-  if (!RtTypeDesc::DecodeFrom(at_desc, &desc).ok()) return 0;
-  return static_cast<uint32_t>(desc.instances.size());
-}
-
-Status RtListInstances(const Slice& at_desc, std::vector<uint32_t>* out) {
-  RtTypeDesc desc;
-  DMX_RETURN_IF_ERROR(RtTypeDesc::DecodeFrom(at_desc, &desc));
-  out->clear();
-  for (const RtInstance& inst : desc.instances) out->push_back(inst.no);
-  return Status::OK();
-}
-
 // Verify cross-checks the in-memory tree against the base relation: every
 // base record with a non-NULL rectangle must be findable by an exact-rect
 // probe, and the entry count must match.
@@ -655,7 +577,7 @@ Status RtVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   RtState* st = StateOf(ctx);
   const RtInstance* inst = st->desc.Find(instance_no);
   if (inst == nullptr) {
-    return Status::NotFound("rtree instance " + std::to_string(instance_no));
+    return RtList::NotFound(instance_no);
   }
   const std::string tag = "rtree_index#" + std::to_string(instance_no) + ": ";
   const RTree& tree = st->trees[instance_no];
@@ -710,7 +632,7 @@ const AtOps& RTreeIndexOps() {
     AtOps o;
     o.name = "rtree_index";
     o.create_instance = RtCreateInstance;
-    o.drop_instance = RtDropInstance;
+    o.drop_instance = &DropInstanceOf<RtInstance>;
     o.open = RtOpen;
     o.on_insert = RtOnInsert;
     o.on_update = RtOnUpdate;
@@ -721,8 +643,8 @@ const AtOps& RTreeIndexOps() {
     o.undo = RtUndo;
     o.redo = RtRedo;
     o.rebuild = RtRebuild;
-    o.instance_count = RtInstanceCount;
-    o.list_instances = RtListInstances;
+    o.instance_count = &InstanceCountOf<RtInstance>;
+    o.list_instances = &ListInstancesOf<RtInstance>;
     o.verify = RtVerify;
     return o;
   }();

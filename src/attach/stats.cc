@@ -4,64 +4,33 @@
 #include <cmath>
 #include <map>
 
+#include "src/core/attachment_instances.h"
 #include "src/core/database.h"
+#include "src/core/extension_log.h"
 #include "src/util/coding.h"
 
 namespace dmx {
 namespace {
 
 struct StatsInstance {
+  static constexpr const char* kType = "stats";
   uint32_t no = 0;
   int field = -1;
-};
-
-struct StatsTypeDesc {
-  uint32_t next_no = 1;
-  std::vector<StatsInstance> instances;
 
   void EncodeTo(std::string* dst) const {
-    PutVarint32(dst, next_no);
-    PutVarint32(dst, static_cast<uint32_t>(instances.size()));
-    for (const StatsInstance& inst : instances) {
-      PutVarint32(dst, inst.no);
-      PutVarint32(dst, static_cast<uint32_t>(inst.field));
-    }
+    PutVarint32(dst, static_cast<uint32_t>(field));
   }
-
-  static Status DecodeFrom(Slice in, StatsTypeDesc* out) {
-    out->instances.clear();
-    if (in.empty()) {
-      out->next_no = 1;
-      return Status::OK();
-    }
-    uint32_t next, count;
-    if (!GetVarint32(&in, &next) || !GetVarint32(&in, &count)) {
-      return Status::Corruption("stats descriptor");
-    }
-    out->next_no = next;
-    for (uint32_t i = 0; i < count; ++i) {
-      StatsInstance inst;
-      uint32_t no, field;
-      if (!GetVarint32(&in, &no) || !GetVarint32(&in, &field)) {
-        return Status::Corruption("stats instance");
-      }
-      inst.no = no;
-      inst.field = static_cast<int>(field);
-      out->instances.push_back(inst);
-    }
+  static Status DecodeFrom(Slice* in, StatsInstance* inst) {
+    uint32_t field;
+    if (!GetVarint32(in, &field)) return Status::Corruption("stats instance");
+    inst->field = static_cast<int>(field);
     return Status::OK();
   }
-
-  const StatsInstance* Find(uint32_t no) const {
-    for (const StatsInstance& inst : instances) {
-      if (inst.no == no) return &inst;
-    }
-    return nullptr;
-  }
 };
+using StatsList = InstanceList<StatsInstance>;
 
 struct StatsState : public ExtState {
-  StatsTypeDesc desc;
+  StatsList desc;
   std::map<uint32_t, StatsSnapshot> values;
 };
 
@@ -75,13 +44,7 @@ Status StLog(AtContext& ctx, uint32_t instance, int64_t dcount, double dsum) {
   PutVarint32(&payload, instance);
   PutFixed64(&payload, static_cast<uint64_t>(dcount));
   PutDouble(&payload, dsum);
-  LogRecord rec = MakeUpdateRecord(
-      ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId,
-      ExtKind::kAttachment, ctx.at_id, ctx.desc->id, std::move(payload));
-  rec.prev_lsn = ctx.txn != nullptr ? ctx.txn->last_lsn() : kInvalidLsn;
-  DMX_RETURN_IF_ERROR(ctx.db->log()->Append(&rec));
-  if (ctx.txn != nullptr) ctx.txn->set_last_lsn(rec.lsn);
-  return Status::OK();
+  return LogExtensionUpdate(ctx, std::move(payload));
 }
 
 void ApplyDelta(StatsState* st, uint32_t instance, int64_t dcount,
@@ -101,7 +64,7 @@ Status StRebuild(AtContext& ctx);
 
 Status StOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<StatsState>();
-  DMX_RETURN_IF_ERROR(StatsTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
+  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
   AtContext prime = ctx;
   prime.state = st.get();
   DMX_RETURN_IF_ERROR(StRebuild(prime));
@@ -112,7 +75,7 @@ Status StOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
 Status StRebuild(AtContext& ctx) {
   StatsState* st = StateOf(ctx);
   st->values.clear();
-  if (st->desc.instances.empty()) return Status::OK();
+  if (st->desc.empty()) return Status::OK();
   const SmOps& sm = ctx.db->registry()->sm_ops(ctx.desc->sm_id);
   SmContext sctx;
   DMX_RETURN_IF_ERROR(ctx.db->MakeSmContext(nullptr, ctx.desc, &sctx));
@@ -123,7 +86,7 @@ Status StRebuild(AtContext& ctx) {
     Status s = scan->Next(&item);
     if (s.IsNotFound()) break;
     DMX_RETURN_IF_ERROR(s);
-    for (const StatsInstance& inst : st->desc.instances) {
+    for (const StatsInstance& inst : st->desc) {
       ApplyDelta(st, inst.no, 1, FieldValue(item.view, inst.field));
     }
   }
@@ -145,42 +108,17 @@ Status StCreateInstance(AtContext& ctx, const AttrList& attrs,
   if (t != TypeId::kInt64 && t != TypeId::kDouble) {
     return Status::InvalidArgument("stats field must be numeric");
   }
-  StatsTypeDesc desc;
-  DMX_RETURN_IF_ERROR(StatsTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  inst.no = desc.next_no++;
-  *instance_no = inst.no;
-  desc.instances.push_back(inst);
-  new_desc->clear();
+  StatsList desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
+  *instance_no = desc.Add(inst);
   desc.EncodeTo(new_desc);
-  return Status::OK();
-}
-
-Status StDropInstance(AtContext& ctx, uint32_t instance_no,
-                      std::string* new_desc) {
-  StatsTypeDesc desc;
-  DMX_RETURN_IF_ERROR(StatsTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  bool found = false;
-  std::vector<StatsInstance> kept;
-  for (const StatsInstance& inst : desc.instances) {
-    if (inst.no == instance_no) {
-      found = true;
-    } else {
-      kept.push_back(inst);
-    }
-  }
-  if (!found) {
-    return Status::NotFound("stats instance " + std::to_string(instance_no));
-  }
-  desc.instances = std::move(kept);
-  new_desc->clear();
-  if (!desc.instances.empty()) desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
 Status StOnInsert(AtContext& ctx, const Slice&, const Slice& new_record) {
   StatsState* st = StateOf(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (const StatsInstance& inst : st->desc.instances) {
+  for (const StatsInstance& inst : st->desc) {
     double v = FieldValue(view, inst.field);
     ApplyDelta(st, inst.no, 1, v);
     DMX_RETURN_IF_ERROR(StLog(ctx, inst.no, 1, v));
@@ -193,7 +131,7 @@ Status StOnUpdate(AtContext& ctx, const Slice&, const Slice&,
   StatsState* st = StateOf(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (const StatsInstance& inst : st->desc.instances) {
+  for (const StatsInstance& inst : st->desc) {
     double dv = FieldValue(new_view, inst.field) -
                 FieldValue(old_view, inst.field);
     if (dv == 0) continue;
@@ -206,7 +144,7 @@ Status StOnUpdate(AtContext& ctx, const Slice&, const Slice&,
 Status StOnDelete(AtContext& ctx, const Slice&, const Slice& old_record) {
   StatsState* st = StateOf(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (const StatsInstance& inst : st->desc.instances) {
+  for (const StatsInstance& inst : st->desc) {
     double v = FieldValue(view, inst.field);
     ApplyDelta(st, inst.no, -1, -v);
     DMX_RETURN_IF_ERROR(StLog(ctx, inst.no, -1, -v));
@@ -219,7 +157,7 @@ Status StLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
   StatsState* st = StateOf(ctx);
   record_keys->clear();
   if (st->desc.Find(instance_no) == nullptr) {
-    return Status::NotFound("stats instance " + std::to_string(instance_no));
+    return StatsList::NotFound(instance_no);
   }
   const StatsSnapshot& snap = st->values[instance_no];
   char buf[64];
@@ -264,27 +202,13 @@ Status StUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
 
 Status StRedo(AtContext&, const LogRecord&, Lsn) { return Status::OK(); }
 
-uint32_t StInstanceCount(const Slice& at_desc) {
-  StatsTypeDesc desc;
-  if (!StatsTypeDesc::DecodeFrom(at_desc, &desc).ok()) return 0;
-  return static_cast<uint32_t>(desc.instances.size());
-}
-
-Status StListInstances(const Slice& at_desc, std::vector<uint32_t>* out) {
-  StatsTypeDesc desc;
-  DMX_RETURN_IF_ERROR(StatsTypeDesc::DecodeFrom(at_desc, &desc));
-  out->clear();
-  for (const StatsInstance& inst : desc.instances) out->push_back(inst.no);
-  return Status::OK();
-}
-
 // Verify recomputes count/sum from the base relation and compares against
 // the live snapshot. Sums tolerate float rounding from delta maintenance.
 Status StVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   StatsState* st = StateOf(ctx);
   const StatsInstance* inst = st->desc.Find(instance_no);
   if (inst == nullptr) {
-    return Status::NotFound("stats instance " + std::to_string(instance_no));
+    return StatsList::NotFound(instance_no);
   }
   const std::string tag = "stats#" + std::to_string(instance_no) + ": ";
 
@@ -340,7 +264,7 @@ const AtOps& StatsOps() {
     AtOps o;
     o.name = "stats";
     o.create_instance = StCreateInstance;
-    o.drop_instance = StDropInstance;
+    o.drop_instance = &DropInstanceOf<StatsInstance>;
     o.open = StOpen;
     o.on_insert = StOnInsert;
     o.on_update = StOnUpdate;
@@ -349,8 +273,8 @@ const AtOps& StatsOps() {
     o.undo = StUndo;
     o.redo = StRedo;
     o.rebuild = StRebuild;
-    o.instance_count = StInstanceCount;
-    o.list_instances = StListInstances;
+    o.instance_count = &InstanceCountOf<StatsInstance>;
+    o.list_instances = &ListInstancesOf<StatsInstance>;
     o.verify = StVerify;
     return o;
   }();

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "src/core/attachment_instances.h"
 #include "src/core/database.h"
 #include "src/util/coding.h"
 
@@ -22,66 +23,39 @@ TriggerFn FindTrigger(const std::string& name) {
 }
 
 struct TriggerInstance {
+  static constexpr const char* kType = "trigger";
   uint32_t no = 0;
   std::string call;
   bool on_insert = true, on_update = true, on_delete = true;
-};
-
-struct TriggerTypeDesc {
-  uint32_t next_no = 1;
-  std::vector<TriggerInstance> instances;
 
   void EncodeTo(std::string* dst) const {
-    PutVarint32(dst, next_no);
-    PutVarint32(dst, static_cast<uint32_t>(instances.size()));
-    for (const TriggerInstance& inst : instances) {
-      PutVarint32(dst, inst.no);
-      PutLengthPrefixedSlice(dst, inst.call);
-      dst->push_back(static_cast<char>((inst.on_insert ? 1 : 0) |
-                                       (inst.on_update ? 2 : 0) |
-                                       (inst.on_delete ? 4 : 0)));
-    }
+    PutLengthPrefixedSlice(dst, call);
+    dst->push_back(static_cast<char>((on_insert ? 1 : 0) |
+                                     (on_update ? 2 : 0) |
+                                     (on_delete ? 4 : 0)));
   }
-
-  static Status DecodeFrom(Slice in, TriggerTypeDesc* out) {
-    out->instances.clear();
-    if (in.empty()) {
-      out->next_no = 1;
-      return Status::OK();
+  static Status DecodeFrom(Slice* in, TriggerInstance* inst) {
+    Slice call;
+    if (!GetLengthPrefixedSlice(in, &call) || in->empty()) {
+      return Status::Corruption("trigger instance");
     }
-    uint32_t next, count;
-    if (!GetVarint32(&in, &next) || !GetVarint32(&in, &count)) {
-      return Status::Corruption("trigger descriptor");
-    }
-    out->next_no = next;
-    for (uint32_t i = 0; i < count; ++i) {
-      TriggerInstance inst;
-      uint32_t no;
-      Slice call;
-      if (!GetVarint32(&in, &no) || !GetLengthPrefixedSlice(&in, &call) ||
-          in.empty()) {
-        return Status::Corruption("trigger instance");
-      }
-      inst.no = no;
-      inst.call = call.ToString();
-      char mask = in[0];
-      in.remove_prefix(1);
-      inst.on_insert = mask & 1;
-      inst.on_update = mask & 2;
-      inst.on_delete = mask & 4;
-      out->instances.push_back(std::move(inst));
-    }
+    inst->call = call.ToString();
+    char mask = (*in)[0];
+    in->remove_prefix(1);
+    inst->on_insert = mask & 1;
+    inst->on_update = mask & 2;
+    inst->on_delete = mask & 4;
     return Status::OK();
   }
 };
 
 struct TriggerState : public ExtState {
-  TriggerTypeDesc desc;
+  InstanceList<TriggerInstance> desc;
 };
 
 Status TrOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<TriggerState>();
-  DMX_RETURN_IF_ERROR(TriggerTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
+  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
   *state = std::move(st);
   return Status::OK();
 }
@@ -113,36 +87,10 @@ Status TrCreateInstance(AtContext& ctx, const AttrList& attrs,
       }
     }
   }
-  TriggerTypeDesc desc;
-  DMX_RETURN_IF_ERROR(TriggerTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  inst.no = desc.next_no++;
-  *instance_no = inst.no;
-  desc.instances.push_back(std::move(inst));
-  new_desc->clear();
+  InstanceList<TriggerInstance> desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
+  *instance_no = desc.Add(std::move(inst));
   desc.EncodeTo(new_desc);
-  return Status::OK();
-}
-
-Status TrDropInstance(AtContext& ctx, uint32_t instance_no,
-                      std::string* new_desc) {
-  TriggerTypeDesc desc;
-  DMX_RETURN_IF_ERROR(TriggerTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  bool found = false;
-  std::vector<TriggerInstance> kept;
-  for (TriggerInstance& inst : desc.instances) {
-    if (inst.no == instance_no) {
-      found = true;
-    } else {
-      kept.push_back(std::move(inst));
-    }
-  }
-  if (!found) {
-    return Status::NotFound("trigger instance " +
-                            std::to_string(instance_no));
-  }
-  desc.instances = std::move(kept);
-  new_desc->clear();
-  if (!desc.instances.empty()) desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
@@ -161,7 +109,7 @@ Status TrFire(AtContext& ctx, TriggerEvent::Op op, const Slice& old_key,
                                                       &ctx.desc->schema);
   if (!new_rec.empty()) event.new_record = RecordView(new_rec,
                                                       &ctx.desc->schema);
-  for (const TriggerInstance& inst : st->desc.instances) {
+  for (const TriggerInstance& inst : st->desc) {
     bool fires = (op == TriggerEvent::Op::kInsert && inst.on_insert) ||
                  (op == TriggerEvent::Op::kUpdate && inst.on_update) ||
                  (op == TriggerEvent::Op::kDelete && inst.on_delete);
@@ -194,12 +142,6 @@ Status TrOnDelete(AtContext& ctx, const Slice& record_key,
                 old_record, Slice());
 }
 
-uint32_t TrInstanceCount(const Slice& at_desc) {
-  TriggerTypeDesc desc;
-  if (!TriggerTypeDesc::DecodeFrom(at_desc, &desc).ok()) return 0;
-  return static_cast<uint32_t>(desc.instances.size());
-}
-
 }  // namespace
 
 void RegisterTriggerFunction(const std::string& name, TriggerFn fn) {
@@ -212,12 +154,12 @@ const AtOps& TriggerOps() {
     AtOps o;
     o.name = "trigger";
     o.create_instance = TrCreateInstance;
-    o.drop_instance = TrDropInstance;
+    o.drop_instance = &DropInstanceOf<TriggerInstance>;
     o.open = TrOpen;
     o.on_insert = TrOnInsert;
     o.on_update = TrOnUpdate;
     o.on_delete = TrOnDelete;
-    o.instance_count = TrInstanceCount;
+    o.instance_count = &InstanceCountOf<TriggerInstance>;
     return o;
   }();
   return ops;

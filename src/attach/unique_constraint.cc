@@ -2,7 +2,9 @@
 
 #include <map>
 
+#include "src/core/attachment_instances.h"
 #include "src/core/database.h"
+#include "src/core/extension_log.h"
 #include "src/sm/btree_sm.h"
 #include "src/sm/key_codec.h"
 #include "src/util/coding.h"
@@ -11,60 +13,28 @@ namespace dmx {
 namespace {
 
 struct UniqueInstance {
+  static constexpr const char* kType = "unique";
   uint32_t no = 0;
   std::string name;
   std::vector<int> fields;
-};
-
-struct UniqueTypeDesc {
-  uint32_t next_no = 1;
-  std::vector<UniqueInstance> instances;
 
   void EncodeTo(std::string* dst) const {
-    PutVarint32(dst, next_no);
-    PutVarint32(dst, static_cast<uint32_t>(instances.size()));
-    for (const UniqueInstance& inst : instances) {
-      PutVarint32(dst, inst.no);
-      PutLengthPrefixedSlice(dst, inst.name);
-      PutVarint32(dst, static_cast<uint32_t>(inst.fields.size()));
-      for (int f : inst.fields) PutVarint32(dst, static_cast<uint32_t>(f));
-    }
+    PutLengthPrefixedSlice(dst, name);
+    PutFieldList(dst, fields);
   }
-
-  static Status DecodeFrom(Slice in, UniqueTypeDesc* out) {
-    out->instances.clear();
-    if (in.empty()) {
-      out->next_no = 1;
-      return Status::OK();
+  static Status DecodeFrom(Slice* in, UniqueInstance* inst) {
+    Slice name;
+    if (!GetLengthPrefixedSlice(in, &name)) {
+      return Status::Corruption("unique instance");
     }
-    uint32_t next, count;
-    if (!GetVarint32(&in, &next) || !GetVarint32(&in, &count)) {
-      return Status::Corruption("unique descriptor");
-    }
-    out->next_no = next;
-    for (uint32_t i = 0; i < count; ++i) {
-      UniqueInstance inst;
-      uint32_t no, nfields;
-      Slice name;
-      if (!GetVarint32(&in, &no) || !GetLengthPrefixedSlice(&in, &name) ||
-          !GetVarint32(&in, &nfields)) {
-        return Status::Corruption("unique instance");
-      }
-      inst.no = no;
-      inst.name = name.ToString();
-      for (uint32_t f = 0; f < nfields; ++f) {
-        uint32_t idx;
-        if (!GetVarint32(&in, &idx)) return Status::Corruption("unique field");
-        inst.fields.push_back(static_cast<int>(idx));
-      }
-      out->instances.push_back(std::move(inst));
-    }
-    return Status::OK();
+    inst->name = name.ToString();
+    return GetFieldList(in, &inst->fields, "unique instance", "unique field");
   }
 };
+using UniqueList = InstanceList<UniqueInstance>;
 
 struct UniqueState : public ExtState {
-  UniqueTypeDesc desc;
+  UniqueList desc;
   // Per instance: key encoding -> live count (should be 0 or 1, but kept
   // as a count so undo/redo replay composes).
   std::map<uint32_t, std::map<std::string, int64_t>> counts;
@@ -88,13 +58,7 @@ Status UqLog(AtContext& ctx, char op, uint32_t instance, const Slice& key) {
   std::string payload(1, op);
   PutVarint32(&payload, instance);
   payload.append(key.data(), key.size());
-  LogRecord rec = MakeUpdateRecord(
-      ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId,
-      ExtKind::kAttachment, ctx.at_id, ctx.desc->id, std::move(payload));
-  rec.prev_lsn = ctx.txn != nullptr ? ctx.txn->last_lsn() : kInvalidLsn;
-  DMX_RETURN_IF_ERROR(ctx.db->log()->Append(&rec));
-  if (ctx.txn != nullptr) ctx.txn->set_last_lsn(rec.lsn);
-  return Status::OK();
+  return LogExtensionUpdate(ctx, std::move(payload));
 }
 
 // (Re)build the key-count tables by scanning the base relation — used both
@@ -104,7 +68,7 @@ Status UqRebuild(AtContext& ctx);
 
 Status UqOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<UniqueState>();
-  DMX_RETURN_IF_ERROR(UniqueTypeDesc::DecodeFrom(ctx.at_desc, &st->desc));
+  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
   AtContext prime_ctx = ctx;
   prime_ctx.state = st.get();
   DMX_RETURN_IF_ERROR(UqRebuild(prime_ctx));
@@ -115,7 +79,7 @@ Status UqOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
 Status UqRebuild(AtContext& ctx) {
   UniqueState* st = StateOf(ctx);
   st->counts.clear();
-  if (st->desc.instances.empty()) return Status::OK();
+  if (st->desc.empty()) return Status::OK();
   std::unique_ptr<Scan> scan;
   const SmOps& sm = ctx.db->registry()->sm_ops(ctx.desc->sm_id);
   SmContext sctx;
@@ -126,7 +90,7 @@ Status UqRebuild(AtContext& ctx) {
     Status s = scan->Next(&item);
     if (s.IsNotFound()) break;
     DMX_RETURN_IF_ERROR(s);
-    for (const UniqueInstance& inst : st->desc.instances) {
+    for (const UniqueInstance& inst : st->desc) {
       std::string key;
       if (KeyOf(item.view, inst.fields, &key)) ++st->counts[inst.no][key];
     }
@@ -145,9 +109,8 @@ Status UqCreateInstance(AtContext& ctx, const AttrList& attrs,
   DMX_RETURN_IF_ERROR(
       ParseFieldList(ctx.desc->schema, attrs.Get("fields"), &inst.fields));
 
-  UniqueTypeDesc desc;
-  DMX_RETURN_IF_ERROR(UniqueTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  inst.no = desc.next_no++;
+  UniqueList desc;
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
 
   // Scan existing data: reject creation on a relation that already has
   // duplicates. (The post-DDL reopen rescans to prime the live table.)
@@ -168,32 +131,8 @@ Status UqCreateInstance(AtContext& ctx, const AttrList& attrs,
     }
   }
 
-  *instance_no = inst.no;
-  desc.instances.push_back(std::move(inst));
-  new_desc->clear();
+  *instance_no = desc.Add(std::move(inst));
   desc.EncodeTo(new_desc);
-  return Status::OK();
-}
-
-Status UqDropInstance(AtContext& ctx, uint32_t instance_no,
-                      std::string* new_desc) {
-  UniqueTypeDesc desc;
-  DMX_RETURN_IF_ERROR(UniqueTypeDesc::DecodeFrom(ctx.at_desc, &desc));
-  bool found = false;
-  std::vector<UniqueInstance> kept;
-  for (UniqueInstance& inst : desc.instances) {
-    if (inst.no == instance_no) {
-      found = true;
-    } else {
-      kept.push_back(std::move(inst));
-    }
-  }
-  if (!found) {
-    return Status::NotFound("unique instance " + std::to_string(instance_no));
-  }
-  desc.instances = std::move(kept);
-  new_desc->clear();
-  if (!desc.instances.empty()) desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
@@ -224,7 +163,7 @@ Status UqRemove(AtContext& ctx, UniqueState* st, const UniqueInstance& inst,
 Status UqOnInsert(AtContext& ctx, const Slice&, const Slice& new_record) {
   UniqueState* st = StateOf(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (const UniqueInstance& inst : st->desc.instances) {
+  for (const UniqueInstance& inst : st->desc) {
     DMX_RETURN_IF_ERROR(UqAdd(ctx, st, inst, view));
   }
   return Status::OK();
@@ -235,7 +174,7 @@ Status UqOnUpdate(AtContext& ctx, const Slice&, const Slice&,
   UniqueState* st = StateOf(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (const UniqueInstance& inst : st->desc.instances) {
+  for (const UniqueInstance& inst : st->desc) {
     std::string okey, nkey;
     bool had = KeyOf(old_view, inst.fields, &okey);
     bool has = KeyOf(new_view, inst.fields, &nkey);
@@ -249,7 +188,7 @@ Status UqOnUpdate(AtContext& ctx, const Slice&, const Slice&,
 Status UqOnDelete(AtContext& ctx, const Slice&, const Slice& old_record) {
   UniqueState* st = StateOf(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (const UniqueInstance& inst : st->desc.instances) {
+  for (const UniqueInstance& inst : st->desc) {
     DMX_RETURN_IF_ERROR(UqRemove(ctx, st, inst, view));
   }
   return Status::OK();
@@ -285,31 +224,12 @@ Status UqUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
 // relation after redo/undo complete, which supersedes replay.
 Status UqRedo(AtContext&, const LogRecord&, Lsn) { return Status::OK(); }
 
-uint32_t UqInstanceCount(const Slice& at_desc) {
-  UniqueTypeDesc desc;
-  if (!UniqueTypeDesc::DecodeFrom(at_desc, &desc).ok()) return 0;
-  return static_cast<uint32_t>(desc.instances.size());
-}
-
-Status UqListInstances(const Slice& at_desc, std::vector<uint32_t>* out) {
-  UniqueTypeDesc desc;
-  DMX_RETURN_IF_ERROR(UniqueTypeDesc::DecodeFrom(at_desc, &desc));
-  out->clear();
-  for (const UniqueInstance& inst : desc.instances) out->push_back(inst.no);
-  return Status::OK();
-}
-
 // Verify re-derives key multiplicities straight from the base relation, so
 // it catches both genuine duplicate data and a drifted live table.
 Status UqVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   UniqueState* st = StateOf(ctx);
-  const UniqueInstance* inst = nullptr;
-  for (const UniqueInstance& i : st->desc.instances) {
-    if (i.no == instance_no) inst = &i;
-  }
-  if (inst == nullptr) {
-    return Status::NotFound("unique instance " + std::to_string(instance_no));
-  }
+  const UniqueInstance* inst = st->desc.Find(instance_no);
+  if (inst == nullptr) return UniqueList::NotFound(instance_no);
   const std::string tag = "unique#" + std::to_string(instance_no) + ": ";
 
   std::map<std::string, int64_t> seen;
@@ -340,17 +260,6 @@ Status UqVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   return Status::OK();
 }
 
-// Every unique instance guards integrity: with the constraint quarantined
-// its veto no longer fires, so writes must be refused until REPAIR.
-bool UqGuardsIntegrity(const Slice& at_desc, uint32_t instance_no) {
-  UniqueTypeDesc desc;
-  if (!UniqueTypeDesc::DecodeFrom(at_desc, &desc).ok()) return false;
-  for (const UniqueInstance& inst : desc.instances) {
-    if (inst.no == instance_no) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 const AtOps& UniqueConstraintOps() {
@@ -358,7 +267,7 @@ const AtOps& UniqueConstraintOps() {
     AtOps o;
     o.name = "unique";
     o.create_instance = UqCreateInstance;
-    o.drop_instance = UqDropInstance;
+    o.drop_instance = &DropInstanceOf<UniqueInstance>;
     o.open = UqOpen;
     o.on_insert = UqOnInsert;
     o.on_update = UqOnUpdate;
@@ -366,10 +275,12 @@ const AtOps& UniqueConstraintOps() {
     o.undo = UqUndo;
     o.redo = UqRedo;
     o.rebuild = UqRebuild;
-    o.instance_count = UqInstanceCount;
-    o.list_instances = UqListInstances;
+    o.instance_count = &InstanceCountOf<UniqueInstance>;
+    o.list_instances = &ListInstancesOf<UniqueInstance>;
     o.verify = UqVerify;
-    o.guards_integrity = UqGuardsIntegrity;
+    // Every instance guards integrity: with the constraint quarantined its
+    // veto no longer fires, so writes must be refused until REPAIR.
+    o.guards_integrity = &GuardsIntegrityOf<UniqueInstance>;
     return o;
   }();
   return ops;

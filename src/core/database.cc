@@ -297,50 +297,57 @@ void Database::InvalidateRuntime(RelationId id) {
 }
 
 void Database::InvalidateAttachmentRuntime(RelationId id) {
-  MutexLock lock(&runtime_mu_);
-  auto it = runtimes_.find(id);
-  if (it == runtimes_.end()) return;
-  for (auto& state : it->second->at_state) state.reset();
+  RelationRuntime* rt;
+  {
+    MutexLock lock(&runtime_mu_);
+    auto it = runtimes_.find(id);
+    if (it == runtimes_.end()) return;
+    rt = it->second.get();
+  }
+  // Not under runtime_mu_: an open in progress holds its slot's lock and
+  // may take runtime_mu_ (re-entering MakeSmContext).
+  for (ExtSlot& slot : rt->at) slot.Reset();
+}
+
+void Database::ExtSlot::Reset() {
+  MutexLock lock(&open_mu_);
+  state_.store(nullptr, std::memory_order_release);
+  owned_.reset();
+}
+
+template <typename Ctx>
+Status Database::ExtSlot::Get(
+    Status (*open)(Ctx&, std::unique_ptr<ExtState>*), Ctx* ctx) {
+  ctx->state = state_.load(std::memory_order_acquire);
+  if (ctx->state != nullptr || open == nullptr) return Status::OK();
+  MutexLock lock(&open_mu_);
+  ctx->state = state_.load(std::memory_order_acquire);
+  if (ctx->state != nullptr) return Status::OK();  // another user opened it
+  DMX_RETURN_IF_ERROR(open(*ctx, &owned_));
+  ctx->state = owned_.get();
+  state_.store(ctx->state, std::memory_order_release);
+  return Status::OK();
 }
 
 Status Database::MakeSmContext(Transaction* txn,
                                const RelationDescriptor* desc,
                                SmContext* ctx) {
-  RelationRuntime* rt = GetRuntime(desc->id);
   ctx->db = this;
   ctx->txn = txn;
   ctx->desc = desc;
-  if (rt->sm_state == nullptr) {
-    const SmOps& ops = registry_.sm_ops(desc->sm_id);
-    if (ops.open != nullptr) {
-      SmContext open_ctx = *ctx;
-      open_ctx.state = nullptr;
-      DMX_RETURN_IF_ERROR(ops.open(open_ctx, &rt->sm_state));
-    }
-  }
-  ctx->state = rt->sm_state.get();
-  return Status::OK();
+  return GetRuntime(desc->id)->sm.Get(registry_.sm_ops(desc->sm_id).open,
+                                      ctx);
 }
 
 Status Database::MakeAtContext(Transaction* txn,
                                const RelationDescriptor* desc, AtId at,
                                AtContext* ctx) {
-  RelationRuntime* rt = GetRuntime(desc->id);
   ctx->db = this;
   ctx->txn = txn;
   ctx->desc = desc;
   ctx->at_id = at;
   ctx->at_desc = Slice(desc->at_desc[at]);
-  if (rt->at_state[at] == nullptr) {
-    const AtOps& ops = registry_.at_ops(at);
-    if (ops.open != nullptr) {
-      AtContext open_ctx = *ctx;
-      open_ctx.state = nullptr;
-      DMX_RETURN_IF_ERROR(ops.open(open_ctx, &rt->at_state[at]));
-    }
-  }
-  ctx->state = rt->at_state[at].get();
-  return Status::OK();
+  return GetRuntime(desc->id)->at[at].Get(registry_.at_ops(at).open, ctx);
 }
 
 Status Database::ApplyLogRecord(const LogRecord& rec, bool undo,

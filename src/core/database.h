@@ -494,9 +494,29 @@ class Database {
   /// quarantine-related access so the record eventually reaches disk.
   Status PersistQuarantineRecord();
 
+  /// One extension's runtime state on one relation, opened once: the
+  /// first user opens it holding `open_mu_` and publishes it in `state_`;
+  /// everyone after reads `state_` without a lock. The lock is per slot
+  /// because an open may re-enter MakeSmContext/MakeAtContext for another
+  /// slot (a hash index rebuilds by scanning its relation's storage
+  /// method), so neither runtime_mu_ nor one lock per relation can be held
+  /// across it.
+  class ExtSlot {
+   public:
+    /// Sets ctx->state, opening the state with `open` on first use.
+    template <typename Ctx>
+    Status Get(Status (*open)(Ctx&, std::unique_ptr<ExtState>*), Ctx* ctx);
+    /// Drops the state; the next Get opens it again.
+    void Reset();
+
+   private:
+    Mutex open_mu_;
+    std::unique_ptr<ExtState> owned_ GUARDED_BY(open_mu_);
+    std::atomic<ExtState*> state_{nullptr};
+  };
   struct RelationRuntime {
-    std::unique_ptr<ExtState> sm_state;
-    std::array<std::unique_ptr<ExtState>, kMaxAttachmentTypes> at_state;
+    ExtSlot sm;
+    std::array<ExtSlot, kMaxAttachmentTypes> at;
   };
   RelationRuntime* GetRuntime(RelationId id);
 

@@ -603,7 +603,6 @@ class SqlExecutor {
   }
 
  private:
-  // Runs `fn` in the session transaction, or an autocommit one.
   // Begins a transaction as the session user, applying the session's
   // SET DURABILITY override (when set) over the database default.
   Transaction* BeginSessionTxn() {
@@ -614,21 +613,19 @@ class SqlExecutor {
     return txn;
   }
 
+  // Runs `fn` in the session transaction, or an autocommit one. A failed
+  // statement aborts the autocommit transaction; a failed commit has
+  // already ended it.
   template <typename Fn>
   Status InTxn(Fn&& fn) {
     if (session_->txn_ != nullptr) return fn(session_->txn_);
     Transaction* txn = BeginSessionTxn();
     Status s = fn(txn);
-    if (s.ok()) {
-      s = db_->Commit(txn);
-      if (s.ok()) return s;
-      // A failed commit (e.g. WAL I/O failure degrading the database) leaves
-      // the transaction active and holding locks; release them — the commit
-      // error is what the caller must see, and the txn cannot be retried.
+    if (!s.ok()) {
+      (void)db_->Abort(txn);  // the statement's own failure is what counts
+      return s;
     }
-    // Drop the failed txn's locks; s already records the commit error.
-    if (txn->active()) (void)db_->Abort(txn);
-    return s;
+    return db_->Commit(txn);
   }
 
   Status Begin(QueryResult* result) {
@@ -646,13 +643,7 @@ class SqlExecutor {
     }
     Transaction* txn = session_->txn_;
     session_->txn_ = nullptr;
-    Status s = db_->Commit(txn);
-    if (!s.ok()) {
-      // The session has already detached the txn and a failed commit cannot
-      // be retried; abort so its locks don't outlive the statement.
-      if (txn->active()) (void)db_->Abort(txn);
-      return s;
-    }
+    DMX_RETURN_IF_ERROR(db_->Commit(txn));
     result->message = "COMMIT";
     return Status::OK();
   }

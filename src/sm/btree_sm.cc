@@ -2,6 +2,7 @@
 
 #include "src/core/costing.h"
 #include "src/core/database.h"
+#include "src/core/extension_log.h"
 #include "src/sm/btree_core.h"
 #include "src/sm/key_codec.h"
 #include "src/util/coding.h"
@@ -113,17 +114,6 @@ Status BtOpen(SmContext& ctx, std::unique_ptr<ExtState>* state) {
   return Status::OK();
 }
 
-Status BtLog(SmContext& ctx, std::string payload) {
-  LogRecord rec = MakeUpdateRecord(
-      ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId,
-      ExtKind::kStorageMethod, ctx.desc->sm_id, ctx.desc->id,
-      std::move(payload));
-  rec.prev_lsn = ctx.txn != nullptr ? ctx.txn->last_lsn() : kInvalidLsn;
-  DMX_RETURN_IF_ERROR(ctx.db->log()->Append(&rec));
-  if (ctx.txn != nullptr) ctx.txn->set_last_lsn(rec.lsn);
-  return Status::OK();
-}
-
 Status BtInsert(SmContext& ctx, const Slice& record,
                 std::string* record_key) {
   BtSmState* st = StateOf(ctx);
@@ -138,7 +128,7 @@ Status BtInsert(SmContext& ctx, const Slice& record,
   std::string payload = "I";
   PutLengthPrefixedSlice(&payload, key);
   payload.append(record.data(), record.size());
-  DMX_RETURN_IF_ERROR(BtLog(ctx, std::move(payload)));
+  DMX_RETURN_IF_ERROR(LogExtensionUpdate(ctx, std::move(payload)));
   *record_key = std::move(key);
   return Status::OK();
 }
@@ -150,7 +140,7 @@ Status BtErase(SmContext& ctx, const Slice& record_key,
   std::string payload = "D";
   PutLengthPrefixedSlice(&payload, record_key);
   payload.append(old_record.data(), old_record.size());
-  return BtLog(ctx, std::move(payload));
+  return LogExtensionUpdate(ctx, std::move(payload));
 }
 
 Status BtUpdate(SmContext& ctx, const Slice& record_key,
@@ -172,7 +162,7 @@ Status BtUpdate(SmContext& ctx, const Slice& record_key,
   PutLengthPrefixedSlice(&payload, old_record);
   PutLengthPrefixedSlice(&payload, nkey);
   PutLengthPrefixedSlice(&payload, new_record);
-  DMX_RETURN_IF_ERROR(BtLog(ctx, std::move(payload)));
+  DMX_RETURN_IF_ERROR(LogExtensionUpdate(ctx, std::move(payload)));
   *new_key = std::move(nkey);
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 
 #include "src/core/costing.h"
 #include "src/core/database.h"
+#include "src/core/extension_log.h"
 #include "src/util/coding.h"
 
 namespace dmx {
@@ -107,17 +108,6 @@ Status ForeignOpen(SmContext& ctx, std::unique_ptr<ExtState>* state) {
   return Status::OK();
 }
 
-Status ForeignLog(SmContext& ctx, std::string payload) {
-  LogRecord rec = MakeUpdateRecord(
-      ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId,
-      ExtKind::kStorageMethod, ctx.desc->sm_id, ctx.desc->id,
-      std::move(payload));
-  rec.prev_lsn = ctx.txn != nullptr ? ctx.txn->last_lsn() : kInvalidLsn;
-  DMX_RETURN_IF_ERROR(ctx.db->log()->Append(&rec));
-  if (ctx.txn != nullptr) ctx.txn->set_last_lsn(rec.lsn);
-  return Status::OK();
-}
-
 // Run `fn` in an auto-commit foreign transaction.
 template <typename Fn>
 Status WithForeignTxn(Database* fdb, Fn&& fn) {
@@ -141,7 +131,7 @@ Status ForeignInsert(SmContext& ctx, const Slice& record,
   std::string payload = "I";
   PutLengthPrefixedSlice(&payload, fkey);
   payload.append(record.data(), record.size());
-  DMX_RETURN_IF_ERROR(ForeignLog(ctx, std::move(payload)));
+  DMX_RETURN_IF_ERROR(LogExtensionUpdate(ctx, std::move(payload)));
   *record_key = std::move(fkey);
   return Status::OK();
 }
@@ -162,7 +152,7 @@ Status ForeignUpdate(SmContext& ctx, const Slice& record_key,
   PutLengthPrefixedSlice(&payload, old_record);
   PutLengthPrefixedSlice(&payload, nkey);
   PutLengthPrefixedSlice(&payload, new_record);
-  DMX_RETURN_IF_ERROR(ForeignLog(ctx, std::move(payload)));
+  DMX_RETURN_IF_ERROR(LogExtensionUpdate(ctx, std::move(payload)));
   *new_key = std::move(nkey);
   return Status::OK();
 }
@@ -179,7 +169,7 @@ Status ForeignErase(SmContext& ctx, const Slice& record_key,
   std::string payload = "D";
   PutLengthPrefixedSlice(&payload, record_key);
   payload.append(old_record.data(), old_record.size());
-  return ForeignLog(ctx, std::move(payload));
+  return LogExtensionUpdate(ctx, std::move(payload));
 }
 
 Status ForeignFetch(SmContext& ctx, const Slice& record_key,

@@ -7,6 +7,7 @@
 
 #include "src/core/costing.h"
 #include "src/core/database.h"
+#include "src/core/extension_log.h"
 #include "src/sm/rid.h"
 #include "src/storage/slotted_page.h"
 #include "src/util/coding.h"
@@ -103,19 +104,6 @@ Status HeapOpen(SmContext& ctx, std::unique_ptr<ExtState>* state) {
   return Status::OK();
 }
 
-// Appends a heap update record to the common log and returns its LSN.
-Status LogHeapOp(SmContext& ctx, std::string payload, Lsn* lsn) {
-  LogRecord rec = MakeUpdateRecord(
-      ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId,
-      ExtKind::kStorageMethod, ctx.desc->sm_id, ctx.desc->id,
-      std::move(payload));
-  rec.prev_lsn = ctx.txn != nullptr ? ctx.txn->last_lsn() : kInvalidLsn;
-  DMX_RETURN_IF_ERROR(ctx.db->log()->Append(&rec));
-  if (ctx.txn != nullptr) ctx.txn->set_last_lsn(rec.lsn);
-  *lsn = rec.lsn;
-  return Status::OK();
-}
-
 // Callers hold HeapState::mu.
 Status HeapInsertLocked(SmContext& ctx, const Slice& record,
                         std::string* record_key) {
@@ -154,7 +142,7 @@ Status HeapInsertLocked(SmContext& ctx, const Slice& record,
   PutFixed32(&payload, link_prev);
   payload.append(record.data(), record.size());
   Lsn lsn;
-  DMX_RETURN_IF_ERROR(LogHeapOp(ctx, std::move(payload), &lsn));
+  DMX_RETURN_IF_ERROR(LogExtensionUpdate(ctx, std::move(payload), &lsn));
   SetPageLsn(h.page(), lsn);
   h.MarkDirty();
   ++st->records;
@@ -175,7 +163,7 @@ Status HeapEraseLocked(SmContext& ctx, const Slice& record_key,
   std::string payload = "D" + rid.Encode();
   payload.append(old_record.data(), old_record.size());
   Lsn lsn;
-  DMX_RETURN_IF_ERROR(LogHeapOp(ctx, std::move(payload), &lsn));
+  DMX_RETURN_IF_ERROR(LogExtensionUpdate(ctx, std::move(payload), &lsn));
   SetPageLsn(h.page(), lsn);
   h.MarkDirty();
   --st->records;
@@ -210,7 +198,7 @@ Status HeapUpdate(SmContext& ctx, const Slice& record_key,
       PutLengthPrefixedSlice(&payload, old_record);
       PutLengthPrefixedSlice(&payload, new_record);
       Lsn lsn;
-      DMX_RETURN_IF_ERROR(LogHeapOp(ctx, std::move(payload), &lsn));
+      DMX_RETURN_IF_ERROR(LogExtensionUpdate(ctx, std::move(payload), &lsn));
       SetPageLsn(h.page(), lsn);
       h.MarkDirty();
       *new_key = record_key.ToString();

@@ -4,6 +4,7 @@
 
 #include "src/core/costing.h"
 #include "src/core/database.h"
+#include "src/core/extension_log.h"
 #include "src/util/coding.h"
 
 namespace dmx {
@@ -99,16 +100,6 @@ Status MainMemDrop(SmContext& ctx) {
 
 // Core table operations shared by both methods; `logged` selects whether
 // changes flow through the common recovery log.
-Status MemLog(SmContext& ctx, std::string payload) {
-  LogRecord rec = MakeUpdateRecord(
-      ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId,
-      ExtKind::kStorageMethod, ctx.desc->sm_id, ctx.desc->id,
-      std::move(payload));
-  rec.prev_lsn = ctx.txn != nullptr ? ctx.txn->last_lsn() : kInvalidLsn;
-  DMX_RETURN_IF_ERROR(ctx.db->log()->Append(&rec));
-  if (ctx.txn != nullptr) ctx.txn->set_last_lsn(rec.lsn);
-  return Status::OK();
-}
 
 template <bool kLogged>
 Status MemInsert(SmContext& ctx, const Slice& record,
@@ -120,7 +111,7 @@ Status MemInsert(SmContext& ctx, const Slice& record,
     std::string payload = "I";
     PutLengthPrefixedSlice(&payload, key);
     payload.append(record.data(), record.size());
-    DMX_RETURN_IF_ERROR(MemLog(ctx, std::move(payload)));
+    DMX_RETURN_IF_ERROR(LogExtensionUpdate(ctx, std::move(payload)));
   }
   *record_key = std::move(key);
   return Status::OK();
@@ -139,7 +130,7 @@ Status MemUpdate(SmContext& ctx, const Slice& record_key,
     PutLengthPrefixedSlice(&payload, record_key);
     PutLengthPrefixedSlice(&payload, old_record);
     PutLengthPrefixedSlice(&payload, new_record);
-    DMX_RETURN_IF_ERROR(MemLog(ctx, std::move(payload)));
+    DMX_RETURN_IF_ERROR(LogExtensionUpdate(ctx, std::move(payload)));
   }
   *new_key = record_key.ToString();
   return Status::OK();
@@ -156,7 +147,7 @@ Status MemErase(SmContext& ctx, const Slice& record_key,
     std::string payload = "D";
     PutLengthPrefixedSlice(&payload, record_key);
     payload.append(old_record.data(), old_record.size());
-    DMX_RETURN_IF_ERROR(MemLog(ctx, std::move(payload)));
+    DMX_RETURN_IF_ERROR(LogExtensionUpdate(ctx, std::move(payload)));
   }
   return Status::OK();
 }

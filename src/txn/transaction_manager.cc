@@ -33,18 +33,28 @@ Status TransactionManager::FinishTxn(Transaction* txn, bool committed) {
   // A transaction that logged nothing needs no end record: recovery never
   // hears of it. Skipping keeps read-only transactions entirely off the
   // disk — which is also what lets them finish while the database is
-  // degraded.
+  // degraded. The end record is only a recovery shortcut (restart reaches
+  // the same outcome from the commit or abort record), so failing to
+  // append it still ends the transaction.
+  Status s;
   if (txn->last_lsn() != kInvalidLsn) {
     LogRecord end;
     end.type = LogRecType::kEnd;
     end.txn = txn->id();
     end.prev_lsn = txn->last_lsn();
-    DMX_RETURN_IF_ERROR(log_->Append(&end));
-    txn->set_last_lsn(end.lsn);
+    s = log_->Append(&end);
   }
   MutexLock lock(&mu_);
   live_.erase(txn->id());  // frees the Transaction
-  return Status::OK();
+  return s;
+}
+
+// A commit that fails ends the transaction anyway: roll it back and report
+// why the commit failed, or the rollback's own failure if that fails too.
+Status TransactionManager::AbortFailedCommit(Transaction* txn,
+                                             Status failure) {
+  Status abort_status = Abort(txn);
+  return abort_status.ok() ? failure : abort_status;
 }
 
 Status TransactionManager::Commit(Transaction* txn) {
@@ -54,11 +64,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   // Deferred integrity constraints run now; a failure aborts.
   Status pre = txn->RunDeferred(TxnEvent::kBeforePrepare,
                                 /*stop_on_error=*/true);
-  if (!pre.ok()) {
-    Status abort_status = Abort(txn);
-    if (!abort_status.ok()) return abort_status;
-    return pre;
-  }
+  if (!pre.ok()) return AbortFailedCommit(txn, pre);
 
   // Read-only transactions (nothing logged) commit without touching the
   // log: no commit record, no force. This keeps reads serving while the
@@ -70,13 +76,12 @@ Status TransactionManager::Commit(Transaction* txn) {
     commit.prev_lsn = txn->last_lsn();
     // Strict: append + force as one unit (sharing the group-commit fsync
     // with concurrent committers); on failure the commit record is
-    // removed from the buffer again where possible, so the transaction is
-    // still cleanly abortable. Relaxed: acknowledge at append — the
-    // background group flusher makes it durable shortly after; a crash in
-    // that window loses the commit, which is the contract the session
-    // opted into. Either way the caller decides between retrying and
-    // Abort; we only report the outage so the ErrorHandler can degrade
-    // and start recovery.
+    // removed from the buffer again where possible, so the transaction
+    // rolls back cleanly. Relaxed: acknowledge at append — the background
+    // group flusher makes it durable shortly after; a crash in that window
+    // loses the commit, which is the contract the session opted into.
+    // Either way the outage is reported so the ErrorHandler can degrade
+    // and start recovery, and the transaction is aborted here.
     Status forced;
     if (txn->relaxed_durability()) {
       forced = log_->AppendCommitRelaxed(&commit);
@@ -89,7 +94,7 @@ Status TransactionManager::Commit(Transaction* txn) {
         wal_failure_("wal commit force", forced);
       }
     }
-    if (!forced.ok()) return forced;
+    if (!forced.ok()) return AbortFailedCommit(txn, forced);
     txn->set_last_lsn(commit.lsn);
   }
   txn->state_ = TxnState::kCommitted;
@@ -97,9 +102,9 @@ Status TransactionManager::Commit(Transaction* txn) {
   // Complete deferred work (e.g. release storage of dropped relations).
   Status post = txn->RunDeferred(TxnEvent::kCommit, /*stop_on_error=*/false);
 
-  DMX_RETURN_IF_ERROR(FinishTxn(txn, /*committed=*/true));
+  Status finished = FinishTxn(txn, /*committed=*/true);
   metric_commits_->Increment();
-  return post;
+  return finished.ok() ? post : finished;
 }
 
 Status TransactionManager::Abort(Transaction* txn) {

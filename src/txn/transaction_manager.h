@@ -72,9 +72,18 @@ class TransactionManager {
   /// transaction ends (manager-owned).
   Transaction* Begin();
 
-  /// Commit: runs before-prepare deferred actions (a failure here aborts
-  /// and returns that failure), forces the log, runs commit deferred
-  /// actions, notifies observers, releases locks.
+  /// Commit: runs before-prepare deferred actions, forces the log, runs
+  /// commit deferred actions, notifies observers, releases locks.
+  ///
+  /// Commit always ends the transaction, whatever it returns: once it
+  /// returns, `txn` must not be touched (no Abort, no active() probe). On
+  /// a failed deferred check or a failed log force the transaction is
+  /// aborted and freed here and the failure returned. Should that rollback
+  /// itself fail, its error is returned instead and the transaction stays
+  /// registered, its locks held, until restart recovery undoes it. A
+  /// non-OK status after the commit record is durable reports a failed
+  /// commit-time deferred action or end record; the transaction is
+  /// committed.
   Status Commit(Transaction* txn);
 
   /// Abort: log-driven rollback of all effects, then cleanup as above.
@@ -115,6 +124,7 @@ class TransactionManager {
 
  private:
   Status FinishTxn(Transaction* txn, bool committed);
+  Status AbortFailedCommit(Transaction* txn, Status failure);
 
   LogManager* log_;
   LockManager* locks_;

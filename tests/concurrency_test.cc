@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/core/database.h"
+#include "src/query/sql.h"
 #include "tests/test_util.h"
 
 namespace dmx {
@@ -48,11 +49,12 @@ TEST_F(ConcurrencyTest, ParallelInsertersAllLand) {
         Status s = db_->Insert(
             txn, "counters",
             {Value::Int(t * 1000 + i), Value::Int(0)});
-        if (s.ok()) s = db_->Commit(txn);
-        if (!s.ok()) {
-          ++failures;
-          if (txn->active()) db_->Abort(txn);
+        if (s.ok()) {
+          s = db_->Commit(txn);
+        } else {
+          (void)db_->Abort(txn);
         }
+        if (!s.ok()) ++failures;
       }
     });
   }
@@ -65,6 +67,54 @@ TEST_F(ConcurrencyTest, ParallelInsertersAllLand) {
   ASSERT_TRUE(db_->CountRecords(check, desc, &n).ok());
   EXPECT_EQ(n, static_cast<uint64_t>(kThreads * kPerThread));
   db_->Commit(check);
+}
+
+// Attachment DDL drops a relation's cached attachment state; its next
+// users race to open it again. Exactly one open may win: a second state
+// would replace (and free) the first under a thread still reading it. The
+// users are readers, because concurrent writers of one relation are not
+// yet safe for in-memory attachments (ROADMAP item 1).
+TEST_F(ConcurrencyTest, FirstTouchOpensExtensionStateOnce) {
+  constexpr int kThreads = 8, kRounds = 20, kRows = 700, kGroups = 7;
+  Transaction* txn = db_->Begin();
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(db_->Insert(txn, "counters",
+                            {Value::Int(i), Value::Int(i % kGroups)})
+                    .ok());
+  }
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  for (int round = 0; round < kRounds; ++round) {
+    uint32_t instance = 0;
+    txn = db_->Begin();
+    ASSERT_TRUE(db_->CreateAttachment(txn, "counters", "hash_index",
+                                      {{"fields", "n"}}, &instance)
+                    .ok());
+    ASSERT_TRUE(db_->Commit(txn).ok());
+    std::atomic<int> ready{0};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Session session(db_.get());
+        QueryResult res;
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        Status s = session.Execute("SELECT id FROM counters WHERE n = " +
+                                       std::to_string(t % kGroups),
+                                   &res);
+        if (!s.ok() || res.rows.size() != kRows / kGroups) ++wrong;
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(wrong.load(), 0) << "round " << round;
+    txn = db_->Begin();
+    CheckResult check;
+    ASSERT_TRUE(db_->CheckRelation(txn, "counters", &check).ok());
+    EXPECT_TRUE(check.clean) << "round " << round;
+    ASSERT_TRUE(
+        db_->DropAttachment(txn, "counters", "hash_index", instance).ok());
+    ASSERT_TRUE(db_->Commit(txn).ok());
+  }
 }
 
 TEST_F(ConcurrencyTest, LostUpdatePreventedByRecordLocks) {
@@ -94,10 +144,13 @@ TEST_F(ConcurrencyTest, LostUpdatePreventedByRecordLocks) {
             s = db_->Update(txn, "counters", Slice(key),
                             {Value::Int(1), Value::Int(n + 1)});
           }
-          if (s.ok()) s = db_->Commit(txn);
+          if (s.ok()) {
+            s = db_->Commit(txn);
+          } else {
+            (void)db_->Abort(txn);
+          }
           if (s.ok()) break;
           ++retries;
-          if (txn->active()) db_->Abort(txn);
         }
       }
     });
@@ -143,9 +196,11 @@ TEST_F(ConcurrencyTest, DeadlockVictimCanRetry) {
         if (!s.ok()) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
-      if (s.ok()) s = db_->Commit(txn);
-      if (s.ok()) return;
-      if (txn->active()) db_->Abort(txn);
+      if (!s.ok()) {
+        (void)db_->Abort(txn);
+        continue;
+      }
+      if (db_->Commit(txn).ok()) return;
     }
   };
 

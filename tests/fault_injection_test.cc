@@ -188,8 +188,7 @@ class FaultInjectionTortureTest : public ::testing::Test {
         record_keys_ = std::move(staged_keys);
         return true;
       }
-      db_->Abort(txn);  // best effort; the disk is dead
-      return false;
+      return false;  // the failed commit rolled the txn back
     }
     db_->Abort(txn);  // deliberate abort: no durable effect expected
     return !env_.dead_disk();
@@ -485,9 +484,11 @@ class FaultInjectionDegradedTest : public ::testing::Test {
   Status InsertRow(int64_t k, const std::string& v) {
     Transaction* txn = db_->Begin();
     Status s = db_->Insert(txn, "t", {Value::Int(k), Value::String(v)});
-    if (s.ok()) s = db_->Commit(txn);
-    if (!s.ok()) db_->Abort(txn);
-    return s;
+    if (!s.ok()) {
+      (void)db_->Abort(txn);
+      return s;
+    }
+    return db_->Commit(txn);
   }
 
   std::map<int64_t, std::string> ScanAll() {
@@ -529,10 +530,8 @@ class FaultInjectionDegradedTest : public ::testing::Test {
     EXPECT_TRUE(cs.IsIOError()) << cs.ToString();
     EXPECT_FALSE(cs.IsCorruption()) << cs.ToString();
     EXPECT_TRUE(db_->degraded());
-    // The in-flight writer aborts cleanly (its commit record was rewound,
-    // so the rollback chain never crosses it).
-    Status as = db_->Abort(writer);
-    EXPECT_TRUE(as.ok()) << as.ToString();
+    // The failed commit aborted the in-flight writer cleanly (its commit
+    // record was rewound, so the rollback chain never crosses it).
 
     // Reads keep serving while degraded...
     EXPECT_EQ(ScanAll(), (std::map<int64_t, std::string>{{1, "before"}}));
@@ -678,8 +677,7 @@ TEST_F(FaultInjectionDegradedTest, RecoveryListenerSeesAttempts) {
   Transaction* writer = db_->Begin();
   ASSERT_TRUE(
       db_->Insert(writer, "t", {Value::Int(2), Value::String("y")}).ok());
-  ASSERT_FALSE(db_->Commit(writer).ok());
-  ASSERT_TRUE(db_->Abort(writer).ok());
+  ASSERT_FALSE(db_->Commit(writer).ok());  // and aborts the writer
   ASSERT_TRUE(db_->error_handler()->WaitUntilHealthy(
       std::chrono::milliseconds(10000)));
   EXPECT_EQ(successes.load(), 1);

@@ -180,11 +180,12 @@ TEST(GroupCommitTest, ConcurrentStrictCommittersShareFsyncs) {
       for (int i = 0; i < kCommitsPerThread; ++i) {
         Transaction* txn = db->Begin();
         Status s = InsertRow(db.get(), txn, t * 100 + i, "strict");
-        if (s.ok()) s = db->Commit(txn);
-        if (!s.ok()) {
-          failures.fetch_add(1);
+        if (s.ok()) {
+          s = db->Commit(txn);
+        } else {
           (void)db->Abort(txn);
         }
+        if (!s.ok()) failures.fetch_add(1);
       }
     });
   }
@@ -456,7 +457,6 @@ TEST(GroupCommitTortureTest, CrashMidGroupFlush) {
       if (!cs.ok()) {
         // The disk is dead from here on: nothing later can sync the
         // buffered frame, so a failed commit is never durable.
-        (void)db->Abort(txn);
         must_be_gone.insert(staged.begin(), staged.end());
       } else if (relaxed) {
         may_survive.insert(staged.begin(), staged.end());
@@ -545,13 +545,13 @@ TEST(GroupCommitTortureTest, ConcurrentStrictAcksSurviveCrash) {
         const int64_t k = t * 1000 + i;
         Transaction* txn = db->Begin();
         Status s = InsertRow(db.get(), txn, k, "acked");
-        if (s.ok()) s = db->Commit(txn);
         if (s.ok()) {
-          acked[t].push_back(k);
+          s = db->Commit(txn);
         } else {
           (void)db->Abort(txn);
-          break;  // disk is dead for the rest of the cycle
         }
+        if (!s.ok()) break;  // disk is dead for the rest of the cycle
+        acked[t].push_back(k);
       }
     });
   }
@@ -596,12 +596,15 @@ TEST(GroupCommitStressTest, ThirtyTwoCommittersHammerTheHandoff) {
         // Mix strict and relaxed committers on the same log.
         txn->set_relaxed_durability((t + i) % 3 == 0);
         Status s = InsertRow(db.get(), txn, t * 1000 + i, "stress");
-        if (s.ok()) s = db->Commit(txn);
+        if (s.ok()) {
+          s = db->Commit(txn);
+        } else {
+          (void)db->Abort(txn);
+        }
         if (s.ok()) {
           committed.fetch_add(1);
         } else {
           ADD_FAILURE() << "commit failed: " << s.ToString();
-          (void)db->Abort(txn);
         }
       }
     });

@@ -36,9 +36,11 @@ EXPECTED_AT = (
     ("bad_smops.cc:56", "direct dispatch HeapStorageMethodOps().count"),
     ("vector_braceinit.cc:15", "required entry points unset: redo"),
     ("vector_braceinit.cc:15", "registers undo without redo"),
-    # status-discipline: both IOError forms, drop, blind retry.
+    # status-discipline: both IOError forms, a hand-framed update record,
+    # drop, blind retry.
     ("bad_smops.cc:61", "Status::IOError constructed outside"),
     ("bad_smops.cc:66", "Status::RetryableIOError constructed outside"),
+    ("status_abuse.cc:35", "MakeUpdateRecord constructed outside"),
     ("status_abuse.cc:18", "drops a call result with no reason comment"),
     ("status_abuse.cc:23", "never consults Status::IsRetryable"),
     # mutex-discipline: raw std::mutex twice, the unguarded member.
@@ -92,7 +94,7 @@ def main():
             # blocking-under-lock: syscall, Env I/O, foreign-mutex wait.
             "Flusher::HoldsAcrossFsync", "Flusher::HoldsAcrossEnvIo",
             "TwoLocks::WaitsHoldingForeign",
-            # status-discipline: confinement outside src/util, src/wal.
+            # status-discipline: IOError confined to src/util, src/wal.
             f"{FIX}status_abuse.cc:13: [status-discipline] "
             "Status::IOError",
             # suppression hygiene: reasonless allow() is a finding.

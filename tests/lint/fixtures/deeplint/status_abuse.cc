@@ -29,4 +29,11 @@ Status RetriesBlindly() {
   return s;
 }
 
+// Flagged: an update record framed by hand outside the WAL and the
+// extension log service — one more copy of the log-append helper.
+Status LogsByHand(LogManager* log) {
+  LogRecord rec = MakeUpdateRecord(1, ExtKind::kAttachment, 0, 1, "x");
+  return log->Append(&rec);
+}
+
 }  // namespace dmx

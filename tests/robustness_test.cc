@@ -206,13 +206,16 @@ TEST(BankTest, ConcurrentTransfersPreserveTotal) {
       if (s.ok()) s = adjust(to, amount);
       // Randomly abort some otherwise-fine transfers.
       if (s.ok() && rng() % 5 == 0) s = Status::Aborted("chaos");
-      if (s.ok()) s = db->Commit(txn);
+      if (s.ok()) {
+        s = db->Commit(txn);  // a failed commit has ended the txn
+      } else {
+        // Abort may itself hit an injected fault; the txn is dead either way.
+        (void)db->Abort(txn);
+      }
       if (s.ok()) {
         ++committed;
       } else {
         ++aborted;
-        // Abort may itself hit an injected fault; the txn is dead either way.
-        if (txn->active()) (void)db->Abort(txn);
       }
     }
   };

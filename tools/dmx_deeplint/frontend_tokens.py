@@ -16,7 +16,7 @@ from pathlib import Path
 from cxxlex import tokenize
 from model import (CallEvent, ClassInfo, DirectDispatch, FunctionModel,
                    LockEvent, MutexFact, StatusFact, TUModel, VectorReg,
-                   WaitEvent)
+                   WaitEvent, confined_calls)
 
 KEYWORDS_NOT_CALLS = frozenset((
     "if", "while", "for", "switch", "return", "sizeof", "alignof",
@@ -80,6 +80,13 @@ class TokenFrontend:
         self._file_funcs = {}
         self._file_lines = {}
         self._mutex_members = {}  # path -> [(class, name, line)]
+        # [status.confined] names as token sequences: "A::b" -> [A, ::, b].
+        self._confined_calls = []
+        for name in confined_calls(config):
+            parts = []
+            for part in name.split("::"):
+                parts += ["::", part] if parts else [part]
+            self._confined_calls.append((name, parts))
 
     # ---- public API ---------------------------------------------------
 
@@ -732,12 +739,12 @@ class TokenFrontend:
         lines = self._file_lines[path]
         n = len(toks)
         for i, t in enumerate(toks):
-            if t.text == "Status" and i + 3 < n and \
-                    toks[i + 1].text == "::" and \
-                    toks[i + 2].text in ("IOError", "RetryableIOError") \
-                    and toks[i + 3].text == "(":
-                tu.status_facts.append(StatusFact(
-                    "ioerror", f"Status::{toks[i + 2].text}", t.line))
+            for name, parts in self._confined_calls:
+                end = i + len(parts)
+                if end < n and toks[end].text == "(" and \
+                        [x.text for x in toks[i:end]] == parts:
+                    tu.status_facts.append(StatusFact("confined", name,
+                                                      t.line))
             if t.text == "(" and i + 2 < n and \
                     toks[i + 1].text == "void" and toks[i + 2].text == ")":
                 # (void)<expr>; — flag only dropped *calls*.

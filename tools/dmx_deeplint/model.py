@@ -74,10 +74,23 @@ class DirectDispatch:
     line: int
 
 
+# Constructors only their owning layer may call ([status.confined] in
+# config.toml), used when the config does not say.
+DEFAULT_CONFINED = {
+    "Status::IOError": ["src/util", "src/wal"],
+    "Status::RetryableIOError": ["src/util", "src/wal"],
+}
+
+
+def confined_calls(config):
+    """Map of confined call name -> owning directories or files."""
+    return config.get("status", {}).get("confined", DEFAULT_CONFINED)
+
+
 @dataclass
 class StatusFact:
     """Raw-source facts the status-discipline pass consumes."""
-    kind: str            # "ioerror" | "void-drop"
+    kind: str            # "confined" | "void-drop"
     detail: str
     line: int
     commented: bool = False  # a // comment shares the line (reason given)

@@ -3,10 +3,13 @@
 Three rules, on tokens (comments/strings/multi-line can neither hide nor
 fake a construction):
 
-  * ioerror-confinement — Status::IOError / Status::RetryableIOError may
-    be constructed only under the configured directories (src/util,
-    src/wal): only the OS/device boundary may classify I/O failures, or
-    the retryable bit and degraded-mode routing silently lose meaning.
+  * confinement — each constructor in the [status.confined] table may be
+    called only under its owning directories or files. Status::IOError /
+    Status::RetryableIOError belong to the OS/device boundary (src/util,
+    src/wal): anywhere else the retryable bit and degraded-mode routing
+    silently lose meaning. MakeUpdateRecord belongs to the WAL and the
+    extension log service, so record framing and prev_lsn chaining have
+    one owner.
   * void-drop — a call result dropped with `(void)expr(...)` must carry a
     reason comment on the same line. Status is [[nodiscard]]; an
     uncommented (void) is the one syntax that silently defeats it.
@@ -18,34 +21,32 @@ fake a construction):
 
 from __future__ import annotations
 
-from model import Finding
+from model import Finding, confined_calls
 
 RULE = "status-discipline"
 
-DEFAULT_IOERROR_DIRS = ("src/util", "src/wal")
 RETRY_HINTS = ("retry", "retries", "attempt", "attempts", "backoff")
 
 
-def _under(path, dirs):
-    p = path.replace("\\", "/")
-    return any(f"/{d}/" in f"/{p}" or p.startswith(f"{d}/")
-               for d in dirs)
+def _under(path, owners):
+    """Is `path` one of the owner files or inside an owner directory?"""
+    p = "/" + path.replace("\\", "/")
+    return any(f"/{o}/" in p or p.endswith(f"/{o}") for o in owners)
 
 
 def run(models, ctx):
-    cfg = ctx.config.get("status", {})
-    allowed = tuple(cfg.get("ioerror_dirs", DEFAULT_IOERROR_DIRS))
+    confined = confined_calls(ctx.config)
     findings = []
     for tu in models:
-        confined = _under(tu.path, allowed)
         for fact in tu.status_facts:
-            if fact.kind == "ioerror" and not confined:
-                findings.append(Finding(
-                    tu.path, fact.line, RULE,
-                    f"{fact.detail} constructed outside the Env/WAL "
-                    f"boundary ({', '.join(allowed)}): propagate the "
-                    "Status the environment returned so retryability "
-                    "and degraded-mode routing survive"))
+            if fact.kind == "confined":
+                owners = confined[fact.detail]
+                if not _under(tu.path, owners):
+                    findings.append(Finding(
+                        tu.path, fact.line, RULE,
+                        f"{fact.detail} constructed outside its owners "
+                        f"({', '.join(owners)}): call through the owning "
+                        "layer ([status.confined] in config.toml says why)"))
             elif fact.kind == "void-drop" and not fact.commented:
                 findings.append(Finding(
                     tu.path, fact.line, RULE,
