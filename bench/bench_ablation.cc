@@ -1,9 +1,11 @@
 // Ablation benchmarks for design choices called out in DESIGN.md §5:
 //
-//  A1. B-tree iterator leaf cache: key-sequential access through the
-//      image-validated leaf cache. The cache-off comparator (re-descend
-//      and re-parse on every Next()) was removed with its global toggle;
-//      its last measurement is kept in EXPERIMENTS.md.
+//  A1. B-tree iterator: a full 20k-entry key-sequential scan. The
+//      iterator reads each entry in the pinned leaf and keeps its place by
+//      the frame's change counter, with no decoded copy of the leaf (the
+//      name is the historical baseline key). The comparator that
+//      re-descended and re-parsed on every Next() was removed; its last
+//      measurement is kept in EXPERIMENTS.md.
 //  A2. Buffer pool size: heap scans under eviction pressure (pool smaller
 //      than the relation) vs fully cached.
 //  A3. Two-step dispatch bookkeeping: raw storage-method insert through

@@ -90,13 +90,18 @@ Status Database::Open(const DatabaseOptions& options,
   for (RelationId rel : db->catalog_.AllRelationIds()) {
     const RelationDescriptor* desc = db->catalog_.Find(rel);
     if (desc == nullptr) continue;
+    RelationRuntime* rt = db->GetRuntime(rel);
     for (AtId at = 0; at < db->registry_.num_attachment_types(); ++at) {
       if (!desc->HasAttachment(at)) continue;
       const AtOps& ops = db->registry_.at_ops(at);
       if (ops.rebuild == nullptr) continue;
+      // Opening builds the state from the recovered base. Only a state
+      // that recovery opened mid-restart (ApplyLogRecord) predates the
+      // rest of redo and undo, and needs the explicit rebuild.
+      const bool stale = rt->at[at].opened();
       AtContext ctx;
       DMX_RETURN_IF_ERROR(db->MakeAtContext(nullptr, desc, at, &ctx));
-      DMX_RETURN_IF_ERROR(ops.rebuild(ctx));
+      if (stale) DMX_RETURN_IF_ERROR(ops.rebuild(ctx));
     }
   }
 

@@ -508,6 +508,10 @@ class Database {
     Status Get(Status (*open)(Ctx&, std::unique_ptr<ExtState>*), Ctx* ctx);
     /// Drops the state; the next Get opens it again.
     void Reset();
+    /// True once a Get has opened the state.
+    bool opened() const {
+      return state_.load(std::memory_order_acquire) != nullptr;
+    }
 
    private:
     Mutex open_mu_;

@@ -20,11 +20,11 @@ namespace {
 // Entries are packed from kEntriesOff with no gaps, and every byte after
 // the last entry is zero.
 //
-// Descents, lookups, a leaf insert that fits and a remove work on the page
-// in place: they compare Slices into the page and memmove the packed
-// entries, producing exactly the bytes WriteLeaf would (zeroed tail
+// Descents, lookups, scans, a leaf insert that fits and a remove work on
+// the page in place: they compare Slices into the page and memmove the
+// packed entries, producing exactly the bytes WriteLeaf would (zeroed tail
 // included). Only splits decode the node into a LeafNode/InternalNode and
-// re-serialize it.
+// re-serialize it; Verify and BTreeRewriteNode decode to check it.
 constexpr size_t kTypeOff = 8;
 constexpr size_t kCountOff = 9;
 constexpr size_t kLinkOff = 11;
@@ -93,7 +93,7 @@ struct LeafSlot {
   size_t length = 0;   // encoded size of that entry (prefix + bytes)
   bool equal = false;  // that entry is `composite` itself
   size_t end = 0;      // page offset just past the last entry
-  size_t payload = 0;  // summed entry lengths (for SerializedLeafSize)
+  size_t payload = 0;  // summed entry lengths (for the split test)
 };
 
 Status LocateInLeaf(const Page& p, const Slice& composite, LeafSlot* out) {
@@ -146,12 +146,6 @@ Status ChildFor(const Page& p, const Slice& composite, PageId* child,
 
 void SetEntryCount(Page* p, uint16_t count) {
   memcpy(p->data + kCountOff, &count, 2);
-}
-
-size_t SerializedLeafSize(const LeafNode& n) {
-  size_t s = kEntriesOff;
-  for (const auto& e : n.entries) s += 5 + e.size();
-  return s;
 }
 
 size_t SerializedInternalSize(const InternalNode& n) {
@@ -300,8 +294,7 @@ Status BTree::SetRootPage(PageId root) {
   return Status::OK();
 }
 
-Status BTree::FindLeaf(const Slice& key, const Slice& value, PageId* leaf) {
-  std::string composite = BTreeComposeEntry(key, value);
+Status BTree::FindLeaf(const Slice& composite, PageId* leaf) {
   PageId node;
   DMX_RETURN_IF_ERROR(RootPage(&node));
   while (true) {
@@ -312,7 +305,7 @@ Status BTree::FindLeaf(const Slice& key, const Slice& value, PageId* leaf) {
       return Status::OK();
     }
     size_t pos;
-    DMX_RETURN_IF_ERROR(ChildFor(*h.page(), Slice(composite), &node, &pos));
+    DMX_RETURN_IF_ERROR(ChildFor(*h.page(), composite, &node, &pos));
   }
 }
 
@@ -341,7 +334,8 @@ Status InsertRec(BufferPool* bp, PageId node, const std::string& composite,
       *inserted = false;  // exact (key,value) already present: idempotent
       return Status::OK();
     }
-    // The split test SerializedLeafSize would apply to the grown node.
+    // Split test: the grown node's size, counting every length prefix at
+    // its 5-byte worst case (as SerializedInternalSize does).
     const uint16_t count = EntryCount(*page);
     const size_t grown =
         kEntriesOff + 5 * (count + 1u) + slot.payload + composite.size();
@@ -467,7 +461,7 @@ Status BTree::Insert(const Slice& key, const Slice& value, bool unique) {
 Status BTree::Remove(const Slice& key, const Slice& value, bool idempotent) {
   std::string composite = BTreeComposeEntry(key, value);
   PageId leaf_id;
-  DMX_RETURN_IF_ERROR(FindLeaf(key, value, &leaf_id));
+  DMX_RETURN_IF_ERROR(FindLeaf(Slice(composite), &leaf_id));
   PageHandle h;
   DMX_RETURN_IF_ERROR(bp_->Fetch(leaf_id, &h));
   Page* page = h.page();
@@ -495,7 +489,7 @@ Status BTree::Lookup(const Slice& key, std::vector<std::string>* values) {
   // Walk the leaves in place from there until an entry sorts past it.
   const std::string start = BTreeComposeEntry(key, Slice());
   PageId node;
-  DMX_RETURN_IF_ERROR(FindLeaf(key, Slice(), &node));
+  DMX_RETURN_IF_ERROR(FindLeaf(Slice(start), &node));
   while (node != kInvalidPageId) {
     PageHandle h;
     DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
@@ -774,76 +768,74 @@ Status BTree::Verify(std::vector<std::string>* problems, uint64_t* entries) {
   return Status::OK();
 }
 
-struct BTreeIterator::LeafCache {
-  PageId page_id = kInvalidPageId;
-  Page image;         // raw page bytes at parse time
-  LeafNode parsed;
-  size_t index = 0;   // next entry to serve
-};
+Status BTreeIterator::Seek(const PageHandle& h, bool* reached) {
+  const Page& p = *h.page();
+  const uint16_t n = EntryCount(p);
+  Slice in(p.data + kEntriesOff, kPageSize - kEntriesOff);
+  uint16_t i = 0;
+  for (; i < n; ++i) {
+    const size_t offset = kPageSize - in.size();
+    Slice e;
+    if (!GetLengthPrefixedSlice(&in, &e)) {
+      return Status::Corruption("btree leaf entry");
+    }
+    const int cmp = e.compare(Slice(pos_));
+    if (cmp >= 0 && reached != nullptr) *reached = true;
+    if (cmp > 0 || (cmp == 0 && !exclusive_)) {
+      offset_ = offset;
+      break;
+    }
+  }
+  index_ = i;
+  if (i == n) offset_ = kPageSize - in.size();
+  version_ = h.version();
+  return Status::OK();
+}
 
 Status BTreeIterator::Next(std::string* key, std::string* value) {
-  // Fast path: the cached leaf still matches the on-disk image and has an
-  // unserved entry.
-  if (cache_ != nullptr && cache_->page_id != kInvalidPageId) {
-    PageHandle h;
-    Status s = tree_->bp_->Fetch(cache_->page_id, &h);
-    if (s.ok() &&
-        memcmp(h.page()->data, cache_->image.data, kPageSize) == 0) {
-      if (cache_->index < cache_->parsed.entries.size()) {
-        const std::string& entry = cache_->parsed.entries[cache_->index++];
-        DMX_RETURN_IF_ERROR(BTreeSplitEntry(Slice(entry), key, value));
-        pos_ = entry;
-        exclusive_ = true;
-        return Status::OK();
+  BufferPool* bp = tree_->bp_;
+  PageHandle h;
+  if (leaf_ != kInvalidPageId) {
+    DMX_RETURN_IF_ERROR(bp->Fetch(leaf_, &h));
+    if (h.version() != version_) {
+      // The leaf changed or was reloaded: find the position in it again.
+      // A leaf keeps its page id and its low bound through splits, so
+      // everything after pos_ is here or further along the chain, unless
+      // pos_ itself moved to a right sibling.
+      bool reached = false;
+      if (NodeType(*h.page()) == kLeaf) {
+        DMX_RETURN_IF_ERROR(Seek(h, &reached));
       }
-      // Exhausted this leaf: hop to the next via the chain, below.
-    } else {
-      cache_.reset();  // leaf changed (or vanished): full re-descend
+      if (!reached) {
+        h.Release();
+        leaf_ = kInvalidPageId;
+      }
     }
   }
-
-  PageId node;
-  if (cache_ != nullptr && cache_->page_id != kInvalidPageId &&
-      cache_->index >= cache_->parsed.entries.size()) {
-    node = cache_->parsed.next;
-    cache_.reset();
-  } else {
-    // Locate the leaf that would contain pos_. pos_ is a composite;
-    // FindLeaf wants (key, value) — decompose when possible, else treat
-    // the whole position as a key with empty value.
-    std::string pk, pv;
-    if (BTreeSplitEntry(Slice(pos_), &pk, &pv).ok()) {
-      DMX_RETURN_IF_ERROR(tree_->FindLeaf(Slice(pk), Slice(pv), &node));
-    } else {
-      DMX_RETURN_IF_ERROR(tree_->FindLeaf(Slice(pos_), Slice(), &node));
-    }
+  if (leaf_ == kInvalidPageId) {
+    DMX_RETURN_IF_ERROR(tree_->FindLeaf(Slice(pos_), &leaf_));
+    DMX_RETURN_IF_ERROR(bp->Fetch(leaf_, &h));
+    DMX_RETURN_IF_ERROR(Seek(h));
   }
-  while (node != kInvalidPageId) {
-    PageHandle h;
-    DMX_RETURN_IF_ERROR(tree_->bp_->Fetch(node, &h));
-    LeafNode leaf;
-    DMX_RETURN_IF_ERROR(ParseLeaf(*h.page(), &leaf));
-    auto it = exclusive_
-                  ? std::upper_bound(leaf.entries.begin(), leaf.entries.end(),
-                                     pos_)
-                  : std::lower_bound(leaf.entries.begin(), leaf.entries.end(),
-                                     pos_);
-    if (it != leaf.entries.end()) {
-      DMX_RETURN_IF_ERROR(BTreeSplitEntry(Slice(*it), key, value));
-      pos_ = *it;
-      exclusive_ = true;
-      // Populate the cache for subsequent Next() calls.
-      cache_ = std::make_shared<LeafCache>();
-      cache_->page_id = node;
-      memcpy(cache_->image.data, h.page()->data, kPageSize);
-      cache_->index =
-          static_cast<size_t>(it - leaf.entries.begin()) + 1;
-      cache_->parsed = std::move(leaf);
-      return Status::OK();
-    }
-    node = leaf.next;
+  while (index_ >= EntryCount(*h.page())) {
+    const PageId next = NodeLink(*h.page());
+    if (next == kInvalidPageId) return Status::NotFound("end of btree");
+    h.Release();
+    DMX_RETURN_IF_ERROR(bp->Fetch(next, &h));
+    leaf_ = next;
+    DMX_RETURN_IF_ERROR(Seek(h));
   }
-  return Status::NotFound("end of btree");
+  Slice in(h.page()->data + offset_, kPageSize - offset_);
+  Slice e;
+  if (!GetLengthPrefixedSlice(&in, &e)) {
+    return Status::Corruption("btree leaf entry");
+  }
+  DMX_RETURN_IF_ERROR(BTreeSplitEntry(e, key, value));
+  pos_.assign(e.data(), e.size());
+  exclusive_ = true;
+  offset_ = kPageSize - in.size();
+  ++index_;
+  return Status::OK();
 }
 
 void BTreeIterator::SavePosition(std::string* out) const {
@@ -855,7 +847,7 @@ Status BTreeIterator::RestorePosition(const Slice& pos) {
   if (pos.empty()) return Status::InvalidArgument("empty btree position");
   exclusive_ = pos[0] != 0;
   pos_.assign(pos.data() + 1, pos.size() - 1);
-  cache_.reset();  // position moved: the cached cursor is meaningless
+  leaf_ = kInvalidPageId;  // position moved: descend to it afresh
   return Status::OK();
 }
 

@@ -107,8 +107,8 @@ class BTree {
 
   Status RootPage(PageId* root);
   Status SetRootPage(PageId root);
-  /// Leaf that should contain `key`+`value`.
-  Status FindLeaf(const Slice& key, const Slice& value, PageId* leaf);
+  /// Leaf whose key range holds the composite entry `composite`.
+  Status FindLeaf(const Slice& composite, PageId* leaf);
   /// Load the counts unless already loaded.
   Status EnsureCounts();
 
@@ -127,12 +127,14 @@ class BTree {
 /// strictly greater, so deletions at the position leave the iterator
 /// "just after" the deleted entry (the paper's scan semantics).
 ///
-/// Next() caches the current leaf (page id, raw image, parsed entries):
-/// while the on-disk leaf image is byte-identical to the cache, successive
-/// entries are served without re-descending or re-parsing; any
-/// modification of the leaf (including a delete at the position) is
-/// detected by the image comparison and falls back to a fresh descent,
-/// preserving the position semantics exactly.
+/// Entries are read in the pinned leaf; nothing is copied but the entry
+/// being returned. Between calls the iterator remembers the leaf page, the
+/// byte offset and index of the next entry there, and the frame's change
+/// counter (PageHandle::version) when it took them. If the counter still
+/// matches, the leaf is unchanged and Next decodes the entry at the offset.
+/// Otherwise (an edit, a split, or an eviction and reload) it finds the
+/// position again in the same leaf, and re-descends from the root only if
+/// no entry of that leaf sorts at or after the position any more.
 class BTreeIterator {
  public:
   BTreeIterator(BTree* tree, std::string position, bool position_exclusive)
@@ -148,12 +150,18 @@ class BTreeIterator {
   Status RestorePosition(const Slice& pos);
 
  private:
-  struct LeafCache;  // defined in btree_core.cc
+  /// Point index_/offset_ at the first entry of the pinned leaf `h` after
+  /// pos_ (or equal to it, unless exclusive_) and take its version. Sets
+  /// *reached when some entry of the leaf sorts at or after pos_.
+  Status Seek(const PageHandle& h, bool* reached = nullptr);
 
   BTree* tree_;
   std::string pos_;  // composite (key,value) encoding of last returned
   bool exclusive_;   // if false, an entry equal to pos_ may be returned
-  std::shared_ptr<LeafCache> cache_;
+  PageId leaf_ = kInvalidPageId;  // leaf holding the next entry, if any
+  uint16_t index_ = 0;            // that entry's index in the leaf
+  size_t offset_ = 0;             // and its page offset
+  uint64_t version_ = 0;          // leaf frame version index_/offset_ match
 };
 
 /// Decode the B-tree node on `page` and re-serialize it the way a split

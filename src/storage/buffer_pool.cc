@@ -12,6 +12,7 @@ PageHandle& PageHandle::operator=(PageHandle&& o) noexcept {
     frame_ = o.frame_;
     page_id_ = o.page_id_;
     page_ = o.page_;
+    version_ = o.version_;
     o.pool_ = nullptr;
     o.page_ = nullptr;
   }
@@ -21,7 +22,9 @@ PageHandle& PageHandle::operator=(PageHandle&& o) noexcept {
 void PageHandle::MarkDirty() {
   if (pool_ == nullptr) return;
   MutexLock lock(&pool_->mu_);
-  pool_->frames_[frame_].dirty = true;
+  BufferPool::Frame& f = pool_->frames_[frame_];
+  f.dirty = true;
+  f.version = ++pool_->change_seq_;
 }
 
 void PageHandle::Release() {
@@ -110,7 +113,8 @@ Status BufferPool::Fetch(PageId id, PageHandle* out) {
     f.referenced = true;
     stats_.hits.Increment();
     metric_hits_->Increment();
-    *out = PageHandle(this, it->second, id, &images_[it->second]);
+    *out =
+        PageHandle(this, it->second, id, &images_[it->second], f.version);
     return Status::OK();
   }
   stats_.misses.Increment();
@@ -124,8 +128,9 @@ Status BufferPool::Fetch(PageId id, PageHandle* out) {
   f.dirty = false;
   f.referenced = true;
   f.in_use = true;
+  f.version = ++change_seq_;
   table_[id] = frame;
-  *out = PageHandle(this, frame, id, &images_[frame]);
+  *out = PageHandle(this, frame, id, &images_[frame], f.version);
   return Status::OK();
 }
 
@@ -141,8 +146,9 @@ Status BufferPool::New(PageId* id, PageHandle* out) {
   f.dirty = true;
   f.referenced = true;
   f.in_use = true;
+  f.version = ++change_seq_;
   table_[*id] = frame;
-  *out = PageHandle(this, frame, *id, &images_[frame]);
+  *out = PageHandle(this, frame, *id, &images_[frame], f.version);
   return Status::OK();
 }
 

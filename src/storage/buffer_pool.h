@@ -39,6 +39,10 @@ class PageHandle {
   PageId page_id() const { return page_id_; }
   Page* page() { return page_; }
   const Page* page() const { return page_; }
+  /// The frame's change counter as Fetch (or New) saw it. Equal values from
+  /// two pins of one page mean the image was neither reloaded nor marked
+  /// dirty in between (see BufferPool::Frame::version).
+  uint64_t version() const { return version_; }
 
   /// Mark the frame dirty (call after mutating the page image).
   void MarkDirty();
@@ -48,13 +52,19 @@ class PageHandle {
 
  private:
   friend class BufferPool;
-  PageHandle(BufferPool* pool, size_t frame, PageId pid, Page* page)
-      : pool_(pool), frame_(frame), page_id_(pid), page_(page) {}
+  PageHandle(BufferPool* pool, size_t frame, PageId pid, Page* page,
+             uint64_t version)
+      : pool_(pool),
+        frame_(frame),
+        page_id_(pid),
+        page_(page),
+        version_(version) {}
 
   BufferPool* pool_ = nullptr;
   size_t frame_ = 0;
   PageId page_id_ = kInvalidPageId;
   Page* page_ = nullptr;
+  uint64_t version_ = 0;
 };
 
 /// Statistics counters (for tests and benchmarks). Atomic so concurrent
@@ -111,6 +121,10 @@ class BufferPool {
     bool dirty = false;
     bool referenced = false;
     bool in_use = false;
+    // Change counter: set from change_seq_ whenever the image may change
+    // (load, New, MarkDirty). The sequence is pool-wide, so a value is
+    // never reused, even after the page leaves the frame and comes back.
+    uint64_t version = 0;
   };
 
   void Unpin(size_t frame, PageId pid);
@@ -128,6 +142,7 @@ class BufferPool {
   std::unique_ptr<Page[]> images_;
   std::unordered_map<PageId, size_t> table_ GUARDED_BY(mu_);
   size_t clock_hand_ GUARDED_BY(mu_) = 0;
+  uint64_t change_seq_ GUARDED_BY(mu_) = 0;
   BufferPoolStats stats_;  // atomic counters, written under mu_
   // Process-wide mirrors of stats_ ("bufferpool.*" in the registry).
   Counter* metric_hits_;

@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 
 #include "src/core/database.h"
 #include "src/sm/btree_core.h"
+#include "src/sm/key_codec.h"
 #include "tests/test_util.h"
 
 namespace dmx {
@@ -390,6 +392,441 @@ TEST_F(BTreeInPlaceTest, EditsMatchDecodeAndRewrite) {
     EXPECT_EQ(expect, shadow.end());
   }
 }
+
+// -- the cursor in the pinned leaf --------------------------------------------
+
+// BTreeIterator reads entries in the pinned leaf and finds its position
+// again only when the leaf frame's change counter has moved. Between Next
+// calls, edit the tree around the position: inserts before and after it,
+// leaf splits, a delete at it, a delete and re-insert, a save and restore.
+// Every Next must return the shadow's first entry after the last one
+// returned. A pool of 8 frames evicts the leaf between calls; a pool of
+// 512 keeps it resident, so only edits move the counter.
+class BTreeCursorTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  using Entry = std::pair<std::string, std::string>;
+
+  BTreeCursorTest() : dir_("btree_cursor") {
+    EXPECT_TRUE(pf_.Open(dir_.path() + "/db", true).ok());
+    bp_ = std::make_unique<BufferPool>(&pf_, GetParam());
+    EXPECT_TRUE(BTree::Create(bp_.get(), &anchor_).ok());
+    tree_ = std::make_unique<BTree>(bp_.get(), anchor_);
+    EXPECT_TRUE(tree_->LoadCounts().ok());
+  }
+
+  static std::string Key(int i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "k%08d", i);
+    return buf;
+  }
+
+  void Insert(const Entry& e) {
+    Status s = tree_->Insert(Slice(e.first), Slice(e.second));
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    shadow_.insert(e);
+  }
+
+  void Remove(const Entry& e) {
+    Status s = tree_->Remove(Slice(e.first), Slice(e.second));
+    EXPECT_EQ(s.ok(), shadow_.erase(e) == 1) << s.ToString();
+  }
+
+  uint64_t Leaves() {
+    uint64_t n = 0;
+    EXPECT_TRUE(tree_->LeafPages(&n).ok());
+    return n;
+  }
+
+  // Next must return the shadow's first entry after *last (its first entry
+  // when *last is unset), or NotFound when there is none. True when it
+  // returned the expected entry, which becomes *last.
+  bool ExpectNext(BTreeIterator* it, std::optional<Entry>* last) {
+    auto want = last->has_value() ? shadow_.upper_bound(**last)
+                                  : shadow_.begin();
+    std::string key, value;
+    Status s = it->Next(&key, &value);
+    if (want == shadow_.end()) {
+      EXPECT_TRUE(s.IsNotFound()) << s.ToString() << " " << key;
+      return false;
+    }
+    if (!s.ok()) {
+      ADD_FAILURE() << s.ToString() << ", expected " << want->first;
+      return false;
+    }
+    if (Entry(key, value) != *want) {
+      ADD_FAILURE() << "got " << key << ", expected " << want->first;
+      return false;
+    }
+    *last = *want;
+    return true;
+  }
+
+  TempDir dir_;
+  PageFile pf_;
+  std::unique_ptr<BufferPool> bp_;
+  PageId anchor_ = kInvalidPageId;
+  std::unique_ptr<BTree> tree_;
+  std::set<Entry> shadow_;
+};
+
+TEST_P(BTreeCursorTest, SplitWithPositionInLeftHalf) {
+  // Ten 400-byte entries fill half a leaf. Inserting right after the
+  // first one splits the leaf and keeps the position in the left half.
+  const std::string wide(400, 'w');
+  for (int i = 0; i < 10; ++i) Insert({Key(i), wide});
+  std::unique_ptr<BTreeIterator> it;
+  ASSERT_TRUE(tree_->NewIterator(&it).ok());
+  std::optional<Entry> last;
+  ASSERT_TRUE(ExpectNext(it.get(), &last));
+  const uint64_t leaves = Leaves();
+  for (int j = 10; j < 30; ++j) {
+    Insert({Key(0) + "a" + std::to_string(j), wide});
+  }
+  EXPECT_GT(Leaves(), leaves);
+  while (ExpectNext(it.get(), &last)) {
+  }
+  EXPECT_FALSE(HasFailure());
+  EXPECT_EQ(last->first, Key(9));
+}
+
+TEST_P(BTreeCursorTest, SplitWithPositionInRightHalf) {
+  // Inserting just before the ninth of ten entries splits the leaf and
+  // moves the position to the new right sibling: every entry left in the
+  // cursor's leaf sorts before it, so the cursor re-descends.
+  const std::string wide(400, 'w');
+  for (int i = 0; i < 10; ++i) Insert({Key(i), wide});
+  std::unique_ptr<BTreeIterator> it;
+  ASSERT_TRUE(tree_->NewIterator(&it).ok());
+  std::optional<Entry> last;
+  for (int i = 0; i < 9; ++i) ASSERT_TRUE(ExpectNext(it.get(), &last));
+  ASSERT_EQ(last->first, Key(8));
+  const uint64_t leaves = Leaves();
+  for (int j = 10; j < 30; ++j) {
+    Insert({Key(7) + "b" + std::to_string(j), wide});
+  }
+  EXPECT_GT(Leaves(), leaves);
+  ASSERT_TRUE(ExpectNext(it.get(), &last));
+  EXPECT_EQ(last->first, Key(9));
+  EXPECT_FALSE(ExpectNext(it.get(), &last));
+  EXPECT_FALSE(HasFailure());
+}
+
+TEST_P(BTreeCursorTest, MatchesShadowUnderEditsBetweenNexts) {
+  std::mt19937 rng(static_cast<uint32_t>(GetParam()));
+  auto value = [&] {
+    return std::string(20 + rng() % 100, static_cast<char>('a' + rng() % 26));
+  };
+  for (int i = 0; i < 1500; ++i) Insert({Key(rng() % 3000), value()});
+  std::unique_ptr<BTreeIterator> it;
+  ASSERT_TRUE(tree_->NewIterator(&it).ok());
+  std::optional<Entry> last;
+  int splits = 0, restores = 0, returned = 0;
+  const std::string wide(300, 'w');
+  while (ExpectNext(it.get(), &last)) {
+    ++returned;
+    ASSERT_LT(returned, 50000) << "the scan should reach the end";
+    const Entry pos = *last;
+    const int n = std::atoi(pos.first.c_str() + 1);
+    switch (rng() % 20) {
+      case 0:
+      case 1:  // before the position, in its leaf unless at a leaf edge
+        Insert({pos.first, ""});
+        Insert({Key(n - 1), value()});
+        break;
+      case 2:
+      case 3:  // right after the position
+        Insert({pos.first, pos.second + "z"});
+        break;
+      case 4: {  // enough wide entries on one side to split the leaf
+        const uint64_t leaves = Leaves();
+        const bool after = rng() % 2 == 0;
+        for (int j = 0; j < 24; ++j) {
+          const std::string tag = std::to_string(rng() % 1000);
+          Insert(after ? Entry(pos.first + "." + tag, wide)
+                       : Entry(Key(n - 1) + "~" + tag, wide));
+        }
+        splits += Leaves() > leaves;
+        break;
+      }
+      case 5:
+      case 6:  // delete at the position
+        Remove(pos);
+        break;
+      case 7:  // delete and re-insert it
+        Remove(pos);
+        Insert(pos);
+        break;
+      case 8: {  // save, advance, restore: Next resumes after the save
+        std::string saved;
+        it->SavePosition(&saved);
+        if (ExpectNext(it.get(), &last)) ++returned;
+        ASSERT_TRUE(it->RestorePosition(Slice(saved)).ok());
+        last = pos;
+        ++restores;
+        break;
+      }
+      case 9: {  // the saved position restored into a fresh iterator
+        std::string saved;
+        it->SavePosition(&saved);
+        ASSERT_TRUE(tree_->NewIterator(&it).ok());
+        ASSERT_TRUE(it->RestorePosition(Slice(saved)).ok());
+        ++restores;
+        break;
+      }
+      case 10:
+      case 11: {  // elsewhere in the tree (evicts the leaf in a small pool)
+        Insert({Key(rng() % 3000), value()});
+        if (!shadow_.empty()) {
+          Remove(*std::next(shadow_.begin(),
+                            static_cast<long>(rng() % shadow_.size())));
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_FALSE(HasFailure());
+  EXPECT_GT(returned, 1000);
+  EXPECT_GT(splits, 5);
+  EXPECT_GT(restores, 10);
+  std::vector<std::string> problems;
+  uint64_t entries = 0;
+  ASSERT_TRUE(tree_->Verify(&problems, &entries).ok());
+  EXPECT_TRUE(problems.empty()) << problems.front();
+  EXPECT_EQ(entries, shadow_.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolFrames, BTreeCursorTest,
+                         ::testing::Values(size_t{8}, size_t{512}));
+
+// The same edits through the Database, in the scanning transaction: a
+// `btree` storage-method scan and a `btree_index` scan on a heap relation
+// run side by side over the same rows, and a savepoint rollback undoes
+// edits and restores both positions.
+class BTreeCursorDbTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  using IndexEntry = std::pair<std::string, std::string>;
+
+  BTreeCursorDbTest() : dir_("btree_cursor_db") {
+    options_.dir = dir_.path();
+    options_.buffer_pool_pages = GetParam();
+    EXPECT_TRUE(Database::Open(options_, &db_).ok());
+  }
+
+  struct Keys {
+    std::string b;  // btree storage-method record key
+    std::string h;  // heap record key
+  };
+
+  // Rows (k, g): relation b is btree-organized on k, relation h is a heap
+  // with a btree_index on g. g sorts like k, so both scans walk k order.
+  // Wide rows and index keys put a few dozen entries in a leaf, so a burst
+  // of inserts splits the leaf under a scan.
+  static std::vector<Value> Row(int64_t k) {
+    char g[24];
+    snprintf(g, sizeof(g), "g%09lld", static_cast<long long>(k));
+    return {Value::Int(k), Value::String(g + std::string(200, 'x')),
+            Value::String(std::string(300, 'p'))};
+  }
+
+  static std::string IndexKey(int64_t k) {
+    std::string out;
+    EXPECT_TRUE(EncodeKeyValue(Row(k)[1], &out).ok());
+    return out;
+  }
+
+  void InsertRow(Transaction* txn, int64_t k) {
+    if (rows_.count(k) != 0) return;
+    Keys keys;
+    ASSERT_TRUE(db_->Insert(txn, "b", Row(k), &keys.b).ok());
+    ASSERT_TRUE(db_->Insert(txn, "h", Row(k), &keys.h).ok());
+    sb_.insert(keys.b);
+    sh_.emplace(IndexKey(k), keys.h);
+    rows_[k] = keys;
+  }
+
+  void DeleteRow(Transaction* txn, int64_t k) {
+    auto it = rows_.find(k);
+    if (it == rows_.end()) return;
+    ASSERT_TRUE(db_->Delete(txn, "b", Slice(it->second.b)).ok());
+    ASSERT_TRUE(db_->Delete(txn, "h", Slice(it->second.h)).ok());
+    sb_.erase(it->second.b);
+    sh_.erase({IndexKey(k), it->second.h});
+    rows_.erase(it);
+  }
+
+  // Next must return the shadow's first entry after *last, or NotFound
+  // when there is none; true when it returned that entry.
+  template <typename Shadow, typename EntryOf>
+  static bool ExpectNext(Scan* scan, const Shadow& shadow,
+                         std::optional<typename Shadow::value_type>* last,
+                         EntryOf entry_of) {
+    auto want = last->has_value() ? shadow.upper_bound(**last)
+                                  : shadow.begin();
+    ScanItem item;
+    Status s = scan->Next(&item);
+    if (want == shadow.end()) {
+      EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+      return false;
+    }
+    if (!s.ok() || entry_of(item) != *want) {
+      ADD_FAILURE() << "scan diverged from the shadow: " << s.ToString();
+      return false;
+    }
+    *last = *want;
+    return true;
+  }
+
+  TempDir dir_;
+  DatabaseOptions options_;
+  std::unique_ptr<Database> db_;
+  std::map<int64_t, Keys> rows_;
+  std::set<std::string> sb_;
+  std::set<IndexEntry> sh_;
+};
+
+TEST_P(BTreeCursorDbTest, ScansMatchShadowUnderEditsBetweenNexts) {
+  Schema schema({{"k", TypeId::kInt64, false},
+                 {"g", TypeId::kString, false},
+                 {"pad", TypeId::kString, false}});
+  Transaction* txn = db_->Begin();
+  ASSERT_TRUE(
+      db_->CreateRelation(txn, "b", schema, "btree", {{"key", "k"}}).ok());
+  ASSERT_TRUE(db_->CreateRelation(txn, "h", schema, "heap", {}).ok());
+  uint32_t instance = 0;
+  ASSERT_TRUE(db_->CreateAttachment(txn, "h", "btree_index",
+                                    {{"fields", "g"}}, &instance)
+                  .ok());
+  for (int64_t i = 0; i < 400; ++i) InsertRow(txn, i * 1000);
+  ASSERT_TRUE(db_->Commit(txn).ok());
+
+  const PageId index_anchor = testing::BTreeIndexAnchor(db_.get(), "h",
+                                                        instance);
+  ASSERT_NE(index_anchor, kInvalidPageId);
+  auto index_leaves = [&] {
+    BTree index(db_->buffer_pool(), index_anchor);  // walks on first read
+    uint64_t n = 0;
+    EXPECT_TRUE(index.LeafPages(&n).ok());
+    return n;
+  };
+  const uint64_t leaves_before = index_leaves();
+
+  txn = db_->Begin();
+  const RelationDescriptor* bdesc;
+  const RelationDescriptor* hdesc;
+  ASSERT_TRUE(db_->FindRelation("b", &bdesc).ok());
+  ASSERT_TRUE(db_->FindRelation("h", &hdesc).ok());
+  const int at = db_->registry()->FindAttachmentType("btree_index");
+  ASSERT_GE(at, 0);
+  std::unique_ptr<Scan> bscan, hscan;
+  ASSERT_TRUE(db_->OpenScanOn(txn, bdesc, AccessPathId::StorageMethod(),
+                              ScanSpec{}, &bscan)
+                  .ok());
+  ASSERT_TRUE(db_->OpenScanOn(txn, hdesc,
+                              AccessPathId::Attachment(
+                                  static_cast<AtId>(at), instance),
+                              ScanSpec{}, &hscan)
+                  .ok());
+  auto b_entry = [](const ScanItem& item) { return item.record_key; };
+  auto h_entry = [](const ScanItem& item) {
+    return IndexEntry(item.access_key, item.record_key);
+  };
+  std::optional<std::string> blast;
+  std::optional<IndexEntry> hlast;
+  bool b_live = true, h_live = true;
+  int rollbacks = 0, steps = 0;
+  std::mt19937 rng(static_cast<uint32_t>(GetParam()));
+  while (b_live || h_live) {
+    ASSERT_LT(++steps, 20000) << "the scans should reach the end";
+    // Edit around the position of one scan, then advance it.
+    const bool use_b = h_live ? (b_live && rng() % 2 == 0) : true;
+    int64_t k = 0;
+    if (use_b && blast.has_value()) {
+      Slice in(*blast);
+      Value v;
+      ASSERT_TRUE(DecodeKeyValue(&in, TypeId::kInt64, &v).ok());
+      k = v.int_value();
+    } else if (!use_b && hlast.has_value()) {
+      k = std::atoll(hlast->first.c_str() + hlast->first.find('g') + 1);
+    }
+    switch (rng() % 24) {
+      case 0:  // just before and just after the position
+        InsertRow(txn, k - 1 - static_cast<int64_t>(rng() % 400));
+        InsertRow(txn, k + 1 + static_cast<int64_t>(rng() % 400));
+        break;
+      case 1: {  // a burst on one side: splits the leaf in time
+        const int64_t side = rng() % 2 ? 1 : -1;
+        for (int j = 0; j < 12; ++j) {
+          InsertRow(txn, k + side * (1 + static_cast<int64_t>(rng() % 900)));
+        }
+        break;
+      }
+      case 2:
+      case 3:  // delete at the position
+        DeleteRow(txn, k);
+        break;
+      case 4:  // delete and re-insert it
+        DeleteRow(txn, k);
+        InsertRow(txn, k);
+        break;
+      case 5: {  // the scan's own save and restore
+        Scan* scan = use_b ? bscan.get() : hscan.get();
+        std::string saved;
+        ASSERT_TRUE(scan->SavePosition(&saved).ok());
+        ASSERT_TRUE(scan->RestorePosition(Slice(saved)).ok());
+        break;
+      }
+      case 6: {  // savepoint, edits and Nexts, then roll back to it
+        ASSERT_TRUE(db_->Savepoint(txn, "sp").ok());
+        const auto rows = rows_;
+        const auto sb = sb_;
+        const auto sh = sh_;
+        const auto saved_blast = blast;
+        const auto saved_hlast = hlast;
+        for (int j = 0; j < 10; ++j) {
+          InsertRow(txn, k + 1 + static_cast<int64_t>(rng() % 900));
+        }
+        DeleteRow(txn, k);
+        if (b_live) ExpectNext(bscan.get(), sb_, &blast, b_entry);
+        if (h_live) ExpectNext(hscan.get(), sh_, &hlast, h_entry);
+        ASSERT_TRUE(db_->RollbackToSavepoint(txn, "sp").ok());
+        rows_ = rows;
+        sb_ = sb;
+        sh_ = sh;
+        blast = saved_blast;
+        hlast = saved_hlast;
+        ++rollbacks;
+        break;
+      }
+      default:
+        break;
+    }
+    if (HasFatalFailure()) return;
+    if (use_b) {
+      b_live = ExpectNext(bscan.get(), sb_, &blast, b_entry);
+    } else {
+      h_live = ExpectNext(hscan.get(), sh_, &hlast, h_entry);
+    }
+  }
+  EXPECT_FALSE(HasFailure());
+  EXPECT_GT(rollbacks, 10);
+  EXPECT_GT(index_leaves(), leaves_before + 5);
+  bscan.reset();
+  hscan.reset();
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  for (const char* rel : {"b", "h"}) {
+    txn = db_->Begin();
+    CheckResult check;
+    ASSERT_TRUE(db_->CheckRelation(txn, rel, &check).ok());
+    ASSERT_TRUE(db_->Commit(txn).ok());
+    EXPECT_TRUE(check.clean) << rel;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolPages, BTreeCursorDbTest,
+                         ::testing::Values(size_t{16}, size_t{256}));
 
 // -- maintained shape counts --------------------------------------------------
 

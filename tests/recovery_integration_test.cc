@@ -7,9 +7,11 @@
 
 #include <sys/stat.h>
 
+#include <atomic>
 #include <random>
 
 #include "src/core/database.h"
+#include "src/sm/heap.h"
 #include "src/sm/key_codec.h"
 #include "src/util/fault_env.h"
 #include "tests/test_util.h"
@@ -486,6 +488,139 @@ TEST(PowerLossRecoveryTest, CommittedWorkSurvivesDroppedUnsyncedWrites) {
   ASSERT_TRUE(db->Commit(check).ok());
   EXPECT_EQ(keys.size(), 25u);
   for (int64_t k : keys) EXPECT_LT(k, 25);
+}
+
+// -- in-memory attachment state at open ---------------------------------------
+
+// Base scans opened on relations stored by "counted_heap", the heap
+// storage method with a counting open_scan.
+std::atomic<int> g_base_scans{0};
+
+Status CountedOpenScan(SmContext& ctx, const ScanSpec& spec,
+                       std::unique_ptr<Scan>* scan) {
+  ++g_base_scans;
+  return HeapStorageMethodOps().open_scan(ctx, spec, scan);
+}
+
+// A relation with three attachments whose state lives in memory and is
+// built by scanning the base relation (hash_index, unique, stats).
+class AttachmentStateAtOpenTest : public ::testing::Test {
+ protected:
+  static constexpr int kInMemoryAttachments = 3;
+
+  AttachmentStateAtOpenTest() : dir_("atopen") {
+    options_.dir = dir_.path();
+    options_.buffer_pool_pages = 64;
+    options_.env = &env_;
+    options_.register_extensions = [](ExtensionRegistry* registry) {
+      SmOps ops = HeapStorageMethodOps();
+      ops.name = "counted_heap";
+      ops.open_scan = CountedOpenScan;
+      registry->RegisterStorageMethod(ops);
+    };
+    Open();
+    Transaction* txn = db_->Begin();
+    EXPECT_TRUE(
+        db_->CreateRelation(txn, "t", KvSchema(), "counted_heap", {}).ok());
+    EXPECT_TRUE(
+        db_->CreateAttachment(txn, "t", "hash_index", {{"fields", "v"}}).ok());
+    EXPECT_TRUE(db_->CreateAttachment(txn, "t", "unique", {{"fields", "k"}})
+                    .ok());
+    EXPECT_TRUE(db_->CreateAttachment(txn, "t", "stats", {{"field", "k"}})
+                    .ok());
+    keys_.resize(100);
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_TRUE(db_->Insert(txn, "t", Row(i), &keys_[i]).ok());
+    }
+    EXPECT_TRUE(db_->Commit(txn).ok());
+  }
+
+  static std::vector<Value> Row(int64_t k) {
+    return {Value::Int(k), Value::String("v" + std::to_string(k % 10))};
+  }
+
+  void Open() {
+    Status s = Database::Open(options_, &db_);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+
+  void ExpectClean() {
+    Transaction* txn = db_->Begin();
+    CheckResult check;
+    ASSERT_TRUE(db_->CheckRelation(txn, "t", &check).ok());
+    ASSERT_TRUE(db_->Commit(txn).ok());
+    for (const CheckFinding& f : check.findings) {
+      ADD_FAILURE() << f.component << ": " << f.detail;
+    }
+    EXPECT_TRUE(check.clean);
+  }
+
+  TempDir dir_;
+  FaultInjectionEnv env_;
+  DatabaseOptions options_;
+  std::unique_ptr<Database> db_;
+  std::vector<std::string> keys_;  // record keys of rows 0..99
+};
+
+TEST_F(AttachmentStateAtOpenTest, CleanReopenScansOncePerAttachment) {
+  // After a checkpoint the restart has no log to replay, so nothing opens
+  // the attachment state before Open does.
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  db_.reset();
+  g_base_scans = 0;
+  Open();
+  EXPECT_EQ(g_base_scans.load(), kInMemoryAttachments);
+  ExpectClean();
+}
+
+TEST_F(AttachmentStateAtOpenTest, StateOpenedDuringRecoveryIsRebuilt) {
+  // After a checkpoint, a winner inserts and deletes rows and commits; a
+  // loser does the same, and a strict commit on another relation forces
+  // its records to the log. The crash loses every page written since the
+  // checkpoint, so redo replays them all. Restart opens the attachment
+  // state at the winner's first record, from a base that the rest of redo
+  // and undo go on to change, so Open must rebuild it.
+  Transaction* txn = db_->Begin();
+  ASSERT_TRUE(db_->CreateRelation(txn, "u", KvSchema(), "heap", {}).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  txn = db_->Begin();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(db_->Insert(txn, "t", Row(100 + i)).ok());
+  }
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(db_->Delete(txn, "t", Slice(keys_[i])).ok());
+  }
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  Transaction* loser = db_->Begin();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(db_->Insert(loser, "t", Row(200 + i)).ok());
+  }
+  for (int i = 5; i < 10; ++i) {
+    ASSERT_TRUE(db_->Delete(loser, "t", Slice(keys_[i])).ok());
+  }
+  txn = db_->Begin();
+  ASSERT_TRUE(db_->Insert(txn, "u", Row(0)).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  env_.SetWriteFailAfter(0);  // the disk dies before any page goes out
+  db_->SimulateCrashOnClose();
+  db_.reset();
+  env_.ClearFaults();
+  ASSERT_TRUE(env_.DropUnsyncedWrites().ok());
+
+  g_base_scans = 0;
+  Open();
+  // Recovery opened the state before the rebuild: more than one scan each.
+  EXPECT_GT(g_base_scans.load(), kInMemoryAttachments);
+  ExpectClean();
+  // The unique constraint sees exactly the recovered rows.
+  txn = db_->Begin();
+  EXPECT_TRUE(db_->Insert(txn, "t", Row(119)).IsConstraint());
+  EXPECT_TRUE(db_->Insert(txn, "t", Row(5)).IsConstraint());
+  ASSERT_TRUE(db_->Insert(txn, "t", Row(3)).ok());
+  ASSERT_TRUE(db_->Insert(txn, "t", Row(205)).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  ExpectClean();
 }
 
 }  // namespace

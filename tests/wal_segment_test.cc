@@ -395,6 +395,11 @@ TEST(WalFaultMatrixTortureTest, FlusherResumeRotationUnderTransientEnospc) {
   std::atomic<bool> done{false};
 
   std::thread appender([&] {
+    // The bursts are finite, so a refused append must get through once
+    // they pass; a deadline turns a stuck log into a failure carrying its
+    // status instead of a hang.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
     for (int i = 0; i < kRecords; ++i) {
       const bool commit = (i % 4) == 3;
       LogRecord r;
@@ -409,6 +414,12 @@ TEST(WalFaultMatrixTortureTest, FlusherResumeRotationUnderTransientEnospc) {
       while (true) {
         Status s = commit ? log.AppendCommitRelaxed(&r) : log.Append(&r);
         if (s.ok()) break;
+        if (std::chrono::steady_clock::now() > deadline) {
+          ADD_FAILURE() << "append " << i << " still refused after the "
+                        << "bursts: " << s.ToString();
+          done.store(true);
+          return;
+        }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       ++appended;
@@ -433,11 +444,19 @@ TEST(WalFaultMatrixTortureTest, FlusherResumeRotationUnderTransientEnospc) {
       std::this_thread::sleep_for(std::chrono::milliseconds(3));
     }
   });
-  // Inject bursts while the actors run.
+  // Inject a bounded number of bursts while the actors run, arming the
+  // next only once the last is used up. Bursts re-armed without end can
+  // starve Resume, which needs a truncate and then a sync to succeed, and
+  // only the appender, waiting on Resume, would end them.
+  constexpr int kBursts = 40;
   std::mt19937_64 rng(seed);
+  int bursts = 0;
   while (!done.load()) {
-    env.SetTransientWriteFaults(1 + static_cast<int64_t>(rng() % 3));
-    env.SetTransientSyncFaults(1 + static_cast<int64_t>(rng() % 3));
+    if (bursts < kBursts && env.transient_faults_remaining() == 0) {
+      env.SetTransientWriteFaults(1 + static_cast<int64_t>(rng() % 3));
+      env.SetTransientSyncFaults(1 + static_cast<int64_t>(rng() % 3));
+      ++bursts;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   appender.join();
