@@ -5,8 +5,10 @@
 //
 // A relation with a B-tree (id), a hash (category), and an R-tree (bbox)
 // access path. For each predicate class the bench reports which path the
-// planner chose and measures the chosen path against a forced full scan.
-// The reproduction holds if the chosen path is also the fastest measured.
+// planner chose and measures every usable path: the full scan
+// (BM_ForcedFullScan/<kind>) and the attachment path the predicate can use
+// (BM_ForcedAccessPath/<kind>). The reproduction holds if the chosen path
+// is also the fastest measured; bench/check_chosen_path.py checks it.
 
 #include <benchmark/benchmark.h>
 
@@ -162,6 +164,52 @@ void BM_ForcedFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ForcedFullScan)
     ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
+    ->Unit(benchmark::kMicrosecond);
+
+// The one attachment path usable for class `kind` (each class in this
+// fixture has exactly one), forced whatever the planner would choose.
+void BM_ForcedAccessPath(benchmark::State& state) {
+  Fixture* fixture = F();
+  Database* db = fixture->db.get();
+  const int kind = static_cast<int>(state.range(0));
+  ExprPtr pred = PredicateFor(kind);
+  BoundPlan plan;
+  plan.relation = db->catalog()->Snapshot(fixture->desc->name);
+  {
+    Transaction* txn = db->Begin();
+    std::vector<ExprPtr> conjuncts;
+    SplitConjuncts(pred, &conjuncts);
+    std::vector<AccessCandidate> candidates;
+    BenchCheck(EnumerateAccessPaths(db, txn, fixture->desc, conjuncts,
+                                    &candidates),
+               "enumerate");
+    std::vector<AccessPathId> paths;
+    for (const AccessCandidate& c : candidates) {
+      if (!c.path.is_storage_method()) paths.push_back(c.path);
+    }
+    if (paths.size() != 1) {
+      BenchCheck(Status::Internal("class " + std::to_string(kind) + " has " +
+                                  std::to_string(paths.size()) +
+                                  " usable attachment paths, expected 1"),
+                 "forced path");
+    }
+    BenchCheck(PlanAccess(db, txn, fixture->desc, pred, &plan.access,
+                          nullptr, &paths[0]),
+               "force");
+    BenchCheck(db->Commit(txn), "commit");
+  }
+  state.SetLabel(std::string(KindName(kind)) + " -> " +
+                 plan.access.DebugString(db->registry()));
+  uint64_t rows = 0;
+  for (auto _ : state) {
+    Transaction* txn = db->Begin();
+    rows = Execute(db, txn, plan);
+    BenchCheck(db->Commit(txn), "commit");
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_ForcedAccessPath)
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "src/attach/btree_index.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "src/core/attachment_instances.h"
@@ -295,13 +296,16 @@ Status IdxCost(AtContext& ctx, uint32_t instance_no,
   // partial keys: an equality prefix over the leading key fields, plus
   // optional range predicates on the next field.
   double key_selectivity = 1.0;
+  KeyOperandValues operands;
+  bool constant = true;  // every key operand is a literal
   out->handled_predicates.clear();
   auto match_on_field = [&](int field, bool eq_only,
                             bool* any) {
     for (size_t i = 0; i < predicates.size(); ++i) {
       int f;
       ExprOp op;
-      if (!MatchFieldCompare(predicates[i], &f, &op) ||
+      ExprPtr operand;
+      if (!MatchFieldCompare(predicates[i], &f, &op, &operand) ||
           f != field || op == ExprOp::kNe) {
         continue;
       }
@@ -310,6 +314,15 @@ Status IdxCost(AtContext& ctx, uint32_t instance_no,
       key_selectivity *= EstimateSelectivity(predicates[i]);
       out->handled_predicates.push_back(static_cast<int>(i));
       *any = true;
+      if (operand->op() != ExprOp::kConst) {
+        constant = false;
+      } else if (eq_only) {
+        operands.eq.push_back(operand->constant());
+      } else if (op == ExprOp::kGt || op == ExprOp::kGe) {
+        operands.low.push_back(operand->constant());
+      } else {
+        operands.high.push_back(operand->constant());
+      }
       if (eq_only) return;  // one equality per prefix position
     }
   };
@@ -335,14 +348,39 @@ Status IdxCost(AtContext& ctx, uint32_t instance_no,
   DMX_RETURN_IF_ERROR(tree->LeafPages(&leaves));
   DMX_RETURN_IF_ERROR(tree->Count(&entries));
   DMX_RETURN_IF_ERROR(tree->Height(&height));
+  // How many entries qualify. A full-key equality on a unique instance
+  // names at most one. With literal operands the tree counts the range
+  // itself (EstimateRange), on the key BindAccessKey will build from them;
+  // `?` operands have no value at planning time, so the heuristic stands.
+  double qualifying = key_selectivity * static_cast<double>(entries);
+  if (inst->unique && prefix == inst->fields.size()) {
+    qualifying = std::min<double>(1.0, static_cast<double>(entries));
+  } else if (constant) {
+    std::vector<TypeId> types;
+    for (int f : inst->fields) {
+      types.push_back(ctx.desc->schema.column(static_cast<size_t>(f)).type);
+    }
+    std::string key_prefix;
+    std::optional<std::string> low, high;
+    bool empty = false;
+    // An operand the key cannot hold fails again, and is reported, when
+    // the plan binds it; until then the heuristic prices it.
+    if (EncodeKeyRange(operands, types, &key_prefix, &low, &high, &empty)
+            .ok()) {
+      qualifying = 0;
+      if (!empty) {
+        DMX_RETURN_IF_ERROR(tree->EstimateRange(low, high, &qualifying));
+      }
+    }
+  }
   out->usable = true;
-  out->selectivity = key_selectivity;
+  out->selectivity =
+      entries == 0 ? 0.0 : qualifying / static_cast<double>(entries);
   // Descend + scan the qualifying leaf fraction, then fetch every
   // qualifying record through the storage method (the expensive part —
   // reported separately so the planner can elide it for index-only plans).
-  double qualifying = key_selectivity * static_cast<double>(entries);
   out->fetch_cost = qualifying * kRecordFetchCost;
-  out->io_cost = height + key_selectivity * static_cast<double>(leaves) +
+  out->io_cost = height + out->selectivity * static_cast<double>(leaves) +
                  out->fetch_cost;
   out->cpu_cost = height * 4 + qualifying + 1;
   return Status::OK();

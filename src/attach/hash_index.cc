@@ -26,12 +26,17 @@ struct HashInstance {
 };
 using HashList = InstanceList<HashInstance>;
 
+// One instance's entries: key -> the record keys stored under it. Each
+// bucket is itself keyed by record key, so a remove finds its entry in O(1)
+// however many records share the key.
+struct HashTable {
+  std::unordered_map<std::string, std::unordered_set<std::string>> buckets;
+  size_t entries = 0;
+};
+
 struct HashState : public ExtState {
   HashList desc;
-  // instance -> (key -> record keys)
-  std::unordered_map<uint32_t,
-                     std::unordered_multimap<std::string, std::string>>
-      tables;
+  std::unordered_map<uint32_t, HashTable> tables;  // by instance
 };
 
 HashState* StateOf(AtContext& ctx) {
@@ -49,19 +54,17 @@ Status HashLog(AtContext& ctx, char op, uint32_t instance, const Slice& key,
 
 void TableAdd(HashState* st, uint32_t instance, const std::string& key,
               const std::string& record_key) {
-  st->tables[instance].emplace(key, record_key);
+  HashTable& table = st->tables[instance];
+  if (table.buckets[key].insert(record_key).second) ++table.entries;
 }
 
 void TableRemove(HashState* st, uint32_t instance, const std::string& key,
                  const std::string& record_key) {
-  auto& table = st->tables[instance];
-  auto [begin, end] = table.equal_range(key);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second == record_key) {
-      table.erase(it);
-      return;
-    }
-  }
+  HashTable& table = st->tables[instance];
+  auto bucket = table.buckets.find(key);
+  if (bucket == table.buckets.end()) return;
+  if (bucket->second.erase(record_key) > 0) --table.entries;
+  if (bucket->second.empty()) table.buckets.erase(bucket);
 }
 
 Status HashRebuild(AtContext& ctx);
@@ -175,8 +178,9 @@ Status HashLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
     }
     return Status::OK();
   }
-  auto [begin, end] = tit->second.equal_range(key.ToString());
-  for (auto it = begin; it != end; ++it) record_keys->push_back(it->second);
+  auto bucket = tit->second.buckets.find(key.ToString());
+  if (bucket == tit->second.buckets.end()) return Status::OK();
+  record_keys->assign(bucket->second.begin(), bucket->second.end());
   return Status::OK();
 }
 
@@ -206,7 +210,7 @@ Status HashCost(AtContext& ctx, uint32_t instance_no,
   if (covered != inst->fields.size()) return Status::OK();
   size_t entries = 0;
   auto tit = st->tables.find(instance_no);
-  if (tit != st->tables.end()) entries = tit->second.size();
+  if (tit != st->tables.end()) entries = tit->second.entries;
   out->usable = true;
   out->handled_predicates = std::move(handled);
   out->selectivity = entries == 0 ? 0.0 : 1.0 / static_cast<double>(entries);
@@ -247,30 +251,17 @@ Status HashUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
 Status HashRedo(AtContext&, const LogRecord&, Lsn) { return Status::OK(); }
 
 // Cross-check the live table for one instance against a fresh enumeration
-// of the base relation: every base record's key must map to its record key
-// exactly once, and the table must hold nothing else. Base records probe a
-// set of (key, record key) pairs, so the check stays linear however many
-// records share a key.
+// of the base relation: every base record's key must map to its record key,
+// and the table must hold nothing else. Each base record is one probe of
+// its bucket, so the check stays linear however many records share a key.
 Status HashVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   HashState* st = StateOf(ctx);
   const HashInstance* inst = st->desc.Find(instance_no);
   if (inst == nullptr) return HashList::NotFound(instance_no);
-  static const std::unordered_multimap<std::string, std::string> kEmpty;
+  static const HashTable kEmpty;
   auto tit = st->tables.find(instance_no);
-  const auto& table = tit != st->tables.end() ? tit->second : kEmpty;
+  const HashTable& table = tit != st->tables.end() ? tit->second : kEmpty;
   const std::string tag = "hash_index#" + std::to_string(instance_no) + ": ";
-
-  auto pair_of = [](const Slice& key, const Slice& record_key) {
-    std::string pair;
-    PutLengthPrefixedSlice(&pair, key);
-    pair.append(record_key.data(), record_key.size());
-    return pair;
-  };
-  std::unordered_set<std::string> entries;
-  entries.reserve(table.size());
-  for (const auto& [key, record_key] : table) {
-    entries.insert(pair_of(key, record_key));
-  }
 
   uint64_t base_records = 0;
   std::unique_ptr<Scan> scan;
@@ -289,13 +280,15 @@ Status HashVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
                       ks.ToString());
       continue;
     }
-    if (!entries.contains(pair_of(key, item.record_key))) {
+    auto bucket = table.buckets.find(key);
+    if (bucket == table.buckets.end() ||
+        !bucket->second.contains(item.record_key)) {
       report->Problem(tag + "base record has no matching hash entry");
     }
   }
-  report->items += table.size();
-  if (table.size() != base_records) {
-    report->Problem(tag + "holds " + std::to_string(table.size()) +
+  report->items += table.entries;
+  if (table.entries != base_records) {
+    report->Problem(tag + "holds " + std::to_string(table.entries) +
                     " entries but the relation holds " +
                     std::to_string(base_records) + " records");
   }

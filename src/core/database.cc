@@ -367,6 +367,10 @@ Status Database::ApplyLogRecord(const LogRecord& rec, bool undo,
                 : ops.redo(ctx, rec, apply_lsn);
   }
   const AtOps& ops = registry_.at_ops(rec.ext_id);
+  // An attachment that recovers by rebuild has nothing to redo: Open
+  // builds its state from the recovered base. Opening it here would only
+  // scan a half-redone base that Open must then scan again.
+  if (!undo && ops.rebuild != nullptr) return Status::OK();
   AtContext ctx;
   DMX_RETURN_IF_ERROR(
       MakeAtContext(nullptr, desc, static_cast<AtId>(rec.ext_id), &ctx));
@@ -399,8 +403,7 @@ Status Database::CreateRelation(Transaction* txn, const std::string& name,
   DMX_RETURN_IF_ERROR(catalog_.AddRelation(desc, &id));
   const RelationDescriptor* stored = catalog_.Find(id);
 
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(), LockNames::Relation(id),
-                                     LockMode::kX));
+  DMX_RETURN_IF_ERROR(txn->LockRelation(id, LockMode::kX));
 
   // Build initial storage; the storage method may refine its descriptor
   // (e.g. record an allocated anchor page). The context carries no runtime
@@ -448,8 +451,7 @@ Status Database::DropRelation(Transaction* txn, const std::string& name) {
   const RelationDescriptor* desc;
   DMX_RETURN_IF_ERROR(FindRelation(name, &desc));
   RelationId id = desc->id;
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(), LockNames::Relation(id),
-                                     LockMode::kX));
+  DMX_RETURN_IF_ERROR(txn->LockRelation(id, LockMode::kX));
   RelationDescriptor saved;
   DMX_RETURN_IF_ERROR(catalog_.RemoveRelation(id, &saved));
 
@@ -516,8 +518,7 @@ Status Database::CreateAttachment(Transaction* txn, const std::string& rel,
     return Status::InvalidArgument("no attachment type '" + at_name + "'");
   }
   const AtOps& ops = registry_.at_ops(static_cast<AtId>(at));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(), LockNames::Relation(desc->id),
-                                     LockMode::kX));
+  DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kX));
 
   std::string old_desc = desc->at_desc[at];
   AtContext ctx;
@@ -572,8 +573,7 @@ Status Database::DropAttachment(Transaction* txn, const std::string& rel,
     return Status::NotFound("no '" + at_name + "' attachment on " + rel);
   }
   const AtOps& ops = registry_.at_ops(static_cast<AtId>(at));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(), LockNames::Relation(desc->id),
-                                     LockMode::kX));
+  DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kX));
 
   std::string old_desc = desc->at_desc[at];
   AtContext ctx;
@@ -684,9 +684,7 @@ Status Database::InsertRecord(Transaction* txn,
   DMX_RETURN_IF_ERROR(CheckTxnWritable());
   DMX_RETURN_IF_ERROR(CheckWritable(desc));
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kInsert));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(),
-                                     LockNames::Relation(desc->id),
-                                     LockMode::kIX));
+  DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kIX));
   DMX_RETURN_IF_ERROR(EnsureAttachmentStates(txn, desc));
   const Lsn before = txn->last_lsn();
 
@@ -703,8 +701,7 @@ Status Database::InsertRecord(Transaction* txn,
     s = sm.insert(ctx, record, &key);
   }
   if (s.ok()) {
-    s = lock_mgr_.Lock(txn->id(), LockNames::Record(desc->id, key),
-                       LockMode::kX);
+    s = txn->LockRecord(desc->id, Slice(key), LockMode::kX);
   }
   // Step 2: attached procedures (once per attachment type with instances).
   if (s.ok()) {
@@ -747,11 +744,7 @@ Status Database::UpdateRecord(Transaction* txn,
   DMX_RETURN_IF_ERROR(CheckTxnWritable());
   DMX_RETURN_IF_ERROR(CheckWritable(desc));
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kUpdate));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(),
-                                     LockNames::Relation(desc->id),
-                                     LockMode::kIX));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(
-      txn->id(), LockNames::Record(desc->id, record_key), LockMode::kX));
+  DMX_RETURN_IF_ERROR(txn->LockRecord(desc->id, record_key, LockMode::kX));
   DMX_RETURN_IF_ERROR(EnsureAttachmentStates(txn, desc));
 
   const SmOps& sm = registry_.sm_ops(desc->sm_id);
@@ -778,8 +771,7 @@ Status Database::UpdateRecord(Transaction* txn,
                   &moved_key);
   }
   if (s.ok() && Slice(moved_key) != record_key) {
-    s = lock_mgr_.Lock(txn->id(), LockNames::Record(desc->id, moved_key),
-                       LockMode::kX);
+    s = txn->LockRecord(desc->id, Slice(moved_key), LockMode::kX);
   }
   if (s.ok()) {
     s = NotifyAttachments(txn, desc, /*op=*/1, record_key, Slice(moved_key),
@@ -815,11 +807,7 @@ Status Database::DeleteRecord(Transaction* txn,
   DMX_RETURN_IF_ERROR(CheckTxnWritable());
   DMX_RETURN_IF_ERROR(CheckWritable(desc));
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kDelete));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(),
-                                     LockNames::Relation(desc->id),
-                                     LockMode::kIX));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(
-      txn->id(), LockNames::Record(desc->id, record_key), LockMode::kX));
+  DMX_RETURN_IF_ERROR(txn->LockRecord(desc->id, record_key, LockMode::kX));
   DMX_RETURN_IF_ERROR(EnsureAttachmentStates(txn, desc));
 
   const SmOps& sm = registry_.sm_ops(desc->sm_id);
@@ -936,11 +924,7 @@ Status Database::FetchRecord(Transaction* txn,
                              const RelationDescriptor* desc,
                              const Slice& record_key, std::string* record) {
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kSelect));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(),
-                                     LockNames::Relation(desc->id),
-                                     LockMode::kIS));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(
-      txn->id(), LockNames::Record(desc->id, record_key), LockMode::kS));
+  DMX_RETURN_IF_ERROR(txn->LockRecord(desc->id, record_key, LockMode::kS));
   const SmOps& sm = registry_.sm_ops(desc->sm_id);
   SmContext ctx;
   DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
@@ -962,9 +946,7 @@ Status Database::OpenScanOn(Transaction* txn, const RelationDescriptor* desc,
                             const AccessPathId& path, const ScanSpec& spec,
                             std::unique_ptr<Scan>* out) {
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kSelect));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(),
-                                     LockNames::Relation(desc->id),
-                                     LockMode::kS));
+  DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kS));
   std::unique_ptr<Scan> inner;
   if (path.is_storage_method()) {
     const SmOps& sm = registry_.sm_ops(desc->sm_id);
@@ -1020,9 +1002,7 @@ Status Database::Lookup(Transaction* txn, const std::string& rel,
   if (path.is_storage_method()) {
     return Status::InvalidArgument("Lookup requires an access path");
   }
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(),
-                                     LockNames::Relation(desc->id),
-                                     LockMode::kIS));
+  DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kIS));
   AtId at = path.at_id();
   if (at >= registry_.num_attachment_types() || !desc->HasAttachment(at)) {
     return Status::InvalidArgument("no such access path");
@@ -1196,8 +1176,7 @@ Status Database::CheckRelation(Transaction* txn, const std::string& rel,
   const RelationDescriptor* desc;
   DMX_RETURN_IF_ERROR(FindRelation(rel, &desc));
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kSelect));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(), LockNames::Relation(desc->id),
-                                     LockMode::kS));
+  DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kS));
   metric_check_runs_->Increment();
   out->clean = true;
   out->items = 0;
@@ -1360,8 +1339,7 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
   const RelationDescriptor* desc;
   DMX_RETURN_IF_ERROR(FindRelation(rel, &desc));
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kUpdate));
-  DMX_RETURN_IF_ERROR(lock_mgr_.Lock(txn->id(), LockNames::Relation(desc->id),
-                                     LockMode::kX));
+  DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kX));
   metric_repair_runs_->Increment();
   out->repaired.clear();
   out->unrepaired.clear();

@@ -138,6 +138,7 @@ struct AccessPathId {
   }
   bool is_storage_method() const { return path == 0; }
   AtId at_id() const { return static_cast<AtId>(path - 1); }
+  bool operator==(const AccessPathId&) const = default;
 };
 
 /// One problem surfaced by a consistency check. `component` names the

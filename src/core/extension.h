@@ -315,7 +315,9 @@ struct AtOps {
   /// Rebuild derived in-memory structures from the base relation after
   /// restart (extensions exercising the paper's "wide latitude in the
   /// selection of recovery techniques" by rebuilding instead of paged
-  /// redo). Null if not needed.
+  /// redo). Null if not needed. A type that has it keeps a no-op `redo`:
+  /// restart skips its update records during redo without opening its
+  /// state, since Open builds the state from the recovered base.
   Status (*rebuild)(AtContext& ctx) = nullptr;
 
   /// Number of instances encoded in a type descriptor (for iteration).

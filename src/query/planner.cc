@@ -119,7 +119,8 @@ bool CoveredBy(const std::vector<int>& needed,
 
 Status PlanAccess(Database* db, Transaction* txn,
                   const RelationDescriptor* desc, const ExprPtr& predicate,
-                  AccessPlan* out, const std::vector<int>* needed_fields) {
+                  AccessPlan* out, const std::vector<int>* needed_fields,
+                  const AccessPathId* only_path) {
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(predicate, &conjuncts);
 
@@ -160,6 +161,7 @@ Status PlanAccess(Database* db, Transaction* txn,
   double best_total = std::numeric_limits<double>::infinity();
   for (const AccessCandidate& c : candidates) {
     if (!c.cost.usable) continue;
+    if (only_path != nullptr && !(c.path == *only_path)) continue;
     double total = effective_total(c);
     if (best == nullptr || total < best_total) {
       best = &c;
@@ -245,22 +247,6 @@ Status PlanAccess(Database* db, Transaction* txn,
   return Status::OK();
 }
 
-Status AppendKeyOperand(const Value& v, TypeId field_type, std::string* key,
-                        bool* null) {
-  if (v.is_null()) {
-    *null = true;
-    return Status::OK();
-  }
-  const bool numeric_field =
-      field_type == TypeId::kInt64 || field_type == TypeId::kDouble;
-  if (v.type() != field_type && !(numeric_field && v.is_numeric())) {
-    return Status::InvalidArgument(std::string("cannot compare ") +
-                                   TypeName(field_type) + " with " +
-                                   TypeName(v.type()));
-  }
-  return EncodeKeyValue(v, key);
-}
-
 Status BindAccessKey(const ExprEvaluator& evaluator, const AccessPlan& plan,
                      const Schema& schema,
                      const std::vector<Value>* params, ScanSpec* spec,
@@ -270,50 +256,33 @@ Status BindAccessKey(const ExprEvaluator& evaluator, const AccessPlan& plan,
   if (key.eq.empty() && key.low.empty() && key.high.empty()) {
     return Status::OK();  // nothing to bound: a full scan of the path
   }
-  auto field_type = [&](size_t i) {
-    return schema.column(static_cast<size_t>(plan.key_fields[i])).type;
+  auto eval = [&](const std::vector<ExprPtr>& operands,
+                  std::vector<Value>* values) -> Status {
+    values->resize(operands.size());
+    for (size_t i = 0; i < operands.size(); ++i) {
+      DMX_RETURN_IF_ERROR(
+          evaluator.EvalConst(*operands[i], &(*values)[i], params));
+    }
+    return Status::OK();
   };
-  std::string prefix;
-  for (size_t i = 0; i < key.eq.size(); ++i) {
-    Value v;
-    DMX_RETURN_IF_ERROR(evaluator.EvalConst(*key.eq[i], &v, params));
-    DMX_RETURN_IF_ERROR(AppendKeyOperand(v, field_type(i), &prefix, empty));
-    if (*empty) return Status::OK();
+  KeyOperandValues values;
+  DMX_RETURN_IF_ERROR(eval(key.eq, &values.eq));
+  if (!plan.probe) {
+    DMX_RETURN_IF_ERROR(eval(key.low, &values.low));
+    DMX_RETURN_IF_ERROR(eval(key.high, &values.high));
   }
+  std::vector<TypeId> types;
+  for (int f : plan.key_fields) {
+    types.push_back(schema.column(static_cast<size_t>(f)).type);
+  }
+  std::string prefix;
+  std::optional<std::string> low, high;
+  DMX_RETURN_IF_ERROR(
+      EncodeKeyRange(values, types, &prefix, &low, &high, empty));
+  if (*empty) return Status::OK();
   if (plan.probe) {
     *probe_key = std::move(prefix);
     return Status::OK();
-  }
-  // The tightest bound per side: the largest lower and smallest upper, on
-  // the key field after the prefix. The residual re-checks strictness, so
-  // every bound is inclusive.
-  auto tightest = [&](const std::vector<ExprPtr>& operands, int sign,
-                      std::optional<std::string>* bound) -> Status {
-    Value best;
-    for (const ExprPtr& operand : operands) {
-      Value v;
-      DMX_RETURN_IF_ERROR(evaluator.EvalConst(*operand, &v, params));
-      std::string ignored;
-      DMX_RETURN_IF_ERROR(
-          AppendKeyOperand(v, field_type(key.eq.size()), &ignored, empty));
-      if (*empty) return Status::OK();
-      if (best.is_null() || sign * v.Compare(best) > 0) best = std::move(v);
-    }
-    *bound = prefix;
-    if (!best.is_null()) {
-      DMX_RETURN_IF_ERROR(EncodeKeyValue(best, &**bound));
-    }
-    return Status::OK();
-  };
-  std::optional<std::string> low, high;
-  if (!key.low.empty() || !key.eq.empty()) {
-    DMX_RETURN_IF_ERROR(tightest(key.low, +1, &low));
-    if (*empty) return Status::OK();
-  }
-  if (!key.high.empty() || !key.eq.empty()) {
-    DMX_RETURN_IF_ERROR(tightest(key.high, -1, &high));
-    if (*empty) return Status::OK();
-    *high += '\xff';  // include multi-field extensions of the bound
   }
   spec->low_key = std::move(low);
   spec->low_inclusive = true;

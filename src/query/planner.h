@@ -86,11 +86,13 @@ struct AccessPlan {
 /// Choose the cheapest access path for `predicate` (may be null = full
 /// scan) on `desc`. `needed_fields` (optional) lists the record fields the
 /// caller will read — enabling index-only plans when an access-path key
-/// covers them.
+/// covers them. `only_path`, when set, restricts the choice to that path
+/// (benches that measure every usable path force each in turn).
 Status PlanAccess(Database* db, Transaction* txn,
                   const RelationDescriptor* desc, const ExprPtr& predicate,
                   AccessPlan* out,
-                  const std::vector<int>* needed_fields = nullptr);
+                  const std::vector<int>* needed_fields = nullptr,
+                  const AccessPathId* only_path = nullptr);
 
 /// Bind `plan`'s access key to one execution: evaluate the key operands
 /// with `params` and encode them — the equality prefix, then the tightest
@@ -104,12 +106,6 @@ Status BindAccessKey(const ExprEvaluator& evaluator, const AccessPlan& plan,
                      const Schema& schema,
                      const std::vector<Value>* params, ScanSpec* spec,
                      std::string* probe_key, bool* empty);
-
-/// Append one key operand `v`, compared against a key field of type
-/// `field_type`, to `key`. A NULL `v` sets *null and appends nothing; a
-/// type the evaluator could not compare with the field is InvalidArgument.
-Status AppendKeyOperand(const Value& v, TypeId field_type, std::string* key,
-                        bool* null);
 
 /// All candidate costs, for tests/benches that inspect planner behaviour.
 struct AccessCandidate {

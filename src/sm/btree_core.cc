@@ -90,6 +90,7 @@ Status ParseInternal(const Page& p, InternalNode* out) {
 // the page without copying an entry.
 struct LeafSlot {
   size_t offset = 0;   // page offset of the first entry >= composite
+  uint16_t index = 0;  // and its index (the entry count if none is)
   size_t length = 0;   // encoded size of that entry (prefix + bytes)
   bool equal = false;  // that entry is `composite` itself
   size_t end = 0;      // page offset just past the last entry
@@ -110,12 +111,16 @@ Status LocateInLeaf(const Page& p, const Slice& composite, LeafSlot* out) {
     if (!placed && e.compare(composite) >= 0) {
       placed = true;
       out->offset = offset;
+      out->index = i;
       out->length = kPageSize - in.size() - offset;
       out->equal = e == composite;
     }
   }
   out->end = kPageSize - in.size();
-  if (!placed) out->offset = out->end;
+  if (!placed) {
+    out->offset = out->end;
+    out->index = n;
+  }
   return Status::OK();
 }
 
@@ -142,6 +147,59 @@ Status ChildFor(const Page& p, const Slice& composite, PageId* child,
     *pos = i + 1u;
   }
   return Status::OK();
+}
+
+// Where a range bound falls in the tree: the leaf it routes to, how many
+// of that leaf's entries sort before it, and its position as a fraction of
+// all entries, taking each node's children (a leaf's entries) to hold equal
+// shares of the node's own share.
+struct BoundPosition {
+  PageId leaf = kInvalidPageId;
+  uint16_t index = 0;
+  double fraction = 0;
+};
+
+// Descend from `root` towards the composite `bound`; a null bound sorts
+// after every entry.
+Status LocateBound(BufferPool* bp, PageId root, const std::string* bound,
+                   BoundPosition* out) {
+  double share = 1.0;
+  out->fraction = 0;
+  PageId node = root;
+  while (true) {
+    PageHandle h;
+    DMX_RETURN_IF_ERROR(bp->Fetch(node, &h));
+    const Page& p = *h.page();
+    const uint16_t n = EntryCount(p);
+    if (NodeType(p) == kLeaf) {
+      out->leaf = node;
+      out->index = n;
+      if (bound != nullptr) {
+        LeafSlot slot;
+        DMX_RETURN_IF_ERROR(LocateInLeaf(p, Slice(*bound), &slot));
+        out->index = slot.index;
+      }
+      if (n > 0) out->fraction += share * out->index / n;
+      return Status::OK();
+    }
+    size_t pos = n;
+    if (bound != nullptr) {
+      DMX_RETURN_IF_ERROR(ChildFor(p, Slice(*bound), &node, &pos));
+    } else {
+      // The last child: the rightmost separator's, or the leftmost's when
+      // the node holds none.
+      node = NodeLink(p);
+      Slice in(p.data + kEntriesOff, kPageSize - kEntriesOff);
+      for (uint16_t i = 0; i < n; ++i) {
+        Slice sep;
+        if (!GetLengthPrefixedSlice(&in, &sep) || !GetFixed32(&in, &node)) {
+          return Status::Corruption("btree internal entry");
+        }
+      }
+    }
+    share /= n + 1.0;
+    out->fraction += share * static_cast<double>(pos);
+  }
 }
 
 void SetEntryCount(Page* p, uint16_t count) {
@@ -575,6 +633,35 @@ Status BTree::LeafPages(uint64_t* n) {
 Status BTree::Height(uint32_t* height) {
   DMX_RETURN_IF_ERROR(EnsureCounts());
   *height = height_.load();
+  return Status::OK();
+}
+
+Status BTree::EstimateRange(const std::optional<std::string>& low,
+                            const std::optional<std::string>& high,
+                            double* n) {
+  DMX_RETURN_IF_ERROR(EnsureCounts());
+  // The composites bounding the range: the first entry whose key is
+  // >= low, and the first whose key is > high (the key, its terminator's
+  // first byte, then 0x01 sorts after every value stored under the key).
+  const std::string lo = BTreeComposeEntry(Slice(low.value_or("")), Slice());
+  std::optional<std::string> hi;
+  if (high.has_value()) {
+    hi = BTreeComposeEntry(Slice(*high), Slice());
+    hi->back() = '\x01';
+  }
+  PageId root;
+  DMX_RETURN_IF_ERROR(RootPage(&root));
+  BoundPosition from, to;
+  DMX_RETURN_IF_ERROR(LocateBound(bp_, root, &lo, &from));
+  DMX_RETURN_IF_ERROR(
+      LocateBound(bp_, root, hi.has_value() ? &*hi : nullptr, &to));
+  if (from.leaf == to.leaf) {
+    // One leaf holds the whole range: count it exactly.
+    *n = to.index > from.index ? to.index - from.index : 0;
+    return Status::OK();
+  }
+  *n = std::max(0.0, to.fraction - from.fraction) *
+       static_cast<double>(entries_.load());
   return Status::OK();
 }
 

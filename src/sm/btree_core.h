@@ -90,6 +90,15 @@ class BTree {
   /// itself cannot run.
   Status Verify(std::vector<std::string>* problems, uint64_t* entries);
 
+  /// Estimated number of entries whose key k has low <= k <= high (an
+  /// unset bound is open): the classic records-in-range estimate. One
+  /// descent per bound turns the child position and fan-out met at each
+  /// level into a fraction of the maintained entry count, so it reads at
+  /// most 2 x height pages; when both bounds land in one leaf the count is
+  /// exact.
+  Status EstimateRange(const std::optional<std::string>& low,
+                       const std::optional<std::string>& high, double* n);
+
   /// Up to `target - 1` composite separator entries (key + value, the
   /// internal-node form; split with BTreeSplitEntry) that cut the tree
   /// into roughly equal key ranges, in ascending order. Descends from the

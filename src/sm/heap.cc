@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cassert>
 #include <set>
+#include <unordered_set>
+#include <utility>
 
 #include "src/core/costing.h"
 #include "src/core/database.h"
@@ -18,6 +20,10 @@ namespace {
 // Slack kept free on fresh inserts so in-place update growth and undo
 // restores rarely fail (see DESIGN.md, heap recovery notes).
 constexpr size_t kUpdateReserve = 256;
+// Free space a delete must leave on a page before inserts go back to it:
+// enough for a few records beyond the reserve, so one compaction serves
+// several inserts.
+constexpr size_t kReclaimBytes = kPageSize / 4;
 
 struct HeapState : public ExtState {
   PageId first = kInvalidPageId;
@@ -26,6 +32,19 @@ struct HeapState : public ExtState {
   /// (planning precedes the scan), while a writer may be updating them.
   std::atomic<uint64_t> pages{0};
   std::atomic<uint64_t> records{0};
+  /// Pages deletes left at least kReclaimBytes free. An insert that does
+  /// not fit the tail goes to `refill`, the page the last such insert
+  /// went to, or else takes one of these, before the chain grows. It skips
+  /// a page another active transaction may have changed (its LSN is not
+  /// below TransactionManager::OldestActiveLsn): that transaction's undo
+  /// needs back the space and slots it freed. The inserter's own changes
+  /// are safe, since its undo runs in reverse order. A page that does not
+  /// fit returns with a later delete.
+  std::unordered_set<PageId> reclaimable;
+  PageId refill = kInvalidPageId;
+  /// The last insert found no room on the tail page and nothing has freed
+  /// any there since, so inserts go straight to `reclaimable`.
+  bool tail_full = false;
   /// Serializes page mutation and the chain-tail/counter fields across
   /// concurrent writer transactions. Record X locks don't help here: two
   /// inserters lock different records yet mutate the same tail page.
@@ -110,14 +129,43 @@ Status HeapInsertLocked(SmContext& ctx, const Slice& record,
   HeapState* st = StateOf(ctx);
   BufferPool* bp = ctx.db->buffer_pool();
 
-  // Try the tail page; if full, chain on a fresh page.
+  // Try the tail page, then pages deletes freed space on; if none fits,
+  // chain on a fresh page.
   PageHandle h;
   DMX_RETURN_IF_ERROR(bp->Fetch(st->last, &h));
   SlottedPage sp(h.page());
   uint16_t slot;
   PageId target = st->last;
   PageId link_prev = kInvalidPageId;
-  Status s = sp.Insert(record, &slot, kUpdateReserve);
+  Status s = st->tail_full ? Status::Busy("tail page full")
+                           : sp.Insert(record, &slot, kUpdateReserve);
+  st->tail_full = s.IsBusy();
+  const Lsn final_below =
+      s.IsBusy() && (st->refill != kInvalidPageId || !st->reclaimable.empty())
+          ? ctx.db->txn_manager()->OldestActiveLsn(
+                ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId)
+          : kInvalidLsn;
+  while (s.IsBusy() &&
+         (st->refill != kInvalidPageId || !st->reclaimable.empty())) {
+    PageId page = std::exchange(st->refill, kInvalidPageId);
+    if (page == kInvalidPageId) {
+      page = *st->reclaimable.begin();
+      st->reclaimable.erase(st->reclaimable.begin());
+    }
+    PageHandle rh;
+    DMX_RETURN_IF_ERROR(bp->Fetch(page, &rh));
+    SlottedPage rsp(rh.page());
+    if ((final_below != kInvalidLsn && PageLsn(*rh.page()) >= final_below) ||
+        rsp.FreeSpaceAfterCompaction() < record.size() + kUpdateReserve) {
+      continue;
+    }
+    s = rsp.Insert(record, &slot, kUpdateReserve);
+    if (s.ok()) {
+      st->refill = page;
+      target = page;
+      h = std::move(rh);
+    }
+  }
   if (s.IsBusy()) {
     PageId fresh;
     PageHandle nh;
@@ -130,6 +178,7 @@ Status HeapInsertLocked(SmContext& ctx, const Slice& record,
     h.MarkDirty();
     link_prev = st->last;
     st->last = fresh;
+    st->tail_full = false;
     ++st->pages;
     target = fresh;
     h = std::move(nh);
@@ -160,6 +209,11 @@ Status HeapEraseLocked(SmContext& ctx, const Slice& record_key,
   DMX_RETURN_IF_ERROR(ctx.db->buffer_pool()->Fetch(rid.page, &h));
   SlottedPage sp(h.page());
   DMX_RETURN_IF_ERROR(sp.Delete(rid.slot));
+  if (rid.page == st->last) {
+    st->tail_full = false;
+  } else if (sp.FreeSpaceAfterCompaction() >= kReclaimBytes) {
+    st->reclaimable.insert(rid.page);
+  }
   std::string payload = "D" + rid.Encode();
   payload.append(old_record.data(), old_record.size());
   Lsn lsn;
@@ -498,6 +552,7 @@ Status ApplyHeapOp(SmContext& ctx, const HeapLogOp& op, bool undo,
     s = Status::OK();
   }
   DMX_RETURN_IF_ERROR(s);
+  if (op.rid.page == st->last) st->tail_full = false;
   SetPageLsn(h.page(), apply_lsn);
   h.MarkDirty();
   return Status::OK();

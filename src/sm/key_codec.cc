@@ -54,6 +54,60 @@ Status EncodeValueKey(const std::vector<Value>& values, std::string* out) {
   return Status::OK();
 }
 
+Status AppendKeyOperand(const Value& v, TypeId field_type, std::string* key,
+                        bool* null) {
+  if (v.is_null()) {
+    *null = true;
+    return Status::OK();
+  }
+  const bool numeric_field =
+      field_type == TypeId::kInt64 || field_type == TypeId::kDouble;
+  if (v.type() != field_type && !(numeric_field && v.is_numeric())) {
+    return Status::InvalidArgument(std::string("cannot compare ") +
+                                   TypeName(field_type) + " with " +
+                                   TypeName(v.type()));
+  }
+  return EncodeKeyValue(v, key);
+}
+
+Status EncodeKeyRange(const KeyOperandValues& ops,
+                      const std::vector<TypeId>& types, std::string* prefix,
+                      std::optional<std::string>* low,
+                      std::optional<std::string>* high, bool* empty) {
+  *empty = false;
+  prefix->clear();
+  for (size_t i = 0; i < ops.eq.size(); ++i) {
+    DMX_RETURN_IF_ERROR(AppendKeyOperand(ops.eq[i], types[i], prefix, empty));
+    if (*empty) return Status::OK();
+  }
+  auto tightest = [&](const std::vector<Value>& operands, int sign,
+                      std::optional<std::string>* bound) -> Status {
+    const Value* best = nullptr;
+    for (const Value& v : operands) {
+      std::string ignored;
+      DMX_RETURN_IF_ERROR(
+          AppendKeyOperand(v, types[ops.eq.size()], &ignored, empty));
+      if (*empty) return Status::OK();
+      if (best == nullptr || sign * v.Compare(*best) > 0) best = &v;
+    }
+    *bound = *prefix;
+    if (best != nullptr) DMX_RETURN_IF_ERROR(EncodeKeyValue(*best, &**bound));
+    return Status::OK();
+  };
+  low->reset();
+  high->reset();
+  if (!ops.low.empty() || !ops.eq.empty()) {
+    DMX_RETURN_IF_ERROR(tightest(ops.low, +1, low));
+    if (*empty) return Status::OK();
+  }
+  if (!ops.high.empty() || !ops.eq.empty()) {
+    DMX_RETURN_IF_ERROR(tightest(ops.high, -1, high));
+    if (*empty) return Status::OK();
+    **high += '\xff';  // include multi-field extensions of the bound
+  }
+  return Status::OK();
+}
+
 Status DecodeKeyValue(Slice* in, TypeId type, Value* out) {
   if (in->empty()) return Status::Corruption("key truncated");
   char tag = (*in)[0];

@@ -9,6 +9,7 @@
 #ifndef DMX_SM_KEY_CODEC_H_
 #define DMX_SM_KEY_CODEC_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,32 @@ Status EncodeFieldKey(const RecordView& view, const std::vector<int>& fields,
 
 /// Compose a key from explicit values (planner-side bound construction).
 Status EncodeValueKey(const std::vector<Value>& values, std::string* out);
+
+/// Append one key operand `v`, compared against a key field of type
+/// `field_type`, to `key`. A NULL `v` sets *null and appends nothing; a
+/// type the evaluator could not compare with the field is InvalidArgument.
+Status AppendKeyOperand(const Value& v, TypeId field_type, std::string* key,
+                        bool* null);
+
+/// The operand values of an access key over key fields of the given
+/// column types: one equality value per leading field, then lower and
+/// upper bound values on the field after them.
+struct KeyOperandValues {
+  std::vector<Value> eq;
+  std::vector<Value> low;
+  std::vector<Value> high;
+};
+
+/// Encode `ops` into the key range an ordered access path scans: `prefix`
+/// is the equality prefix; `low`/`high` hold the tightest bound per side
+/// (the largest lower, the smallest upper), both inclusive because the
+/// executor re-checks strictness, and `high` extended with 0xff so
+/// multi-field keys that start with it qualify. A side with neither a bound
+/// nor a prefix stays open. A NULL operand sets *empty: no key qualifies.
+Status EncodeKeyRange(const KeyOperandValues& ops,
+                      const std::vector<TypeId>& types, std::string* prefix,
+                      std::optional<std::string>* low,
+                      std::optional<std::string>* high, bool* empty);
 
 /// Decode one field from the front of an encoded key, advancing `in`.
 /// `type` is the column type the field was encoded from. The inverse of

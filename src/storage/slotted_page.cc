@@ -59,6 +59,14 @@ size_t SlottedPage::FreeSpaceForInsert() const {
   return ds - slot_array_end - 4;  // reserve room for one new slot entry
 }
 
+size_t SlottedPage::FreeSpaceAfterCompaction() const {
+  size_t used = kSlotArrayOff + 4 * (num_slots() + 1u);
+  for (uint16_t i = 0; i < num_slots(); ++i) {
+    if (slot_offset(i) != 0) used += slot_length(i);
+  }
+  return used < kPageSize ? kPageSize - used : 0;
+}
+
 Status SlottedPage::Insert(const Slice& data, uint16_t* slot,
                            size_t reserve) {
   if (data.size() > kPageSize / 2) {

@@ -37,6 +37,9 @@ class SlottedPage {
   /// Bytes available for one more insert (accounts for the slot entry).
   size_t FreeSpaceForInsert() const;
 
+  /// The same once compaction has closed the holes between payloads.
+  size_t FreeSpaceAfterCompaction() const;
+
   /// Insert `data`, returning the slot number. Fails with Busy if the page
   /// cannot hold the payload even after compaction. `reserve` bytes are
   /// kept free beyond the payload (callers reserve slack for future

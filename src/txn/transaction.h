@@ -10,12 +10,15 @@
 #ifndef DMX_TXN_TRANSACTION_H_
 #define DMX_TXN_TRANSACTION_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "src/txn/lock_manager.h"
 #include "src/util/common.h"
+#include "src/util/slice.h"
 #include "src/util/status.h"
 
 namespace dmx {
@@ -54,7 +57,16 @@ class Transaction {
   /// There is no begin record: the first record logged carries
   /// prev_lsn = kInvalidLsn.
   Lsn last_lsn() const { return last_lsn_; }
-  void set_last_lsn(Lsn lsn) { last_lsn_ = lsn; }
+  void set_last_lsn(Lsn lsn) {
+    if (first_lsn() == kInvalidLsn) {
+      first_lsn_.store(lsn, std::memory_order_relaxed);
+    }
+    last_lsn_ = lsn;
+  }
+
+  /// LSN of this transaction's first log record; kInvalidLsn until it
+  /// logs. Other threads read it (TransactionManager::OldestActiveLsn).
+  Lsn first_lsn() const { return first_lsn_.load(std::memory_order_relaxed); }
 
   /// Durability mode for this transaction's commit. Strict (default):
   /// Commit returns only after the commit record is fsynced (sharing the
@@ -65,6 +77,19 @@ class Transaction {
   void set_relaxed_durability(bool relaxed) {
     relaxed_durability_ = relaxed;
   }
+
+  /// Acquire `mode` on relation `rel` through the lock manager, unless a
+  /// relation mode this transaction already holds dominates it: locks are
+  /// released only when the transaction ends, so the modes it remembers
+  /// stay true for its whole life and such a request is answered here.
+  Status LockRelation(RelationId rel, LockMode mode);
+
+  /// Acquire `mode` (S or X) on record `key` of `rel`, with the matching
+  /// intention mode (IS or IX) on the relation first. A record request
+  /// that a held relation mode covers (S, SIX or X for a read; X for a
+  /// write) is granted implicitly, without the lock manager: the
+  /// granularity protocol (Gray et al., "Granularity of Locks", 1976).
+  Status LockRecord(RelationId rel, const Slice& key, LockMode mode);
 
   /// Enqueue `action` to run when `event` fires. Actions enqueued after a
   /// savepoint are discarded if the transaction rolls back to it.
@@ -80,7 +105,7 @@ class Transaction {
  private:
   friend class TransactionManager;
 
-  explicit Transaction(TxnId id) : id_(id) {}
+  Transaction(TxnId id, LockManager* locks) : id_(id), locks_(locks) {}
 
   struct QueuedAction {
     DeferredAction action;
@@ -94,11 +119,19 @@ class Transaction {
   // Discard queued actions enqueued after `lsn` (partial rollback).
   void DropDeferredAfter(Lsn lsn);
 
+  // The relation's mode held by this transaction, if any.
+  LockMode* HeldMode(RelationId rel);
+
   TxnId id_;
+  LockManager* locks_;
+  // Relation modes granted to this transaction by the lock manager; a
+  // statement touches few relations, so a flat vector.
+  std::vector<std::pair<RelationId, LockMode>> relation_modes_;
   std::string user_;
   TxnState state_ = TxnState::kActive;
-  Lsn last_lsn_ = kInvalidLsn;
   bool relaxed_durability_ = false;
+  Lsn last_lsn_ = kInvalidLsn;
+  std::atomic<Lsn> first_lsn_{kInvalidLsn};
   std::vector<std::pair<std::string, Lsn>> savepoints_;
   std::map<TxnEvent, std::vector<QueuedAction>> deferred_;
 };

@@ -15,7 +15,7 @@ TransactionManager::TransactionManager(LogManager* log, LockManager* locks)
 Transaction* TransactionManager::Begin() {
   metric_begins_->Increment();
   TxnId id = next_txn_id_.fetch_add(1);
-  auto txn = std::unique_ptr<Transaction>(new Transaction(id));
+  auto txn = std::unique_ptr<Transaction>(new Transaction(id, locks_));
   txn->set_relaxed_durability(default_relaxed_);
   // No begin record: a transaction reaches the log only with its first
   // effect, so read-only transactions never write to it at all.
@@ -23,6 +23,19 @@ Transaction* TransactionManager::Begin() {
   MutexLock lock(&mu_);
   live_[id] = std::move(txn);
   return raw;
+}
+
+Lsn TransactionManager::OldestActiveLsn(TxnId except) {
+  MutexLock lock(&mu_);
+  Lsn oldest = kInvalidLsn;
+  for (const auto& [id, txn] : live_) {
+    if (id == except) continue;
+    const Lsn first = txn->first_lsn();
+    if (first != kInvalidLsn && (oldest == kInvalidLsn || first < oldest)) {
+      oldest = first;
+    }
+  }
+  return oldest;
 }
 
 Status TransactionManager::FinishTxn(Transaction* txn, bool committed) {

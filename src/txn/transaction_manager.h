@@ -102,6 +102,11 @@ class TransactionManager {
   Status RollbackTo(Transaction* txn, Lsn to_lsn);
 
   LockManager* lock_manager() { return locks_; }
+
+  /// The first LSN of the oldest active transaction other than `except`
+  /// that has logged, or kInvalidLsn when none has. A page whose LSN is
+  /// below it holds no change of any other active transaction.
+  Lsn OldestActiveLsn(TxnId except);
   LogManager* log() { return log_; }
 
   /// Count of transactions ever begun (tests).

@@ -830,6 +830,62 @@ INSTANTIATE_TEST_SUITE_P(PoolPages, BTreeCursorDbTest,
 
 // -- maintained shape counts --------------------------------------------------
 
+// BTree::EstimateRange against the true count of random ranges, on trees
+// of height 1, 2 and 3 filled in random order (leaves half to fully
+// packed): within 2x for widths from 0.1% to 50% of the entries, exact in
+// a one-leaf tree, and the whole tree when both bounds are open.
+TEST_F(BTreeTest, EstimateRangeIsWithinTwiceTheTrueCount) {
+  struct Config {
+    int entries;
+    size_t padding;  // bytes appended to every key, to make a tree taller
+    uint32_t height;
+  };
+  std::mt19937 rng(22);
+  for (const Config& c : {Config{100, 0, 1}, Config{10000, 0, 2},
+                          Config{20000, 40, 3}}) {
+    PageId anchor;
+    ASSERT_TRUE(BTree::Create(bp_.get(), &anchor).ok());
+    BTree tree(bp_.get(), anchor);
+    ASSERT_TRUE(tree.LoadCounts().ok());
+    auto key = [&](int i) { return Key(i) + std::string(c.padding, 'p'); };
+    std::vector<int> order(c.entries);
+    for (int i = 0; i < c.entries; ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    for (int i : order) {
+      ASSERT_TRUE(tree.Insert(Slice(key(i)), Slice("v" + Key(i))).ok());
+    }
+    uint32_t height = 0;
+    ASSERT_TRUE(tree.Height(&height).ok());
+    ASSERT_EQ(height, c.height) << c.entries << " entries";
+
+    double all = 0;
+    ASSERT_TRUE(tree.EstimateRange(std::nullopt, std::nullopt, &all).ok());
+    EXPECT_DOUBLE_EQ(all, c.entries);
+    for (double width : {0.001, 0.01, 0.1, 0.5}) {
+      const int count =
+          std::max(1, static_cast<int>(std::lround(width * c.entries)));
+      std::uniform_int_distribution<int> start(0, c.entries - count);
+      for (int trial = 0; trial < 25; ++trial) {
+        const int low = start(rng);
+        double estimate = 0;
+        ASSERT_TRUE(tree.EstimateRange(key(low), key(low + count - 1),
+                                       &estimate)
+                        .ok());
+        if (c.height == 1) {
+          EXPECT_EQ(estimate, count);
+        } else {
+          EXPECT_GE(estimate, count / 2.0)
+              << "height " << c.height << ", [" << low << ", "
+              << low + count - 1 << "]";
+          EXPECT_LE(estimate, count * 2.0)
+              << "height " << c.height << ", [" << low << ", "
+              << low + count - 1 << "]";
+        }
+      }
+    }
+  }
+}
+
 struct Shape {
   uint64_t entries = 0, leaves = 0;
   uint32_t height = 0;

@@ -257,5 +257,66 @@ TEST_F(ConcurrencyTest, ReadersShareWritersExclude) {
   db_->lock_manager()->set_timeout(std::chrono::milliseconds(2000));
 }
 
+// A scan's relation S covers the records it reads, so the reader takes no
+// record locks; a writer's IX must still wait until the reader commits, and
+// a record X under a relation X is covered the same way.
+TEST_F(ConcurrencyTest, WriterIntentionWaitsBehindReaderScan) {
+  std::string key;
+  {
+    Transaction* txn = db_->Begin();
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(db_->Insert(txn, "counters",
+                              {Value::Int(i), Value::Int(0)}, &key)
+                      .ok());
+    }
+    ASSERT_TRUE(db_->Commit(txn).ok());
+  }
+  const size_t idle = db_->lock_manager()->LockedResourceCount();
+  Transaction* reader = db_->Begin();
+  std::unique_ptr<Scan> scan;
+  ASSERT_TRUE(db_->OpenScan(reader, "counters", AccessPathId::StorageMethod(),
+                            ScanSpec{}, &scan)
+                  .ok());
+  ScanItem item;
+  int rows = 0;
+  while (scan->Next(&item).ok()) ++rows;
+  EXPECT_EQ(rows, 10);
+  Record rec;
+  ASSERT_TRUE(db_->Fetch(reader, "counters", Slice(key), &rec).ok());
+  // One resource: the relation. The fetched record is covered.
+  EXPECT_EQ(db_->lock_manager()->LockedResourceCount(), idle + 1);
+
+  std::atomic<bool> inserted{false};
+  Status writer_status;
+  std::thread writer([&] {
+    Transaction* txn = db_->Begin();
+    writer_status = db_->Insert(txn, "counters", {Value::Int(99),
+                                                  Value::Int(0)});
+    inserted = true;
+    if (writer_status.ok()) {
+      writer_status = db_->Commit(txn);
+    } else {
+      (void)db_->Abort(txn);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(inserted.load());  // IX waits behind S
+  scan.reset();
+  ASSERT_TRUE(db_->Commit(reader).ok());
+  writer.join();
+  EXPECT_TRUE(inserted.load());
+  EXPECT_TRUE(writer_status.ok()) << writer_status.ToString();
+
+  // A relation X covers record X: a delete under it adds no record lock.
+  const RelationDescriptor* desc = nullptr;
+  ASSERT_TRUE(db_->FindRelation("counters", &desc).ok());
+  Transaction* owner = db_->Begin();
+  ASSERT_TRUE(owner->LockRelation(desc->id, LockMode::kX).ok());
+  const size_t held = db_->lock_manager()->LockedResourceCount();
+  ASSERT_TRUE(db_->Delete(owner, "counters", Slice(key)).ok());
+  EXPECT_EQ(db_->lock_manager()->LockedResourceCount(), held);
+  ASSERT_TRUE(db_->Commit(owner).ok());
+}
+
 }  // namespace
 }  // namespace dmx

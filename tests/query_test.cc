@@ -120,13 +120,21 @@ TEST_F(QueryTest, PlannerPicksHashOverBTreeForEquality) {
   ASSERT_TRUE(PlanAccess(db_.get(), txn, Desc(), pred, &plan).ok());
   EXPECT_EQ(plan.DebugString(db_->registry()), "hash_index#1");
   EXPECT_TRUE(plan.probe);
-  // Range predicate: hash is unusable, and on a table this small the
-  // calibrated cost model (kRecordFetchCost per qualifying fetch) puts the
-  // crossover below 33% selectivity — the scan wins.
+  // Range predicate: hash is unusable. The B-tree counts the literal range
+  // it will read, ids 0 to 10 (the key bound is inclusive; the residual
+  // drops 10): 11 of 200 entries, under the calibrated crossover
+  // (kRecordFetchCost per qualifying fetch), so the B-tree wins. It reads
+  // the rows in about 10 us against the scan's 15.
   AccessPlan plan2;
   auto pred2 = Expr::Cmp(ExprOp::kLt, 0, Value::Int(10));
   ASSERT_TRUE(PlanAccess(db_.get(), txn, Desc(), pred2, &plan2).ok());
-  EXPECT_EQ(plan2.DebugString(db_->registry()), "storage-method scan");
+  EXPECT_EQ(plan2.DebugString(db_->registry()), "btree_index#1");
+  EXPECT_DOUBLE_EQ(plan2.cost.selectivity, 11.0 / 200);
+  // A 75% range still goes to the scan.
+  AccessPlan plan3;
+  auto pred3 = Expr::Cmp(ExprOp::kLt, 0, Value::Int(150));
+  ASSERT_TRUE(PlanAccess(db_.get(), txn, Desc(), pred3, &plan3).ok());
+  EXPECT_EQ(plan3.DebugString(db_->registry()), "storage-method scan");
   ASSERT_TRUE(db_->Commit(txn).ok());
 }
 
@@ -377,14 +385,22 @@ TEST_F(QueryTest, KeyCodecDecodeRoundTrip) {
 // counts, so one PlanAccess touches the same number of buffer-pool pages on
 // the Figure-1 EMPLOYEE relation (heap + UNIQUE btree_index(id) +
 // btree_index(salary) + hash_index(dept) + CHECK) at 1,000 rows as at
-// 20,000 — and the chosen paths are the ones the cost model always chose.
+// 20,000 — and the chosen paths are the same at both sizes.
 struct Figure1Planning {
   uint64_t id_eq_touches = 0;
   uint32_t id_tree_height = 0;
-  std::vector<std::string> plans;  // id =, salary BETWEEN, dept =, none
+  // id =, salary BETWEEN (1%), dept =, none, then the `extra` predicates
+  std::vector<std::string> plans;
+  std::vector<AccessPlan> access;  // parallel to plans
 };
 
-void PlanOnFigure1(int rows, Figure1Planning* out) {
+ExprPtr SalaryBetween(ExprPtr low, ExprPtr high) {
+  return Expr::And(Expr::Binary(ExprOp::kGe, Expr::Field(2), std::move(low)),
+                   Expr::Binary(ExprOp::kLe, Expr::Field(2), std::move(high)));
+}
+
+void PlanOnFigure1(int rows, Figure1Planning* out,
+                   const std::vector<ExprPtr>& extra = {}) {
   TempDir dir("figure1_plan");
   DatabaseOptions options;
   options.dir = dir.path();
@@ -414,12 +430,13 @@ void PlanOnFigure1(int rows, Figure1Planning* out) {
 
   const RelationDescriptor* desc = nullptr;
   ASSERT_TRUE(db->FindRelation("emp", &desc).ok());
-  const ExprPtr preds[] = {
+  std::vector<ExprPtr> preds = {
       Expr::Cmp(ExprOp::kEq, 0, Value::Int(rows / 2)),
       Expr::And(Expr::Cmp(ExprOp::kGe, 2, Value::Double(20000)),
                 Expr::Cmp(ExprOp::kLe, 2, Value::Double(21000))),
       Expr::Cmp(ExprOp::kEq, 3, Value::String("d7")),
       nullptr};
+  preds.insert(preds.end(), extra.begin(), extra.end());
   const BufferPoolStats& stats = db->buffer_pool()->stats();
   for (const ExprPtr& pred : preds) {
     Transaction* txn = db->Begin();
@@ -430,6 +447,7 @@ void PlanOnFigure1(int rows, Figure1Planning* out) {
       out->id_eq_touches = stats.hits + stats.misses - before;
     }
     out->plans.push_back(plan.DebugString(db->registry()));
+    out->access.push_back(plan);
     ASSERT_TRUE(db->Commit(txn).ok());
   }
   const PageId anchor = testing::BTreeIndexAnchor(db.get(), "emp", 1);
@@ -444,11 +462,88 @@ TEST(PlanningScaleTest, PlanAccessIsFlatInTableSize) {
   ASSERT_NO_FATAL_FAILURE(PlanOnFigure1(20000, &large));
   EXPECT_EQ(small.id_eq_touches, large.id_eq_touches);
   EXPECT_LE(large.id_eq_touches, 4u * large.id_tree_height);
+  // The 1% salary range takes the salary index at both sizes: at 20,000
+  // rows it reads its 201 rows in ~0.1 ms against the scan's ~1.4 ms, at
+  // 1,000 rows its 9 in ~11 us against ~117 us.
   const std::vector<std::string> expected = {
-      "btree_index#1", "storage-method scan", "hash_index#1",
+      "btree_index#1", "btree_index#2", "hash_index#1",
       "storage-method scan"};
   EXPECT_EQ(small.plans, expected);
   EXPECT_EQ(large.plans, expected);
+}
+
+// With literal operands the salary index counts the range in the tree
+// (BTree::EstimateRange): a 1% range takes it and a 50% range goes to the
+// scan. `?` operands have no value when the plan is made, so the range
+// keeps the heuristic selectivity and, as before, the scan.
+TEST(PlanningScaleTest, LiteralRangesAreCountedInTheTree) {
+  const int rows = 20000;
+  Figure1Planning fig;
+  ASSERT_NO_FATAL_FAILURE(PlanOnFigure1(
+      rows, &fig,
+      {SalaryBetween(Expr::Const(Value::Double(1000)),
+                     Expr::Const(Value::Double(51000))),
+       SalaryBetween(Expr::Param(0), Expr::Param(1))}));
+  ASSERT_EQ(fig.plans.size(), 6u);
+  EXPECT_EQ(fig.plans[1], "btree_index#2");
+  EXPECT_EQ(fig.plans[4], "storage-method scan");
+  EXPECT_EQ(fig.plans[5], "storage-method scan");
+  // Salaries are distinct and uniform over [1000, 101000): the 1% range
+  // holds 201 rows, and the estimate is within 2x of that.
+  const double one_percent = fig.access[1].cost.selectivity * rows;
+  EXPECT_GE(one_percent, 201 / 2.0);
+  EXPECT_LE(one_percent, 201 * 2.0);
+}
+
+// The granularity protocol: a scan holds relation S, which covers every
+// record it reads, so a unique point select and a 250-row index range each
+// make exactly one lock-manager acquisition.
+TEST(LockCoverageTest, IndexReadsTakeOneLockManagerAcquisition) {
+  TempDir dir("lock_cover");
+  DatabaseOptions options;
+  options.dir = dir.path();
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(options, &db).ok());
+  Session session(db.get());
+  QueryResult r;
+  for (const char* ddl :
+       {"CREATE TABLE emp (id INT NOT NULL, salary DOUBLE) USING heap",
+        "CREATE UNIQUE INDEX ON emp (id)", "CREATE INDEX ON emp (salary)",
+        "BEGIN"}) {
+    ASSERT_TRUE(session.Execute(ddl, &r).ok()) << ddl;
+  }
+  for (int b = 0; b < 25000; b += 500) {
+    std::string sql = "INSERT INTO emp VALUES ";
+    for (int i = b; i < b + 500; ++i) {
+      if (i > b) sql += ",";
+      sql += "(" + std::to_string(i) + ", " + std::to_string(i) + ")";
+    }
+    ASSERT_TRUE(session.Execute(sql, &r).ok());
+  }
+  ASSERT_TRUE(session.Execute("COMMIT", &r).ok());
+
+  Counter* acquisitions =
+      MetricsRegistry::Global()->GetCounter("lock.acquisitions");
+  auto acquired_by = [&](const std::string& sql, size_t rows) {
+    QueryResult plan;
+    EXPECT_TRUE(session.Execute("EXPLAIN " + sql, &plan).ok());
+    const uint64_t before = acquisitions->value();
+    QueryResult result;
+    EXPECT_TRUE(session.Execute(sql, &result).ok()) << sql;
+    EXPECT_EQ(result.rows.size(), rows) << sql;
+    EXPECT_FALSE(plan.rows.empty()) << sql;
+    return std::make_pair(
+        acquisitions->value() - before,
+        plan.rows.empty() ? "" : plan.rows[0][0].string_value());
+  };
+  auto [point, point_plan] =
+      acquired_by("SELECT * FROM emp WHERE id = 12345", 1);
+  EXPECT_EQ(point, 1u);
+  EXPECT_EQ(point_plan, "btree_index#1");
+  auto [range, range_plan] = acquired_by(
+      "SELECT * FROM emp WHERE salary BETWEEN 5000 AND 5249", 250);
+  EXPECT_EQ(range, 1u);
+  EXPECT_EQ(range_plan, "btree_index#2");
 }
 
 }  // namespace

@@ -623,5 +623,36 @@ TEST_F(AttachmentStateAtOpenTest, StateOpenedDuringRecoveryIsRebuilt) {
   ExpectClean();
 }
 
+TEST_F(AttachmentStateAtOpenTest, WinnersOnlyCrashScansOncePerAttachment) {
+  // The same lost pages, but only a winner: redo replays its heap records
+  // and skips the attachment records (restart opens no attachment state
+  // to redo them), nothing is undone, so each in-memory attachment is
+  // built once, by Open, from the recovered base.
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  Transaction* txn = db_->Begin();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(db_->Insert(txn, "t", Row(100 + i)).ok());
+  }
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(db_->Delete(txn, "t", Slice(keys_[i])).ok());
+  }
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  env_.SetWriteFailAfter(0);  // the disk dies before any page goes out
+  db_->SimulateCrashOnClose();
+  db_.reset();
+  env_.ClearFaults();
+  ASSERT_TRUE(env_.DropUnsyncedWrites().ok());
+
+  g_base_scans = 0;
+  Open();
+  EXPECT_EQ(g_base_scans.load(), kInMemoryAttachments);
+  ExpectClean();
+  txn = db_->Begin();
+  EXPECT_TRUE(db_->Insert(txn, "t", Row(119)).IsConstraint());
+  ASSERT_TRUE(db_->Insert(txn, "t", Row(4)).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  ExpectClean();
+}
+
 }  // namespace
 }  // namespace dmx
