@@ -363,6 +363,7 @@ Status IdxCost(AtContext& ctx, uint32_t instance_no,
     std::string key_prefix;
     std::optional<std::string> low, high;
     bool empty = false;
+    out->value_dependent = true;
     // An operand the key cannot hold fails again, and is reported, when
     // the plan binds it; until then the heuristic prices it.
     if (EncodeKeyRange(operands, types, &key_prefix, &low, &high, &empty)

@@ -460,6 +460,9 @@ Status RtCost(AtContext& ctx, uint32_t instance_no,
       const RTree& tree = st->trees[instance_no];
       double n = static_cast<double>(tree.size());
       out->usable = true;
+      // Only literal corners match: the same predicate over `?` corners
+      // would leave this path unusable.
+      out->value_dependent = true;
       out->handled_predicates = {static_cast<int>(i)};
       out->selectivity = EstimateSelectivity(predicates[i]);
       // log-ish traversal, then fetch every qualifying record.

@@ -5,7 +5,9 @@
 // estimator that can read its own structure does better, as btree_index
 // does for literal key ranges (BTree::EstimateRange counts the range from
 // the tree's key positions); `?` operands, whose values a bound plan does
-// not hold, still get these numbers.
+// not hold, still get these numbers. An estimate that read a literal's
+// value says so (AccessCost::value_dependent), and the SQL plan cache then
+// plans each execution of the statement with its own values.
 
 #ifndef DMX_CORE_COSTING_H_
 #define DMX_CORE_COSTING_H_

@@ -86,6 +86,11 @@ struct AccessCost {
   /// Indexes (into the eligible-predicate list) of predicates this path
   /// evaluates itself; the executor need not re-check them.
   std::vector<int> handled_predicates;
+  /// Set by an estimator whose estimate read the value of a literal
+  /// operand (a constant, not a `?`): the same predicate with other values
+  /// may cost differently, so a plan chosen on it holds for these values
+  /// only.
+  bool value_dependent = false;
 
   double total() const { return io_cost + cpu_cost; }
 };

@@ -16,33 +16,30 @@ bool PlanCache::IsValid(const BoundPlan& plan) const {
   return true;
 }
 
-Status PlanCache::Get(const std::string& key, const Builder& builder,
-                      std::shared_ptr<const BoundPlan>* out) {
-  {
-    MutexLock lock(&mu_);
-    auto it = plans_.find(key);
-    if (it != plans_.end()) {
-      if (IsValid(*it->second)) {
-        stats_.hits.Increment();
-        metric_hits_->Increment();
-        *out = it->second;
-        return Status::OK();
-      }
-      // Stale: drop and re-translate below.
-      plans_.erase(it);
-      stats_.retranslations.Increment();
-      metric_retranslations_->Increment();
-    } else {
-      stats_.misses.Increment();
-      metric_misses_->Increment();
-    }
-  }
-  auto plan = std::make_shared<BoundPlan>();
-  DMX_RETURN_IF_ERROR(builder(plan.get()));
+std::shared_ptr<const BoundPlan> PlanCache::Lookup(const std::string& key) {
   MutexLock lock(&mu_);
-  plans_[key] = plan;
-  *out = std::move(plan);
-  return Status::OK();
+  auto it = plans_.find(key);
+  if (it == plans_.end()) {
+    stats_.misses.Increment();
+    metric_misses_->Increment();
+    return nullptr;
+  }
+  if (!IsValid(*it->second)) {
+    // Stale: drop it; the caller re-translates.
+    plans_.erase(it);
+    stats_.retranslations.Increment();
+    metric_retranslations_->Increment();
+    return nullptr;
+  }
+  stats_.hits.Increment();
+  metric_hits_->Increment();
+  return it->second;
+}
+
+void PlanCache::Insert(const std::string& key,
+                       std::shared_ptr<const BoundPlan> plan) {
+  MutexLock lock(&mu_);
+  plans_[key] = std::move(plan);
 }
 
 Status PlanCache::GetAccessPlan(Transaction* txn, const std::string& relation,
@@ -50,13 +47,17 @@ Status PlanCache::GetAccessPlan(Transaction* txn, const std::string& relation,
                                 const std::string& key,
                                 std::shared_ptr<const BoundPlan>* out,
                                 const std::vector<int>* needed_fields) {
-  return Get(key, [&](BoundPlan* plan) -> Status {
-    DMX_RETURN_IF_ERROR(db_->FindRelation(relation, &plan->relation));
-    const RelationDescriptor* desc = plan->relation.get();
-    plan->dependencies = {{desc->id, desc->version}};
-    return PlanAccess(db_, txn, desc, predicate, &plan->access,
-                      needed_fields);
-  }, out);
+  *out = Lookup(key);
+  if (*out != nullptr) return Status::OK();
+  auto plan = std::make_shared<BoundPlan>();
+  DMX_RETURN_IF_ERROR(db_->FindRelation(relation, &plan->relation));
+  const RelationDescriptor* desc = plan->relation.get();
+  plan->dependencies = {{desc->id, desc->version}};
+  DMX_RETURN_IF_ERROR(PlanAccess(db_, txn, desc, predicate, &plan->access,
+                                 needed_fields));
+  Insert(key, plan);
+  *out = std::move(plan);
+  return Status::OK();
 }
 
 size_t PlanCache::size() const {

@@ -18,23 +18,30 @@
 // snapshot is the catalog's own immutable descriptor object, shared rather
 // than copied, so a cached plan costs no descriptor bytes of its own.
 //
-// Plans are keyed by SQL text and hold no parameter values: a `?` operand
-// stays an expression in the plan (see KeyOperands) and each execution
-// binds its own values, so one plan serves every execution of a
-// parameterised statement, from any number of sessions at once.
+// The SQL front end keys plans by statement shape: the text with each
+// literal lifted out as a typed parameter, so `id = 17` and `id = 18` are
+// one statement whose values are the plan's "variable data". Plans hold no
+// parameter values: a `?` operand stays an expression in the plan (see
+// KeyOperands) and each execution binds its own values, so one plan serves
+// every execution of a shape. An entry also keeps the parsed statement, so
+// a hit runs no parser. When a cost estimate read a lifted literal's value
+// (AccessCost::value_dependent), the entry keeps only the statement and
+// each execution plans its own access.
 
 #ifndef DMX_QUERY_PLAN_CACHE_H_
 #define DMX_QUERY_PLAN_CACHE_H_
 
-#include <functional>
-#include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "src/query/planner.h"
 #include "src/util/metrics.h"
 #include "src/util/thread_annotations.h"
 
 namespace dmx {
+
+/// A parsed SQL statement (src/query/sql.cc).
+struct ParsedStatement;
 
 /// A retained translation of a query.
 struct BoundPlan {
@@ -44,22 +51,29 @@ struct BoundPlan {
   AccessPlan access;
   /// (relation id, catalog version at bind time) — validity certificate.
   std::vector<std::pair<RelationId, uint64_t>> dependencies;
+  /// The statement this plan translates, with its lifted literals and `?`s
+  /// as parameters; null for plans bound through GetAccessPlan.
+  std::shared_ptr<const ParsedStatement> statement;
+  /// True when `access` is not retained: a cost estimate read a lifted
+  /// literal's value, so each execution plans `statement` itself.
+  bool plan_per_execution = false;
 };
 
 class PlanCache {
  public:
   explicit PlanCache(Database* db);
 
-  using Builder = std::function<Status(BoundPlan* plan)>;
+  /// The plan bound under `key` if its dependencies still hold, else null:
+  /// a miss, or a stale plan, which is dropped and counted as a
+  /// retranslation. The returned shared_ptr stays valid even if the entry
+  /// is later invalidated.
+  std::shared_ptr<const BoundPlan> Lookup(const std::string& key);
 
-  /// Fetch the plan bound under `key`, validating its dependencies; on a
-  /// miss or a stale plan, invoke `builder` to (re-)translate and cache the
-  /// result. The returned shared_ptr stays valid even if the entry is later
-  /// invalidated.
-  Status Get(const std::string& key, const Builder& builder,
-             std::shared_ptr<const BoundPlan>* out);
+  /// Retain `plan` under `key`.
+  void Insert(const std::string& key, std::shared_ptr<const BoundPlan> plan);
 
-  /// Bind helper: single-relation access plan for (relation, predicate).
+  /// Bind helper: the single-relation access plan for (relation,
+  /// predicate) bound under `key`, translated and retained on a miss.
   /// `needed_fields` (optional) enables index-only plans (see PlanAccess).
   Status GetAccessPlan(Transaction* txn, const std::string& relation,
                        const ExprPtr& predicate, const std::string& key,
@@ -86,7 +100,7 @@ class PlanCache {
 
   Database* db_;
   mutable Mutex mu_;
-  std::map<std::string, std::shared_ptr<const BoundPlan>> plans_
+  std::unordered_map<std::string, std::shared_ptr<const BoundPlan>> plans_
       GUARDED_BY(mu_);
   Stats stats_;
   // Process-wide mirrors of stats_ ("plancache.*" in the registry).

@@ -183,6 +183,10 @@ Status PlanAccess(Database* db, Transaction* txn,
   out->key_fields.clear();
   out->needed_fields.clear();
   out->parallel_workers = 0;
+  out->value_dependent = false;
+  for (const AccessCandidate& c : candidates) {
+    out->value_dependent |= c.cost.value_dependent;
+  }
   if (needed_fields != nullptr) {
     out->needed_fields = *needed_fields;
     if (predicate != nullptr) predicate->CollectFields(&out->needed_fields);

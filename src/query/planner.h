@@ -79,6 +79,11 @@ struct AccessPlan {
   /// serially regardless.
   int parallel_workers = 0;
 
+  /// True when some candidate's estimate read a literal operand's value
+  /// (AccessCost::value_dependent): the choice may differ for other values
+  /// of the same literals.
+  bool value_dependent = false;
+
   /// Display form for examples/tests, e.g. "btree_index#1" or "heap scan".
   std::string DebugString(const ExtensionRegistry* registry) const;
 };

@@ -27,7 +27,8 @@
 //
 // Types: INT, DOUBLE, STRING (or TEXT), BOOL. Expressions support
 // comparisons, AND/OR/NOT, arithmetic, LIKE, BETWEEN, IN (...), IS [NOT]
-// NULL, literals (integers, decimals, 'strings', TRUE/FALSE, NULL), and `?`
+// NULL, literals (integers, decimals, 'strings', TRUE/FALSE, NULL; a '-'
+// before a digit is a sign wherever an operand may start), and `?`
 // runtime parameters. A `?` is accepted wherever a literal is: in
 // expressions, INSERT tuples and LIMIT; a CHECK predicate, which outlives
 // its statement, stores the bound values as constants. Placeholders are numbered in
@@ -39,14 +40,23 @@
 // access path on its column, the session picks an index nested-loop join,
 // otherwise a plain nested loop.
 //
-// SELECT statements are bound through the session's PlanCache: repeated
-// queries reuse their translation until DDL invalidates it (the paper's
-// query-binding model). A plan holds `?` operands as expressions, never
-// their values, so `SELECT ... WHERE id = ?` is translated once — to the
-// same unique-index probe `id = 5` gets — and every execution binds its
-// own parameters when its scan opens. Parameters belong to the execution,
-// not to the session or the database: concurrent sessions running the
-// same parameterised statement never see each other's values.
+// SELECT, UPDATE and DELETE are bound through the session's PlanCache,
+// keyed by statement shape: the tokens with each number and string literal
+// lifted out as a typed parameter, so `id = 17` and `id = 18` are one
+// statement and `id = 2`, `id = 2.0` and `id = '2'` are three. The lifted
+// values join the caller's `?` values in textual order as the execution's
+// parameters. A repeated shape reuses its parsed statement and plan until
+// DDL invalidates them (the paper's query-binding model): no parser, name
+// resolution, catalog lookup or planning, only the lexer. A plan holds its
+// parameters as expressions, never their values, so `id = ?` and every
+// literal `id = n` share the unique-index probe and bind their own values
+// when the scan opens. Where a cost estimate read a literal's value (a
+// B-tree range counted in the tree), the shape keeps its parsed statement
+// but plans each execution with its own values, so every choice is the one
+// the literal text gets. Parameters belong to the execution, not to the
+// session or the database: concurrent sessions running the same statement
+// never see each other's values. INSERT, DDL and utility statements are
+// parsed on every execution.
 
 #ifndef DMX_QUERY_SQL_H_
 #define DMX_QUERY_SQL_H_
@@ -83,11 +93,12 @@ class Session {
 
   /// Execute with runtime parameters bound to `?` placeholders, in
   /// textual order (the common evaluator's "variable data"). The statement's
-  /// bound plan is cached by SQL text and holds no parameter values, so
-  /// repeated executions with different parameters reuse one translation,
-  /// including its access path: `id = ?` on a unique index is an index
-  /// probe. `params` is read, not copied, and only for the duration of the
-  /// call; a placeholder without a value is InvalidArgument.
+  /// bound plan is cached by statement shape and holds no parameter values,
+  /// so repeated executions with different parameters or literals reuse one
+  /// translation, including its access path: `id = ?` on a unique index is
+  /// an index probe. `params` is read only for the duration of the call; a
+  /// placeholder without a value is InvalidArgument (such a statement runs
+  /// uncached, as written).
   Status Execute(const std::string& sql, const std::vector<Value>& params,
                  QueryResult* result);
 

@@ -11,6 +11,7 @@
 #include "src/attach/stats.h"
 #include "src/attach/trigger.h"
 #include "src/core/database.h"
+#include "src/query/planner.h"
 #include "src/sm/key_codec.h"
 #include "tests/test_util.h"
 
@@ -155,6 +156,41 @@ TEST_F(AttachmentsTest, AttachmentCreateAbortRevertsDescriptor) {
   txn = db_->Begin();
   InsertRow(txn, 1, "x", 1.0);
   ASSERT_TRUE(db_->Commit(txn).ok());
+}
+
+// The rtree estimator matches only literal corners, so a plan it chose
+// holds for those values alone: it reports the estimate value-dependent,
+// and a shape-keyed plan cache re-plans such a statement per execution.
+TEST_F(AttachmentsTest, RTreeCostDependsOnLiteralCorners) {
+  Transaction* txn = db_->Begin();
+  ASSERT_TRUE(db_->CreateAttachment(txn, "t", "rtree_index",
+                                    {{"fields", "xmin,ymin,xmax,ymax"}})
+                  .ok());
+  for (int i = 0; i < 300; ++i) InsertRow(txn, i, "r", 0.0, i, i);
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  const RelationDescriptor* desc;
+  ASSERT_TRUE(db_->FindRelation("t", &desc).ok());
+  auto rect = [](std::vector<ExprPtr> corners) {
+    return Expr::Spatial(
+        ExprOp::kOverlaps,
+        {Expr::Field(3), Expr::Field(4), Expr::Field(5), Expr::Field(6)},
+        std::move(corners));
+  };
+  auto plan = [&](const ExprPtr& pred, AccessPlan* out) {
+    Transaction* t = db_->Begin();
+    ASSERT_TRUE(PlanAccess(db_.get(), t, desc, pred, out).ok());
+    ASSERT_TRUE(db_->Commit(t).ok());
+  };
+  AccessPlan literal, param;
+  plan(rect({Expr::Const(Value::Double(10)), Expr::Const(Value::Double(10)),
+             Expr::Const(Value::Double(12)), Expr::Const(Value::Double(12))}),
+       &literal);
+  EXPECT_EQ(literal.DebugString(db_->registry()), "rtree_index#1");
+  EXPECT_TRUE(literal.value_dependent);
+  plan(rect({Expr::Param(0), Expr::Param(1), Expr::Param(2), Expr::Param(3)}),
+       &param);
+  EXPECT_TRUE(param.path.is_storage_method());
+  EXPECT_FALSE(param.value_dependent);
 }
 
 TEST_F(AttachmentsTest, RTreeTracksUpdatesAndDeletes) {

@@ -57,6 +57,25 @@ TEST(Crc32cTest, HardwareMatchesSoftware) {
     EXPECT_EQ(Crc32cExtend(0, data.data() + skip, n - skip),
               internal::Crc32cExtendSoftware(0, data.data() + skip, n - skip));
   }
+  // Lengths on and around the three-stream block boundaries (3 x 128 and
+  // 3 x 1,024 bytes, and sums of them), at every alignment, continuing a
+  // nonzero CRC: each mix of long blocks, short blocks and tail.
+  std::string data(3 * 3 * 1024 + 3 * 128 + 64, '\0');
+  for (char& c : data) c = static_cast<char>(rng());
+  for (size_t base : {size_t{0}, size_t{384}, size_t{3072}, size_t{3456},
+                      size_t{6144}, size_t{8192}, size_t{9216}}) {
+    for (size_t delta : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                         size_t{9}, size_t{383}, size_t{385}}) {
+      for (size_t skip = 0; skip < 8; ++skip) {
+        const size_t n = std::min(base + delta, data.size() - skip);
+        SCOPED_TRACE(std::to_string(n) + " bytes at offset " +
+                     std::to_string(skip));
+        EXPECT_EQ(Crc32cExtend(0x12345678u, data.data() + skip, n),
+                  internal::Crc32cExtendSoftware(0x12345678u,
+                                                 data.data() + skip, n));
+      }
+    }
+  }
 }
 
 TEST(Crc32cTest, DetectsSingleBitFlips) {

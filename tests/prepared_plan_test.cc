@@ -1,11 +1,17 @@
 // Parameterised statements: a `?` operand is planned like a literal (index
 // probes included), the plan holds no parameter values, and each execution
 // binds its own — so one cached plan serves every value and every session.
+// Literal statements share it too: the session caches a SELECT, UPDATE or
+// DELETE by its shape, the text with each literal lifted out as a typed
+// parameter, and re-plans per execution only where a cost estimate read a
+// literal's value.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <tuple>
 
 #include "src/core/database.h"
 #include "src/query/sql.h"
@@ -80,6 +86,71 @@ class PreparedPlanTest : public ::testing::Test {
     std::sort(a.rows.begin(), a.rows.end(), by_id);
     std::sort(b.rows.begin(), b.rows.end(), by_id);
     EXPECT_EQ(a.rows, b.rows) << indexed;
+  }
+
+  // What a statement returned: its status, then its rows (sorted, so scan
+  // order does not count) or its message and affected count.
+  struct Outcome {
+    Status status;
+    QueryResult result;
+
+    friend void PrintTo(const Outcome& o, std::ostream* os) {
+      *os << o.status.ToString() << "\n" << o.result.ToString();
+    }
+    bool operator==(const Outcome& o) const {
+      return status.code() == o.status.code() &&
+             status.ToString() == o.status.ToString() &&
+             result.columns == o.result.columns &&
+             result.rows == o.result.rows &&
+             result.affected == o.result.affected &&
+             result.message == o.result.message;
+    }
+  };
+
+  static Outcome RunIn(Session* session, const std::string& sql,
+                       const std::vector<Value>& params = {}) {
+    Outcome out;
+    out.status = session->Execute(sql, params, &out.result);
+    std::sort(out.result.rows.begin(), out.result.rows.end(), RowLess);
+    return out;
+  }
+
+  static bool RowLess(const std::vector<Value>& a,
+                      const std::vector<Value>& b) {
+    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      const int c = a[i].Compare(b[i]);
+      if (c != 0) return c < 0;
+    }
+    return a.size() < b.size();
+  }
+
+  // Runs `probe` in a session whose cache holds nothing (its first
+  // execution plans the text as written, bypassing the cache) and in one
+  // that first ran `warm`, a statement of the same shape with other
+  // values: the EXPLAIN output, the answer or error, and the relation
+  // afterwards must all agree. Statements run in transactions that are
+  // rolled back, so DML leaves nothing behind.
+  void ExpectSameAsUncached(const std::string& warm, const std::string& probe) {
+    SCOPED_TRACE(warm + "  then  " + probe);
+    const bool select = probe.rfind("SELECT", 0) == 0;
+    Session fresh(db_.get()), warmed(db_.get());
+    auto rolled_back = [](Session* s, const std::string& sql) {
+      RunIn(s, "BEGIN");
+      std::pair<Outcome, Outcome> out = {RunIn(s, sql),
+                                         RunIn(s, "SELECT * FROM emp")};
+      RunIn(s, "ROLLBACK");
+      return out;
+    };
+    rolled_back(&warmed, warm);
+    if (select) {
+      RunIn(&warmed, "EXPLAIN " + warm);
+      EXPECT_EQ(RunIn(&warmed, "EXPLAIN " + probe),
+                RunIn(&fresh, "EXPLAIN " + probe));
+    }
+    const auto uncached = rolled_back(&fresh, probe);
+    const auto cached = rolled_back(&warmed, probe);
+    EXPECT_EQ(cached.first, uncached.first);
+    EXPECT_EQ(cached.second, uncached.second);
   }
 
   TempDir dir_;
@@ -259,6 +330,219 @@ TEST_F(PreparedPlanTest, ParametersWhereverALiteralIsAccepted) {
                   .IsConstraint());
   EXPECT_TRUE(Run("ALTER TABLE emp ADD CHECK (salary > ?)", {}, &r)
                   .IsInvalidArgument());
+}
+
+// The shape cache changes no plan, answer or error: a statement served by
+// an entry another value made gets what its text gets uncached. The corpus
+// holds dmx_e2e's statement kinds, the literal forms of this file's `?`
+// statements, a narrow and a wide salary range (value-dependent: each
+// execution re-plans), and the three types of one literal.
+TEST_F(PreparedPlanTest, CachedShapesPlanAsTheLiteralText) {
+  Must("CREATE INDEX ON emp (dept, salary)");
+  const std::vector<std::pair<std::string, std::string>> corpus = {
+      // dmx_e2e: point select, range, insert (parsed per execution, not
+      // cached), update salary, update name, delete.
+      {"SELECT * FROM emp WHERE id = 17", "SELECT * FROM emp WHERE id = 18"},
+      {"SELECT * FROM emp WHERE salary BETWEEN 1100.0 AND 1104.0",
+       "SELECT * FROM emp WHERE salary BETWEEN 1000.0 AND 1499.0"},
+      {"SELECT * FROM emp WHERE salary BETWEEN 1000.0 AND 1499.0",
+       "SELECT * FROM emp WHERE salary BETWEEN 1100.0 AND 1104.0"},
+      {"INSERT INTO emp VALUES (1000, 'n', 1000.0, 'd0')",
+       "INSERT INTO emp VALUES (1001, 'm', 1001.0, 'd1')"},
+      {"UPDATE emp SET salary = 1234.0 WHERE id = 5",
+       "UPDATE emp SET salary = 1235.5 WHERE id = 6"},
+      {"UPDATE emp SET name = 'a' WHERE id = 7",
+       "UPDATE emp SET name = 'b' WHERE id = 8"},
+      {"DELETE FROM emp WHERE id = 9", "DELETE FROM emp WHERE id = 10"},
+      {"DELETE FROM emp WHERE salary < 1003.0",
+       "DELETE FROM emp WHERE salary < 1400.0"},
+      // The literal forms of the `?` statements above.
+      {"SELECT * FROM emp WHERE 5 = id", "SELECT * FROM emp WHERE 6 = id"},
+      {"SELECT * FROM emp WHERE dept = 'd5'",
+       "SELECT * FROM emp WHERE dept = 'd6'"},
+      {"SELECT * FROM emp WHERE id + 0 = 5",
+       "SELECT * FROM emp WHERE id + 0 = 6"},
+      {"SELECT * FROM emp WHERE NOT (id <> 17)",
+       "SELECT * FROM emp WHERE NOT (id <> 18)"},
+      {"SELECT * FROM emp WHERE NOT (salary < 1100.0) AND "
+       "NOT (salary > 1200.0)",
+       "SELECT * FROM emp WHERE NOT (salary < 1300.0) AND "
+       "NOT (salary > 1301.0)"},
+      {"SELECT * FROM emp WHERE dept = 'd2' AND salary > 1250.0 AND "
+       "salary >= 1100.0 AND salary <= 1400",
+       "SELECT * FROM emp WHERE dept = 'd7' AND salary > 1000.0 AND "
+       "salary >= 1000.0 AND salary <= 2000"},
+      {"SELECT id FROM emp WHERE id < 100 LIMIT 4",
+       "SELECT id FROM emp WHERE id < 300 LIMIT 7"},
+      {"SELECT COUNT(*) FROM emp WHERE salary > 1490.0",
+       "SELECT COUNT(*) FROM emp WHERE salary > 1010.0"},
+      {"SELECT name FROM emp WHERE id > 390 ORDER BY salary DESC",
+       "SELECT name FROM emp WHERE id > 10 ORDER BY salary DESC"},
+      // One literal in three types: three shapes, each as the text reads.
+      {"SELECT * FROM emp WHERE id = 3", "SELECT * FROM emp WHERE id = 2"},
+      {"SELECT * FROM emp WHERE id = 3.0", "SELECT * FROM emp WHERE id = 2.0"},
+      {"SELECT * FROM emp WHERE id = '3'", "SELECT * FROM emp WHERE id = '2'"},
+      // Errors: the same status either way.
+      {"SELECT id FROM emp WHERE id < 3 LIMIT 2",
+       "SELECT id FROM emp WHERE id < 3 LIMIT 2.5"},
+      {"SELECT id FROM emp WHERE id < 3 LIMIT 2.0",
+       "SELECT id FROM emp WHERE id < 3 LIMIT 2.5"},
+      {"SELECT * FROM emp WHERE salary BETWEEN 'a' AND 'b'",
+       "SELECT * FROM emp WHERE salary BETWEEN 'c' AND 'd'"},
+      {"SELECT * FROM emp WHERE id = 1 / 1",
+       "SELECT * FROM emp WHERE id = 1 / 0"},
+  };
+  for (const auto& [warm, probe] : corpus) {
+    ExpectSameAsUncached(warm, probe);
+  }
+  // The value-dependent range keeps choosing per value in one session.
+  const std::string narrow =
+      "SELECT * FROM emp WHERE salary BETWEEN 1100.0 AND 1104.0";
+  const std::string wide =
+      "SELECT * FROM emp WHERE salary BETWEEN 1000.0 AND 1499.0";
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(PathOf(narrow), "btree_index#2");
+    EXPECT_EQ(PathOf(wide), "storage-method scan");
+  }
+}
+
+// 10,000 distinct literal point selects are one statement to the cache.
+TEST_F(PreparedPlanTest, LiteralPointSelectsShareOneEntry) {
+  Session session(db_.get());
+  for (int64_t id = 0; id < 10000; ++id) {
+    QueryResult r;
+    ASSERT_TRUE(session
+                    .Execute("SELECT name FROM emp WHERE id = " +
+                                 std::to_string(id),
+                             &r)
+                    .ok());
+    ASSERT_EQ(r.rows.size(), id < kRows ? 1u : 0u) << id;
+    if (id < kRows) {
+      EXPECT_EQ(r.rows[0][0], Value::String("e" + std::to_string(id)));
+    }
+  }
+  EXPECT_EQ(session.plan_cache()->size(), 1u);
+  EXPECT_EQ(session.plan_cache()->stats().misses, 1u);
+  EXPECT_EQ(session.plan_cache()->stats().hits, 9999u);
+  // A double or a string literal in its place is another statement.
+  QueryResult r;
+  ASSERT_TRUE(session.Execute("SELECT name FROM emp WHERE id = 7.0", &r).ok());
+  EXPECT_EQ(r.rows.size(), 1u);
+  // (A string does not compare with the INT key: the scan reports it.)
+  EXPECT_TRUE(session.Execute("SELECT name FROM emp WHERE id = '7'", &r)
+                  .IsInvalidArgument());
+  EXPECT_EQ(session.plan_cache()->size(), 3u);
+  // UPDATE and DELETE go through the cache too.
+  for (int64_t id = 0; id < 20; ++id) {
+    ASSERT_TRUE(session
+                    .Execute("UPDATE emp SET salary = " +
+                                 std::to_string(2000 + id) +
+                                 ".5 WHERE id = " + std::to_string(id),
+                             &r)
+                    .ok());
+    EXPECT_EQ(r.affected, 1);
+  }
+  EXPECT_EQ(session.plan_cache()->size(), 4u);
+  EXPECT_EQ(Must("SELECT salary FROM emp WHERE id = 19").rows[0][0],
+            Value::Double(2019.5));
+}
+
+// Lifted literals and the caller's `?` values are numbered together in
+// textual order.
+TEST_F(PreparedPlanTest, LiftedAndCallerParametersBindInTextualOrder) {
+  const std::string mixed =
+      "SELECT id FROM emp WHERE dept = ? AND id >= 100 AND id < ? AND "
+      "salary > 1200.0";
+  for (const auto& [dept, low, high] :
+       std::vector<std::tuple<std::string, int, int>>{
+           {"d3", 100, 200}, {"d7", 100, 300}, {"d1", 100, 150}}) {
+    const std::string literal =
+        "SELECT id FROM emp WHERE dept = '" + dept +
+        "' AND id >= " + std::to_string(low) +
+        " AND id < " + std::to_string(high) + " AND salary > 1200.0";
+    QueryResult a = Must(mixed, {Value::String(dept), Value::Int(high)});
+    QueryResult b = Must(literal);
+    std::sort(a.rows.begin(), a.rows.end(), RowLess);
+    std::sort(b.rows.begin(), b.rows.end(), RowLess);
+    EXPECT_FALSE(a.rows.empty()) << literal;
+    EXPECT_EQ(a.rows, b.rows) << literal;
+  }
+  // In UPDATE: the SET value, a literal, then a `?`.
+  EXPECT_EQ(Must("UPDATE emp SET name = ? WHERE id = 3 AND dept = ?",
+                 {Value::String("x"), Value::String("d3")})
+                .affected,
+            1);
+  EXPECT_EQ(Must("SELECT name FROM emp WHERE id = 3").rows[0][0],
+            Value::String("x"));
+  // A `?` without a value fails as before, wherever it stands.
+  QueryResult r;
+  EXPECT_TRUE(Run("SELECT id FROM emp WHERE id = 1 AND dept = ?", {}, &r)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Run("SELECT id FROM emp WHERE dept = ? AND id = 1",
+                  {Value::String("d1")}, &r)
+                  .ok());
+  EXPECT_EQ(r.rows.size(), 1u);
+}
+
+// DDL on a cached shape's relation re-translates it, statement included;
+// rights are checked on every execution, not when the shape was cached.
+TEST_F(PreparedPlanTest, DdlRetranslatesACachedShape) {
+  Must("CREATE TABLE t (a INT, b STRING)");
+  Must("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'x')");
+  for (int i = 0; i < 200; ++i) {
+    Must("INSERT INTO t VALUES (0, 'z" + std::to_string(i) + "')");
+  }
+  const auto count = [&](const std::string& b) {
+    return Must("SELECT COUNT(*) FROM t WHERE b = '" + b + "'").rows[0][0];
+  };
+  const auto sum = [&](const std::string& b) {
+    return Must("SELECT SUM(a) FROM t WHERE b = '" + b + "'").rows[0][0];
+  };
+  EXPECT_EQ(sum("x"), Value::Int(4));
+  EXPECT_EQ(count("y"), Value::Int(1));
+  const PlanCache::Stats& stats = session_->plan_cache()->stats();
+  uint64_t retranslations = stats.retranslations;
+  auto expect_retranslated = [&](const char* after) {
+    SCOPED_TRACE(after);
+    EXPECT_EQ(sum("x"), Value::Int(4));
+    EXPECT_EQ(stats.retranslations, retranslations + 1);
+    EXPECT_EQ(count("x"), Value::Int(2));
+    retranslations = stats.retranslations;
+  };
+
+  Must("CREATE INDEX ON t (b) USING hash_index");
+  expect_retranslated("CREATE INDEX");
+  EXPECT_EQ(PathOf("SELECT SUM(a) FROM t WHERE b = 'y'"), "hash_index#1");
+  Must("ALTER TABLE t SET STORAGE mainmemory");
+  expect_retranslated("SET STORAGE");
+  Must("ALTER TABLE t ADD CHECK (a >= 0)");
+  expect_retranslated("ADD CHECK");
+  // Dropped and re-created with the columns reordered: the cached
+  // statement's column numbers are stale and must not be used.
+  Must("DROP TABLE t");
+  Must("CREATE TABLE t (b STRING, a INT)");
+  Must("INSERT INTO t VALUES ('x', 10), ('y', 20), ('x', 30)");
+  EXPECT_EQ(sum("x"), Value::Int(40));
+  EXPECT_EQ(count("x"), Value::Int(2));
+  EXPECT_EQ(stats.retranslations, retranslations + 2);
+
+  // GRANT, REVOKE and SET USER hold on a cached shape. (Authorization is
+  // on from the first grant.)
+  QueryResult r;
+  Session admin(db_.get());
+  ASSERT_TRUE(admin.Execute("GRANT SELECT ON emp TO carol", &r).ok());
+  Must("SET USER alice");
+  Status denied = Run("SELECT SUM(a) FROM t WHERE b = 'y'", {}, &r);
+  EXPECT_TRUE(denied.IsConstraint()) << denied.ToString();
+  ASSERT_TRUE(admin.Execute("GRANT SELECT ON t TO alice", &r).ok());
+  EXPECT_EQ(sum("y"), Value::Int(20));
+  EXPECT_TRUE(Run("DELETE FROM t WHERE b = 'x'", {}, &r).IsConstraint());
+  ASSERT_TRUE(admin.Execute("REVOKE SELECT ON t FROM alice", &r).ok());
+  EXPECT_TRUE(Run("SELECT SUM(a) FROM t WHERE b = 'x'", {}, &r)
+                  .IsConstraint());
+  Must("SET USER bob");
+  EXPECT_TRUE(Run("SELECT SUM(a) FROM t WHERE b = 'x'", {}, &r)
+                  .IsConstraint());
 }
 
 // Four sessions run the same `id = ?` statement at once, each with its own

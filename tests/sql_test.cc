@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/database.h"
 #include "src/query/sql.h"
 #include "tests/test_util.h"
@@ -146,6 +148,40 @@ TEST_F(SqlTest, TwoTableJoin) {
       "SELECT emp.name FROM emp, dept "
       "WHERE emp.dname = dept.dname AND dept.budget > 60.0");
   EXPECT_EQ(r3.rows.size(), 2u);
+}
+
+// A '-' before a digit is a sign wherever an operand may start: after a
+// keyword, an operator, '(' or ','. After a column, a literal, a `?` or
+// ')' it is binary minus.
+TEST_F(SqlTest, SignedLiteralsAfterKeywordsAndOperators) {
+  Must("CREATE TABLE t (id INT, x INT)");
+  Must("INSERT INTO t VALUES (1, -3), (2, -1), (3, 0), (4, 2), (5, -5)");
+  auto ids = [&](const std::string& where,
+                 const std::vector<Value>& params = {}) {
+    QueryResult r;
+    Status s = session_->Execute("SELECT id FROM t WHERE " + where, params,
+                                 &r);
+    EXPECT_TRUE(s.ok()) << where << " -> " << s.ToString();
+    std::vector<int64_t> out;
+    for (const auto& row : r.rows) out.push_back(row[0].int_value());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  using Ids = std::vector<int64_t>;
+  EXPECT_EQ(ids("x BETWEEN -2 AND -1"), Ids({2}));
+  EXPECT_EQ(ids("x BETWEEN 1 AND -5"), Ids());
+  EXPECT_EQ(ids("NOT -3 = id"), Ids({1, 2, 3, 4, 5}));
+  EXPECT_EQ(ids("id > 0 AND -1 < x"), Ids({3, 4}));
+  EXPECT_EQ(ids("id = 1 OR -3 = id"), Ids({1}));
+  EXPECT_EQ(ids("x * -1 = 3"), Ids({1}));
+  EXPECT_EQ(ids("x IN (-1, -2)"), Ids({2}));
+  EXPECT_EQ(ids("id = ?-1", {Value::Int(3)}), Ids({2}));
+  // Binary minus after a column, a literal and ')'.
+  EXPECT_EQ(ids("x-1 = -2"), Ids({2}));
+  EXPECT_EQ(ids("id = 3-1"), Ids({2}));
+  EXPECT_EQ(ids("(id)-1 = 0"), Ids({1}));
+  EXPECT_EQ(Must("UPDATE t SET x = -7 WHERE id = -1 + 2").affected, 1);
+  EXPECT_EQ(ids("x = -7"), Ids({1}));
 }
 
 TEST_F(SqlTest, PlanCacheReusedAcrossExecutions) {
