@@ -159,46 +159,73 @@ struct BoundPosition {
   double fraction = 0;
 };
 
-// Descend from `root` towards the composite `bound`; a null bound sorts
-// after every entry.
-Status LocateBound(BufferPool* bp, PageId root, const std::string* bound,
-                   BoundPosition* out) {
-  double share = 1.0;
-  out->fraction = 0;
-  PageId node = root;
+// Descend from `node`, which holds `share` of all entries, towards the
+// composite bounds `lo` and `hi` at once (a null bound sorts after every
+// entry), adding each one's position to `from` and `to`; with a null `to`,
+// towards `lo` alone. One walk over a node's packed entries places both
+// bounds and stops at the first entry past both; where the bounds route to
+// different children, `hi` descends on alone. A `hi` below `lo` takes
+// `lo`'s position, so the range between them holds nothing.
+Status LocateBounds(BufferPool* bp, PageId node, double share,
+                    const std::string* lo, const std::string* hi,
+                    BoundPosition* from, BoundPosition* to) {
+  if (to == nullptr) hi = lo;
   while (true) {
     PageHandle h;
     DMX_RETURN_IF_ERROR(bp->Fetch(node, &h));
     const Page& p = *h.page();
     const uint16_t n = EntryCount(p);
-    if (NodeType(p) == kLeaf) {
-      out->leaf = node;
-      out->index = n;
-      if (bound != nullptr) {
-        LeafSlot slot;
-        DMX_RETURN_IF_ERROR(LocateInLeaf(p, Slice(*bound), &slot));
-        out->index = slot.index;
+    const bool leaf = NodeType(p) == kLeaf;
+    // An entry lies below a bound when the bound's position is after it: a
+    // leaf entry that sorts before the bound, or a separator <= the bound
+    // (its child's subtree holds the bound).
+    auto below = [leaf](const Slice& e, const std::string* bound) {
+      if (bound == nullptr) return true;
+      const int c = e.compare(Slice(*bound));
+      return leaf ? c < 0 : c <= 0;
+    };
+    uint16_t lo_pos = 0, hi_pos = 0;
+    PageId lo_child = NodeLink(p), hi_child = lo_child;
+    Slice in(p.data + kEntriesOff, kPageSize - kEntriesOff);
+    for (uint16_t i = 0; i < n; ++i) {
+      Slice e;
+      uint32_t child = kInvalidPageId;
+      if (!GetLengthPrefixedSlice(&in, &e) ||
+          (!leaf && !GetFixed32(&in, &child))) {
+        return Status::Corruption("btree node entry");
       }
-      if (n > 0) out->fraction += share * out->index / n;
+      if (below(e, lo)) {  // then below `hi` too
+        lo_pos = hi_pos = i + 1u;
+        lo_child = hi_child = child;
+        continue;
+      }
+      if (!below(e, hi)) break;
+      hi_pos = i + 1u;
+      hi_child = child;
+    }
+    h.Release();
+    if (leaf) {
+      auto place = [&](BoundPosition* out, uint16_t index) {
+        out->leaf = node;
+        out->index = index;
+        if (n > 0) out->fraction += share * index / n;
+      };
+      place(from, lo_pos);
+      if (to != nullptr) place(to, hi_pos);
       return Status::OK();
     }
-    size_t pos = n;
-    if (bound != nullptr) {
-      DMX_RETURN_IF_ERROR(ChildFor(p, Slice(*bound), &node, &pos));
-    } else {
-      // The last child: the rightmost separator's, or the leftmost's when
-      // the node holds none.
-      node = NodeLink(p);
-      Slice in(p.data + kEntriesOff, kPageSize - kEntriesOff);
-      for (uint16_t i = 0; i < n; ++i) {
-        Slice sep;
-        if (!GetLengthPrefixedSlice(&in, &sep) || !GetFixed32(&in, &node)) {
-          return Status::Corruption("btree internal entry");
-        }
+    share /= n + 1.0;
+    from->fraction += share * static_cast<double>(lo_pos);
+    if (to != nullptr) {
+      to->fraction += share * static_cast<double>(hi_pos);
+      if (hi_child != lo_child) {
+        DMX_RETURN_IF_ERROR(
+            LocateBounds(bp, hi_child, share, hi, nullptr, to, nullptr));
+        to = nullptr;
+        hi = lo;
       }
     }
-    share /= n + 1.0;
-    out->fraction += share * static_cast<double>(pos);
+    node = lo_child;
   }
 }
 
@@ -652,9 +679,9 @@ Status BTree::EstimateRange(const std::optional<std::string>& low,
   PageId root;
   DMX_RETURN_IF_ERROR(RootPage(&root));
   BoundPosition from, to;
-  DMX_RETURN_IF_ERROR(LocateBound(bp_, root, &lo, &from));
-  DMX_RETURN_IF_ERROR(
-      LocateBound(bp_, root, hi.has_value() ? &*hi : nullptr, &to));
+  DMX_RETURN_IF_ERROR(LocateBounds(bp_, root, 1.0, &lo,
+                                   hi.has_value() ? &*hi : nullptr, &from,
+                                   &to));
   if (from.leaf == to.leaf) {
     // One leaf holds the whole range: count it exactly.
     *n = to.index > from.index ? to.index - from.index : 0;

@@ -91,8 +91,9 @@ class BTree {
   Status Verify(std::vector<std::string>* problems, uint64_t* entries);
 
   /// Estimated number of entries whose key k has low <= k <= high (an
-  /// unset bound is open): the classic records-in-range estimate. One
-  /// descent per bound turns the child position and fan-out met at each
+  /// unset bound is open): the classic records-in-range estimate. A
+  /// descent towards both bounds, which part only where they route to
+  /// different children, turns the child position and fan-out met at each
   /// level into a fraction of the maintained entry count, so it reads at
   /// most 2 x height pages; when both bounds land in one leaf the count is
   /// exact.

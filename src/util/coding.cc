@@ -61,22 +61,6 @@ void PutLengthPrefixedSlice(std::string* dst, const Slice& value) {
   dst->append(value.data(), value.size());
 }
 
-bool GetLengthPrefixedSlice(Slice* input, Slice* result) {
-  uint32_t len = 0;
-  if (!GetVarint32(input, &len)) return false;
-  if (input->size() < len) return false;
-  *result = Slice(input->data(), len);
-  input->remove_prefix(len);
-  return true;
-}
-
-bool GetFixed32(Slice* input, uint32_t* value) {
-  if (input->size() < 4) return false;
-  *value = DecodeFixed32(input->data());
-  input->remove_prefix(4);
-  return true;
-}
-
 bool GetFixed64(Slice* input, uint64_t* value) {
   if (input->size() < 8) return false;
   *value = DecodeFixed64(input->data());

@@ -76,11 +76,30 @@ bool GetVarint64(Slice* input, uint64_t* value);
 /// Append a varint length prefix followed by the bytes of `value`.
 void PutLengthPrefixedSlice(std::string* dst, const Slice& value);
 /// Parse a length-prefixed slice from the front of `input`, advancing it.
-/// The returned slice aliases `input`'s underlying storage.
-bool GetLengthPrefixedSlice(Slice* input, Slice* result);
+/// The returned slice aliases `input`'s underlying storage. Inline, with
+/// one-byte lengths decoded in place: B-tree descents walk a node's packed
+/// entries with it.
+inline bool GetLengthPrefixedSlice(Slice* input, Slice* result) {
+  uint32_t len;
+  if (!input->empty() && static_cast<unsigned char>((*input)[0]) < 0x80) {
+    len = static_cast<unsigned char>((*input)[0]);
+    input->remove_prefix(1);
+  } else if (!GetVarint32(input, &len)) {
+    return false;
+  }
+  if (input->size() < len) return false;
+  *result = Slice(input->data(), len);
+  input->remove_prefix(len);
+  return true;
+}
 
 /// Parse fixed-width values from the front of `input`, advancing it.
-bool GetFixed32(Slice* input, uint32_t* value);
+inline bool GetFixed32(Slice* input, uint32_t* value) {
+  if (input->size() < 4) return false;
+  *value = DecodeFixed32(input->data());
+  input->remove_prefix(4);
+  return true;
+}
 bool GetFixed64(Slice* input, uint64_t* value);
 bool GetDouble(Slice* input, double* value);
 

@@ -886,6 +886,33 @@ TEST_F(BTreeTest, EstimateRangeIsWithinTwiceTheTrueCount) {
   }
 }
 
+// The bounds of a range descend together and part where they route to
+// different children: a key whose duplicates span several leaves is
+// counted within 2x, a key between two stored ones counts 0, and a range
+// whose low bound is above its high bound counts 0.
+TEST_F(BTreeTest, EstimateRangeOfDuplicatesAndEmptyRanges) {
+  constexpr int kKeys = 40, kDuplicates = 500;
+  for (int i = 0; i < kKeys * kDuplicates; ++i) {
+    ASSERT_TRUE(tree_->Insert(Slice(Key(2 * (i % kKeys))),
+                              Slice("v" + Key(i)))
+                    .ok());
+  }
+  uint32_t height = 0;
+  ASSERT_TRUE(tree_->Height(&height).ok());
+  ASSERT_GE(height, 2u);
+  for (int k : {0, 2 * (kKeys / 2), 2 * (kKeys - 1)}) {
+    double n = 0;
+    ASSERT_TRUE(tree_->EstimateRange(Key(k), Key(k), &n).ok());
+    EXPECT_GE(n, kDuplicates / 2.0) << k;
+    EXPECT_LE(n, kDuplicates * 2.0) << k;
+    ASSERT_TRUE(tree_->EstimateRange(Key(k + 1), Key(k + 1), &n).ok());
+    EXPECT_EQ(n, 0) << k + 1;
+  }
+  double n = -1;
+  ASSERT_TRUE(tree_->EstimateRange(Key(20), Key(10), &n).ok());
+  EXPECT_EQ(n, 0);
+}
+
 struct Shape {
   uint64_t entries = 0, leaves = 0;
   uint32_t height = 0;
