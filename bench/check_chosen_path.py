@@ -9,11 +9,16 @@ full scan (BM_ForcedFullScan/k) and the attachment path
 (BM_ForcedAccessPath/k, absent for classes no attachment serves). Exits
 non-zero when any class's chosen row is more than `factor` times slower
 than its fastest forced row, or when a class has no forced row at all.
+
+Rows that share a name (a run with --benchmark_repetitions=N writes one
+row per repetition) count as their median, so that one slow repetition
+cannot fail the check on timing noise alone.
 """
 
 import argparse
 import json
 import re
+import statistics
 import sys
 
 CHOSEN = "BM_PlannerChosenPath"
@@ -28,16 +33,19 @@ def main():
 
     with open(args.results) as f:
         doc = json.load(f)
-    chosen, forced = {}, {}
+    rows = {}
     for bench in doc["benchmarks"]:
         m = re.fullmatch(r"(\w+)/(\d+)", bench["name"])
-        if m is None:
-            continue
-        name, kind = m.group(1), int(m.group(2))
+        if m is not None:
+            key = (m.group(1), int(m.group(2)))
+            rows.setdefault(key, []).append(bench["ns_per_op"])
+    chosen, forced = {}, {}
+    for (name, kind), times in rows.items():
+        ns = statistics.median(times)
         if name == CHOSEN:
-            chosen[kind] = bench["ns_per_op"]
+            chosen[kind] = ns
         elif name in FORCED:
-            forced.setdefault(kind, []).append((bench["ns_per_op"], name))
+            forced.setdefault(kind, []).append((ns, name))
 
     if not chosen:
         print(f"no {CHOSEN} rows in {args.results}")

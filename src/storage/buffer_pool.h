@@ -9,6 +9,7 @@
 #ifndef DMX_STORAGE_BUFFER_POOL_H_
 #define DMX_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -83,9 +84,21 @@ struct BufferPoolStats {
   }
 };
 
-/// Buffer manager over one PageFile. Thread-safe (single internal mutex;
-/// page content latching is the caller's concern — the lock manager
-/// serializes record-level access above this layer).
+/// Buffer manager over one PageFile. Thread-safe; page content latching is
+/// the caller's concern (the lock manager serializes record-level access
+/// above this layer).
+///
+/// Concurrency: the page table is split into kPartitions partitions keyed
+/// by page id, each with its own mutex, so a hit locks one partition and
+/// pins with an atomic increment. A frame's pin count, referenced bit,
+/// dirty flag and change counter are atomic: Unpin and
+/// PageHandle::MarkDirty take no mutex. Misses, New, FreePage, FlushAll and
+/// the one clock sweep over all frames share evict_mu_. Pins are added only
+/// under the page's partition mutex, and the sweep re-checks a victim's
+/// pin count under that mutex before it unmaps the page, so a pinned frame
+/// is never evicted. FlushAll also holds every partition mutex while it
+/// writes back, so no new pin starts a change during a checkpoint. Lock
+/// order: evict_mu_, then partition mutexes in index order.
 class BufferPool {
  public:
   /// `wal_flush` is invoked with a page's LSN before that page is written
@@ -114,42 +127,67 @@ class BufferPool {
  private:
   friend class PageHandle;
 
-  // Frame i's page image is images_[i].
+  static constexpr size_t kPartitions = 16;
+
+  // Frame i's page image is images_[i]. `pid` and `in_use` change only
+  // under evict_mu_, while the frame is unmapped and unpinned; a pin holder
+  // may read `pid` because its pin orders it after the mapping.
   struct Frame {
     PageId pid = kInvalidPageId;
-    int pin_count = 0;
-    bool dirty = false;
-    bool referenced = false;
     bool in_use = false;
+    std::atomic<int> pin_count{0};
+    std::atomic<bool> dirty{false};
+    std::atomic<bool> referenced{false};
     // Change counter: set from change_seq_ whenever the image may change
     // (load, New, MarkDirty). The sequence is pool-wide, so a value is
     // never reused, even after the page leaves the frame and comes back.
-    uint64_t version = 0;
+    std::atomic<uint64_t> version{0};
   };
 
+  // One slice of the page table; on its own cache line so that sessions
+  // hitting different partitions do not share one.
+  struct alignas(64) Partition {
+    Mutex mu;
+    std::unordered_map<PageId, size_t> table GUARDED_BY(mu);
+  };
+
+  Partition& PartitionOf(PageId id) { return partitions_[id % kPartitions]; }
+  // Pins `id` if the partition maps it; false on a miss.
+  bool PinMapped(Partition& part, PageId id, PageHandle* out)
+      REQUIRES(part.mu);
+  // Maps `id` to a frame already set up and pinned under evict_mu_.
+  void Publish(PageId id, size_t frame, PageHandle* out) REQUIRES(evict_mu_);
   void Unpin(size_t frame, PageId pid);
+  uint64_t NextVersion() {
+    return change_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
   // Finds a victim frame, writing it back if dirty.
-  Status GetFreeFrame(size_t* frame) REQUIRES(mu_);
-  Status FlushFrame(size_t frame) REQUIRES(mu_);
+  Status GetFreeFrame(size_t* frame) REQUIRES(evict_mu_);
+  Status FlushFrame(size_t frame) REQUIRES(evict_mu_);
+  // FlushAll's write-back, under every partition mutex (in index order):
+  // no page is pinned anew while frames are written, so only a change
+  // already in progress can race a checkpoint's write-back (pages have no
+  // latch). The partition loop is more than the analysis can follow.
+  Status WriteBackAll() REQUIRES(evict_mu_) NO_THREAD_SAFETY_ANALYSIS;
 
   PageFile* file_;
   size_t capacity_;
   std::function<Status(Lsn)> wal_flush_;
-  std::vector<Frame> frames_ GUARDED_BY(mu_);
+  std::unique_ptr<Frame[]> frames_;
   // Page images, deliberately left uninitialized: Fetch overwrites the
   // whole image and New zeroes it, so a frame's memory is first touched
   // (and becomes resident) only when a page lands in it.
   std::unique_ptr<Page[]> images_;
-  std::unordered_map<PageId, size_t> table_ GUARDED_BY(mu_);
-  size_t clock_hand_ GUARDED_BY(mu_) = 0;
-  uint64_t change_seq_ GUARDED_BY(mu_) = 0;
-  BufferPoolStats stats_;  // atomic counters, written under mu_
+  Partition partitions_[kPartitions];
+  size_t clock_hand_ GUARDED_BY(evict_mu_) = 0;
+  std::atomic<uint64_t> change_seq_{0};
+  BufferPoolStats stats_;  // atomic counters
   // Process-wide mirrors of stats_ ("bufferpool.*" in the registry).
   Counter* metric_hits_;
   Counter* metric_misses_;
   Counter* metric_evictions_;
   Counter* metric_flushes_;
-  Mutex mu_;
+  Mutex evict_mu_;
 };
 
 }  // namespace dmx

@@ -43,6 +43,18 @@ LockManager::LockManager() {
   metric_timeouts_ = metrics->GetCounter("lock.timeouts");
 }
 
+size_t LockManager::PartitionOf(const std::string& resource) {
+  return std::hash<std::string>{}(resource) % kPartitions;
+}
+
+void LockManager::LockAllPartitions() const {
+  for (const Partition& part : partitions_) part.mu.Lock();
+}
+
+void LockManager::UnlockAllPartitions() const {
+  for (size_t i = kPartitions; i-- > 0;) partitions_[i].mu.Unlock();
+}
+
 bool LockManager::CanGrant(const Entry& e, TxnId txn, LockMode mode) const {
   for (const auto& [holder, held] : e.granted) {
     if (holder == txn) continue;
@@ -63,8 +75,9 @@ bool LockManager::FindDeadlockCycle(TxnId waiter, const std::string& resource,
   std::function<bool(const std::string&, LockMode)> blocked_by_waiter =
       [&](const std::string& res, LockMode m) -> bool {
     TxnId w = path.back();
-    auto it = table_.find(res);
-    if (it == table_.end()) return false;
+    const auto& table = partitions_[PartitionOf(res)].table;
+    auto it = table.find(res);
+    if (it == table.end()) return false;
     for (const auto& [holder, held] : it->second.granted) {
       if (holder == w) continue;
       if (LockCompatible(held, m)) continue;
@@ -74,12 +87,14 @@ bool LockManager::FindDeadlockCycle(TxnId waiter, const std::string& resource,
       }
       if (!visited.insert(holder).second) continue;
       // What is `holder` itself waiting on?
-      for (const auto& [res2, entry2] : table_) {
-        auto wit = entry2.waiting.find(holder);
-        if (wit != entry2.waiting.end()) {
-          path.push_back(holder);
-          if (blocked_by_waiter(res2, wit->second)) return true;
-          path.pop_back();
+      for (const Partition& part : partitions_) {
+        for (const auto& [res2, entry2] : part.table) {
+          auto wit = entry2.waiting.find(holder);
+          if (wit != entry2.waiting.end()) {
+            path.push_back(holder);
+            if (blocked_by_waiter(res2, wit->second)) return true;
+            path.pop_back();
+          }
         }
       }
     }
@@ -92,8 +107,11 @@ TxnId LockManager::ChooseVictim(const std::set<TxnId>& cycle) const {
   TxnId victim = kInvalidTxnId;
   size_t victim_locks = 0;
   for (TxnId t : cycle) {
-    auto it = by_txn_.find(t);
-    size_t locks = it == by_txn_.end() ? 0 : it->second.size();
+    size_t locks = 0;
+    for (const Partition& part : partitions_) {
+      auto it = part.by_txn.find(t);
+      if (it != part.by_txn.end()) locks += it->second.size();
+    }
     // Fewest locks held loses; among equals the youngest (largest id)
     // transaction loses, since it has done the least work.
     if (victim == kInvalidTxnId || locks < victim_locks ||
@@ -105,26 +123,82 @@ TxnId LockManager::ChooseVictim(const std::set<TxnId>& cycle) const {
   return victim;
 }
 
+bool LockManager::Grant(Partition& part, Entry& e, TxnId txn,
+                        const std::string& resource, LockMode mode) {
+  metric_acquisitions_->Increment();
+  if (!e.granted.insert_or_assign(txn, mode).second) return false;  // upgrade
+  std::vector<std::string>& held = part.by_txn[txn];
+  held.push_back(resource);
+  return held.size() == 1;
+}
+
+void LockManager::NoteUsed(TxnId txn, size_t pi) {
+  Partition& home = partitions_[HomeOf(txn)];
+  MutexLock lock(&home.mu);
+  home.used[txn] |= uint32_t{1} << pi;
+}
+
+bool LockManager::TryGrant(TxnId txn, const std::string& resource,
+                           LockMode mode) {
+  const size_t pi = PartitionOf(resource);
+  Partition& part = partitions_[pi];
+  bool first;
+  {
+    MutexLock lock(&part.mu);
+    Entry& e = part.table[resource];
+    auto mine = e.granted.find(txn);
+    LockMode needed = mode;
+    if (mine != e.granted.end()) {
+      needed = LockSupremum(mine->second, mode);
+      if (needed == mine->second) return true;  // already dominated
+    }
+    if (!CanGrant(e, txn, needed)) return false;
+    first = Grant(part, e, txn, resource, needed);
+    if (first && HomeOf(txn) == pi) {
+      part.used[txn] |= uint32_t{1} << pi;
+      first = false;
+    }
+  }
+  if (first) NoteUsed(txn, pi);
+  return true;
+}
+
 Status LockManager::Lock(TxnId txn, const std::string& resource,
                          LockMode mode) {
-  MutexLock lock(&mu_);
-  Entry& e = table_[resource];
+  if (TryGrant(txn, resource, mode)) return Status::OK();
+  return LockSlow(txn, resource, mode);
+}
+
+Status LockManager::LockSlow(TxnId txn, const std::string& resource,
+                             LockMode mode) {
+  MutexLock wait(&wait_mu_);
+  LockAllPartitions();
+  const size_t pi = PartitionOf(resource);
+  Partition& part = partitions_[pi];
+  // Re-read under every mutex: the holders may have changed since the
+  // fast path looked.
+  Entry& e = part.table[resource];
   auto mine = e.granted.find(txn);
   LockMode needed = mode;
   if (mine != e.granted.end()) {
     needed = LockSupremum(mine->second, mode);
-    if (needed == mine->second) return Status::OK();  // already dominated
+    if (needed == mine->second) {
+      UnlockAllPartitions();
+      return Status::OK();
+    }
   }
   auto deadline = std::chrono::steady_clock::now() + timeout_;
   uint64_t wait_start = 0;
-  while (!CanGrant(e, txn, needed)) {
+  Status result;
+  while (result.ok() && !CanGrant(e, txn, needed)) {
     std::set<TxnId> cycle;
     if (FindDeadlockCycle(txn, resource, needed, &cycle)) {
       TxnId victim = ChooseVictim(cycle);
       if (victim == txn) {
         metric_deadlocks_->Increment();
         metric_deadlock_victims_->Increment();
-        return Status::Deadlock("lock '" + resource + "'");
+        result = Status::Deadlock("lock '" + resource + "'");
+        break;
       }
       // Condemn the cheaper participant; it aborts from its own wait and
       // releases its locks. insert() guards against re-counting the same
@@ -139,15 +213,19 @@ Status LockManager::Lock(TxnId txn, const std::string& resource,
       metric_waits_->Increment();
       wait_start = MetricsNowNanos();
     }
+    // Registered under every partition mutex: an UnlockAll that releases
+    // this resource afterwards sees the waiter and takes wait_mu_ to
+    // notify, which it can only do once this thread sleeps on cv_.
     e.waiting[txn] = needed;
+    UnlockAllPartitions();
     const bool notified = cv_.WaitUntil(deadline);
+    LockAllPartitions();
     e.waiting.erase(txn);
     if (victims_.erase(txn) > 0) {
       metric_wait_ns_->Record(MetricsNowNanos() - wait_start);
-      return Status::Deadlock("lock '" + resource +
-                              "' (chosen as deadlock victim)");
-    }
-    if (!notified) {
+      result = Status::Deadlock("lock '" + resource +
+                                "' (chosen as deadlock victim)");
+    } else if (!notified) {
       TxnId blocker = kInvalidTxnId;
       for (const auto& [holder, held] : e.granted) {
         if (holder != txn && !LockCompatible(held, needed)) {
@@ -161,66 +239,80 @@ Status LockManager::Lock(TxnId txn, const std::string& resource,
       if (blocker != kInvalidTxnId) {
         msg += " (blocked by txn " + std::to_string(blocker) + ")";
       }
-      return Status::Busy(msg);
+      result = Status::Busy(msg);
     }
   }
-  if (wait_start != 0) {
-    metric_wait_ns_->Record(MetricsNowNanos() - wait_start);
+  if (result.ok()) {
+    if (wait_start != 0) {
+      metric_wait_ns_->Record(MetricsNowNanos() - wait_start);
+    }
+    if (Grant(part, e, txn, resource, needed)) {
+      partitions_[HomeOf(txn)].used[txn] |= uint32_t{1} << pi;
+    }
   }
-  e.granted[txn] = needed;
-  by_txn_[txn].insert(resource);
-  metric_acquisitions_->Increment();
-  return Status::OK();
+  UnlockAllPartitions();
+  return result;
 }
 
 Status LockManager::TryLock(TxnId txn, const std::string& resource,
                             LockMode mode) {
-  MutexLock lock(&mu_);
-  Entry& e = table_[resource];
-  auto mine = e.granted.find(txn);
-  LockMode needed = mode;
-  if (mine != e.granted.end()) {
-    needed = LockSupremum(mine->second, mode);
-    if (needed == mine->second) return Status::OK();
-  }
-  if (!CanGrant(e, txn, needed)) {
-    return Status::Busy("lock '" + resource + "' held incompatibly");
-  }
-  e.granted[txn] = needed;
-  by_txn_[txn].insert(resource);
-  metric_acquisitions_->Increment();
-  return Status::OK();
+  if (TryGrant(txn, resource, mode)) return Status::OK();
+  return Status::Busy("lock '" + resource + "' held incompatibly");
 }
 
 void LockManager::UnlockAll(TxnId txn) {
-  MutexLock lock(&mu_);
-  auto it = by_txn_.find(txn);
-  if (it == by_txn_.end()) return;
-  for (const std::string& res : it->second) {
-    auto tit = table_.find(res);
-    if (tit == table_.end()) continue;
-    tit->second.granted.erase(txn);
-    if (tit->second.granted.empty() && tit->second.waiting.empty()) {
-      table_.erase(tit);
-    }
+  uint32_t used = 0;
+  {
+    Partition& home = partitions_[HomeOf(txn)];
+    MutexLock lock(&home.mu);
+    auto it = home.used.find(txn);
+    if (it == home.used.end()) return;
+    used = it->second;
+    home.used.erase(it);
   }
-  by_txn_.erase(it);
-  cv_.NotifyAll();
+  bool wake = false;
+  for (size_t pi = 0; pi < kPartitions; ++pi) {
+    if ((used >> pi & 1) == 0) continue;
+    Partition& part = partitions_[pi];
+    MutexLock lock(&part.mu);
+    auto it = part.by_txn.find(txn);
+    if (it == part.by_txn.end()) continue;
+    for (const std::string& res : it->second) {
+      auto tit = part.table.find(res);
+      if (tit == part.table.end()) continue;
+      tit->second.granted.erase(txn);
+      if (!tit->second.waiting.empty()) {
+        wake = true;
+      } else if (tit->second.granted.empty()) {
+        part.table.erase(tit);
+      }
+    }
+    part.by_txn.erase(it);
+  }
+  if (wake) {
+    MutexLock lock(&wait_mu_);
+    cv_.NotifyAll();
+  }
 }
 
 bool LockManager::Holds(TxnId txn, const std::string& resource,
                         LockMode mode) const {
-  MutexLock lock(&mu_);
-  auto it = table_.find(resource);
-  if (it == table_.end()) return false;
+  const Partition& part = partitions_[PartitionOf(resource)];
+  MutexLock lock(&part.mu);
+  auto it = part.table.find(resource);
+  if (it == part.table.end()) return false;
   auto g = it->second.granted.find(txn);
   if (g == it->second.granted.end()) return false;
   return LockSupremum(g->second, mode) == g->second;
 }
 
 size_t LockManager::LockedResourceCount() const {
-  MutexLock lock(&mu_);
-  return table_.size();
+  size_t n = 0;
+  for (const Partition& part : partitions_) {
+    MutexLock lock(&part.mu);
+    n += part.table.size();
+  }
+  return n;
 }
 
 }  // namespace dmx

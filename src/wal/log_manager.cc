@@ -110,8 +110,7 @@ Status LogManager::Open(const std::string& path, bool create, Env* env) {
   const bool existed = env_->FileExists(path).ok();
   DMX_RETURN_IF_ERROR(env_->NewRandomAccessFile(path, create, &file_));
   path_ = path;
-  poison_ = PoisonKind::kNone;
-  poison_cause_ = Status::OK();
+  SetPoisonLocked(PoisonKind::kNone, Status::OK());
   buffer_.clear();
   flush_active_ = false;
   flush_target_ = 0;
@@ -267,18 +266,21 @@ Status LogManager::PoisonedLocked() const {
                          poison_cause_.ToString() + ")");
 }
 
-Status LogManager::AppendLocked(LogRecord* rec) {
+void LogManager::SetPoisonLocked(PoisonKind kind, Status cause) {
+  poison_ = kind;
+  poison_cause_ = std::move(cause);
+  poisoned_.store(kind != PoisonKind::kNone, std::memory_order_release);
+}
+
+Status LogManager::AppendLocked(LogRecord* rec, const std::string& body) {
   ScopedTimer timer((append_tick_++ & 63) == 0 ? metric_append_ns_ : nullptr);
   if (poison_ != PoisonKind::kNone) return PoisonedLocked();
   rec->lsn = next_lsn_.load(std::memory_order_relaxed);
-  std::string body;
-  rec->EncodeTo(&body);
-  std::string framed;
-  PutFixed32(&framed, static_cast<uint32_t>(body.size()));
-  PutFixed32(&framed, FrameCrc(gen_, body.data(), body.size()));
-  framed += body;
-  buffer_ += framed;
-  next_lsn_.store(rec->lsn + framed.size(), std::memory_order_release);
+  PutFixed32(&buffer_, static_cast<uint32_t>(body.size()));
+  PutFixed32(&buffer_, FrameCrc(gen_, body.data(), body.size()));
+  buffer_ += body;
+  next_lsn_.store(rec->lsn + kFrameHeaderSize + body.size(),
+                  std::memory_order_release);
   records_appended_.Increment();
   metric_appends_->Increment();
   if (rec->type == LogRecType::kCommit) ++buffered_commits_;
@@ -286,8 +288,10 @@ Status LogManager::AppendLocked(LogRecord* rec) {
 }
 
 Status LogManager::Append(LogRecord* rec) {
+  std::string body;
+  rec->EncodeTo(&body);  // before the mutex: the body holds no LSN
   MutexLock lock(&mu_);
-  DMX_RETURN_IF_ERROR(AppendLocked(rec));
+  DMX_RETURN_IF_ERROR(AppendLocked(rec, body));
   if (buffer_.size() >= kMaxBufferedBytes && file_) {
     // Writing log records early is always allowed. A failure changes
     // nothing (the bytes stay buffered) and the next commit's flush
@@ -298,9 +302,11 @@ Status LogManager::Append(LogRecord* rec) {
 }
 
 Status LogManager::AppendAndFlush(LogRecord* rec) {
+  std::string body;
+  rec->EncodeTo(&body);  // before the mutex: the body holds no LSN
   MutexLock lock(&mu_);
   const size_t buffered_before = buffer_.size();
-  DMX_RETURN_IF_ERROR(AppendLocked(rec));
+  DMX_RETURN_IF_ERROR(AppendLocked(rec, body));
   const size_t frame_size = buffer_.size() - buffered_before;
   Status s = FlushToLocked(rec->lsn);
   if (!s.ok() && poison_ == PoisonKind::kNone && !flush_active_ &&
@@ -327,8 +333,10 @@ Status LogManager::AppendAndFlush(LogRecord* rec) {
 }
 
 Status LogManager::AppendCommitRelaxed(LogRecord* rec) {
+  std::string body;
+  rec->EncodeTo(&body);  // before the mutex: the body holds no LSN
   MutexLock lock(&mu_);
-  DMX_RETURN_IF_ERROR(AppendLocked(rec));
+  DMX_RETURN_IF_ERROR(AppendLocked(rec, body));
   relaxed_unflushed_.fetch_add(1, std::memory_order_release);
   metric_relaxed_commits_->Increment();
   flusher_cv_.NotifyOne();
@@ -649,8 +657,7 @@ Status LogManager::TruncateLocked() {
     if (restore.ok()) restore = file_->Sync(/*data_only=*/false);
     // If we cannot tell which header is on disk, refuse all further work.
     if (!restore.ok()) {
-      poison_ = PoisonKind::kHeaderUnknown;
-      poison_cause_ = restore;
+      SetPoisonLocked(PoisonKind::kHeaderUnknown, restore);
     }
     return s;
   }
@@ -659,8 +666,7 @@ Status LogManager::TruncateLocked() {
   if (!s.ok()) {
     // The new header is durable but the old frames may linger; in-memory
     // offsets no longer match the file reliably. Refuse further work.
-    poison_ = PoisonKind::kStaleTail;
-    poison_cause_ = s;
+    SetPoisonLocked(PoisonKind::kStaleTail, s);
     return s;
   }
   buffer_start_ = next_lsn_.load(std::memory_order_relaxed);
@@ -866,8 +872,7 @@ Status LogManager::Resume() {
       flushed_lsn_.store(buffer_start_ - 1, std::memory_order_release);
       break;
   }
-  poison_ = PoisonKind::kNone;
-  poison_cause_ = Status::OK();
+  SetPoisonLocked(PoisonKind::kNone, Status::OK());
   // Probe the full append/force path before declaring the log healthy: a
   // pending buffer is the real thing to flush; otherwise rewrite + sync
   // the header as a same-shape write.

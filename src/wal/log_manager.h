@@ -235,14 +235,13 @@ class LogManager {
   uint64_t records_appended() const { return records_appended_; }
 
   /// True while a failed truncation has the log refusing all work.
-  bool poisoned() const {
-    MutexLock lock(&mu_);
-    return poison_ != PoisonKind::kNone;
-  }
+  bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
 
   /// OK while healthy; while poisoned, the Status every append returns
   /// (naming the original cause). Writers check it before touching pages.
+  /// Takes no mutex while the log is healthy: every write checks it.
   Status PoisonStatus() const {
+    if (!poisoned()) return Status::OK();
     MutexLock lock(&mu_);
     return poison_ == PoisonKind::kNone ? Status::OK() : PoisonedLocked();
   }
@@ -282,7 +281,11 @@ class LogManager {
   /// I/O (re-acquired before returning), so concurrent appenders form the
   /// next batch while the leader's fsync is in flight.
   Status FlushToLocked(Lsn lsn) REQUIRES(mu_);
-  Status AppendLocked(LogRecord* rec) REQUIRES(mu_);
+  /// Frames `body` (rec's encoding, made before taking mu_) into buffer_
+  /// at the next LSN, which it assigns to rec->lsn.
+  Status AppendLocked(LogRecord* rec, const std::string& body) REQUIRES(mu_);
+  /// Sets poison_ and its cause, and their lock-free copy poisoned_.
+  void SetPoisonLocked(PoisonKind kind, Status cause) REQUIRES(mu_);
   /// Body of the background flusher thread.
   void FlusherLoop();
   /// The error every operation returns while poisoned; names the original
@@ -306,6 +309,8 @@ class LogManager {
   // Status for PoisonedLocked() and the operators reading it.
   PoisonKind poison_ GUARDED_BY(mu_) = PoisonKind::kNone;
   Status poison_cause_ GUARDED_BY(mu_);
+  // poison_ != kNone: written with it under mu_, read without mu_.
+  std::atomic<bool> poisoned_{false};
   // --- sealed segments ---
   std::vector<SegmentInfo> segments_ GUARDED_BY(mu_);  // oldest first
   uint32_t next_seg_seqno_ GUARDED_BY(mu_) = 1;

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
+#include <shared_mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <cstdio>
 
@@ -259,6 +265,272 @@ TEST(BufferPoolTest, FreePageRejectsPinned) {
   EXPECT_TRUE(bp.FreePage(id).IsBusy());
   h.Release();
   EXPECT_TRUE(bp.FreePage(id).ok());
+}
+
+// -- BufferPool under concurrency ---------------------------------------------
+
+/// The POSIX Env, calling `after_write` (when set) after every successful
+/// file write, on the writing thread: a hook between a write-back and what
+/// the pool does next.
+class WriteHookEnv : public Env {
+ public:
+  std::function<void(uint64_t offset)> after_write;
+
+  Status NewRandomAccessFile(const std::string& path, bool create,
+                             std::unique_ptr<RandomAccessFile>* out) override {
+    std::unique_ptr<RandomAccessFile> file;
+    DMX_RETURN_IF_ERROR(base_->NewRandomAccessFile(path, create, &file));
+    *out = std::make_unique<File>(std::move(file), this);
+    return Status::OK();
+  }
+  Status FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status GetFileSize(const std::string& path, uint64_t* out) override {
+    return base_->GetFileSize(path, out);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status CreateDir(const std::string& path) override {
+    return base_->CreateDir(path);
+  }
+  Status SyncDir(const std::string& path) override {
+    return base_->SyncDir(path);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* out) override {
+    return base_->ListDir(path, out);
+  }
+
+ private:
+  class File : public RandomAccessFile {
+   public:
+    File(std::unique_ptr<RandomAccessFile> file, WriteHookEnv* env)
+        : file_(std::move(file)), env_(env) {}
+    Status Read(uint64_t offset, size_t n, char* scratch,
+                size_t* out_n) override {
+      return file_->Read(offset, n, scratch, out_n);
+    }
+    Status Write(uint64_t offset, const char* data, size_t n) override {
+      Status s = file_->Write(offset, data, n);
+      if (s.ok() && env_->after_write) env_->after_write(offset);
+      return s;
+    }
+    Status Truncate(uint64_t size) override { return file_->Truncate(size); }
+    Status Sync(bool data_only) override { return file_->Sync(data_only); }
+    Status Size(uint64_t* out) override { return file_->Size(out); }
+    Status Close() override { return file_->Close(); }
+
+   private:
+    std::unique_ptr<RandomAccessFile> file_;
+    WriteHookEnv* env_;
+  };
+
+  Env* const base_ = Env::Default();
+};
+
+// Test pages carry their own id and a value that only their writer changes.
+constexpr size_t kStampAt = 64;
+constexpr size_t kValueAt = 72;
+
+void Stamp(Page* page, PageId id, uint64_t value) {
+  memcpy(page->data + kStampAt, &id, sizeof(id));
+  memcpy(page->data + kValueAt, &value, sizeof(value));
+}
+PageId StampOf(const Page* page) {
+  PageId id;
+  memcpy(&id, page->data + kStampAt, sizeof(id));
+  return id;
+}
+uint64_t ValueOf(const Page* page) {
+  uint64_t value;
+  memcpy(&value, page->data + kValueAt, sizeof(value));
+  return value;
+}
+
+// Pins `id`, retrying while every frame is pinned.
+Status PinRetrying(BufferPool* bp, PageId id, PageHandle* h) {
+  Status s;
+  while ((s = bp->Fetch(id, h)).IsBusy()) std::this_thread::yield();
+  return s;
+}
+
+TEST(BufferPoolConcurrencyTest, MarkDirtyDuringWriteBackIsNotLost) {
+  TempDir dir("bpc_markdirty");
+  WriteHookEnv env;
+  const std::string path = dir.path() + "/db";
+  PageFile pf;
+  ASSERT_TRUE(pf.Open(path, true, &env).ok());
+  PageId id;
+  {
+    BufferPool bp(&pf, 4);
+    PageHandle h;
+    ASSERT_TRUE(bp.New(&id, &h).ok());
+    Stamp(h.page(), id, 1);
+    h.MarkDirty();
+    // The pin holder changes the page again just after FlushAll wrote the
+    // old image, before the flush returns.
+    const uint64_t at = uint64_t{id} * kDiskPageSize;
+    int hooked = 0;
+    env.after_write = [&](uint64_t offset) {
+      if (offset != at || hooked++ > 0) return;
+      Stamp(h.page(), id, 2);
+      h.MarkDirty();
+    };
+    ASSERT_TRUE(bp.FlushAll().ok());
+    env.after_write = nullptr;
+    ASSERT_EQ(hooked, 1);
+    h.Release();
+    ASSERT_TRUE(bp.FlushAll().ok());
+    EXPECT_EQ(bp.stats().flushes, 2u);
+  }
+  ASSERT_TRUE(pf.Close().ok());
+  PageFile reopened;
+  ASSERT_TRUE(reopened.Open(path, false).ok());
+  BufferPool fresh(&reopened, 4);
+  PageHandle h;
+  ASSERT_TRUE(fresh.Fetch(id, &h).ok());
+  EXPECT_EQ(StampOf(h.page()), id);
+  EXPECT_EQ(ValueOf(h.page()), 2u);
+}
+
+TEST(BufferPoolConcurrencyTest, SmallPoolUnderFetchNewFreeAndFlush) {
+  // Each worker changes its own two hot pages; a scanner reads cold pages
+  // through the frames left over, so the clock keeps evicting, hot pages
+  // too, while their owners pin them again.
+  constexpr int kWorkers = 4;
+  constexpr int kHotPerWorker = 2;
+  constexpr int kCold = 32;
+  constexpr size_t kFrames = 12;
+  constexpr int kRounds = 20000;
+  TempDir dir("bpc_stress");
+  PageFile pf;
+  ASSERT_TRUE(pf.Open(dir.path() + "/db", true).ok());
+  std::vector<PageId> hot(kWorkers * kHotPerWorker);
+  std::vector<uint64_t> values(hot.size(), 0);  // slot i: its worker's
+  std::vector<PageId> cold(kCold);
+  {
+    BufferPool bp(&pf, kFrames);
+    for (std::vector<PageId>* pages : {&hot, &cold}) {
+      for (PageId& id : *pages) {
+        PageHandle h;
+        ASSERT_TRUE(bp.New(&id, &h).ok());
+        Stamp(h.page(), id, 0);
+        h.MarkDirty();
+      }
+    }
+    // Pages have no latch (that is the caller's concern), so changes take
+    // `modify` shared and FlushAll takes it exclusive: a write-back never
+    // reads an image while its pin holder changes it.
+    std::shared_mutex modify;
+    std::atomic<int> workers_left{kWorkers};
+    std::atomic<int> errors{0}, foreign{0}, lost{0}, stuck{0};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWorkers; ++w) {
+      threads.emplace_back([&, w] {
+        for (int r = 0; r < kRounds; ++r) {
+          const size_t slot =
+              static_cast<size_t>(w * kHotPerWorker + r % kHotPerWorker);
+          const PageId id = hot[slot];
+          PageHandle h;
+          if (!PinRetrying(&bp, id, &h).ok()) {
+            ++errors;
+            continue;
+          }
+          if (StampOf(h.page()) != id) ++foreign;
+          if (ValueOf(h.page()) != values[slot]) ++lost;
+          const uint64_t before = h.version();
+          {
+            std::shared_lock<std::shared_mutex> g(modify);
+            Stamp(h.page(), id, ++values[slot]);
+            h.MarkDirty();
+          }
+          std::this_thread::yield();
+          // A second pin finds the same frame, still this page's, with the
+          // counter moved by MarkDirty.
+          PageHandle again;
+          if (!PinRetrying(&bp, id, &again).ok()) {
+            ++errors;
+            continue;
+          }
+          if (again.page() != h.page() || StampOf(h.page()) != id ||
+              ValueOf(h.page()) != values[slot]) {
+            ++foreign;
+          }
+          if (again.version() <= before) ++stuck;
+        }
+        --workers_left;
+      });
+    }
+    threads.emplace_back([&] {
+      while (workers_left.load() > 0) {
+        for (PageId id : cold) {
+          PageHandle h;
+          if (!PinRetrying(&bp, id, &h).ok()) {
+            ++errors;
+            return;
+          }
+          if (StampOf(h.page()) != id) ++foreign;
+        }
+      }
+    });
+    threads.emplace_back([&] {
+      for (int n = 1; workers_left.load() > 0; ++n) {
+        PageId id;
+        PageHandle h;
+        Status s = bp.New(&id, &h);
+        if (s.IsBusy()) continue;
+        if (!s.ok()) {
+          ++errors;
+          return;
+        }
+        Stamp(h.page(), id, 0);
+        h.MarkDirty();
+        h.Release();
+        if (!bp.FreePage(id).ok()) ++errors;
+        if (n % 8 == 0) {
+          std::unique_lock<std::shared_mutex> g(modify);
+          if (!bp.FlushAll().ok()) ++errors;
+        }
+      }
+    });
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(errors.load(), 0);
+    EXPECT_EQ(foreign.load(), 0) << "a pinned frame was evicted";
+    EXPECT_EQ(lost.load(), 0) << "a write-back lost a change";
+    EXPECT_EQ(stuck.load(), 0) << "MarkDirty did not move the counter";
+    EXPECT_GT(bp.stats().evictions, 0u);
+
+    // A reload moves the counter too: evict hot[0], then fetch it again.
+    PageHandle h;
+    ASSERT_TRUE(bp.Fetch(hot[0], &h).ok());
+    const uint64_t loaded = h.version();
+    h.Release();
+    for (int pass = 0; pass < 3; ++pass) {
+      for (PageId id : cold) {
+        PageHandle other;
+        ASSERT_TRUE(bp.Fetch(id, &other).ok());
+      }
+    }
+    const uint64_t misses = bp.stats().misses;
+    ASSERT_TRUE(bp.Fetch(hot[0], &h).ok());
+    EXPECT_EQ(bp.stats().misses, misses + 1);
+    EXPECT_GT(h.version(), loaded);
+    h.Release();
+    ASSERT_TRUE(bp.FlushAll().ok());
+  }
+  // A fresh pool reads back every write.
+  BufferPool fresh(&pf, 4);
+  for (size_t i = 0; i < hot.size(); ++i) {
+    PageHandle h;
+    ASSERT_TRUE(fresh.Fetch(hot[i], &h).ok());
+    EXPECT_EQ(StampOf(h.page()), hot[i]);
+    EXPECT_EQ(ValueOf(h.page()), values[i]) << "page " << hot[i];
+  }
 }
 
 class SlottedPageTest : public ::testing::Test {

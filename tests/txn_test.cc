@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "src/txn/lock_manager.h"
@@ -115,6 +118,126 @@ TEST(LockManagerTest, DeadlockDetected) {
   EXPECT_GE(deadlocks.load(), 1);
   lm.UnlockAll(1);
   lm.UnlockAll(2);
+}
+
+// -- LockManager partitions --------------------------------------------------
+//
+// The lock table is partitioned by resource name. These cases put the
+// resources of one conflict in different partitions, so that deadlock
+// detection, victim choice, wake-up and the timeout message must all look
+// beyond the partition of the request.
+
+// A resource named `prefix<i>` whose partition is none of `taken`.
+std::string ResourceOutside(const std::set<size_t>& taken,
+                            const std::string& prefix) {
+  for (int i = 0;; ++i) {
+    std::string name = prefix + std::to_string(i);
+    if (taken.count(LockManager::PartitionOf(name)) == 0) return name;
+  }
+}
+
+TEST(LockManagerConcurrencyTest, CrossPartitionCycleGetsOneDeadlock) {
+  LockManager lm;
+  const std::string a = ResourceOutside({}, "a");
+  const std::string b = ResourceOutside({LockManager::PartitionOf(a)}, "b");
+  ASSERT_TRUE(lm.Lock(1, a, LockMode::kX).ok());
+  ASSERT_TRUE(lm.Lock(2, b, LockMode::kX).ok());
+  std::atomic<int> deadlocks{0};
+  Status s1;
+  std::thread t1([&] {
+    s1 = lm.Lock(1, b, LockMode::kX);  // waits on txn 2
+    if (s1.IsDeadlock()) ++deadlocks;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Closes the cycle. Both hold one lock, so the younger txn 2 loses.
+  Status s2 = lm.Lock(2, a, LockMode::kX);
+  if (s2.IsDeadlock()) ++deadlocks;
+  EXPECT_TRUE(s2.IsDeadlock()) << s2.ToString();
+  lm.UnlockAll(2);  // the victim aborts, letting txn 1 through
+  t1.join();
+  EXPECT_TRUE(s1.ok()) << s1.ToString();
+  EXPECT_EQ(deadlocks.load(), 1);
+  lm.UnlockAll(1);
+  EXPECT_EQ(lm.LockedResourceCount(), 0u);
+}
+
+TEST(LockManagerConcurrencyTest, VictimHoldsFewestLocksAcrossPartitions) {
+  LockManager lm;
+  const std::string a = ResourceOutside({}, "a");
+  const std::string b = ResourceOutside({LockManager::PartitionOf(a)}, "b");
+  // Young txn 5 holds four locks, three of them in partitions that hold
+  // neither contested resource; old txn 3 holds one. Counted per
+  // partition both would hold one, and the tie would go to txn 5.
+  ASSERT_TRUE(lm.Lock(5, a, LockMode::kX).ok());
+  std::set<size_t> used = {LockManager::PartitionOf(a),
+                           LockManager::PartitionOf(b)};
+  for (int i = 0; i < 3; ++i) {
+    const std::string c = ResourceOutside(used, "c");
+    used.insert(LockManager::PartitionOf(c));
+    ASSERT_TRUE(lm.Lock(5, c, LockMode::kX).ok());
+  }
+  ASSERT_TRUE(lm.Lock(3, b, LockMode::kX).ok());
+  Status s3;
+  std::thread t3([&] {
+    s3 = lm.Lock(3, a, LockMode::kX);  // waits on txn 5
+    if (!s3.ok()) lm.UnlockAll(3);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Status s5 = lm.Lock(5, b, LockMode::kX);  // closes the cycle
+  t3.join();
+  EXPECT_TRUE(s5.ok()) << s5.ToString();
+  EXPECT_TRUE(s3.IsDeadlock()) << s3.ToString();
+  EXPECT_NE(s3.ToString().find("chosen as deadlock victim"),
+            std::string::npos)
+      << s3.ToString();
+  lm.UnlockAll(5);
+  EXPECT_EQ(lm.LockedResourceCount(), 0u);
+}
+
+TEST(LockManagerConcurrencyTest, UnlockAllWakesWaiterInAnotherPartition) {
+  LockManager lm;
+  lm.set_timeout(std::chrono::milliseconds(10000));
+  const std::string a = ResourceOutside({}, "a");
+  const std::string b = ResourceOutside({LockManager::PartitionOf(a)}, "b");
+  ASSERT_TRUE(lm.Lock(1, a, LockMode::kX).ok());
+  ASSERT_TRUE(lm.Lock(1, b, LockMode::kX).ok());
+  std::atomic<bool> granted{false};
+  std::thread t([&] {
+    EXPECT_TRUE(lm.Lock(2, b, LockMode::kS).ok());
+    granted = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(granted.load());
+  const auto released = std::chrono::steady_clock::now();
+  lm.UnlockAll(1);
+  t.join();
+  EXPECT_TRUE(granted.load());
+  // Woken by the release, not by the 10 s timeout.
+  EXPECT_LT(std::chrono::steady_clock::now() - released,
+            std::chrono::seconds(5));
+  EXPECT_TRUE(lm.Holds(2, b, LockMode::kS));
+  lm.UnlockAll(2);
+  EXPECT_EQ(lm.LockedResourceCount(), 0u);
+}
+
+TEST(LockManagerConcurrencyTest, TimeoutNamesBlocker) {
+  LockManager lm;
+  lm.set_timeout(std::chrono::milliseconds(50));
+  const std::string r = ResourceOutside({}, "r");
+  // The holder's other lock lives in another partition.
+  const std::string o = ResourceOutside({LockManager::PartitionOf(r)}, "o");
+  ASSERT_TRUE(lm.Lock(7, o, LockMode::kX).ok());
+  ASSERT_TRUE(lm.Lock(7, r, LockMode::kX).ok());
+  Status s = lm.Lock(8, r, LockMode::kS);
+  EXPECT_TRUE(s.IsBusy()) << s.ToString();
+  EXPECT_NE(s.ToString().find("lock timeout on '" + r + "'"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_NE(s.ToString().find("(blocked by txn 7)"), std::string::npos)
+      << s.ToString();
+  lm.UnlockAll(8);
+  lm.UnlockAll(7);
+  EXPECT_EQ(lm.LockedResourceCount(), 0u);
 }
 
 // -- TransactionManager ------------------------------------------------------

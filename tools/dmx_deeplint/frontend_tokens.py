@@ -143,6 +143,10 @@ class TokenFrontend:
                     (i + 1 < n and toks[i + 1].kind == "ident"):
                 j, cname = i + 1, None
                 while j < n and toks[j].text not in ("{", ";", "("):
+                    if toks[j].text == "alignas" and j + 1 < n and \
+                            toks[j + 1].text == "(":
+                        j = self._skip_balanced(toks, j + 1, "(", ")")
+                        continue
                     if toks[j].kind == "ident" and \
                             toks[j].text not in ("final", "public",
                                                  "private", "protected",
@@ -221,6 +225,24 @@ class TokenFrontend:
                 while k < n and toks[k].text != ";":
                     k += 1
                 return k + 1
+            if t.text == "operator" and name_chain is None:
+                # `operator=(...)`, `operator()(...)`: operators are out of
+                # scope for the model, so skip the whole declaration here.
+                # Read as a general declaration, an `=` symbol looked like
+                # an initializer, and skipping it ran past the body into
+                # the next function.
+                j += 1
+                if j < n and toks[j].text == "(":
+                    j = self._skip_balanced(toks, j, "(", ")")
+                while j < n and toks[j].text not in ("(", ";"):
+                    j += 1
+                if j < n and toks[j].text == "(":
+                    j = self._skip_balanced(toks, j, "(", ")")
+                while j < n and toks[j].text not in ("{", ";"):
+                    j += 1
+                if j < n and toks[j].text == "{":
+                    return self._skip_balanced(toks, j, "{", "}")
+                return j + 1
             if t.text == "(" and name_chain is None:
                 # Candidate function: name chain just before the paren.
                 chain = self._chain_before(toks, j, start)
@@ -476,9 +498,9 @@ class TokenFrontend:
                     vector = VectorReg(kind=t.text, var=nxt.text,
                                        line=t.line,
                                        inherited=init_call is not None)
-            elif t.kind == "ident" and nxt and nxt.text == "*" and \
+            elif t.kind == "ident" and nxt and nxt.text in ("*", "&") and \
                     i + 2 < n and toks[i + 2].kind == "ident" and \
-                    i + 3 < n and toks[i + 3].text in (";", "="):
+                    i + 3 < n and toks[i + 3].text in (";", "=", ":"):
                 locals_type[toks[i + 2].text] = (t.text,)
             # Vector field assignment / completion.
             if vector and t.text == vector.var and nxt and \
