@@ -6,6 +6,7 @@
 #include "src/core/attachment_instances.h"
 #include "src/core/costing.h"
 #include "src/core/database.h"
+#include "src/core/derived_state.h"
 #include "src/core/extension_log.h"
 #include "src/sm/btree_sm.h"
 #include "src/sm/key_codec.h"
@@ -34,14 +35,7 @@ struct HashTable {
   size_t entries = 0;
 };
 
-struct HashState : public ExtState {
-  HashList desc;
-  std::unordered_map<uint32_t, HashTable> tables;  // by instance
-};
-
-HashState* StateOf(AtContext& ctx) {
-  return static_cast<HashState*>(ctx.state);
-}
+using HashState = DerivedState<HashInstance, HashTable>;
 
 Status HashLog(AtContext& ctx, char op, uint32_t instance, const Slice& key,
                const Slice& record_key) {
@@ -52,53 +46,24 @@ Status HashLog(AtContext& ctx, char op, uint32_t instance, const Slice& key,
   return LogExtensionUpdate(ctx, std::move(payload));
 }
 
-void TableAdd(HashState* st, uint32_t instance, const std::string& key,
+void TableAdd(HashTable* table, const std::string& key,
               const std::string& record_key) {
-  HashTable& table = st->tables[instance];
-  if (table.buckets[key].insert(record_key).second) ++table.entries;
+  if (table->buckets[key].insert(record_key).second) ++table->entries;
 }
 
-void TableRemove(HashState* st, uint32_t instance, const std::string& key,
+void TableRemove(HashTable* table, const std::string& key,
                  const std::string& record_key) {
-  HashTable& table = st->tables[instance];
-  auto bucket = table.buckets.find(key);
-  if (bucket == table.buckets.end()) return;
-  if (bucket->second.erase(record_key) > 0) --table.entries;
-  if (bucket->second.empty()) table.buckets.erase(bucket);
+  auto bucket = table->buckets.find(key);
+  if (bucket == table->buckets.end()) return;
+  if (bucket->second.erase(record_key) > 0) --table->entries;
+  if (bucket->second.empty()) table->buckets.erase(bucket);
 }
 
-Status HashRebuild(AtContext& ctx);
-
-Status HashOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
-  auto st = std::make_unique<HashState>();
-  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
-  AtContext prime = ctx;
-  prime.state = st.get();
-  DMX_RETURN_IF_ERROR(HashRebuild(prime));
-  *state = std::move(st);
-  return Status::OK();
-}
-
-Status HashRebuild(AtContext& ctx) {
-  HashState* st = StateOf(ctx);
-  st->tables.clear();
-  if (st->desc.empty()) return Status::OK();
-  const SmOps& sm = ctx.db->registry()->sm_ops(ctx.desc->sm_id);
-  SmContext sctx;
-  DMX_RETURN_IF_ERROR(ctx.db->MakeSmContext(nullptr, ctx.desc, &sctx));
-  std::unique_ptr<Scan> scan;
-  DMX_RETURN_IF_ERROR(sm.open_scan(sctx, ScanSpec{}, &scan));
-  ScanItem item;
-  while (true) {
-    Status s = scan->Next(&item);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
-    for (const HashInstance& inst : st->desc) {
-      std::string key;
-      DMX_RETURN_IF_ERROR(EncodeFieldKey(item.view, inst.fields, &key));
-      TableAdd(st, inst.no, key, item.record_key);
-    }
-  }
+Status HashAdd(const HashInstance& inst, const ScanItem& item,
+               HashTable* table) {
+  std::string key;
+  DMX_RETURN_IF_ERROR(EncodeFieldKey(item.view, inst.fields, &key));
+  TableAdd(table, key, item.record_key);
   return Status::OK();
 }
 
@@ -120,13 +85,15 @@ Status HashCreateInstance(AtContext& ctx, const AttrList& attrs,
 
 Status HashOnInsert(AtContext& ctx, const Slice& record_key,
                     const Slice& new_record) {
-  HashState* st = StateOf(ctx);
+  HashState* st = HashState::Of(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (const HashInstance& inst : st->desc) {
+  for (const HashInstance& inst : st->instances()) {
     if (ctx.desc->IsQuarantined(ctx.at_id, inst.no)) continue;
     std::string key;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(view, inst.fields, &key));
-    TableAdd(st, inst.no, key, record_key.ToString());
+    st->With(inst.no, [&](HashTable* table) {
+      TableAdd(table, key, record_key.ToString());
+    });
     DMX_RETURN_IF_ERROR(
         HashLog(ctx, 'I', inst.no, Slice(key), record_key));
   }
@@ -136,18 +103,20 @@ Status HashOnInsert(AtContext& ctx, const Slice& record_key,
 Status HashOnUpdate(AtContext& ctx, const Slice& old_key,
                     const Slice& new_key, const Slice& old_record,
                     const Slice& new_record) {
-  HashState* st = StateOf(ctx);
+  HashState* st = HashState::Of(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (const HashInstance& inst : st->desc) {
+  for (const HashInstance& inst : st->instances()) {
     if (ctx.desc->IsQuarantined(ctx.at_id, inst.no)) continue;
     std::string okey, nkey;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(old_view, inst.fields, &okey));
     DMX_RETURN_IF_ERROR(EncodeFieldKey(new_view, inst.fields, &nkey));
     if (okey == nkey && old_key == new_key) continue;
-    TableRemove(st, inst.no, okey, old_key.ToString());
+    st->With(inst.no, [&](HashTable* table) {
+      TableRemove(table, okey, old_key.ToString());
+      TableAdd(table, nkey, new_key.ToString());
+    });
     DMX_RETURN_IF_ERROR(HashLog(ctx, 'D', inst.no, Slice(okey), old_key));
-    TableAdd(st, inst.no, nkey, new_key.ToString());
     DMX_RETURN_IF_ERROR(HashLog(ctx, 'I', inst.no, Slice(nkey), new_key));
   }
   return Status::OK();
@@ -155,13 +124,15 @@ Status HashOnUpdate(AtContext& ctx, const Slice& old_key,
 
 Status HashOnDelete(AtContext& ctx, const Slice& record_key,
                     const Slice& old_record) {
-  HashState* st = StateOf(ctx);
+  HashState* st = HashState::Of(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (const HashInstance& inst : st->desc) {
+  for (const HashInstance& inst : st->instances()) {
     if (ctx.desc->IsQuarantined(ctx.at_id, inst.no)) continue;
     std::string key;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(view, inst.fields, &key));
-    TableRemove(st, inst.no, key, record_key.ToString());
+    st->With(inst.no, [&](HashTable* table) {
+      TableRemove(table, key, record_key.ToString());
+    });
     DMX_RETURN_IF_ERROR(HashLog(ctx, 'D', inst.no, Slice(key), record_key));
   }
   return Status::OK();
@@ -169,25 +140,26 @@ Status HashOnDelete(AtContext& ctx, const Slice& record_key,
 
 Status HashLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
                   std::vector<std::string>* record_keys) {
-  HashState* st = StateOf(ctx);
   record_keys->clear();
-  auto tit = st->tables.find(instance_no);
-  if (tit == st->tables.end()) {
-    if (st->desc.Find(instance_no) == nullptr) {
-      return HashList::NotFound(instance_no);
+  return HashState::Of(ctx)->With(instance_no, [&](HashTable* table) {
+    if (table == nullptr) return HashList::NotFound(instance_no);
+    auto bucket = table->buckets.find(key.ToString());
+    if (bucket != table->buckets.end()) {
+      record_keys->assign(bucket->second.begin(), bucket->second.end());
     }
     return Status::OK();
-  }
-  auto bucket = tit->second.buckets.find(key.ToString());
-  if (bucket == tit->second.buckets.end()) return Status::OK();
-  record_keys->assign(bucket->second.begin(), bucket->second.end());
-  return Status::OK();
+  });
+}
+
+size_t EntriesOf(HashState* st, uint32_t instance_no) {
+  return st->With(instance_no,
+                  [](HashTable* table) { return table->entries; });
 }
 
 Status HashCost(AtContext& ctx, uint32_t instance_no,
                 const std::vector<ExprPtr>& predicates, AccessCost* out) {
-  HashState* st = StateOf(ctx);
-  const HashInstance* inst = st->desc.Find(instance_no);
+  HashState* st = HashState::Of(ctx);
+  const HashInstance* inst = st->instances().Find(instance_no);
   out->usable = false;
   if (inst == nullptr) return Status::OK();
   // Relevant only when equality predicates cover every hashed field.
@@ -208,9 +180,7 @@ Status HashCost(AtContext& ctx, uint32_t instance_no,
     if (found) ++covered;
   }
   if (covered != inst->fields.size()) return Status::OK();
-  size_t entries = 0;
-  auto tit = st->tables.find(instance_no);
-  if (tit != st->tables.end()) entries = tit->second.entries;
+  const size_t entries = EntriesOf(st, instance_no);
   out->usable = true;
   out->handled_predicates = std::move(handled);
   out->selectivity = entries == 0 ? 0.0 : 1.0 / static_cast<double>(entries);
@@ -222,8 +192,7 @@ Status HashCost(AtContext& ctx, uint32_t instance_no,
   return Status::OK();
 }
 
-Status HashApply(AtContext& ctx, const LogRecord& rec, bool undo) {
-  HashState* st = StateOf(ctx);
+Status HashUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
   Slice in(rec.payload);
   if (in.empty()) return Status::Corruption("hash payload");
   char op = in[0];
@@ -233,62 +202,48 @@ Status HashApply(AtContext& ctx, const LogRecord& rec, bool undo) {
   if (!GetVarint32(&in, &instance) || !GetLengthPrefixedSlice(&in, &key)) {
     return Status::Corruption("hash payload body");
   }
-  bool add = (op == 'I');
-  if (undo) add = !add;
-  if (add) {
-    TableAdd(st, instance, key.ToString(), in.ToString());
-  } else {
-    TableRemove(st, instance, key.ToString(), in.ToString());
-  }
+  HashState::Of(ctx)->With(instance, [&](HashTable* table) {
+    if (table == nullptr) return;  // instance dropped since
+    if (op == 'I') {
+      TableRemove(table, key.ToString(), in.ToString());
+    } else {
+      TableAdd(table, key.ToString(), in.ToString());
+    }
+  });
   return Status::OK();
 }
-
-Status HashUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
-  return HashApply(ctx, rec, /*undo=*/true);
-}
-
-// Restart redo is superseded by rebuild().
-Status HashRedo(AtContext&, const LogRecord&, Lsn) { return Status::OK(); }
 
 // Cross-check the live table for one instance against a fresh enumeration
 // of the base relation: every base record's key must map to its record key,
 // and the table must hold nothing else. Each base record is one probe of
 // its bucket, so the check stays linear however many records share a key.
 Status HashVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
-  HashState* st = StateOf(ctx);
-  const HashInstance* inst = st->desc.Find(instance_no);
+  HashState* st = HashState::Of(ctx);
+  const HashInstance* inst = st->instances().Find(instance_no);
   if (inst == nullptr) return HashList::NotFound(instance_no);
-  static const HashTable kEmpty;
-  auto tit = st->tables.find(instance_no);
-  const HashTable& table = tit != st->tables.end() ? tit->second : kEmpty;
   const std::string tag = "hash_index#" + std::to_string(instance_no) + ": ";
 
   uint64_t base_records = 0;
-  std::unique_ptr<Scan> scan;
-  DMX_RETURN_IF_ERROR(ctx.db->OpenScanOn(
-      ctx.txn, ctx.desc, AccessPathId::StorageMethod(), ScanSpec{}, &scan));
-  ScanItem item;
-  while (true) {
-    Status s = scan->Next(&item);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
+  DMX_RETURN_IF_ERROR(ScanRelation(ctx, [&](const ScanItem& item) {
     ++base_records;
     std::string key;
     Status ks = EncodeFieldKey(item.view, inst->fields, &key);
     if (!ks.ok()) {
       report->Problem(tag + "cannot compose key for a base record: " +
                       ks.ToString());
-      continue;
-    }
-    auto bucket = table.buckets.find(key);
-    if (bucket == table.buckets.end() ||
-        !bucket->second.contains(item.record_key)) {
+    } else if (!st->With(instance_no, [&](HashTable* table) {
+                 auto bucket = table->buckets.find(key);
+                 return bucket != table->buckets.end() &&
+                        bucket->second.contains(item.record_key);
+               })) {
       report->Problem(tag + "base record has no matching hash entry");
     }
-  }
-  report->items += table.entries;
-  if (table.entries != base_records) {
-    report->Problem(tag + "holds " + std::to_string(table.entries) +
+    return Status::OK();
+  }));
+  const size_t entries = EntriesOf(st, instance_no);
+  report->items += entries;
+  if (entries != base_records) {
+    report->Problem(tag + "holds " + std::to_string(entries) +
                     " entries but the relation holds " +
                     std::to_string(base_records) + " records");
   }
@@ -303,15 +258,13 @@ const AtOps& HashIndexOps() {
     o.name = "hash_index";
     o.create_instance = HashCreateInstance;
     o.drop_instance = &DropInstanceOf<HashInstance>;
-    o.open = HashOpen;
+    o.open = &HashState::Open<HashAdd>;
     o.on_insert = HashOnInsert;
     o.on_update = HashOnUpdate;
     o.on_delete = HashOnDelete;
     o.lookup = HashLookup;
     o.cost = HashCost;
     o.undo = HashUndo;
-    o.redo = HashRedo;
-    o.rebuild = HashRebuild;
     o.instance_count = &InstanceCountOf<HashInstance>;
     o.list_instances = &ListInstancesOf<HashInstance>;
     o.instance_fields = &InstanceFieldsOf<HashInstance>;

@@ -1,8 +1,8 @@
 // Hash-index attachment: the paper's "hash tables" attachment example.
 // In-memory equality access path: key -> record keys, O(1) probes, no
-// ordered scans. Rebuilt from the base relation after restart (an
-// extension choosing rebuild over paged redo); logical undo logging covers
-// transaction rollback.
+// ordered scans. Built from the base relation at first touch, also after
+// restart (an extension choosing rebuild over paged redo); logical undo
+// logging covers transaction rollback.
 //
 // DDL attributes: fields=<col>[,<col>...].
 

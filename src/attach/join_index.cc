@@ -6,6 +6,7 @@
 
 #include "src/core/attachment_instances.h"
 #include "src/core/database.h"
+#include "src/core/derived_state.h"
 #include "src/core/extension_log.h"
 #include "src/sm/btree_sm.h"
 #include "src/sm/key_codec.h"
@@ -15,7 +16,7 @@ namespace dmx {
 namespace {
 
 // Shared pair table, keyed by join-index name. Both sides' instances (and
-// both relations' rebuilds) converge on the same object.
+// both relations' opens) converge on the same object.
 struct JoinData {
   Mutex mu;
   // join key -> record keys present on each side.
@@ -138,44 +139,25 @@ Status JiLog(AtContext& ctx, char op, const JiInstance& inst,
   return LogExtensionUpdate(ctx, std::move(payload));
 }
 
-Status JiRebuild(AtContext& ctx);
-
+// Rescans this relation's side of every named join structure.
 Status JiOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   auto st = std::make_unique<JiState>();
   DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
   for (const JiInstance& inst : st->desc) {
     st->data[inst.no] = JoinDataOf(inst.name);
-  }
-  AtContext prime = ctx;
-  prime.state = st.get();
-  DMX_RETURN_IF_ERROR(JiRebuild(prime));
-  *state = std::move(st);
-  return Status::OK();
-}
-
-// Rescan this relation's side of every named join structure.
-Status JiRebuild(AtContext& ctx) {
-  JiState* st = StateOf(ctx);
-  if (st->desc.empty()) return Status::OK();
-  for (const JiInstance& inst : st->desc) {
     st->data[inst.no]->ClearSide(inst.side);
   }
-  const SmOps& sm = ctx.db->registry()->sm_ops(ctx.desc->sm_id);
-  SmContext sctx;
-  DMX_RETURN_IF_ERROR(ctx.db->MakeSmContext(nullptr, ctx.desc, &sctx));
-  std::unique_ptr<Scan> scan;
-  DMX_RETURN_IF_ERROR(sm.open_scan(sctx, ScanSpec{}, &scan));
-  ScanItem item;
-  while (true) {
-    Status s = scan->Next(&item);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
-    for (const JiInstance& inst : st->desc) {
-      std::string jk;
-      DMX_RETURN_IF_ERROR(EncodeFieldKey(item.view, inst.fields, &jk));
-      st->data[inst.no]->Add(inst.side, jk, item.record_key);
-    }
+  if (!st->desc.empty()) {
+    DMX_RETURN_IF_ERROR(ScanBaseRelation(ctx, [&st](const ScanItem& item) {
+      for (const JiInstance& inst : st->desc) {
+        std::string jk;
+        DMX_RETURN_IF_ERROR(EncodeFieldKey(item.view, inst.fields, &jk));
+        st->data[inst.no]->Add(inst.side, jk, item.record_key);
+      }
+      return Status::OK();
+    }));
   }
+  *state = std::move(st);
   return Status::OK();
 }
 
@@ -262,6 +244,32 @@ Status JiOnDelete(AtContext& ctx, const Slice& record_key,
   return Status::OK();
 }
 
+// Each relation fills its side of a pair table when its own state opens,
+// at its first touch. Opens the states of the relations on the other side
+// of `inst` (a no-op for those already open), so that a lookup never reads
+// a side no open has filled yet, as after a restart.
+Status OpenOtherSides(AtContext& ctx, const JiInstance& inst) {
+  Catalog* catalog = ctx.db->catalog();
+  for (RelationId id : catalog->AllRelationIds()) {
+    const RelationDescriptor* desc = catalog->Find(id);
+    if (desc == nullptr || id == ctx.desc->id ||
+        !desc->HasAttachment(ctx.at_id)) {
+      continue;
+    }
+    bool other_side = false;
+    DMX_RETURN_IF_ERROR(
+        JiList::Visit(desc->at_desc[ctx.at_id], [&](JiInstance& other) {
+          other_side = other_side ||
+                       (other.name == inst.name && other.side != inst.side);
+        }));
+    if (!other_side) continue;
+    AtContext other_ctx;
+    DMX_RETURN_IF_ERROR(
+        ctx.db->MakeAtContext(ctx.txn, desc, ctx.at_id, &other_ctx));
+  }
+  return Status::OK();
+}
+
 Status JiLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
                 std::vector<std::string>* record_keys) {
   JiState* st = StateOf(ctx);
@@ -269,12 +277,12 @@ Status JiLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
   if (inst == nullptr) {
     return JiList::NotFound(instance_no);
   }
+  DMX_RETURN_IF_ERROR(OpenOtherSides(ctx, *inst));
   *record_keys = st->data[instance_no]->OtherSide(inst->side, key.ToString());
   return Status::OK();
 }
 
-Status JiApply(AtContext& ctx, const LogRecord& rec, bool undo) {
-  (void)ctx;
+Status JiUndo(AtContext&, const LogRecord& rec, Lsn) {
   Slice in(rec.payload);
   if (in.empty()) return Status::Corruption("join index payload");
   char op = in[0];
@@ -291,21 +299,13 @@ Status JiApply(AtContext& ctx, const LogRecord& rec, bool undo) {
     return Status::Corruption("join index jk");
   }
   auto data = JoinDataOf(name.ToString());
-  bool add = (op == 'I');
-  if (undo) add = !add;
-  if (add) {
-    data->Add(side, jk.ToString(), in.ToString());
-  } else {
+  if (op == 'I') {
     data->Remove(side, jk.ToString(), in.ToString());
+  } else {
+    data->Add(side, jk.ToString(), in.ToString());
   }
   return Status::OK();
 }
-
-Status JiUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
-  return JiApply(ctx, rec, /*undo=*/true);
-}
-
-Status JiRedo(AtContext&, const LogRecord&, Lsn) { return Status::OK(); }
 
 // Verify covers this relation's side of the shared pair table: every base
 // record must appear under its join key, and the side's entry count must
@@ -320,14 +320,7 @@ Status JiVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
   JoinData* data = st->data[instance_no].get();
 
   uint64_t base_rows = 0;
-  std::unique_ptr<Scan> scan;
-  DMX_RETURN_IF_ERROR(ctx.db->OpenScanOn(
-      ctx.txn, ctx.desc, AccessPathId::StorageMethod(), ScanSpec{}, &scan));
-  ScanItem item;
-  while (true) {
-    Status s = scan->Next(&item);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
+  DMX_RETURN_IF_ERROR(ScanRelation(ctx, [&](const ScanItem& item) {
     std::string jk;
     DMX_RETURN_IF_ERROR(EncodeFieldKey(item.view, inst->fields, &jk));
     if (!data->Contains(inst->side, jk, item.record_key)) {
@@ -335,7 +328,8 @@ Status JiVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
                       "' missing from join pair table");
     }
     ++base_rows;
-  }
+    return Status::OK();
+  }));
   size_t side_count = data->SideCount(inst->side);
   report->items += side_count;
   if (side_count != base_rows) {
@@ -363,8 +357,6 @@ const AtOps& JoinIndexOps() {
     o.on_delete = JiOnDelete;
     o.lookup = JiLookup;
     o.undo = JiUndo;
-    o.redo = JiRedo;
-    o.rebuild = JiRebuild;
     o.instance_count = &InstanceCountOf<JiInstance>;
     o.list_instances = &ListInstancesOf<JiInstance>;
     o.verify = JiVerify;

@@ -9,7 +9,8 @@
 // the encoded join-key and returns the matching record keys of the
 // *other* side (the useful direction for an index join).
 //
-// In-memory, rebuilt after restart, logical undo logging.
+// In-memory, built from the base relation at first touch, logical undo
+// logging.
 //
 // DDL attributes: name=<shared join index name>, side=1|2,
 //                 fields=<local join columns>.

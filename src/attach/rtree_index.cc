@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 
 #include "src/core/attachment_instances.h"
 #include "src/core/costing.h"
 #include "src/core/database.h"
+#include "src/core/derived_state.h"
 #include "src/core/extension_log.h"
 #include "src/sm/btree_sm.h"
 #include "src/util/coding.h"
@@ -264,12 +264,7 @@ struct RtInstance {
 };
 using RtList = InstanceList<RtInstance>;
 
-struct RtState : public ExtState {
-  RtList desc;
-  std::map<uint32_t, RTree> trees;
-};
-
-RtState* StateOf(AtContext& ctx) { return static_cast<RtState*>(ctx.state); }
+using RtState = DerivedState<RtInstance, RTree>;
 
 Status RectOf(const RecordView& view, const RtInstance& inst, Rect* out,
               bool* has_null) {
@@ -299,39 +294,12 @@ std::string RectPayload(char op, uint32_t instance, const Rect& r,
   return payload;
 }
 
-Status RtRebuild(AtContext& ctx);
-
-Status RtOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
-  auto st = std::make_unique<RtState>();
-  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
-  AtContext prime = ctx;
-  prime.state = st.get();
-  DMX_RETURN_IF_ERROR(RtRebuild(prime));
-  *state = std::move(st);
-  return Status::OK();
-}
-
-Status RtRebuild(AtContext& ctx) {
-  RtState* st = StateOf(ctx);
-  st->trees.clear();
-  if (st->desc.empty()) return Status::OK();
-  const SmOps& sm = ctx.db->registry()->sm_ops(ctx.desc->sm_id);
-  SmContext sctx;
-  DMX_RETURN_IF_ERROR(ctx.db->MakeSmContext(nullptr, ctx.desc, &sctx));
-  std::unique_ptr<Scan> scan;
-  DMX_RETURN_IF_ERROR(sm.open_scan(sctx, ScanSpec{}, &scan));
-  ScanItem item;
-  while (true) {
-    Status s = scan->Next(&item);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
-    for (const RtInstance& inst : st->desc) {
-      Rect r;
-      bool has_null;
-      DMX_RETURN_IF_ERROR(RectOf(item.view, inst, &r, &has_null));
-      if (!has_null) st->trees[inst.no].Insert(r, item.record_key);
-    }
-  }
+Status RtAddRecord(const RtInstance& inst, const ScanItem& item,
+                   RTree* tree) {
+  Rect r;
+  bool has_null;
+  DMX_RETURN_IF_ERROR(RectOf(item.view, inst, &r, &has_null));
+  if (!has_null) tree->Insert(r, item.record_key);
   return Status::OK();
 }
 
@@ -362,14 +330,15 @@ Status RtCreateInstance(AtContext& ctx, const AttrList& attrs,
 
 Status RtOnInsert(AtContext& ctx, const Slice& record_key,
                   const Slice& new_record) {
-  RtState* st = StateOf(ctx);
+  RtState* st = RtState::Of(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (const RtInstance& inst : st->desc) {
+  for (const RtInstance& inst : st->instances()) {
     Rect r;
     bool has_null;
     DMX_RETURN_IF_ERROR(RectOf(view, inst, &r, &has_null));
     if (has_null) continue;
-    st->trees[inst.no].Insert(r, record_key.ToString());
+    st->With(inst.no,
+             [&](RTree* tree) { tree->Insert(r, record_key.ToString()); });
     DMX_RETURN_IF_ERROR(
         LogExtensionUpdate(ctx, RectPayload('I', inst.no, r, record_key)));
   }
@@ -378,23 +347,25 @@ Status RtOnInsert(AtContext& ctx, const Slice& record_key,
 
 Status RtOnUpdate(AtContext& ctx, const Slice& old_key, const Slice& new_key,
                   const Slice& old_record, const Slice& new_record) {
-  RtState* st = StateOf(ctx);
+  RtState* st = RtState::Of(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (const RtInstance& inst : st->desc) {
+  for (const RtInstance& inst : st->instances()) {
     Rect orect, nrect;
     bool onull, nnull;
     DMX_RETURN_IF_ERROR(RectOf(old_view, inst, &orect, &onull));
     DMX_RETURN_IF_ERROR(RectOf(new_view, inst, &nrect, &nnull));
     bool same = !onull && !nnull && orect == nrect && old_key == new_key;
     if (same || (onull && nnull)) continue;
+    st->With(inst.no, [&](RTree* tree) {
+      if (!onull) tree->Remove(orect, old_key.ToString());
+      if (!nnull) tree->Insert(nrect, new_key.ToString());
+    });
     if (!onull) {
-      st->trees[inst.no].Remove(orect, old_key.ToString());
       DMX_RETURN_IF_ERROR(
           LogExtensionUpdate(ctx, RectPayload('D', inst.no, orect, old_key)));
     }
     if (!nnull) {
-      st->trees[inst.no].Insert(nrect, new_key.ToString());
       DMX_RETURN_IF_ERROR(
           LogExtensionUpdate(ctx, RectPayload('I', inst.no, nrect, new_key)));
     }
@@ -404,18 +375,30 @@ Status RtOnUpdate(AtContext& ctx, const Slice& old_key, const Slice& new_key,
 
 Status RtOnDelete(AtContext& ctx, const Slice& record_key,
                   const Slice& old_record) {
-  RtState* st = StateOf(ctx);
+  RtState* st = RtState::Of(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (const RtInstance& inst : st->desc) {
+  for (const RtInstance& inst : st->instances()) {
     Rect r;
     bool has_null;
     DMX_RETURN_IF_ERROR(RectOf(view, inst, &r, &has_null));
     if (has_null) continue;
-    st->trees[inst.no].Remove(r, record_key.ToString());
+    st->With(inst.no,
+             [&](RTree* tree) { tree->Remove(r, record_key.ToString()); });
     DMX_RETURN_IF_ERROR(
         LogExtensionUpdate(ctx, RectPayload('D', inst.no, r, record_key)));
   }
   return Status::OK();
+}
+
+// Collects the record keys of instance `no` whose rectangle stands in
+// relation `op` to `query`.
+void SearchTree(RtState* st, uint32_t no, char op, const Rect& query,
+                std::vector<std::string>* keys) {
+  st->With(no, [&](RTree* tree) { tree->Search(op, query, keys); });
+}
+
+size_t TreeSize(RtState* st, uint32_t no) {
+  return st->With(no, [](RTree* tree) { return tree->size(); });
 }
 
 char ProbeOpOf(ExprOp op) {
@@ -429,9 +412,9 @@ char ProbeOpOf(ExprOp op) {
 
 Status RtLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
                 std::vector<std::string>* record_keys) {
-  RtState* st = StateOf(ctx);
+  RtState* st = RtState::Of(ctx);
   record_keys->clear();
-  if (st->desc.Find(instance_no) == nullptr) {
+  if (st->instances().Find(instance_no) == nullptr) {
     return RtList::NotFound(instance_no);
   }
   if (key.size() != 33) {
@@ -440,14 +423,14 @@ Status RtLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
   char op = key[0];
   Rect q{DecodeDouble(key.data() + 1), DecodeDouble(key.data() + 9),
          DecodeDouble(key.data() + 17), DecodeDouble(key.data() + 25)};
-  st->trees[instance_no].Search(op, q, record_keys);
+  SearchTree(st, instance_no, op, q, record_keys);
   return Status::OK();
 }
 
 Status RtCost(AtContext& ctx, uint32_t instance_no,
               const std::vector<ExprPtr>& predicates, AccessCost* out) {
-  RtState* st = StateOf(ctx);
-  const RtInstance* inst = st->desc.Find(instance_no);
+  RtState* st = RtState::Of(ctx);
+  const RtInstance* inst = st->instances().Find(instance_no);
   out->usable = false;
   if (inst == nullptr) return Status::OK();
   // Relevance: a spatial predicate whose record rectangle is exactly this
@@ -457,8 +440,7 @@ Status RtCost(AtContext& ctx, uint32_t instance_no,
     ExprOp op;
     double query[4];
     if (MatchSpatial(predicates[i], inst->fields, &op, query)) {
-      const RTree& tree = st->trees[instance_no];
-      double n = static_cast<double>(tree.size());
+      const double n = static_cast<double>(TreeSize(st, instance_no));
       out->usable = true;
       // Only literal corners match: the same predicate over `?` corners
       // would leave this path unusable.
@@ -510,8 +492,8 @@ class RTreeScan : public Scan {
 
 Status RtOpenScan(AtContext& ctx, uint32_t instance_no, const ScanSpec& spec,
                   std::unique_ptr<Scan>* scan) {
-  RtState* st = StateOf(ctx);
-  const RtInstance* inst = st->desc.Find(instance_no);
+  RtState* st = RtState::Of(ctx);
+  const RtInstance* inst = st->instances().Find(instance_no);
   if (inst == nullptr) {
     return RtList::NotFound(instance_no);
   }
@@ -526,9 +508,8 @@ Status RtOpenScan(AtContext& ctx, uint32_t instance_no, const ScanSpec& spec,
       ExprOp op;
       double query[4];
       if (MatchSpatial(c, inst->fields, &op, query)) {
-        st->trees[instance_no].Search(
-            ProbeOpOf(op), Rect{query[0], query[1], query[2], query[3]},
-            &keys);
+        SearchTree(st, instance_no, ProbeOpOf(op),
+                   Rect{query[0], query[1], query[2], query[3]}, &keys);
         matched = true;
         break;
       }
@@ -543,8 +524,7 @@ Status RtOpenScan(AtContext& ctx, uint32_t instance_no, const ScanSpec& spec,
   return Status::OK();
 }
 
-Status RtApply(AtContext& ctx, const LogRecord& rec, bool undo) {
-  RtState* st = StateOf(ctx);
+Status RtUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
   Slice in(rec.payload);
   if (in.empty()) return Status::Corruption("rtree payload");
   char op = in[0];
@@ -557,60 +537,49 @@ Status RtApply(AtContext& ctx, const LogRecord& rec, bool undo) {
   Rect r{DecodeDouble(in.data()), DecodeDouble(in.data() + 8),
          DecodeDouble(in.data() + 16), DecodeDouble(in.data() + 24)};
   in.remove_prefix(32);
-  bool add = (op == 'I');
-  if (undo) add = !add;
-  if (add) {
-    st->trees[instance].Insert(r, in.ToString());
-  } else {
-    st->trees[instance].Remove(r, in.ToString());
-  }
+  RtState::Of(ctx)->With(instance, [&](RTree* tree) {
+    if (tree == nullptr) return;  // instance dropped since
+    if (op == 'I') {
+      tree->Remove(r, in.ToString());
+    } else {
+      tree->Insert(r, in.ToString());
+    }
+  });
   return Status::OK();
 }
-
-Status RtUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
-  return RtApply(ctx, rec, /*undo=*/true);
-}
-
-Status RtRedo(AtContext&, const LogRecord&, Lsn) { return Status::OK(); }
 
 // Verify cross-checks the in-memory tree against the base relation: every
 // base record with a non-NULL rectangle must be findable by an exact-rect
 // probe, and the entry count must match.
 Status RtVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
-  RtState* st = StateOf(ctx);
-  const RtInstance* inst = st->desc.Find(instance_no);
+  RtState* st = RtState::Of(ctx);
+  const RtInstance* inst = st->instances().Find(instance_no);
   if (inst == nullptr) {
     return RtList::NotFound(instance_no);
   }
   const std::string tag = "rtree_index#" + std::to_string(instance_no) + ": ";
-  const RTree& tree = st->trees[instance_no];
 
   uint64_t indexed_rows = 0;
-  std::unique_ptr<Scan> scan;
-  DMX_RETURN_IF_ERROR(ctx.db->OpenScanOn(
-      ctx.txn, ctx.desc, AccessPathId::StorageMethod(), ScanSpec{}, &scan));
-  ScanItem item;
-  while (true) {
-    Status s = scan->Next(&item);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
+  DMX_RETURN_IF_ERROR(ScanRelation(ctx, [&](const ScanItem& item) {
     Rect r;
     bool has_null;
     DMX_RETURN_IF_ERROR(RectOf(item.view, *inst, &r, &has_null));
-    if (has_null) continue;
+    if (has_null) return Status::OK();
     ++indexed_rows;
     std::vector<std::string> keys;
-    tree.Search('E', r, &keys);
+    SearchTree(st, instance_no, 'E', r, &keys);
     bool found = false;
     for (const std::string& k : keys) found = found || k == item.record_key;
     if (!found) {
       report->Problem(tag + "base record '" + item.record_key +
                       "' has no matching rtree entry");
     }
-  }
-  report->items += tree.size();
-  if (tree.size() != indexed_rows) {
-    report->Problem(tag + "entry count " + std::to_string(tree.size()) +
+    return Status::OK();
+  }));
+  const size_t entries = TreeSize(st, instance_no);
+  report->items += entries;
+  if (entries != indexed_rows) {
+    report->Problem(tag + "entry count " + std::to_string(entries) +
                     " != indexed base rows " + std::to_string(indexed_rows));
   }
   return Status::OK();
@@ -636,7 +605,7 @@ const AtOps& RTreeIndexOps() {
     o.name = "rtree_index";
     o.create_instance = RtCreateInstance;
     o.drop_instance = &DropInstanceOf<RtInstance>;
-    o.open = RtOpen;
+    o.open = &RtState::Open<RtAddRecord>;
     o.on_insert = RtOnInsert;
     o.on_update = RtOnUpdate;
     o.on_delete = RtOnDelete;
@@ -644,8 +613,6 @@ const AtOps& RTreeIndexOps() {
     o.lookup = RtLookup;
     o.cost = RtCost;
     o.undo = RtUndo;
-    o.redo = RtRedo;
-    o.rebuild = RtRebuild;
     o.instance_count = &InstanceCountOf<RtInstance>;
     o.list_instances = &ListInstancesOf<RtInstance>;
     o.verify = RtVerify;

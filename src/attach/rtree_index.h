@@ -6,7 +6,7 @@
 //
 // An instance indexes a rectangle stored in four numeric columns
 // (xmin, ymin, xmax, ymax). In-memory Guttman R-tree with quadratic split,
-// rebuilt from the base relation after restart; logical undo logging
+// built from the base relation at first touch; logical undo logging
 // covers transaction rollback.
 //
 // DDL attributes: fields=<xmin>,<ymin>,<xmax>,<ymax>.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "src/core/attachment_instances.h"
 #include "src/core/database.h"
+#include "src/core/derived_state.h"
 #include "src/core/extension_log.h"
 #include "src/util/coding.h"
 
@@ -29,14 +29,7 @@ struct StatsInstance {
 };
 using StatsList = InstanceList<StatsInstance>;
 
-struct StatsState : public ExtState {
-  StatsList desc;
-  std::map<uint32_t, StatsSnapshot> values;
-};
-
-StatsState* StateOf(AtContext& ctx) {
-  return static_cast<StatsState*>(ctx.state);
-}
+using StatsState = DerivedState<StatsInstance, StatsSnapshot>;
 
 // Delta payload: 'A'(apply) varint instance | i64 dcount | double dsum.
 Status StLog(AtContext& ctx, uint32_t instance, int64_t dcount, double dsum) {
@@ -47,12 +40,17 @@ Status StLog(AtContext& ctx, uint32_t instance, int64_t dcount, double dsum) {
   return LogExtensionUpdate(ctx, std::move(payload));
 }
 
-void ApplyDelta(StatsState* st, uint32_t instance, int64_t dcount,
-                double dsum) {
-  StatsSnapshot& snap = st->values[instance];
-  snap.count = static_cast<uint64_t>(static_cast<int64_t>(snap.count) +
-                                     dcount);
-  snap.sum += dsum;
+void ApplyDelta(StatsSnapshot* snap, int64_t dcount, double dsum) {
+  snap->count = static_cast<uint64_t>(static_cast<int64_t>(snap->count) +
+                                      dcount);
+  snap->sum += dsum;
+}
+
+// Applies the delta to instance `no` and logs it.
+Status StChange(AtContext& ctx, uint32_t no, int64_t dcount, double dsum) {
+  StatsState::Of(ctx)->With(
+      no, [&](StatsSnapshot* snap) { ApplyDelta(snap, dcount, dsum); });
+  return StLog(ctx, no, dcount, dsum);
 }
 
 double FieldValue(const RecordView& view, int field) {
@@ -60,36 +58,9 @@ double FieldValue(const RecordView& view, int field) {
   return view.GetValue(static_cast<size_t>(field)).AsDouble();
 }
 
-Status StRebuild(AtContext& ctx);
-
-Status StOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
-  auto st = std::make_unique<StatsState>();
-  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
-  AtContext prime = ctx;
-  prime.state = st.get();
-  DMX_RETURN_IF_ERROR(StRebuild(prime));
-  *state = std::move(st);
-  return Status::OK();
-}
-
-Status StRebuild(AtContext& ctx) {
-  StatsState* st = StateOf(ctx);
-  st->values.clear();
-  if (st->desc.empty()) return Status::OK();
-  const SmOps& sm = ctx.db->registry()->sm_ops(ctx.desc->sm_id);
-  SmContext sctx;
-  DMX_RETURN_IF_ERROR(ctx.db->MakeSmContext(nullptr, ctx.desc, &sctx));
-  std::unique_ptr<Scan> scan;
-  DMX_RETURN_IF_ERROR(sm.open_scan(sctx, ScanSpec{}, &scan));
-  ScanItem item;
-  while (true) {
-    Status s = scan->Next(&item);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
-    for (const StatsInstance& inst : st->desc) {
-      ApplyDelta(st, inst.no, 1, FieldValue(item.view, inst.field));
-    }
-  }
+Status StAddRecord(const StatsInstance& inst, const ScanItem& item,
+                   StatsSnapshot* snap) {
+  ApplyDelta(snap, 1, FieldValue(item.view, inst.field));
   return Status::OK();
 }
 
@@ -116,50 +87,50 @@ Status StCreateInstance(AtContext& ctx, const AttrList& attrs,
 }
 
 Status StOnInsert(AtContext& ctx, const Slice&, const Slice& new_record) {
-  StatsState* st = StateOf(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (const StatsInstance& inst : st->desc) {
-    double v = FieldValue(view, inst.field);
-    ApplyDelta(st, inst.no, 1, v);
-    DMX_RETURN_IF_ERROR(StLog(ctx, inst.no, 1, v));
+  for (const StatsInstance& inst : StatsState::Of(ctx)->instances()) {
+    DMX_RETURN_IF_ERROR(
+        StChange(ctx, inst.no, 1, FieldValue(view, inst.field)));
   }
   return Status::OK();
 }
 
 Status StOnUpdate(AtContext& ctx, const Slice&, const Slice&,
                   const Slice& old_record, const Slice& new_record) {
-  StatsState* st = StateOf(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (const StatsInstance& inst : st->desc) {
+  for (const StatsInstance& inst : StatsState::Of(ctx)->instances()) {
     double dv = FieldValue(new_view, inst.field) -
                 FieldValue(old_view, inst.field);
     if (dv == 0) continue;
-    ApplyDelta(st, inst.no, 0, dv);
-    DMX_RETURN_IF_ERROR(StLog(ctx, inst.no, 0, dv));
+    DMX_RETURN_IF_ERROR(StChange(ctx, inst.no, 0, dv));
   }
   return Status::OK();
 }
 
 Status StOnDelete(AtContext& ctx, const Slice&, const Slice& old_record) {
-  StatsState* st = StateOf(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (const StatsInstance& inst : st->desc) {
-    double v = FieldValue(view, inst.field);
-    ApplyDelta(st, inst.no, -1, -v);
-    DMX_RETURN_IF_ERROR(StLog(ctx, inst.no, -1, -v));
+  for (const StatsInstance& inst : StatsState::Of(ctx)->instances()) {
+    DMX_RETURN_IF_ERROR(
+        StChange(ctx, inst.no, -1, -FieldValue(view, inst.field)));
   }
   return Status::OK();
 }
 
+// The snapshot of instance `no` into *out; NotFound names the instance.
+Status SnapshotOf(AtContext& ctx, uint32_t no, StatsSnapshot* out) {
+  return StatsState::Of(ctx)->With(no, [&](StatsSnapshot* snap) {
+    if (snap == nullptr) return StatsList::NotFound(no);
+    *out = *snap;
+    return Status::OK();
+  });
+}
+
 Status StLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
                 std::vector<std::string>* record_keys) {
-  StatsState* st = StateOf(ctx);
   record_keys->clear();
-  if (st->desc.Find(instance_no) == nullptr) {
-    return StatsList::NotFound(instance_no);
-  }
-  const StatsSnapshot& snap = st->values[instance_no];
+  StatsSnapshot snap;
+  DMX_RETURN_IF_ERROR(SnapshotOf(ctx, instance_no, &snap));
   char buf[64];
   if (key == Slice("count")) {
     snprintf(buf, sizeof(buf), "%llu",
@@ -175,8 +146,7 @@ Status StLookup(AtContext& ctx, uint32_t instance_no, const Slice& key,
   return Status::OK();
 }
 
-Status StApply(AtContext& ctx, const LogRecord& rec, bool undo) {
-  StatsState* st = StateOf(ctx);
+Status StUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
   Slice in(rec.payload);
   if (in.empty() || in[0] != 'A') return Status::Corruption("stats payload");
   in.remove_prefix(1);
@@ -187,47 +157,32 @@ Status StApply(AtContext& ctx, const LogRecord& rec, bool undo) {
       !GetDouble(&in, &dsum)) {
     return Status::Corruption("stats payload body");
   }
-  int64_t dcount = static_cast<int64_t>(dcount_bits);
-  if (undo) {
-    dcount = -dcount;
-    dsum = -dsum;
-  }
-  ApplyDelta(st, instance, dcount, dsum);
+  StatsState::Of(ctx)->With(instance, [&](StatsSnapshot* snap) {
+    if (snap == nullptr) return;  // instance dropped since
+    ApplyDelta(snap, -static_cast<int64_t>(dcount_bits), -dsum);
+  });
   return Status::OK();
 }
-
-Status StUndo(AtContext& ctx, const LogRecord& rec, Lsn) {
-  return StApply(ctx, rec, /*undo=*/true);
-}
-
-Status StRedo(AtContext&, const LogRecord&, Lsn) { return Status::OK(); }
 
 // Verify recomputes count/sum from the base relation and compares against
 // the live snapshot. Sums tolerate float rounding from delta maintenance.
 Status StVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
-  StatsState* st = StateOf(ctx);
-  const StatsInstance* inst = st->desc.Find(instance_no);
-  if (inst == nullptr) {
-    return StatsList::NotFound(instance_no);
-  }
+  StatsState* st = StatsState::Of(ctx);
+  const StatsInstance* inst = st->instances().Find(instance_no);
+  if (inst == nullptr) return StatsList::NotFound(instance_no);
   const std::string tag = "stats#" + std::to_string(instance_no) + ": ";
 
   uint64_t count = 0;
   double sum = 0;
-  std::unique_ptr<Scan> scan;
-  DMX_RETURN_IF_ERROR(ctx.db->OpenScanOn(
-      ctx.txn, ctx.desc, AccessPathId::StorageMethod(), ScanSpec{}, &scan));
-  ScanItem item;
-  while (true) {
-    Status s = scan->Next(&item);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
+  DMX_RETURN_IF_ERROR(ScanRelation(ctx, [&](const ScanItem& item) {
     ++count;
     sum += FieldValue(item.view, inst->field);
     ++report->items;
-  }
+    return Status::OK();
+  }));
 
-  const StatsSnapshot& snap = st->values[instance_no];
+  StatsSnapshot snap;
+  DMX_RETURN_IF_ERROR(SnapshotOf(ctx, instance_no, &snap));
   if (snap.count != count) {
     report->Problem(tag + "row count drifted: stats say " +
                     std::to_string(snap.count) + ", base relation has " +
@@ -251,11 +206,9 @@ Status ReadStats(Database* db, Transaction* txn, const std::string& rel,
   AtContext ctx;
   DMX_RETURN_IF_ERROR(
       db->MakeAtContext(txn, desc, static_cast<AtId>(at), &ctx));
-  StatsState* st = StateOf(ctx);
-  if (st == nullptr || st->desc.Find(instance_no) == nullptr) {
+  if (ctx.state == nullptr || !SnapshotOf(ctx, instance_no, out).ok()) {
     return Status::NotFound("stats instance");
   }
-  *out = st->values[instance_no];
   return Status::OK();
 }
 
@@ -265,14 +218,12 @@ const AtOps& StatsOps() {
     o.name = "stats";
     o.create_instance = StCreateInstance;
     o.drop_instance = &DropInstanceOf<StatsInstance>;
-    o.open = StOpen;
+    o.open = &StatsState::Open<StAddRecord>;
     o.on_insert = StOnInsert;
     o.on_update = StOnUpdate;
     o.on_delete = StOnDelete;
     o.lookup = StLookup;
     o.undo = StUndo;
-    o.redo = StRedo;
-    o.rebuild = StRebuild;
     o.instance_count = &InstanceCountOf<StatsInstance>;
     o.list_instances = &ListInstancesOf<StatsInstance>;
     o.verify = StVerify;

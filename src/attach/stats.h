@@ -3,7 +3,7 @@
 // "can be used ... even to maintain statistics about relations or
 // precomputed function values for data stored in relations".
 //
-// In-memory, rebuilt after restart; logical delta logging covers rollback.
+// In-memory, built at first touch; logical delta logging covers rollback.
 //
 // DDL attributes: field=<numeric col>.
 //

@@ -2,8 +2,8 @@
 // the designated field combination. An attachment *with associated storage*
 // that is not an access path (the paper: attachments "may have associated
 // storage ... used to maintain access structures, and even to maintain
-// statistics"): it keeps an in-memory key-count table, rebuilt from the
-// base relation after restart, with logical undo logging for rollback.
+// statistics"): it keeps an in-memory key-count table, built from the base
+// relation at first touch, with logical undo logging for rollback.
 //
 // Rows with a NULL in any constrained field are exempt (SQL semantics).
 //

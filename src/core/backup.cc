@@ -597,8 +597,8 @@ Status Database::Restore(const RestoreOptions& options, Lsn* replayed_to) {
 
   // Normal restart recovery over the rebuilt directory: redo through the
   // trimmed WAL, undo every transaction without a commit record at or
-  // below the target, and rebuild derived in-memory structures. A clean
-  // close flushes the recovered image.
+  // below the target; derived in-memory state is built at first touch. A
+  // clean close flushes the recovered image.
   DatabaseOptions dbo;
   dbo.dir = options.target_dir;
   dbo.env = env;

@@ -80,30 +80,15 @@ Status Database::Open(const DatabaseOptions& options,
 
   DMX_RETURN_IF_ERROR(db->catalog_.Load(options.dir + "/catalog", db->env_));
 
-  // Restart recovery: redo (page-LSN gated), undo losers, then let
-  // extensions rebuild derived in-memory structures from base relations.
+  // Restart recovery: redo (page-LSN gated), then undo losers. Attachments
+  // without redo sit it out and build their state at first touch.
+  db->restarting_ = true;
   DMX_RETURN_IF_ERROR(db->txn_mgr_->driver()->Restart());
+  db->restarting_ = false;
   // Transaction ids continue above everything in the log: reusing an id of
   // a committed transaction would make a future crash treat an unfinished
   // transaction as a winner.
   db->txn_mgr_->EnsureTxnIdAbove(db->txn_mgr_->driver()->max_txn_seen());
-  for (RelationId rel : db->catalog_.AllRelationIds()) {
-    const RelationDescriptor* desc = db->catalog_.Find(rel);
-    if (desc == nullptr) continue;
-    RelationRuntime* rt = db->GetRuntime(rel);
-    for (AtId at = 0; at < db->registry_.num_attachment_types(); ++at) {
-      if (!desc->HasAttachment(at)) continue;
-      const AtOps& ops = db->registry_.at_ops(at);
-      if (ops.rebuild == nullptr) continue;
-      // Opening builds the state from the recovered base. Only a state
-      // that recovery opened mid-restart (ApplyLogRecord) predates the
-      // rest of redo and undo, and needs the explicit rebuild.
-      const bool stale = rt->at[at].opened();
-      AtContext ctx;
-      DMX_RETURN_IF_ERROR(db->MakeAtContext(nullptr, desc, at, &ctx));
-      if (stale) DMX_RETURN_IF_ERROR(ops.rebuild(ctx));
-    }
-  }
 
   if (options.auto_recovery) db->error_handler_->Start();
 
@@ -367,10 +352,11 @@ Status Database::ApplyLogRecord(const LogRecord& rec, bool undo,
                 : ops.redo(ctx, rec, apply_lsn);
   }
   const AtOps& ops = registry_.at_ops(rec.ext_id);
-  // An attachment that recovers by rebuild has nothing to redo: Open
-  // builds its state from the recovered base. Opening it here would only
-  // scan a half-redone base that Open must then scan again.
-  if (!undo && ops.rebuild != nullptr) return Status::OK();
+  // An attachment without redo keeps nothing durable: restart neither
+  // redoes nor undoes it, and its first touch afterwards builds its state
+  // from the recovered base. Opening it here would scan a base that the
+  // rest of redo and undo go on to change.
+  if (restarting_ && ops.redo == nullptr) return Status::OK();
   AtContext ctx;
   DMX_RETURN_IF_ERROR(
       MakeAtContext(nullptr, desc, static_cast<AtId>(rec.ext_id), &ctx));

@@ -499,9 +499,9 @@ class Database {
   /// first user opens it holding `open_mu_` and publishes it in `state_`;
   /// everyone after reads `state_` without a lock. The lock is per slot
   /// because an open may re-enter MakeSmContext/MakeAtContext for another
-  /// slot (a hash index rebuilds by scanning its relation's storage
-  /// method), so neither runtime_mu_ nor one lock per relation can be held
-  /// across it.
+  /// slot (a hash index builds its state by scanning its relation's
+  /// storage method), so neither runtime_mu_ nor one lock per relation can
+  /// be held across it.
   class ExtSlot {
    public:
     /// Sets ctx->state, opening the state with `open` on first use.
@@ -509,10 +509,6 @@ class Database {
     Status Get(Status (*open)(Ctx&, std::unique_ptr<ExtState>*), Ctx* ctx);
     /// Drops the state; the next Get opens it again.
     void Reset();
-    /// True once a Get has opened the state.
-    bool opened() const {
-      return state_.load(std::memory_order_acquire) != nullptr;
-    }
 
    private:
     Mutex open_mu_;
@@ -575,6 +571,9 @@ class Database {
   std::map<RelationId, std::unique_ptr<RelationRuntime>> runtimes_
       GUARDED_BY(runtime_mu_);
   bool crash_on_close_ = false;
+  /// True while Open runs restart recovery, before any other thread
+  /// exists: ApplyLogRecord then skips attachments without redo.
+  bool restarting_ = false;
 };
 
 /// Registers the built-in storage methods and attachment types shipped with

@@ -313,17 +313,17 @@ struct AtOps {
                  const std::vector<ExprPtr>& predicates,
                  AccessCost* out) = nullptr;
 
-  /// Recovery dispatch, as for storage methods.
+  /// Recovery dispatch, as for storage methods. `undo` serves both
+  /// transaction rollback and restart. A type may leave `redo` null when it
+  /// keeps nothing durable and derives its state from the base relation
+  /// whenever the state opens (the paper's "wide latitude in the selection
+  /// of recovery techniques"; DerivedState in src/core/derived_state.h is
+  /// the holder for such state). Restart then dispatches nothing to it,
+  /// neither redo nor undo, and never opens its state: the first touch
+  /// afterwards builds it from the recovered base. Its `undo` still runs
+  /// for rollbacks outside restart.
   Status (*undo)(AtContext& ctx, const LogRecord& rec, Lsn apply_lsn) = nullptr;
   Status (*redo)(AtContext& ctx, const LogRecord& rec, Lsn apply_lsn) = nullptr;
-
-  /// Rebuild derived in-memory structures from the base relation after
-  /// restart (extensions exercising the paper's "wide latitude in the
-  /// selection of recovery techniques" by rebuilding instead of paged
-  /// redo). Null if not needed. A type that has it keeps a no-op `redo`:
-  /// restart skips its update records during redo without opening its
-  /// state, since Open builds the state from the recovered base.
-  Status (*rebuild)(AtContext& ctx) = nullptr;
 
   /// Number of instances encoded in a type descriptor (for iteration).
   uint32_t (*instance_count)(const Slice& at_desc) = nullptr;
@@ -355,8 +355,8 @@ struct AtOps {
   /// transactionally and releases the old storage (via release_instance
   /// with the pre-repair descriptor) only at commit, so an abort or crash
   /// mid-rebuild leaves the old state intact. Null = instance is repaired
-  /// by `rebuild`/reopen alone (purely derived in-memory state) or is not
-  /// repairable.
+  /// by reopening its state alone (purely derived in-memory state) or is
+  /// not repairable.
   Status (*repair_instance)(AtContext& ctx, uint32_t instance_no,
                             std::string* new_desc) = nullptr;
 

@@ -34,7 +34,8 @@ struct HeapState : public ExtState {
   std::atomic<uint64_t> records{0};
   /// Pages deletes left at least kReclaimBytes free. An insert that does
   /// not fit the tail goes to `refill`, the page the last such insert
-  /// went to, or else takes one of these, before the chain grows. It skips
+  /// went to, or else takes one of these, before the chain grows. No
+  /// insert, on these or on the tail, reuses a tombstoned slot or compacts
   /// a page another active transaction may have changed (its LSN is not
   /// below TransactionManager::OldestActiveLsn): that transaction's undo
   /// needs back the space and slots it freed. The inserter's own changes
@@ -47,11 +48,12 @@ struct HeapState : public ExtState {
   bool tail_full = false;
   /// Serializes page mutation and the chain-tail/counter fields across
   /// concurrent writer transactions. Record X locks don't help here: two
-  /// inserters lock different records yet mutate the same tail page.
-  /// Readers need no lock — their relation S lock conflicts with the
-  /// writers' IX, so state reads never race a writer. GUARDED_BY would
-  /// therefore be wrong: it would force readers to take a lock they are
-  /// correct not to need.
+  /// inserters lock different records yet mutate the same tail page, and
+  /// a writer fetching its own record reads a page another writer is
+  /// changing, so fetches take it too. Scans need no lock — their
+  /// relation S lock conflicts with the writers' IX, so they never race a
+  /// writer. GUARDED_BY would therefore be wrong: it would force scans to
+  /// take a lock they are correct not to need.
   Mutex mu;  // deeplint: allow(mutex-discipline, reader exclusion via S lock)
 };
 
@@ -137,14 +139,27 @@ Status HeapInsertLocked(SmContext& ctx, const Slice& record,
   uint16_t slot;
   PageId target = st->last;
   PageId link_prev = kInvalidPageId;
-  Status s = st->tail_full ? Status::Busy("tail page full")
-                           : sp.Insert(record, &slot, kUpdateReserve);
+  // Whether an insert may take back the slots and space deletes freed on
+  // `page`: not when another active transaction may have changed it (its
+  // LSN is not below that transaction's first), since that transaction's
+  // undo needs them. Asked only when an insert would reuse or compact.
+  Lsn final_below = kInvalidLsn;
+  bool final_known = false;
+  auto may_reclaim = [&](const Page& page) {
+    if (!final_known) {
+      final_below = ctx.db->txn_manager()->OldestActiveLsn(
+          ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId);
+      final_known = true;
+    }
+    return final_below == kInvalidLsn || PageLsn(page) < final_below;
+  };
+  Status s = Status::Busy("tail page full");
+  if (!st->tail_full) {
+    const bool reclaim = !sp.InsertReclaims(record.size(), kUpdateReserve) ||
+                         may_reclaim(*h.page());
+    s = sp.Insert(record, &slot, kUpdateReserve, reclaim);
+  }
   st->tail_full = s.IsBusy();
-  const Lsn final_below =
-      s.IsBusy() && (st->refill != kInvalidPageId || !st->reclaimable.empty())
-          ? ctx.db->txn_manager()->OldestActiveLsn(
-                ctx.txn != nullptr ? ctx.txn->id() : kInvalidTxnId)
-          : kInvalidLsn;
   while (s.IsBusy() &&
          (st->refill != kInvalidPageId || !st->reclaimable.empty())) {
     PageId page = std::exchange(st->refill, kInvalidPageId);
@@ -155,7 +170,7 @@ Status HeapInsertLocked(SmContext& ctx, const Slice& record,
     PageHandle rh;
     DMX_RETURN_IF_ERROR(bp->Fetch(page, &rh));
     SlottedPage rsp(rh.page());
-    if ((final_below != kInvalidLsn && PageLsn(*rh.page()) >= final_below) ||
+    if (!may_reclaim(*rh.page()) ||
         rsp.FreeSpaceAfterCompaction() < record.size() + kUpdateReserve) {
       continue;
     }
@@ -271,6 +286,7 @@ Status HeapFetch(SmContext& ctx, const Slice& record_key,
                  std::string* record) {
   Rid rid;
   DMX_RETURN_IF_ERROR(Rid::Decode(record_key, &rid));
+  MutexLock lock(&StateOf(ctx)->mu);
   PageHandle h;
   DMX_RETURN_IF_ERROR(ctx.db->buffer_pool()->Fetch(rid.page, &h));
   SlottedPage sp(h.page());
@@ -553,7 +569,10 @@ Status ApplyHeapOp(SmContext& ctx, const HeapLogOp& op, bool undo,
   }
   DMX_RETURN_IF_ERROR(s);
   if (op.rid.page == st->last) st->tail_full = false;
-  SetPageLsn(h.page(), apply_lsn);
+  // Never lower the page LSN. A rollback logs its CLR before it takes
+  // `mu`, so another writer may have stamped a newer LSN meanwhile, and
+  // inserts read the page LSN as covering every change on the page.
+  SetPageLsn(h.page(), std::max(PageLsn(*h.page()), apply_lsn));
   h.MarkDirty();
   return Status::OK();
 }

@@ -67,29 +67,36 @@ size_t SlottedPage::FreeSpaceAfterCompaction() const {
   return used < kPageSize ? kPageSize - used : 0;
 }
 
+uint16_t SlottedPage::FirstTombstone() const {
+  for (uint16_t i = 0; i < num_slots(); ++i) {
+    if (slot_offset(i) == 0) return i;
+  }
+  return num_slots();
+}
+
+size_t SlottedPage::ContiguousFree() const {
+  const size_t slot_array_end = kSlotArrayOff + 4 * num_slots();
+  return data_start() > slot_array_end ? data_start() - slot_array_end : 0;
+}
+
+bool SlottedPage::InsertReclaims(size_t size, size_t reserve) const {
+  return FirstTombstone() < num_slots() ||
+         ContiguousFree() < size + 4 + reserve;
+}
+
 Status SlottedPage::Insert(const Slice& data, uint16_t* slot,
-                           size_t reserve) {
+                           size_t reserve, bool reclaim) {
   if (data.size() > kPageSize / 2) {
     return Status::InvalidArgument("record larger than half a page");
   }
-  // Find a tombstoned slot to reuse, else append a new slot entry.
-  uint16_t target = num_slots();
-  bool reuse = false;
-  for (uint16_t i = 0; i < num_slots(); ++i) {
-    if (slot_offset(i) == 0) {
-      target = i;
-      reuse = true;
-      break;
-    }
-  }
-  size_t need = data.size() + (reuse ? 0 : 4) + reserve;
-  const size_t slot_array_end = kSlotArrayOff + 4 * num_slots();
-  size_t avail =
-      data_start() > slot_array_end ? data_start() - slot_array_end : 0;
-  if (avail < need) {
+  // Reuse a tombstoned slot, else append a new slot entry.
+  const uint16_t target = reclaim ? FirstTombstone() : num_slots();
+  const bool reuse = target < num_slots();
+  const size_t need = data.size() + (reuse ? 0 : 4) + reserve;
+  if (ContiguousFree() < need) {
+    if (!reclaim) return Status::Busy("page full without reclaiming");
     Compact();
-    avail = data_start() > slot_array_end ? data_start() - slot_array_end : 0;
-    if (avail < need) return Status::Busy("page full");
+    if (ContiguousFree() < need) return Status::Busy("page full");
   }
   uint16_t new_start = static_cast<uint16_t>(data_start() - data.size());
   memcpy(page_->data + new_start, data.data(), data.size());

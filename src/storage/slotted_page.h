@@ -43,8 +43,15 @@ class SlottedPage {
   /// Insert `data`, returning the slot number. Fails with Busy if the page
   /// cannot hold the payload even after compaction. `reserve` bytes are
   /// kept free beyond the payload (callers reserve slack for future
-  /// in-place growth and undo restores).
-  Status Insert(const Slice& data, uint16_t* slot, size_t reserve = 0);
+  /// in-place growth and undo restores). Without `reclaim` the insert only
+  /// appends: it neither reuses a tombstoned slot nor compacts, so the
+  /// slots and space that deletes freed stay where their undo needs them.
+  Status Insert(const Slice& data, uint16_t* slot, size_t reserve = 0,
+                bool reclaim = true);
+
+  /// True when Insert of `size` bytes with `reserve` would reuse a
+  /// tombstoned slot or compact.
+  bool InsertReclaims(size_t size, size_t reserve) const;
 
   /// Place `data` at a specific slot (recovery: undo of a delete must
   /// revive the exact RID). The slot must be a tombstone or lie at/past
@@ -79,6 +86,10 @@ class SlottedPage {
   uint16_t data_start() const;
   void set_data_start(uint16_t v);
   void set_num_slots(uint16_t v);
+  /// The first tombstoned slot, or num_slots() when there is none.
+  uint16_t FirstTombstone() const;
+  /// Bytes between the slot array and the payloads.
+  size_t ContiguousFree() const;
 
   /// Rewrite the data area to squeeze out holes.
   void Compact();

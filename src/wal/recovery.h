@@ -10,6 +10,7 @@
 #ifndef DMX_WAL_RECOVERY_H_
 #define DMX_WAL_RECOVERY_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 
@@ -49,8 +50,9 @@ class RecoveryDriver {
   /// transaction ids via `losers` if non-null.
   Status Restart(std::vector<TxnId>* losers = nullptr);
 
-  /// Number of undo actions dispatched (tests/benchmarks).
-  uint64_t undo_count() const { return undo_count_; }
+  /// Number of undo actions dispatched (tests/benchmarks). Atomic because
+  /// concurrent transactions roll back at once.
+  uint64_t undo_count() const { return undo_count_.load(); }
   uint64_t redo_count() const { return redo_count_; }
 
   /// Highest transaction id seen in the log during Restart. New
@@ -61,7 +63,7 @@ class RecoveryDriver {
  private:
   LogManager* log_;
   ApplyLogFn apply_;
-  uint64_t undo_count_ = 0;
+  std::atomic<uint64_t> undo_count_{0};
   uint64_t redo_count_ = 0;
   TxnId max_txn_seen_ = 0;
 };

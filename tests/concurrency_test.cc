@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <random>
 #include <thread>
 
+#include "src/attach/stats.h"
 #include "src/core/database.h"
 #include "src/query/sql.h"
+#include "src/sm/key_codec.h"
 #include "tests/test_util.h"
 
 namespace dmx {
@@ -72,8 +76,8 @@ TEST_F(ConcurrencyTest, ParallelInsertersAllLand) {
 // Attachment DDL drops a relation's cached attachment state; its next
 // users race to open it again. Exactly one open may win: a second state
 // would replace (and free) the first under a thread still reading it. The
-// users are readers, because concurrent writers of one relation are not
-// yet safe for in-memory attachments (ROADMAP item 1).
+// users here are readers; FirstTouchByEightWritersKeepsDerivedStateExact
+// below has writers.
 TEST_F(ConcurrencyTest, FirstTouchOpensExtensionStateOnce) {
   constexpr int kThreads = 8, kRounds = 20, kRows = 700, kGroups = 7;
   Transaction* txn = db_->Begin();
@@ -115,6 +119,126 @@ TEST_F(ConcurrencyTest, FirstTouchOpensExtensionStateOnce) {
         db_->DropAttachment(txn, "counters", "hash_index", instance).ok());
     ASSERT_TRUE(db_->Commit(txn).ok());
   }
+}
+
+// The same first touch by writers: eight sessions open the in-memory
+// state of hash_index, unique and stats together, then insert, update and
+// delete their own rows by record key through the Database API (SQL
+// UPDATE/DELETE from two sessions still deadlock on the S -> IX upgrade),
+// aborting every fourth transaction. Their hooks and undos change the
+// shared tables concurrently, so the tables must end exactly as the
+// committed rows say.
+TEST_F(ConcurrencyTest, FirstTouchByEightWritersKeepsDerivedStateExact) {
+  constexpr int kThreads = 8, kTxnsPerThread = 150, kGroups = 7;
+  uint32_t hash_instance = 0, stats_instance = 0;
+  Transaction* txn = db_->Begin();
+  ASSERT_TRUE(db_->CreateAttachment(txn, "counters", "hash_index",
+                                    {{"fields", "n"}}, &hash_instance)
+                  .ok());
+  ASSERT_TRUE(
+      db_->CreateAttachment(txn, "counters", "unique", {{"fields", "id"}})
+          .ok());
+  ASSERT_TRUE(db_->CreateAttachment(txn, "counters", "stats",
+                                    {{"field", "n"}}, &stats_instance)
+                  .ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+
+  // Each writer's committed rows: record key -> (id, n).
+  using Rows = std::map<std::string, std::pair<int64_t, int64_t>>;
+  std::vector<Rows> rows(kThreads);
+  std::atomic<int> ready{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<uint32_t>(t) + 1);
+      Rows& mine = rows[static_cast<size_t>(t)];
+      int64_t next_id = int64_t{t} * 1000000;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        const bool abort = i % 4 == 3;
+        const int64_t n = static_cast<int64_t>(rng() % kGroups);
+        const uint32_t op = mine.empty() ? 0 : rng() % 4;
+        Transaction* w = db_->Begin();
+        Status s;
+        std::string key, new_key;
+        int64_t id = next_id;
+        if (op <= 1) {  // insert
+          s = db_->Insert(w, "counters", {Value::Int(id), Value::Int(n)},
+                          &key);
+        } else {
+          auto it = mine.begin();
+          std::advance(it, static_cast<long>(rng() % mine.size()));
+          key = it->first;
+          id = it->second.first;
+          s = op == 2 ? db_->Update(w, "counters", Slice(key),
+                                    {Value::Int(id), Value::Int(n)},
+                                    &new_key)
+                      : db_->Delete(w, "counters", Slice(key));
+        }
+        if (!s.ok()) {
+          ADD_FAILURE() << "writer " << t << " txn " << i << ": "
+                        << s.ToString();
+          ++failures;
+          (void)db_->Abort(w);
+          return;
+        }
+        s = abort ? db_->Abort(w) : db_->Commit(w);
+        if (!s.ok()) {
+          ADD_FAILURE() << "writer " << t << " txn " << i << ": "
+                        << s.ToString();
+          ++failures;
+          return;
+        }
+        if (abort) continue;
+        if (op <= 1) {
+          mine[key] = {id, n};
+          ++next_id;
+        } else if (op == 2) {
+          mine.erase(key);
+          mine[new_key] = {id, n};
+        } else {
+          mine.erase(key);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  txn = db_->Begin();
+  CheckResult check;
+  ASSERT_TRUE(db_->CheckRelation(txn, "counters", &check).ok());
+  for (const CheckFinding& f : check.findings) {
+    ADD_FAILURE() << f.component << ": " << f.detail;
+  }
+  EXPECT_TRUE(check.clean);
+  std::vector<size_t> expected(kGroups, 0);
+  size_t total = 0;
+  for (const auto& mine : rows) {
+    for (const auto& [key, row] : mine) {
+      ++expected[static_cast<size_t>(row.second)];
+    }
+    total += mine.size();
+  }
+  const AtId hash_at =
+      static_cast<AtId>(db_->registry()->FindAttachmentType("hash_index"));
+  for (int g = 0; g < kGroups; ++g) {
+    std::string probe;
+    ASSERT_TRUE(EncodeValueKey({Value::Int(g)}, &probe).ok());
+    std::vector<std::string> keys;
+    ASSERT_TRUE(db_->Lookup(txn, "counters",
+                            AccessPathId::Attachment(hash_at, hash_instance),
+                            Slice(probe), &keys)
+                    .ok());
+    EXPECT_EQ(keys.size(), expected[static_cast<size_t>(g)]) << "n = " << g;
+  }
+  StatsSnapshot stats;
+  ASSERT_TRUE(
+      ReadStats(db_.get(), txn, "counters", stats_instance, &stats).ok());
+  EXPECT_EQ(stats.count, total);
+  ASSERT_TRUE(db_->Commit(txn).ok());
 }
 
 TEST_F(ConcurrencyTest, LostUpdatePreventedByRecordLocks) {

@@ -826,6 +826,58 @@ TEST_F(DatabaseTest, JoinIndexMaintainsPairsAcrossBothRelations) {
 }
 
 
+TEST_F(DatabaseTest, JoinIndexLookupAfterCrashSeesOnlyRecoveredRows) {
+  // Restart opens no join-index state, and a relation fills its side of
+  // the shared pair table when its own state opens. A lookup from one side
+  // must therefore open the other side's state first, or it would answer
+  // from pairs left over from before the crash.
+  Schema dept_schema({{"dept", TypeId::kString, false},
+                      {"budget", TypeId::kDouble, true}});
+  uint32_t emp_inst = 0;
+  std::string dept_key;
+  MustCommit([&](Transaction* txn) {
+    DMX_RETURN_IF_ERROR(
+        db_->CreateRelation(txn, "department", dept_schema, "heap", {}));
+    DMX_RETURN_IF_ERROR(
+        db_->CreateRelation(txn, "employee", EmployeeSchema(), "heap", {}));
+    DMX_RETURN_IF_ERROR(db_->CreateAttachment(
+        txn, "employee", "join_index",
+        {{"name", "emp_dept_crash"}, {"side", "1"}, {"fields", "dept"}},
+        &emp_inst));
+    return db_->CreateAttachment(
+        txn, "department", "join_index",
+        {{"name", "emp_dept_crash"}, {"side", "2"}, {"fields", "dept"}});
+  });
+  MustCommit([&](Transaction* txn) {
+    DMX_RETURN_IF_ERROR(db_->Insert(
+        txn, "department", {Value::String("eng"), Value::Double(1.0)},
+        &dept_key));
+    InsertEmployee(txn, 1, "a", 1.0, "eng");
+    return Status::OK();
+  });
+  Transaction* loser = db_->Begin();
+  ASSERT_TRUE(db_->Insert(loser, "department",
+                          {Value::String("eng"), Value::Double(2.0)})
+                  .ok());
+  EXPECT_EQ(JoinIndexPairCount("emp_dept_crash"), 2u);
+  db_->SimulateCrashOnClose();
+  Reopen();
+
+  int ji = db_->registry()->FindAttachmentType("join_index");
+  Transaction* txn = db_->Begin();
+  std::string jk;
+  ASSERT_TRUE(EncodeValueKey({Value::String("eng")}, &jk).ok());
+  std::vector<std::string> keys;
+  ASSERT_TRUE(db_->Lookup(txn, "employee",
+                          AccessPathId::Attachment(static_cast<AtId>(ji),
+                                                   emp_inst),
+                          Slice(jk), &keys)
+                  .ok());
+  EXPECT_EQ(keys, std::vector<std::string>{dept_key});
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  EXPECT_EQ(JoinIndexPairCount("emp_dept_crash"), 1u);
+}
+
 TEST_F(DatabaseTest, AttachmentDdlPreservesMemoryResidentData) {
   // Regression: attachment DDL used to discard the whole relation runtime,
   // and for memory-resident storage methods the runtime state IS the data

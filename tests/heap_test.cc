@@ -286,20 +286,22 @@ TEST_F(HeapTest, ActiveDeleteKeepsItsSpace) {
   }
   ASSERT_TRUE(db_->Commit(txn).ok());
 
-  // The deleter leaves the tail page alone: inserts fill the tail first,
-  // and there they would meet its tombstones whatever this test checks.
+  // The deleter frees every other record, on the tail page too, where
+  // inserts go first: there they may append, but neither take a freed
+  // slot nor compact away the freed space.
   Rid tail;
   ASSERT_TRUE(Rid::Decode(Slice(keys.back()), &tail).ok());
   Transaction* deleter = db_->Begin();
-  std::set<PageId> freed;
+  std::set<PageId> freed;  // pages other than the tail
   std::vector<size_t> deleted;
+  std::set<std::string> deleted_keys;
   for (size_t i = 0; i < keys.size(); i += 2) {
     Rid rid;
     ASSERT_TRUE(Rid::Decode(Slice(keys[i]), &rid).ok());
-    if (rid.page == tail.page) continue;
     ASSERT_TRUE(db_->Delete(deleter, "h", Slice(keys[i])).ok());
-    freed.insert(rid.page);
+    if (rid.page != tail.page) freed.insert(rid.page);
     deleted.push_back(i);
+    deleted_keys.insert(keys[i]);
   }
   ASSERT_GT(freed.size(), 3u);
   Transaction* inserter = db_->Begin();
@@ -310,6 +312,8 @@ TEST_F(HeapTest, ActiveDeleteKeepsItsSpace) {
                              Value::String(std::string(60, 'y'))},
                             &key)
                     .ok());
+    EXPECT_FALSE(deleted_keys.contains(key))
+        << "insert took the slot of an active delete";
     Rid rid;
     ASSERT_TRUE(Rid::Decode(Slice(key), &rid).ok());
     EXPECT_FALSE(freed.contains(rid.page))

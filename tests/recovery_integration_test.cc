@@ -503,7 +503,8 @@ Status CountedOpenScan(SmContext& ctx, const ScanSpec& spec,
 }
 
 // A relation with three attachments whose state lives in memory and is
-// built by scanning the base relation (hash_index, unique, stats).
+// built by scanning the base relation (hash_index, unique, stats). Restart
+// leaves that state alone; the relation's first touch afterwards builds it.
 class AttachmentStateAtOpenTest : public ::testing::Test {
  protected:
   static constexpr int kInMemoryAttachments = 3;
@@ -544,6 +545,16 @@ class AttachmentStateAtOpenTest : public ::testing::Test {
     ASSERT_TRUE(s.ok()) << s.ToString();
   }
 
+  // Opens every attachment state of "t" with a write that is rolled back,
+  // and returns the base scans that took.
+  int ScansToTouch() {
+    const int before = g_base_scans.load();
+    Transaction* txn = db_->Begin();
+    EXPECT_TRUE(db_->Insert(txn, "t", Row(1000)).ok());
+    EXPECT_TRUE(db_->Abort(txn).ok());
+    return g_base_scans.load() - before;
+  }
+
   void ExpectClean() {
     Transaction* txn = db_->Begin();
     CheckResult check;
@@ -563,23 +574,26 @@ class AttachmentStateAtOpenTest : public ::testing::Test {
 };
 
 TEST_F(AttachmentStateAtOpenTest, CleanReopenScansOncePerAttachment) {
-  // After a checkpoint the restart has no log to replay, so nothing opens
-  // the attachment state before Open does.
+  // Open itself builds no attachment state; the first touch builds each
+  // from one scan.
   ASSERT_TRUE(db_->Checkpoint().ok());
   db_.reset();
   g_base_scans = 0;
   Open();
-  EXPECT_EQ(g_base_scans.load(), kInMemoryAttachments);
+  EXPECT_EQ(g_base_scans.load(), 0);
+  EXPECT_EQ(ScansToTouch(), kInMemoryAttachments);
+  EXPECT_EQ(ScansToTouch(), 0);
   ExpectClean();
 }
 
-TEST_F(AttachmentStateAtOpenTest, StateOpenedDuringRecoveryIsRebuilt) {
+TEST_F(AttachmentStateAtOpenTest, LoserCrashBuildsStateOnceAtFirstTouch) {
   // After a checkpoint, a winner inserts and deletes rows and commits; a
   // loser does the same, and a strict commit on another relation forces
   // its records to the log. The crash loses every page written since the
-  // checkpoint, so redo replays them all. Restart opens the attachment
-  // state at the winner's first record, from a base that the rest of redo
-  // and undo go on to change, so Open must rebuild it.
+  // checkpoint, so redo replays them all and undo rolls the loser back.
+  // Restart dispatches none of the attachment records, so no state is
+  // opened on a base that redo and undo are still changing: the first
+  // touch afterwards builds each once, from the recovered base.
   Transaction* txn = db_->Begin();
   ASSERT_TRUE(db_->CreateRelation(txn, "u", KvSchema(), "heap", {}).ok());
   ASSERT_TRUE(db_->Commit(txn).ok());
@@ -610,8 +624,8 @@ TEST_F(AttachmentStateAtOpenTest, StateOpenedDuringRecoveryIsRebuilt) {
 
   g_base_scans = 0;
   Open();
-  // Recovery opened the state before the rebuild: more than one scan each.
-  EXPECT_GT(g_base_scans.load(), kInMemoryAttachments);
+  EXPECT_EQ(g_base_scans.load(), 0);
+  EXPECT_EQ(ScansToTouch(), kInMemoryAttachments);
   ExpectClean();
   // The unique constraint sees exactly the recovered rows.
   txn = db_->Begin();
@@ -625,9 +639,9 @@ TEST_F(AttachmentStateAtOpenTest, StateOpenedDuringRecoveryIsRebuilt) {
 
 TEST_F(AttachmentStateAtOpenTest, WinnersOnlyCrashScansOncePerAttachment) {
   // The same lost pages, but only a winner: redo replays its heap records
-  // and skips the attachment records (restart opens no attachment state
-  // to redo them), nothing is undone, so each in-memory attachment is
-  // built once, by Open, from the recovered base.
+  // and skips the attachment records, nothing is undone, and each
+  // in-memory attachment is built once, at the first touch, from the
+  // recovered base.
   ASSERT_TRUE(db_->Checkpoint().ok());
   Transaction* txn = db_->Begin();
   for (int i = 0; i < 20; ++i) {
@@ -645,7 +659,8 @@ TEST_F(AttachmentStateAtOpenTest, WinnersOnlyCrashScansOncePerAttachment) {
 
   g_base_scans = 0;
   Open();
-  EXPECT_EQ(g_base_scans.load(), kInMemoryAttachments);
+  EXPECT_EQ(g_base_scans.load(), 0);
+  EXPECT_EQ(ScansToTouch(), kInMemoryAttachments);
   ExpectClean();
   txn = db_->Begin();
   EXPECT_TRUE(db_->Insert(txn, "t", Row(119)).IsConstraint());

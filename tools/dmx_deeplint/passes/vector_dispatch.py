@@ -49,9 +49,16 @@ def run(models, ctx):
                     f"entry points unset: {', '.join(missing)} — a "
                     "missing entry point is a nullptr dispatch at "
                     "runtime"))
-            if ("undo" in reg.fields) != ("redo" in reg.fields):
-                which = ("undo without redo" if "undo" in reg.fields
-                         else "redo without undo")
+            # An attachment may register undo alone: it keeps nothing
+            # durable, so restart skips it and its state is derived from
+            # the base relation at first touch. A storage method may not.
+            undo, redo = "undo" in reg.fields, "redo" in reg.fields
+            which = None
+            if redo and not undo:
+                which = "redo without undo"
+            elif undo and not redo and reg.kind == "SmOps":
+                which = "undo without redo"
+            if which:
                 findings.append(Finding(
                     tu.path, reg.line, RULE,
                     f"{reg.kind} '{reg.var}' registers {which} — "
