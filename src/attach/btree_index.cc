@@ -72,15 +72,6 @@ Status IdxOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
   return Status::OK();
 }
 
-std::string EntryPayload(char op, uint32_t instance, const Slice& key,
-                         const Slice& record_key) {
-  std::string payload(1, op);
-  PutVarint32(&payload, instance);
-  PutLengthPrefixedSlice(&payload, key);
-  payload.append(record_key.data(), record_key.size());
-  return payload;
-}
-
 Status AddEntry(AtContext& ctx, const IndexInstance& inst, BTree* tree,
                 const Slice& key, const Slice& record_key) {
   Status s = tree->Insert(key, record_key, inst.unique);
@@ -89,13 +80,13 @@ Status AddEntry(AtContext& ctx, const IndexInstance& inst, BTree* tree,
                               " violated");
   }
   DMX_RETURN_IF_ERROR(s);
-  return LogExtensionUpdate(ctx, EntryPayload('I', inst.no, key, record_key));
+  return LogKeyEntry(ctx, {'I', inst.no, key, record_key});
 }
 
 Status RemoveEntry(AtContext& ctx, BTree* tree, uint32_t instance,
                    const Slice& key, const Slice& record_key) {
   DMX_RETURN_IF_ERROR(tree->Remove(key, record_key, /*idempotent=*/true));
-  return LogExtensionUpdate(ctx, EntryPayload('D', instance, key, record_key));
+  return LogKeyEntry(ctx, {'D', instance, key, record_key});
 }
 
 Status IdxCreateInstance(AtContext& ctx, const AttrList& attrs,
@@ -388,22 +379,14 @@ Status IdxCost(AtContext& ctx, uint32_t instance_no,
 }
 
 Status IdxApply(AtContext& ctx, const LogRecord& rec, bool undo) {
-  IndexState* st = StateOf(ctx);
-  Slice in(rec.payload);
-  if (in.empty()) return Status::Corruption("btree index payload");
-  char op = in[0];
-  in.remove_prefix(1);
-  uint32_t instance;
-  Slice key;
-  if (!GetVarint32(&in, &instance) || !GetLengthPrefixedSlice(&in, &key)) {
-    return Status::Corruption("btree index payload body");
-  }
-  BTree* tree = st->TreeFor(instance);
+  KeyEntry entry;
+  DMX_RETURN_IF_ERROR(DecodeKeyEntry(rec.payload, &entry));
+  BTree* tree = StateOf(ctx)->TreeFor(entry.instance);
   if (tree == nullptr) return Status::OK();  // instance dropped since
-  bool insert = (op == 'I');
-  if (undo) insert = !insert;
-  if (insert) return tree->Insert(key, in);
-  return tree->Remove(key, in, /*idempotent=*/true);
+  if ((entry.op == 'I') != undo) {
+    return tree->Insert(entry.key, entry.record_key);
+  }
+  return tree->Remove(entry.key, entry.record_key, /*idempotent=*/true);
 }
 
 Status IdxUndo(AtContext& ctx, const LogRecord& rec, Lsn) {

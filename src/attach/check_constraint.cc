@@ -39,16 +39,7 @@ struct CheckInstance {
 };
 using CheckList = InstanceList<CheckInstance>;
 
-struct CheckState : public ExtState {
-  CheckList desc;
-};
-
-Status ChkOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
-  auto st = std::make_unique<CheckState>();
-  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
-  *state = std::move(st);
-  return Status::OK();
-}
+using CheckState = InstanceState<CheckInstance>;
 
 Status ChkCreateInstance(AtContext& ctx, const AttrList& attrs,
                          std::string* new_desc, uint32_t* instance_no) {
@@ -93,9 +84,8 @@ Status ChkCreateInstance(AtContext& ctx, const AttrList& attrs,
 }
 
 Status ChkTest(AtContext& ctx, const Slice& record) {
-  CheckState* st = static_cast<CheckState*>(ctx.state);
   RecordView view(record, &ctx.desc->schema);
-  for (const CheckInstance& inst : st->desc) {
+  for (const CheckInstance& inst : CheckState::Of(ctx)->instances()) {
     bool passes = false;
     DMX_RETURN_IF_ERROR(
         ctx.db->evaluator()->EvalPredicate(*inst.predicate, view, &passes));
@@ -121,8 +111,8 @@ Status ChkOnUpdate(AtContext& ctx, const Slice&, const Slice&, const Slice&,
 // Verify re-evaluates the predicate over every base record — catches rows
 // that slipped in while the constraint was quarantined or before it existed.
 Status ChkVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
-  CheckState* st = static_cast<CheckState*>(ctx.state);
-  const CheckInstance* inst = st->desc.Find(instance_no);
+  const CheckInstance* inst =
+      CheckState::Of(ctx)->instances().Find(instance_no);
   if (inst == nullptr) return CheckList::NotFound(instance_no);
   const std::string tag = "check#" + std::to_string(instance_no) + ": ";
 
@@ -155,7 +145,7 @@ const AtOps& CheckConstraintOps() {
     o.name = "check";
     o.create_instance = ChkCreateInstance;
     o.drop_instance = &DropInstanceOf<CheckInstance>;
-    o.open = ChkOpen;
+    o.open = &CheckState::Open;
     o.on_insert = ChkOnInsert;
     o.on_update = ChkOnUpdate;
     o.instance_count = &InstanceCountOf<CheckInstance>;

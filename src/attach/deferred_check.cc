@@ -33,16 +33,7 @@ struct DcInstance {
   }
 };
 
-struct DcState : public ExtState {
-  InstanceList<DcInstance> desc;
-};
-
-Status DcOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
-  auto st = std::make_unique<DcState>();
-  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
-  *state = std::move(st);
-  return Status::OK();
-}
+using DcState = InstanceState<DcInstance>;
 
 Status DcCreateInstance(AtContext& ctx, const AttrList& attrs,
                         std::string* new_desc, uint32_t* instance_no) {
@@ -80,14 +71,14 @@ Status DcDefer(AtContext& ctx, const Slice& record_key) {
     AtContext actx;
     DMX_RETURN_IF_ERROR(
         db->MakeAtContext(txn, desc, static_cast<AtId>(at), &actx));
-    DcState* st = static_cast<DcState*>(actx.state);
-    if (st == nullptr || st->desc.empty()) return Status::OK();
+    DcState* st = DcState::Of(actx);
+    if (st == nullptr || st->instances().empty()) return Status::OK();
     std::string record;
     Status fs = db->FetchRecord(txn, desc, Slice(key), &record);
     if (fs.IsNotFound()) return Status::OK();  // deleted later in the txn
     DMX_RETURN_IF_ERROR(fs);
     RecordView view(Slice(record), &desc->schema);
-    for (const DcInstance& inst : st->desc) {
+    for (const DcInstance& inst : st->instances()) {
       bool passes = false;
       DMX_RETURN_IF_ERROR(
           db->evaluator()->EvalPredicate(*inst.predicate, view, &passes));
@@ -120,7 +111,7 @@ const AtOps& DeferredCheckOps() {
     o.name = "deferred_check";
     o.create_instance = DcCreateInstance;
     o.drop_instance = &DropInstanceOf<DcInstance>;
-    o.open = DcOpen;
+    o.open = &DcState::Open;
     o.on_insert = DcOnInsert;
     o.on_update = DcOnUpdate;
     o.instance_count = &InstanceCountOf<DcInstance>;

@@ -40,18 +40,7 @@ struct RiInstance {
 };
 using RiList = InstanceList<RiInstance>;
 
-struct RiState : public ExtState {
-  RiList desc;
-};
-
-RiState* StateOf(AtContext& ctx) { return static_cast<RiState*>(ctx.state); }
-
-Status RiOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
-  auto st = std::make_unique<RiState>();
-  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
-  *state = std::move(st);
-  return Status::OK();
-}
+using RiState = InstanceState<RiInstance>;
 
 // Extract the key values of `fields`; false if any is NULL.
 bool KeyValues(const RecordView& view, const std::vector<int>& fields,
@@ -151,9 +140,8 @@ Status RiCheckParentExists(AtContext& ctx, const RiInstance& inst,
 }
 
 Status RiOnInsert(AtContext& ctx, const Slice&, const Slice& new_record) {
-  RiState* st = StateOf(ctx);
   RecordView view(new_record, &ctx.desc->schema);
-  for (const RiInstance& inst : st->desc) {
+  for (const RiInstance& inst : RiState::Of(ctx)->instances()) {
     if (inst.is_parent) continue;
     DMX_RETURN_IF_ERROR(RiCheckParentExists(ctx, inst, view));
   }
@@ -162,10 +150,9 @@ Status RiOnInsert(AtContext& ctx, const Slice&, const Slice& new_record) {
 
 Status RiOnUpdate(AtContext& ctx, const Slice&, const Slice&,
                   const Slice& old_record, const Slice& new_record) {
-  RiState* st = StateOf(ctx);
   RecordView old_view(old_record, &ctx.desc->schema);
   RecordView new_view(new_record, &ctx.desc->schema);
-  for (const RiInstance& inst : st->desc) {
+  for (const RiInstance& inst : RiState::Of(ctx)->instances()) {
     if (!inst.is_parent) {
       DMX_RETURN_IF_ERROR(RiCheckParentExists(ctx, inst, new_view));
       continue;
@@ -192,9 +179,8 @@ Status RiOnUpdate(AtContext& ctx, const Slice&, const Slice&,
 }
 
 Status RiOnDelete(AtContext& ctx, const Slice&, const Slice& old_record) {
-  RiState* st = StateOf(ctx);
   RecordView view(old_record, &ctx.desc->schema);
-  for (const RiInstance& inst : st->desc) {
+  for (const RiInstance& inst : RiState::Of(ctx)->instances()) {
     if (!inst.is_parent) continue;
     std::vector<Value> values;
     if (!KeyValues(view, inst.fields, &values)) continue;
@@ -227,8 +213,7 @@ Status RiOnDelete(AtContext& ctx, const Slice&, const Slice& old_record) {
 // Parent-side instances are passive (the child side holds the invariant),
 // so they verify trivially.
 Status RiVerify(AtContext& ctx, uint32_t instance_no, VerifyReport* report) {
-  RiState* st = StateOf(ctx);
-  const RiInstance* inst = st->desc.Find(instance_no);
+  const RiInstance* inst = RiState::Of(ctx)->instances().Find(instance_no);
   if (inst == nullptr) return RiList::NotFound(instance_no);
   if (inst->is_parent) return Status::OK();
   const std::string tag = "refint#" + std::to_string(instance_no) + ": ";
@@ -261,7 +246,7 @@ const AtOps& RefIntegrityOps() {
     o.name = "refint";
     o.create_instance = RiCreateInstance;
     o.drop_instance = &DropInstanceOf<RiInstance>;
-    o.open = RiOpen;
+    o.open = &RiState::Open;
     o.on_insert = RiOnInsert;
     o.on_update = RiOnUpdate;
     o.on_delete = RiOnDelete;

@@ -49,16 +49,7 @@ struct TriggerInstance {
   }
 };
 
-struct TriggerState : public ExtState {
-  InstanceList<TriggerInstance> desc;
-};
-
-Status TrOpen(AtContext& ctx, std::unique_ptr<ExtState>* state) {
-  auto st = std::make_unique<TriggerState>();
-  DMX_RETURN_IF_ERROR(st->desc.Decode(ctx.at_desc));
-  *state = std::move(st);
-  return Status::OK();
-}
+using TriggerState = InstanceState<TriggerInstance>;
 
 Status TrCreateInstance(AtContext& ctx, const AttrList& attrs,
                         std::string* new_desc, uint32_t* instance_no) {
@@ -97,7 +88,6 @@ Status TrCreateInstance(AtContext& ctx, const AttrList& attrs,
 Status TrFire(AtContext& ctx, TriggerEvent::Op op, const Slice& old_key,
               const Slice& new_key, const Slice& old_rec,
               const Slice& new_rec) {
-  TriggerState* st = static_cast<TriggerState*>(ctx.state);
   TriggerEvent event;
   event.db = ctx.db;
   event.txn = ctx.txn;
@@ -109,7 +99,7 @@ Status TrFire(AtContext& ctx, TriggerEvent::Op op, const Slice& old_key,
                                                       &ctx.desc->schema);
   if (!new_rec.empty()) event.new_record = RecordView(new_rec,
                                                       &ctx.desc->schema);
-  for (const TriggerInstance& inst : st->desc) {
+  for (const TriggerInstance& inst : TriggerState::Of(ctx)->instances()) {
     bool fires = (op == TriggerEvent::Op::kInsert && inst.on_insert) ||
                  (op == TriggerEvent::Op::kUpdate && inst.on_update) ||
                  (op == TriggerEvent::Op::kDelete && inst.on_delete);
@@ -155,7 +145,7 @@ const AtOps& TriggerOps() {
     o.name = "trigger";
     o.create_instance = TrCreateInstance;
     o.drop_instance = &DropInstanceOf<TriggerInstance>;
-    o.open = TrOpen;
+    o.open = &TriggerState::Open;
     o.on_insert = TrOnInsert;
     o.on_update = TrOnUpdate;
     o.on_delete = TrOnDelete;

@@ -16,7 +16,9 @@
 #ifndef DMX_CORE_ATTACHMENT_INSTANCES_H_
 #define DMX_CORE_ATTACHMENT_INSTANCES_H_
 
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -155,6 +157,35 @@ class InstanceList {
 
   uint32_t next_no_ = 1;
   std::vector<Inst> instances_;
+};
+
+/// Runtime state of an attachment type whose state is its decoded instance
+/// list alone (check, deferred_check, refint, trigger): `Open` is its
+/// AtOps::open. The list never changes while the state is open, so hooks
+/// read it without a lock. `Self`, when given, is the derived state type
+/// that `Open` builds and `Of` returns (DerivedState passes itself).
+template <typename Inst, typename Self = void>
+class InstanceState : public ExtState {
+ public:
+  using State =
+      std::conditional_t<std::is_void_v<Self>, InstanceState, Self>;
+
+  static Status Open(AtContext& ctx, std::unique_ptr<ExtState>* state) {
+    auto owned = std::make_unique<State>();
+    DMX_RETURN_IF_ERROR(owned->instances_.Decode(ctx.at_desc));
+    *state = std::move(owned);
+    return Status::OK();
+  }
+
+  static State* Of(const AtContext& ctx) {
+    return static_cast<State*>(ctx.state);
+  }
+
+  /// The instances, in descriptor order.
+  const InstanceList<Inst>& instances() const { return instances_; }
+
+ private:
+  InstanceList<Inst> instances_;
 };
 
 // -- generic AtOps slots -----------------------------------------------------

@@ -21,6 +21,24 @@ Status LogExtensionUpdate(SmContext& ctx, std::string payload,
 Status LogExtensionUpdate(AtContext& ctx, std::string payload,
                           Lsn* lsn = nullptr);
 
+/// One index entry added or removed, as the attachments that map a key to
+/// record keys log it (hash_index and join_index for undo, btree_index for
+/// undo and redo):
+///
+///   op | varint instance | length-prefixed key | record key
+struct KeyEntry {
+  char op = 'I';  // 'I': the entry was added; 'D': it was removed
+  uint32_t instance = 0;
+  Slice key;
+  Slice record_key;
+};
+
+/// Logs `entry` through LogExtensionUpdate.
+Status LogKeyEntry(AtContext& ctx, const KeyEntry& entry);
+
+/// Parses a LogKeyEntry payload; the slices point into `payload`.
+Status DecodeKeyEntry(const Slice& payload, KeyEntry* entry);
+
 }  // namespace dmx
 
 #endif  // DMX_CORE_EXTENSION_LOG_H_

@@ -6,7 +6,6 @@
 
 #include "src/attach/btree_index.h"
 #include "src/attach/check_constraint.h"
-#include "src/attach/join_index.h"
 #include "src/attach/rtree_index.h"
 #include "src/attach/stats.h"
 #include "src/attach/trigger.h"
@@ -376,7 +375,7 @@ TEST_F(AttachmentsTest, JoinIndexFollowsUpdates) {
   Transaction* txn = db_->Begin();
   ASSERT_TRUE(
       db_->CreateRelation(txn, "other", other_schema, "heap", {}).ok());
-  uint32_t t_inst = 0;
+  uint32_t t_inst = 0, other_inst = 0;
   ASSERT_TRUE(db_->CreateAttachment(
                   txn, "t", "join_index",
                   {{"name", "jx"}, {"side", "1"}, {"fields", "name"}},
@@ -384,7 +383,8 @@ TEST_F(AttachmentsTest, JoinIndexFollowsUpdates) {
                   .ok());
   ASSERT_TRUE(db_->CreateAttachment(
                   txn, "other", "join_index",
-                  {{"name", "jx"}, {"side", "2"}, {"fields", "name"}})
+                  {{"name", "jx"}, {"side", "2"}, {"fields", "name"}},
+                  &other_inst)
                   .ok());
   std::string t_key = InsertRow(txn, 1, "match", 1.0);
   std::string other_key;
@@ -393,7 +393,22 @@ TEST_F(AttachmentsTest, JoinIndexFollowsUpdates) {
                           &other_key)
                   .ok());
   ASSERT_TRUE(db_->Commit(txn).ok());
-  EXPECT_EQ(JoinIndexPairCount("jx"), 1u);
+  // The record keys each side's lookup of `name` returns from the other.
+  using Keys = std::vector<std::string>;
+  auto lookup = [&](const char* rel, uint32_t inst, const char* name) {
+    std::string jk;
+    EXPECT_TRUE(EncodeValueKey({Value::String(name)}, &jk).ok());
+    Keys keys;
+    Transaction* reader = db_->Begin();
+    EXPECT_TRUE(db_->Lookup(reader, rel,
+                            AccessPathId::Attachment(At("join_index"), inst),
+                            Slice(jk), &keys)
+                    .ok());
+    EXPECT_TRUE(db_->Commit(reader).ok());
+    return keys;
+  };
+  EXPECT_EQ(lookup("t", t_inst, "match"), Keys{other_key});
+  EXPECT_EQ(lookup("other", other_inst, "match"), Keys{t_key});
 
   // Update the t side's join key away: pair dissolves.
   txn = db_->Begin();
@@ -405,16 +420,21 @@ TEST_F(AttachmentsTest, JoinIndexFollowsUpdates) {
                           &nk)
                   .ok());
   ASSERT_TRUE(db_->Commit(txn).ok());
-  EXPECT_EQ(JoinIndexPairCount("jx"), 0u);
+  EXPECT_EQ(lookup("t", t_inst, "match"), Keys{other_key});
+  EXPECT_TRUE(lookup("other", other_inst, "match").empty());
+  EXPECT_TRUE(lookup("t", t_inst, "different").empty());
   // And back: pair reforms.
   txn = db_->Begin();
+  std::string back;
   ASSERT_TRUE(db_->Update(txn, "t", Slice(nk),
                           {Value::Int(1), Value::String("match"),
                            Value::Double(1.0), Value::Null(), Value::Null(),
-                           Value::Null(), Value::Null()})
+                           Value::Null(), Value::Null()},
+                          &back)
                   .ok());
   ASSERT_TRUE(db_->Commit(txn).ok());
-  EXPECT_EQ(JoinIndexPairCount("jx"), 1u);
+  EXPECT_EQ(lookup("t", t_inst, "match"), Keys{other_key});
+  EXPECT_EQ(lookup("other", other_inst, "match"), Keys{back});
 }
 
 TEST_F(AttachmentsTest, CheckConstraintRejectsCreateOnViolatingData) {

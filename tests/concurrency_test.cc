@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <random>
@@ -122,16 +123,32 @@ TEST_F(ConcurrencyTest, FirstTouchOpensExtensionStateOnce) {
 }
 
 // The same first touch by writers: eight sessions open the in-memory
-// state of hash_index, unique and stats together, then insert, update and
-// delete their own rows by record key through the Database API (SQL
-// UPDATE/DELETE from two sessions still deadlock on the S -> IX upgrade),
-// aborting every fourth transaction. Their hooks and undos change the
-// shared tables concurrently, so the tables must end exactly as the
-// committed rows say.
+// state of hash_index, unique, stats and join_index (side 1 of a join with
+// a `groups` table) together, then insert, update and delete their own
+// rows by record key through the Database API (SQL UPDATE/DELETE from two
+// sessions still deadlock on the S -> IX upgrade), aborting every fourth
+// transaction. Their hooks and undos change the shared tables
+// concurrently, so the tables must end exactly as the committed rows say.
 TEST_F(ConcurrencyTest, FirstTouchByEightWritersKeepsDerivedStateExact) {
   constexpr int kThreads = 8, kTxnsPerThread = 150, kGroups = 7;
-  uint32_t hash_instance = 0, stats_instance = 0;
+  uint32_t hash_instance = 0, stats_instance = 0, groups_instance = 0;
   Transaction* txn = db_->Begin();
+  ASSERT_TRUE(db_->CreateRelation(txn, "groups",
+                                  Schema({{"n", TypeId::kInt64, false}}),
+                                  "heap", {})
+                  .ok());
+  for (int g = 0; g < kGroups; ++g) {
+    ASSERT_TRUE(db_->Insert(txn, "groups", {Value::Int(g)}).ok());
+  }
+  ASSERT_TRUE(db_->CreateAttachment(
+                  txn, "counters", "join_index",
+                  {{"name", "counter_groups"}, {"side", "1"}, {"fields", "n"}})
+                  .ok());
+  ASSERT_TRUE(db_->CreateAttachment(
+                  txn, "groups", "join_index",
+                  {{"name", "counter_groups"}, {"side", "2"}, {"fields", "n"}},
+                  &groups_instance)
+                  .ok());
   ASSERT_TRUE(db_->CreateAttachment(txn, "counters", "hash_index",
                                     {{"fields", "n"}}, &hash_instance)
                   .ok());
@@ -214,16 +231,20 @@ TEST_F(ConcurrencyTest, FirstTouchByEightWritersKeepsDerivedStateExact) {
     ADD_FAILURE() << f.component << ": " << f.detail;
   }
   EXPECT_TRUE(check.clean);
-  std::vector<size_t> expected(kGroups, 0);
+  // The committed record keys of each group, sorted.
+  std::vector<std::vector<std::string>> expected(kGroups);
   size_t total = 0;
   for (const auto& mine : rows) {
     for (const auto& [key, row] : mine) {
-      ++expected[static_cast<size_t>(row.second)];
+      expected[static_cast<size_t>(row.second)].push_back(key);
     }
     total += mine.size();
   }
+  for (auto& keys : expected) std::sort(keys.begin(), keys.end());
   const AtId hash_at =
       static_cast<AtId>(db_->registry()->FindAttachmentType("hash_index"));
+  const AtId join_at =
+      static_cast<AtId>(db_->registry()->FindAttachmentType("join_index"));
   for (int g = 0; g < kGroups; ++g) {
     std::string probe;
     ASSERT_TRUE(EncodeValueKey({Value::Int(g)}, &probe).ok());
@@ -232,7 +253,15 @@ TEST_F(ConcurrencyTest, FirstTouchByEightWritersKeepsDerivedStateExact) {
                             AccessPathId::Attachment(hash_at, hash_instance),
                             Slice(probe), &keys)
                     .ok());
-    EXPECT_EQ(keys.size(), expected[static_cast<size_t>(g)]) << "n = " << g;
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(keys, expected[static_cast<size_t>(g)]) << "n = " << g;
+    // From the groups row of n = g, the join returns the same counters.
+    ASSERT_TRUE(db_->Lookup(txn, "groups",
+                            AccessPathId::Attachment(join_at, groups_instance),
+                            Slice(probe), &keys)
+                    .ok());
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(keys, expected[static_cast<size_t>(g)]) << "join n = " << g;
   }
   StatsSnapshot stats;
   ASSERT_TRUE(

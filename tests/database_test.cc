@@ -2,12 +2,13 @@
 // dispatch, veto + log-driven partial rollback, DDL with deferred release,
 // access paths, scans, and crash recovery.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/attach/check_constraint.h"
 #include "src/attach/stats.h"
 #include "src/attach/trigger.h"
-#include "src/attach/join_index.h"
 #include "src/core/database.h"
 #include "src/sm/foreign.h"
 #include "src/sm/key_codec.h"
@@ -781,101 +782,150 @@ TEST_F(DatabaseTest, ForeignStorageMethodProxiesToOtherDatabase) {
 
 // -- join index -------------------------------------------------------------------
 
-TEST_F(DatabaseTest, JoinIndexMaintainsPairsAcrossBothRelations) {
+// Creates department(dept, budget) and employee, with a join index `name`
+// on their dept columns: side 1 on employee, side 2 on department.
+Status CreateEmpDept(Database* db, Transaction* txn, const std::string& name,
+                     uint32_t* emp_inst, uint32_t* dept_inst) {
   Schema dept_schema({{"dept", TypeId::kString, false},
                       {"budget", TypeId::kDouble, true}});
-  MustCommit([&](Transaction* txn) {
-    DMX_RETURN_IF_ERROR(
-        db_->CreateRelation(txn, "department", dept_schema, "heap", {}));
-    return db_->CreateRelation(txn, "employee", EmployeeSchema(), "heap", {});
-  });
-  uint32_t emp_inst = 0;
-  MustCommit([&](Transaction* txn) {
-    DMX_RETURN_IF_ERROR(db_->CreateAttachment(
-        txn, "employee", "join_index",
-        {{"name", "emp_dept"}, {"side", "1"}, {"fields", "dept"}},
-        &emp_inst));
-    return db_->CreateAttachment(
-        txn, "department", "join_index",
-        {{"name", "emp_dept"}, {"side", "2"}, {"fields", "dept"}});
-  });
-  std::string dept_key;
-  MustCommit([&](Transaction* txn) {
-    DMX_RETURN_IF_ERROR(db_->Insert(
-        txn, "department", {Value::String("eng"), Value::Double(1.0)},
-        &dept_key));
-    InsertEmployee(txn, 1, "a", 1.0, "eng");
-    InsertEmployee(txn, 2, "b", 1.0, "eng");
-    return Status::OK();
-  });
-  EXPECT_EQ(JoinIndexPairCount("emp_dept"), 2u);
-  // Lookup from the employee side returns the department record key.
-  int ji = db_->registry()->FindAttachmentType("join_index");
-  Transaction* txn = db_->Begin();
-  std::string jk;
-  ASSERT_TRUE(EncodeValueKey({Value::String("eng")}, &jk).ok());
-  std::vector<std::string> keys;
-  ASSERT_TRUE(db_->Lookup(txn, "employee",
-                          AccessPathId::Attachment(static_cast<AtId>(ji),
-                                                   emp_inst),
-                          Slice(jk), &keys)
-                  .ok());
-  ASSERT_EQ(keys.size(), 1u);
-  EXPECT_EQ(keys[0], dept_key);
-  ASSERT_TRUE(db_->Commit(txn).ok());
+  DMX_RETURN_IF_ERROR(
+      db->CreateRelation(txn, "department", dept_schema, "heap", {}));
+  DMX_RETURN_IF_ERROR(
+      db->CreateRelation(txn, "employee", EmployeeSchema(), "heap", {}));
+  DMX_RETURN_IF_ERROR(db->CreateAttachment(
+      txn, "employee", "join_index",
+      {{"name", name}, {"side", "1"}, {"fields", "dept"}}, emp_inst));
+  return db->CreateAttachment(
+      txn, "department", "join_index",
+      {{"name", name}, {"side", "2"}, {"fields", "dept"}}, dept_inst);
 }
 
+// The record keys that a lookup of `dept` through `rel`'s join-index
+// instance `inst` returns from the other side, sorted.
+std::vector<std::string> JoinLookup(Database* db, const std::string& rel,
+                                    uint32_t inst, const std::string& dept) {
+  const AtId ji =
+      static_cast<AtId>(db->registry()->FindAttachmentType("join_index"));
+  std::string jk;
+  EXPECT_TRUE(EncodeValueKey({Value::String(dept)}, &jk).ok());
+  std::vector<std::string> keys;
+  Transaction* txn = db->Begin();
+  Status s = db->Lookup(txn, rel, AccessPathId::Attachment(ji, inst),
+                        Slice(jk), &keys);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(db->Commit(txn).ok());
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+using Keys = std::vector<std::string>;
+
+TEST_F(DatabaseTest, JoinIndexMaintainsPairsAcrossBothRelations) {
+  uint32_t emp_inst = 0, dept_inst = 0;
+  MustCommit([&](Transaction* txn) {
+    return CreateEmpDept(db_.get(), txn, "emp_dept", &emp_inst, &dept_inst);
+  });
+  std::string dept_key;
+  Keys emp_keys;
+  MustCommit([&](Transaction* txn) {
+    DMX_RETURN_IF_ERROR(db_->Insert(
+        txn, "department", {Value::String("eng"), Value::Double(1.0)},
+        &dept_key));
+    emp_keys.push_back(InsertEmployee(txn, 1, "a", 1.0, "eng"));
+    emp_keys.push_back(InsertEmployee(txn, 2, "b", 1.0, "eng"));
+    return Status::OK();
+  });
+  std::sort(emp_keys.begin(), emp_keys.end());
+  // Two pairs: each side's lookup returns the other side's record keys.
+  EXPECT_EQ(JoinLookup(db_.get(), "employee", emp_inst, "eng"),
+            Keys{dept_key});
+  EXPECT_EQ(JoinLookup(db_.get(), "department", dept_inst, "eng"), emp_keys);
+  EXPECT_TRUE(JoinLookup(db_.get(), "employee", emp_inst, "ops").empty());
+}
+
+TEST_F(DatabaseTest, JoinIndexPairsBelongToOneDatabase) {
+  // Two databases in one process, each with a join index of the same name
+  // on relations of the same names, hold different rows. Each must answer
+  // from its own relations only.
+  TempDir other_dir("db2");
+  std::unique_ptr<Database> other;
+  DatabaseOptions options;
+  options.dir = other_dir.path();
+  ASSERT_TRUE(Database::Open(options, &other).ok());
+
+  struct Side {
+    Database* db;
+    std::string dept;
+    uint32_t emp_inst = 0, dept_inst = 0;
+    std::string emp_key = {}, dept_key = {};
+  };
+  Side sides[] = {{db_.get(), "eng"}, {other.get(), "ops"}};
+  for (Side& side : sides) {
+    Database* db = side.db;
+    Transaction* txn = db->Begin();
+    ASSERT_TRUE(CreateEmpDept(db, txn, "emp_dept", &side.emp_inst,
+                              &side.dept_inst)
+                    .ok());
+    ASSERT_TRUE(db->Commit(txn).ok());
+    txn = db->Begin();
+    ASSERT_TRUE(db->Insert(txn, "department",
+                           {Value::String(side.dept), Value::Double(1.0)},
+                           &side.dept_key)
+                    .ok());
+    ASSERT_TRUE(db->Insert(txn, "employee",
+                           {Value::Int(1), Value::String("a"),
+                            Value::Double(1.0), Value::String(side.dept)},
+                           &side.emp_key)
+                    .ok());
+    ASSERT_TRUE(db->Commit(txn).ok());
+  }
+  for (const Side& side : sides) {
+    const Side& foreign = &side == &sides[0] ? sides[1] : sides[0];
+    EXPECT_EQ(JoinLookup(side.db, "employee", side.emp_inst, side.dept),
+              Keys{side.dept_key});
+    EXPECT_EQ(JoinLookup(side.db, "department", side.dept_inst, side.dept),
+              Keys{side.emp_key});
+    EXPECT_TRUE(
+        JoinLookup(side.db, "employee", side.emp_inst, foreign.dept).empty());
+    EXPECT_TRUE(
+        JoinLookup(side.db, "department", side.dept_inst, foreign.dept)
+            .empty());
+  }
+}
 
 TEST_F(DatabaseTest, JoinIndexLookupAfterCrashSeesOnlyRecoveredRows) {
-  // Restart opens no join-index state, and a relation fills its side of
-  // the shared pair table when its own state opens. A lookup from one side
-  // must therefore open the other side's state first, or it would answer
-  // from pairs left over from before the crash.
-  Schema dept_schema({{"dept", TypeId::kString, false},
-                      {"budget", TypeId::kDouble, true}});
-  uint32_t emp_inst = 0;
-  std::string dept_key;
+  // Restart opens no join-index state: each relation builds its side from
+  // its recovered base at its first touch. A lookup from one side reads the
+  // other relation's state, which opens from that recovered base too, so a
+  // loser's row is gone from the answer.
+  uint32_t emp_inst = 0, dept_inst = 0;
+  std::string dept_key, emp_key, loser_key;
   MustCommit([&](Transaction* txn) {
-    DMX_RETURN_IF_ERROR(
-        db_->CreateRelation(txn, "department", dept_schema, "heap", {}));
-    DMX_RETURN_IF_ERROR(
-        db_->CreateRelation(txn, "employee", EmployeeSchema(), "heap", {}));
-    DMX_RETURN_IF_ERROR(db_->CreateAttachment(
-        txn, "employee", "join_index",
-        {{"name", "emp_dept_crash"}, {"side", "1"}, {"fields", "dept"}},
-        &emp_inst));
-    return db_->CreateAttachment(
-        txn, "department", "join_index",
-        {{"name", "emp_dept_crash"}, {"side", "2"}, {"fields", "dept"}});
+    return CreateEmpDept(db_.get(), txn, "emp_dept_crash", &emp_inst,
+                         &dept_inst);
   });
   MustCommit([&](Transaction* txn) {
     DMX_RETURN_IF_ERROR(db_->Insert(
         txn, "department", {Value::String("eng"), Value::Double(1.0)},
         &dept_key));
-    InsertEmployee(txn, 1, "a", 1.0, "eng");
+    emp_key = InsertEmployee(txn, 1, "a", 1.0, "eng");
     return Status::OK();
   });
   Transaction* loser = db_->Begin();
   ASSERT_TRUE(db_->Insert(loser, "department",
-                          {Value::String("eng"), Value::Double(2.0)})
+                          {Value::String("eng"), Value::Double(2.0)},
+                          &loser_key)
                   .ok());
-  EXPECT_EQ(JoinIndexPairCount("emp_dept_crash"), 2u);
+  Keys both = {dept_key, loser_key};
+  std::sort(both.begin(), both.end());
+  EXPECT_EQ(JoinLookup(db_.get(), "employee", emp_inst, "eng"), both);
   db_->SimulateCrashOnClose();
   Reopen();
 
-  int ji = db_->registry()->FindAttachmentType("join_index");
-  Transaction* txn = db_->Begin();
-  std::string jk;
-  ASSERT_TRUE(EncodeValueKey({Value::String("eng")}, &jk).ok());
-  std::vector<std::string> keys;
-  ASSERT_TRUE(db_->Lookup(txn, "employee",
-                          AccessPathId::Attachment(static_cast<AtId>(ji),
-                                                   emp_inst),
-                          Slice(jk), &keys)
-                  .ok());
-  EXPECT_EQ(keys, std::vector<std::string>{dept_key});
-  ASSERT_TRUE(db_->Commit(txn).ok());
-  EXPECT_EQ(JoinIndexPairCount("emp_dept_crash"), 1u);
+  EXPECT_EQ(JoinLookup(db_.get(), "employee", emp_inst, "eng"),
+            Keys{dept_key});
+  EXPECT_EQ(JoinLookup(db_.get(), "department", dept_inst, "eng"),
+            Keys{emp_key});
 }
 
 TEST_F(DatabaseTest, AttachmentDdlPreservesMemoryResidentData) {
