@@ -10,7 +10,6 @@
 
 #include "src/core/database.h"
 #include "src/storage/page_file.h"
-#include "src/util/coding.h"
 #include "src/util/crc32c.h"
 #include "src/util/metrics.h"
 #include "src/wal/archiver.h"
@@ -20,9 +19,14 @@ namespace dmx {
 
 namespace {
 
-std::string BasenameOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
+// Decodes the header of a backup's copy of the live log.
+Status DecodeLiveCopyHeader(const std::string& data, Lsn* base,
+                            uint32_t* gen) {
+  if (data.size() < kLogHeaderSize) {
+    return Status::Corruption("live log copy shorter than its header");
+  }
+  Status s = DecodeLiveHeader(data.data(), base, gen);
+  return s.ok() ? s : Status::Corruption(s.message() + " in the live log copy");
 }
 
 std::string HexCrc(uint32_t crc) {
@@ -231,30 +235,16 @@ Status VerifyBackupDir(Env* env, const std::string& dir, std::string* report) {
       }
     } else if (e.name == "wal") {
       have_live = true;
-      if (data.size() < kLogHeaderSize) {
-        return Status::Corruption("live log copy shorter than its header");
-      }
-      Status hs = DecodeLiveHeader(data.data(), &live_base, &live_gen);
-      if (!hs.ok()) {
-        return Status::Corruption(hs.message() + " in the live log copy");
-      }
-      size_t p = kLogHeaderSize;
-      while (p < data.size()) {
-        if (p + kFrameHeaderSize > data.size()) {
-          return Status::Corruption("torn frame header in the live log copy");
+      DMX_RETURN_IF_ERROR(DecodeLiveCopyHeader(data, &live_base, &live_gen));
+      for (size_t p = kLogHeaderSize;;) {
+        const WalFrame frame = DecodeWalFrame(data, p, live_gen);
+        if (frame.status == WalFrameStatus::kEnd) break;
+        if (frame.status != WalFrameStatus::kOk) {
+          return Status::Corruption(std::string(WalFrameProblem(frame.status)) +
+                                    " at offset " + std::to_string(p) +
+                                    " in the live log copy");
         }
-        const uint32_t len = DecodeFixed32(data.data() + p);
-        if (p + kFrameHeaderSize + len > data.size()) {
-          return Status::Corruption("torn frame body in the live log copy");
-        }
-        const uint32_t crc = DecodeFixed32(data.data() + p + 4);
-        if (crc !=
-            WalFrameCrc(live_gen, data.data() + p + kFrameHeaderSize, len)) {
-          return Status::Corruption(
-              "frame checksum mismatch at offset " + std::to_string(p) +
-              " in the live log copy");
-        }
-        p += kFrameHeaderSize + len;
+        p = static_cast<size_t>(frame.next);
       }
       live_end = live_base + (data.size() - kLogHeaderSize);
     } else if (e.name.size() > 4 &&
@@ -454,13 +444,7 @@ Status Database::Restore(const RestoreOptions& options, Lsn* replayed_to) {
                                 "' fails verification against the manifest");
     }
     if (e.name == "wal") {
-      if (data.size() < kLogHeaderSize) {
-        return Status::Corruption("live log copy shorter than its header");
-      }
-      Status hs = DecodeLiveHeader(data.data(), &live_base, &live_gen);
-      if (!hs.ok()) {
-        return Status::Corruption(hs.message() + " in the live log copy");
-      }
+      DMX_RETURN_IF_ERROR(DecodeLiveCopyHeader(data, &live_base, &live_gen));
       live_body = data.substr(kLogHeaderSize);
       have_live = true;
       continue;
@@ -501,20 +485,12 @@ Status Database::Restore(const RestoreOptions& options, Lsn* replayed_to) {
           const std::string path = options.archive_dir + "/" + name;
           // Header-only peek for indexing; the chosen pieces get a full
           // structural verification before installation.
-          std::unique_ptr<RandomAccessFile> file;
-          DMX_RETURN_IF_ERROR(
-              env->NewRandomAccessFile(path, /*create=*/false, &file));
-          char hdr[kSegHeaderSize];
-          size_t n = 0;
-          Status hr = file->Read(0, kSegHeaderSize, hdr, &n);
-          // Read-only header probe; hr carries the outcome.
-          (void)file->Close();
-          DMX_RETURN_IF_ERROR(hr);
           SegmentHeader parsed;
-          if (n != kSegHeaderSize ||
-              !DecodeSegmentHeader(hdr, &parsed).ok()) {
+          Status hs = ReadSegmentHeader(env, path, &parsed);
+          if (hs.IsCorruption()) {
             continue;  // unusable file; a gap error below names the lsn
           }
+          DMX_RETURN_IF_ERROR(hs);
           auto it = archived.find(parsed.base_lsn);
           if (it == archived.end() || parsed.end_lsn > it->second.end) {
             archived[parsed.base_lsn] =
@@ -569,24 +545,21 @@ Status Database::Restore(const RestoreOptions& options, Lsn* replayed_to) {
   }
   const uint64_t limit = target - final_piece.base;
   size_t keep = 0;
-  while (keep + kFrameHeaderSize <= body.size()) {
-    const uint32_t len = DecodeFixed32(body.data() + keep);
-    const size_t next = keep + kFrameHeaderSize + len;
-    if (next > body.size()) {
-      return Status::Corruption(
-          "torn frame at offset " + std::to_string(keep) +
-          " in the restored wal tail");
+  while (true) {
+    // A cut-off frame stays at `keep`, within the limit: torn, unless only
+    // a partial header follows the last whole frame.
+    const WalFrame frame = DecodeWalFrame(body, keep, final_piece.gen);
+    if (frame.status == WalFrameStatus::kEnd ||
+        frame.status == WalFrameStatus::kShortHeader || frame.next > limit) {
+      break;
     }
-    if (next > limit) break;
-    const uint32_t crc = DecodeFixed32(body.data() + keep + 4);
-    if (crc != WalFrameCrc(final_piece.gen,
-                           body.data() + keep + kFrameHeaderSize, len)) {
+    if (frame.status != WalFrameStatus::kOk) {
       return Status::Corruption(
-          "frame checksum mismatch at lsn " +
+          std::string(WalFrameProblem(frame.status)) + " at lsn " +
           std::to_string(final_piece.base + keep + 1) +
           " in the restored wal tail");
     }
-    keep = next;
+    keep = static_cast<size_t>(frame.next);
   }
   std::string live;
   EncodeLiveHeader(final_piece.base, final_piece.gen, &live);

@@ -265,6 +265,11 @@ std::string DirnameOf(const std::string& path) {
   return path.substr(0, slash);
 }
 
+std::string BasenameOf(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
 Env* Env::Default() {
   static PosixEnv* env = new PosixEnv();  // leaked singleton
   return env;

@@ -100,6 +100,9 @@ class Env {
 /// Directory component of `path` ("." when there is no slash).
 std::string DirnameOf(const std::string& path);
 
+/// Final component of `path` (all of it when there is no slash).
+std::string BasenameOf(const std::string& path);
+
 }  // namespace dmx
 
 #endif  // DMX_UTIL_ENV_H_

@@ -4,15 +4,6 @@
 
 namespace dmx {
 
-namespace {
-
-std::string BasenameOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-}  // namespace
-
 WalArchiver::WalArchiver(LogManager* log, Env* env, Options options)
     : log_(log), env_(env), options_(std::move(options)) {
   MetricsRegistry* metrics = MetricsRegistry::Global();
@@ -133,11 +124,7 @@ Status WalArchiver::ArchiveOne(const LogManager::SegmentInfo& seg) {
     // replace it.
     SegmentHeader existing;
     Status v = VerifySegmentFile(env_, final_path, &existing);
-    if (v.ok() && existing.seqno == hdr.seqno &&
-        existing.base_lsn == hdr.base_lsn &&
-        existing.end_lsn == hdr.end_lsn && existing.gen == hdr.gen) {
-      return Status::OK();
-    }
+    if (v.ok() && existing == hdr) return Status::OK();
     DMX_RETURN_IF_ERROR(env_->DeleteFile(final_path));
   }
   // Copy under a temporary name, then publish with rename + dir sync, so
@@ -152,8 +139,7 @@ Status WalArchiver::ArchiveOne(const LogManager::SegmentInfo& seg) {
   // a lying controller) is part of what the archive guards against.
   SegmentHeader copied;
   DMX_RETURN_IF_ERROR(VerifySegmentFile(env_, tmp_path, &copied));
-  if (copied.seqno != hdr.seqno || copied.base_lsn != hdr.base_lsn ||
-      copied.end_lsn != hdr.end_lsn) {
+  if (copied != hdr) {
     // Best-effort: the mismatched copy is garbage either way.
     (void)env_->DeleteFile(tmp_path);
     return Status::Corruption("archived copy of '" + seg.path +

@@ -2,20 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-
-#include "src/util/coding.h"
-#include "src/util/crc32c.h"
 
 namespace dmx {
 
 namespace {
-
-// Sizes, magics, and the generation-mixing frame crc moved to wal_format.h
-// when segments arrived (the archiver and dmx_backup_verify share them).
-uint32_t FrameCrc(uint32_t gen, const char* body, size_t n) {
-  return WalFrameCrc(gen, body, n);
-}
 
 // Unflushed bytes past which Append writes the buffer out without waiting
 // for a commit. A bulk load in one transaction otherwise buffers its whole
@@ -133,15 +123,9 @@ Status LogManager::Open(const std::string& path, bool create, Env* env) {
     if (s.ok() && n != kLogHeaderSize) {
       s = Status::Corruption("short log header in '" + path + "'");
     }
-    if (s.ok() && DecodeFixed32(hdr) != kLogMagic) {
-      s = Status::Corruption("bad log magic in '" + path + "'");
-    }
-    if (s.ok() && DecodeFixed32(hdr + 16) != Crc32c(hdr, 16)) {
-      s = Status::Corruption("log header checksum mismatch in '" + path + "'");
-    }
     if (s.ok()) {
-      base_lsn_ = DecodeFixed64(hdr + 4);
-      gen_ = DecodeFixed32(hdr + 12);
+      s = DecodeLiveHeader(hdr, &base_lsn_, &gen_);
+      if (!s.ok()) s = Status::Corruption(s.message() + " in '" + path + "'");
     }
   }
   if (!s.ok()) {
@@ -167,9 +151,7 @@ Status LogManager::DiscoverSegmentsLocked() {
   segments_.clear();
   next_seg_seqno_ = 1;
   const std::string dir = DirnameOf(path_);
-  const size_t slash = path_.find_last_of('/');
-  const std::string basename =
-      slash == std::string::npos ? path_ : path_.substr(slash + 1);
+  const std::string basename = BasenameOf(path_);
   std::vector<std::string> names;
   Status ls = env_->ListDir(dir, &names);
   if (ls.IsNotFound()) return Status::OK();
@@ -178,16 +160,9 @@ Status LogManager::DiscoverSegmentsLocked() {
     uint32_t seqno = 0;
     if (!ParseSegmentName(name, basename, &seqno)) continue;
     const std::string seg_path = dir + "/" + name;
-    std::unique_ptr<RandomAccessFile> f;
     SegmentHeader hdr;
-    char buf[kSegHeaderSize];
-    size_t n = 0;
-    Status s = env_->NewRandomAccessFile(seg_path, /*create=*/false, &f);
-    if (s.ok()) s = f->Read(0, kSegHeaderSize, buf, &n);
-    if (s.ok() && n == kSegHeaderSize) s = DecodeSegmentHeader(buf, &hdr);
-    // Read-only header probe; nothing buffered to lose.
-    if (f) (void)f->Close();
-    if (!s.ok() || n != kSegHeaderSize || hdr.base_lsn >= base_lsn_) {
+    if (!ReadSegmentHeader(env_, seg_path, &hdr).ok() ||
+        hdr.base_lsn >= base_lsn_) {
       // Either an unreadable header (the partially written product of a
       // rotation that crashed before its segment sync) or a seemingly
       // valid segment whose frames the live log still owns (the rotation
@@ -196,13 +171,8 @@ Status LogManager::DiscoverSegmentsLocked() {
       (void)env_->DeleteFile(seg_path);
       continue;
     }
-    SegmentInfo info;
-    info.seqno = hdr.seqno;
-    info.base_lsn = hdr.base_lsn;
-    info.end_lsn = hdr.end_lsn;
-    info.gen = hdr.gen;
-    info.path = seg_path;
-    segments_.push_back(std::move(info));
+    segments_.push_back(
+        {hdr.seqno, hdr.base_lsn, hdr.end_lsn, hdr.gen, seg_path});
   }
   std::sort(segments_.begin(), segments_.end(),
             [](const SegmentInfo& a, const SegmentInfo& b) {
@@ -236,11 +206,7 @@ void LogManager::UpdateLagGaugeLocked() {
 
 Status LogManager::WriteHeaderLocked() {
   std::string enc;
-  PutFixed32(&enc, kLogMagic);
-  PutFixed64(&enc, base_lsn_);
-  PutFixed32(&enc, gen_);
-  PutFixed32(&enc, Crc32c(enc.data(), enc.size()));
-  PutFixed32(&enc, 0);  // pad
+  EncodeLiveHeader(base_lsn_, gen_, &enc);
   return file_->Write(0, enc.data(), enc.size());
 }
 
@@ -276,10 +242,9 @@ Status LogManager::AppendLocked(LogRecord* rec, const std::string& body) {
   ScopedTimer timer((append_tick_++ & 63) == 0 ? metric_append_ns_ : nullptr);
   if (poison_ != PoisonKind::kNone) return PoisonedLocked();
   rec->lsn = next_lsn_.load(std::memory_order_relaxed);
-  PutFixed32(&buffer_, static_cast<uint32_t>(body.size()));
-  PutFixed32(&buffer_, FrameCrc(gen_, body.data(), body.size()));
-  buffer_ += body;
-  next_lsn_.store(rec->lsn + kFrameHeaderSize + body.size(),
+  const size_t buffered_before = buffer_.size();
+  EncodeWalFrame(gen_, body, &buffer_);
+  next_lsn_.store(rec->lsn + (buffer_.size() - buffered_before),
                   std::memory_order_release);
   records_appended_.Increment();
   metric_appends_->Increment();
@@ -420,117 +385,75 @@ Status LogManager::FlushAll() {
   return FlushToLocked(next_lsn_.load(std::memory_order_relaxed) - 1);
 }
 
-// Recovery replay owns the log; mu_ pins the segment chain for the
-// whole scan by design.
-// deeplint: allow(blocking-under-lock, recovery replay pins the chain)
-Status LogManager::ReadAll(std::vector<LogRecord>* out) {
+Status LogManager::Scan(const std::function<Status(const LogRecord&)>& fn) {
   DMX_RETURN_IF_ERROR(FlushAll());
-  MutexLock lock(&mu_);
-  // Sealed segments first (oldest to newest), then the live file. The
-  // chain was verified contiguous at Open, so this replays an unbroken
-  // LSN range ending at the live base. Replaying pre-checkpoint segments
-  // that merely await archiving is harmless: redo is page-LSN gated and
-  // every transaction they contain has ended. Unlike the live file, a
-  // sealed segment admits no torn or stale tail — it was complete and
-  // synced before the live log moved on — so any mismatch is corruption.
-  for (const SegmentInfo& seg : segments_) {
-    std::unique_ptr<RandomAccessFile> f;
-    DMX_RETURN_IF_ERROR(
-        env_->NewRandomAccessFile(seg.path, /*create=*/false, &f));
-    std::string data(static_cast<size_t>(seg.end_lsn - seg.base_lsn), '\0');
-    size_t seg_got = 0;
-    Status s = f->Read(kSegHeaderSize, data.size(), data.data(), &seg_got);
-    // Read-only segment handle; the read status is the outcome.
-    (void)f->Close();
-    DMX_RETURN_IF_ERROR(s);
-    if (seg_got != data.size()) {
-      return Status::Corruption("short read of wal segment '" + seg.path +
-                                "'");
-    }
-    size_t pos = 0;
-    while (pos < data.size()) {
-      if (pos + kFrameHeaderSize > data.size()) {
-        return Status::Corruption("truncated frame in wal segment '" +
-                                  seg.path + "'");
-      }
-      const uint32_t len = DecodeFixed32(data.data() + pos);
-      if (pos + kFrameHeaderSize + len > data.size()) {
-        return Status::Corruption("truncated frame in wal segment '" +
-                                  seg.path + "'");
-      }
-      const uint32_t crc = DecodeFixed32(data.data() + pos + 4);
-      const char* body = data.data() + pos + kFrameHeaderSize;
-      if (crc != FrameCrc(seg.gen, body, len)) {
-        return Status::Corruption(
-            "wal frame checksum mismatch at offset " +
-            std::to_string(kSegHeaderSize + pos) + " in segment '" +
-            seg.path + "'");
-      }
-      Slice in(body, len);
-      LogRecord rec;
-      if (!LogRecord::DecodeFrom(&in, &rec).ok()) {
-        return Status::Corruption("undecodable wal record at offset " +
-                                  std::to_string(kSegHeaderSize + pos) +
-                                  " in segment '" + seg.path + "'");
-      }
-      rec.lsn = seg.base_lsn + static_cast<Lsn>(pos) + 1;
-      out->push_back(std::move(rec));
-      pos += kFrameHeaderSize + len;
-    }
+  // Restart owns the log (the flusher, the archiver and the error handler
+  // start after it), so the frames are read with mu_ released: redo's page
+  // write-backs call FlushTo, which takes it.
+  std::vector<SegmentInfo> segs;
+  SegmentInfo live_info;  // the live file's base, generation and path
+  Env* env = nullptr;
+  RandomAccessFile* live = nullptr;
+  {
+    MutexLock lock(&mu_);
+    if (!file_) return Status::IOError("log not open");
+    segs = segments_;
+    live_info = {0, base_lsn_, 0, gen_, path_};
+    env = env_;
+    live = file_.get();
   }
-  uint64_t size = 0;
-  DMX_RETURN_IF_ERROR(file_->Size(&size));
-  if (size <= kLogHeaderSize) return Status::OK();
-  std::string data(static_cast<size_t>(size) - kLogHeaderSize, '\0');
-  size_t got = 0;
-  DMX_RETURN_IF_ERROR(file_->Read(kLogHeaderSize, data.size(), data.data(),
-                                  &got));
-  if (got != data.size()) return Status::IOError("short log read");
-  size_t pos = 0;
-  while (pos + kFrameHeaderSize <= data.size()) {
-    const uint32_t len = DecodeFixed32(data.data() + pos);
-    if (len == 0) break;  // zero fill: torn tail
-    if (pos + kFrameHeaderSize + len > data.size()) break;  // torn tail
-    const uint32_t crc = DecodeFixed32(data.data() + pos + 4);
-    const char* body = data.data() + pos + kFrameHeaderSize;
-    if (crc != FrameCrc(gen_, body, len)) {
-      bool stale = false;
-      for (uint32_t back = 1; back <= 8 && back < gen_; ++back) {
-        if (crc == FrameCrc(gen_ - back, body, len)) {
-          stale = true;
-          break;
-        }
-      }
-      if (stale) break;  // leftovers from a crash-interrupted truncation
-      if (pos + kFrameHeaderSize + len == data.size()) break;  // torn tail
-      return Status::Corruption(
-          "wal frame checksum mismatch at log offset " +
-          std::to_string(kLogHeaderSize + pos) + " in '" + path_ + "'");
-    }
-    Slice in(body, len);
+  // Each frame's LSN is its file's base LSN + its offset past `begin` + 1.
+  Lsn file_base = 0;
+  uint64_t begin = 0;
+  auto decode = [&](uint64_t at, Slice body) {
     LogRecord rec;
-    if (!LogRecord::DecodeFrom(&in, &rec).ok()) {
+    rec.lsn = file_base + (at - begin) + 1;
+    if (!LogRecord::DecodeFrom(&body, &rec).ok()) {
       // The bytes are intact (crc passed) yet undecodable: a writer bug or
       // format mismatch, not a torn tail.
-      return Status::Corruption(
-          "undecodable wal record at log offset " +
-          std::to_string(kLogHeaderSize + pos) + " in '" + path_ + "'");
+      return Status::Corruption("undecodable wal record at lsn " +
+                                std::to_string(rec.lsn));
     }
-    rec.lsn = base_lsn_ + static_cast<Lsn>(pos) + 1;
-    out->push_back(std::move(rec));
-    pos += kFrameHeaderSize + len;
+    return fn(rec);
+  };
+  // Sealed segments first (oldest to newest), then the live file. The
+  // chain was verified contiguous at Open, so this replays an unbroken LSN
+  // range ending at the live base. Replaying pre-checkpoint segments that
+  // merely await archiving is harmless: redo is page-LSN gated and every
+  // transaction they contain has ended.
+  uint64_t stop = 0;
+  for (const SegmentInfo& seg : segs) {
+    std::unique_ptr<RandomAccessFile> f;
+    DMX_RETURN_IF_ERROR(
+        env->NewRandomAccessFile(seg.path, /*create=*/false, &f));
+    file_base = seg.base_lsn;
+    begin = kSegHeaderSize;
+    Status s = ScanWalFrames(f.get(), begin,
+                             begin + (seg.end_lsn - seg.base_lsn), seg.gen,
+                             /*tail_ok=*/false, seg.path, decode, &stop);
+    // Read-only segment handle; the scan status is the outcome.
+    (void)f->Close();
+    DMX_RETURN_IF_ERROR(s);
   }
-  if (pos < data.size()) {
-    // Self-heal: cut the torn or stale tail off so later appends never
-    // interleave with its bytes. Propagate failure — continuing with the
-    // tail in place risks replaying garbage after the next crash.
-    DMX_RETURN_IF_ERROR(file_->Truncate(kLogHeaderSize + pos));
-    DMX_RETURN_IF_ERROR(file_->Sync(/*data_only=*/true));
-    const Lsn next = base_lsn_ + static_cast<Lsn>(pos) + 1;
-    next_lsn_.store(next, std::memory_order_release);
-    flushed_lsn_.store(next - 1, std::memory_order_release);
-    buffer_start_ = next;
-  }
+  uint64_t size = 0;
+  DMX_RETURN_IF_ERROR(live->Size(&size));
+  file_base = live_info.base_lsn;
+  begin = kLogHeaderSize;
+  DMX_RETURN_IF_ERROR(ScanWalFrames(live, begin, size, live_info.gen,
+                                    /*tail_ok=*/true, live_info.path, decode,
+                                    &stop));
+  if (stop >= size) return Status::OK();
+  // Self-heal: cut the torn or stale tail off so later appends never
+  // interleave with its bytes, before restart's undo appends its first
+  // CLR. Propagate failure — continuing with the tail in place risks
+  // replaying garbage after the next crash.
+  DMX_RETURN_IF_ERROR(live->Truncate(stop));
+  DMX_RETURN_IF_ERROR(live->Sync(/*data_only=*/true));
+  MutexLock lock(&mu_);
+  const Lsn next = base_lsn_ + (stop - kLogHeaderSize) + 1;
+  next_lsn_.store(next, std::memory_order_release);
+  flushed_lsn_.store(next - 1, std::memory_order_release);
+  buffer_start_ = next;
   return Status::OK();
 }
 
@@ -544,79 +467,47 @@ Status LogManager::ReadRecord(Lsn lsn, LogRecord* out) {
       lsn >= next_lsn_.load(std::memory_order_relaxed)) {
     return Status::InvalidArgument("bad lsn " + std::to_string(lsn));
   }
-  if (lsn <= base_lsn_) {
-    // Rotated past: a rollback chain reaching across a rotation reads its
-    // record from the sealed segment that owns the LSN.
-    for (const SegmentInfo& seg : segments_) {
-      if (lsn <= seg.base_lsn || lsn > seg.end_lsn) continue;
-      std::unique_ptr<RandomAccessFile> f;
-      DMX_RETURN_IF_ERROR(
-          env_->NewRandomAccessFile(seg.path, /*create=*/false, &f));
-      const uint64_t off = kSegHeaderSize + (lsn - seg.base_lsn - 1);
-      char hdr[kFrameHeaderSize];
-      size_t n = 0;
-      Status s = f->Read(off, kFrameHeaderSize, hdr, &n);
-      if (s.ok() && n != kFrameHeaderSize) {
-        s = Status::IOError("segment frame header read");
-      }
-      std::string body;
-      uint32_t len = 0, crc = 0;
-      if (s.ok()) {
-        len = DecodeFixed32(hdr);
-        crc = DecodeFixed32(hdr + 4);
-        body.resize(len);
-        s = f->Read(off + kFrameHeaderSize, len, body.data(), &n);
-        if (s.ok() && n != len) s = Status::IOError("segment frame body read");
-      }
-      // Read-only segment handle; the frame status is the outcome.
-      (void)f->Close();
-      DMX_RETURN_IF_ERROR(s);
-      if (crc != FrameCrc(seg.gen, body.data(), len)) {
-        return Status::Corruption("wal frame checksum mismatch at lsn " +
-                                  std::to_string(lsn) + " in segment '" +
-                                  seg.path + "'");
-      }
-      Slice in(body);
-      DMX_RETURN_IF_ERROR(LogRecord::DecodeFrom(&in, out));
-      out->lsn = lsn;
-      return Status::OK();
+  auto decode = [lsn, out](const WalFrame& frame) -> Status {
+    if (frame.status != WalFrameStatus::kOk) {
+      return Status::Corruption(std::string("wal ") +
+                                WalFrameProblem(frame.status) + " at lsn " +
+                                std::to_string(lsn));
     }
-    return Status::InvalidArgument("bad lsn " + std::to_string(lsn));
-  }
-  // Serve from the in-memory buffer if not yet flushed.
-  if (lsn >= buffer_start_) {
-    size_t off = static_cast<size_t>(lsn - buffer_start_);
-    if (off + kFrameHeaderSize > buffer_.size()) {
-      return Status::Corruption("lsn in buffer");
-    }
-    uint32_t len = DecodeFixed32(buffer_.data() + off);
-    if (off + kFrameHeaderSize + len > buffer_.size()) {
-      return Status::Corruption("lsn body in buffer");
-    }
-    Slice body(buffer_.data() + off + kFrameHeaderSize, len);
-    DMX_RETURN_IF_ERROR(LogRecord::DecodeFrom(&body, out));
+    Slice in(frame.body);
+    DMX_RETURN_IF_ERROR(LogRecord::DecodeFrom(&in, out));
     out->lsn = lsn;
     return Status::OK();
+  };
+  if (lsn >= buffer_start_) {
+    // Not yet flushed: served from the in-memory buffer.
+    return decode(DecodeWalFrame(
+        buffer_, static_cast<size_t>(lsn - buffer_start_), gen_));
   }
-  const uint64_t file_off = lsn - base_lsn_ - 1 + kLogHeaderSize;
-  char hdr[kFrameHeaderSize];
-  size_t n = 0;
-  DMX_RETURN_IF_ERROR(file_->Read(file_off, kFrameHeaderSize, hdr, &n));
-  if (n != kFrameHeaderSize) return Status::IOError("log frame header read");
-  const uint32_t len = DecodeFixed32(hdr);
-  const uint32_t crc = DecodeFixed32(hdr + 4);
-  std::string body(len, '\0');
-  DMX_RETURN_IF_ERROR(
-      file_->Read(file_off + kFrameHeaderSize, len, body.data(), &n));
-  if (n != len) return Status::IOError("log frame body read");
-  if (crc != FrameCrc(gen_, body.data(), len)) {
-    return Status::Corruption("wal frame checksum mismatch at lsn " +
-                              std::to_string(lsn));
+  WalFrame frame;
+  if (lsn > base_lsn_) {
+    WalFrameReader reader(file_.get(), lsn - base_lsn_ - 1 + kLogHeaderSize,
+                          buffer_start_ - base_lsn_ - 1 + kLogHeaderSize,
+                          gen_, WalFrameReader::kPointRead);
+    DMX_RETURN_IF_ERROR(reader.Next(&frame));
+    return decode(frame);
   }
-  Slice in(body);
-  DMX_RETURN_IF_ERROR(LogRecord::DecodeFrom(&in, out));
-  out->lsn = lsn;
-  return Status::OK();
+  // Rotated past: a rollback chain reaching across a rotation reads its
+  // record from the sealed segment that owns the LSN.
+  for (const SegmentInfo& seg : segments_) {
+    if (lsn <= seg.base_lsn || lsn > seg.end_lsn) continue;
+    std::unique_ptr<RandomAccessFile> f;
+    DMX_RETURN_IF_ERROR(
+        env_->NewRandomAccessFile(seg.path, /*create=*/false, &f));
+    WalFrameReader reader(f.get(), kSegHeaderSize + (lsn - seg.base_lsn - 1),
+                          kSegHeaderSize + (seg.end_lsn - seg.base_lsn),
+                          seg.gen, WalFrameReader::kPointRead);
+    Status s = reader.Next(&frame);
+    if (s.ok()) s = decode(frame);
+    // Read-only segment handle; the frame status is the outcome.
+    (void)f->Close();
+    return s;
+  }
+  return Status::InvalidArgument("bad lsn " + std::to_string(lsn));
 }
 
 Status LogManager::ReclaimBlockedLocked() const {
@@ -674,13 +565,19 @@ Status LogManager::TruncateLocked() {
   return Status::OK();
 }
 
+Status LogManager::ReadFlushedLocked(uint64_t offset, std::string* out) {
+  const size_t start = out->size();
+  const size_t n = static_cast<size_t>(
+      kLogHeaderSize +
+      (flushed_lsn_.load(std::memory_order_relaxed) - base_lsn_) - offset);
+  out->resize(start + n);
+  size_t got = 0;
+  DMX_RETURN_IF_ERROR(file_->Read(offset, n, out->data() + start, &got));
+  return got == n ? Status::OK() : Status::IOError("short live-wal read");
+}
+
 std::string LogManager::SegmentPathLocked(uint32_t seqno) const {
-  const size_t slash = path_.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "" : path_.substr(0, slash + 1);
-  const std::string basename =
-      slash == std::string::npos ? path_ : path_.substr(slash + 1);
-  return dir + SegmentFileName(basename, seqno);
+  return DirnameOf(path_) + "/" + SegmentFileName(BasenameOf(path_), seqno);
 }
 
 void LogManager::SetRetainSegments(bool retain) {
@@ -700,28 +597,16 @@ Status LogManager::RotateLocked() {
   // Seal first: the segment must be durable (file + directory entry)
   // before the live header advances past its frames, so a crash at any
   // point leaves at least one complete copy of every flushed record.
-  const uint64_t body_size = flushed - base_lsn_;
-  std::string body(static_cast<size_t>(body_size), '\0');
-  size_t got = 0;
-  DMX_RETURN_IF_ERROR(
-      file_->Read(kLogHeaderSize, body.size(), body.data(), &got));
-  if (got != body.size()) {
-    return Status::IOError("short live-wal read during rotation");
-  }
-  SegmentInfo info;
-  info.seqno = next_seg_seqno_;
-  info.base_lsn = base_lsn_;
-  info.end_lsn = flushed;
-  info.gen = gen_;
-  info.path = SegmentPathLocked(info.seqno);
-  std::string hdr;
-  EncodeSegmentHeader(
-      SegmentHeader{info.seqno, info.base_lsn, info.end_lsn, info.gen}, &hdr);
+  const SegmentInfo info{next_seg_seqno_, base_lsn_, flushed, gen_,
+                         SegmentPathLocked(next_seg_seqno_)};
+  std::string bytes;  // the segment header, then the flushed frames
+  EncodeSegmentHeader({info.seqno, info.base_lsn, info.end_lsn, info.gen},
+                      &bytes);
+  DMX_RETURN_IF_ERROR(ReadFlushedLocked(kLogHeaderSize, &bytes));
   std::unique_ptr<RandomAccessFile> seg;
   Status s = env_->NewRandomAccessFile(info.path, /*create=*/true, &seg);
   if (s.ok()) s = seg->Truncate(0);
-  if (s.ok()) s = seg->Write(0, hdr.data(), hdr.size());
-  if (s.ok()) s = seg->Write(kSegHeaderSize, body.data(), body.size());
+  if (s.ok()) s = seg->Write(0, bytes.data(), bytes.size());
   if (s.ok()) s = seg->Sync(/*data_only=*/false);
   if (s.ok()) s = seg->Close();
   if (s.ok()) s = env_->SyncDir(DirnameOf(path_));
@@ -830,14 +715,8 @@ Status LogManager::SnapshotLiveTo(const std::string& dest_path) {
   // Wait out an in-flight group flush so the durable prefix is stable
   // (the leader writes the file with mu_ released).
   while (flush_active_) flush_cv_.Wait();
-  const Lsn flushed = flushed_lsn_.load(std::memory_order_relaxed);
-  const uint64_t n = kLogHeaderSize + (flushed - base_lsn_);
-  std::string bytes(static_cast<size_t>(n), '\0');
-  size_t got = 0;
-  DMX_RETURN_IF_ERROR(file_->Read(0, bytes.size(), bytes.data(), &got));
-  if (got != bytes.size()) {
-    return Status::IOError("short live-wal read during backup");
-  }
+  std::string bytes;
+  DMX_RETURN_IF_ERROR(ReadFlushedLocked(0, &bytes));
   std::unique_ptr<RandomAccessFile> dest;
   DMX_RETURN_IF_ERROR(
       env_->NewRandomAccessFile(dest_path, /*create=*/true, &dest));

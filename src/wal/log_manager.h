@@ -1,13 +1,9 @@
 // LogManager: append-only write-ahead log with group buffering and
 // per-record checksums.
 //
-// File layout:
-//   header (24 bytes): u32 magic | u64 base_lsn | u32 generation |
-//                      u32 crc of the preceding 16 bytes | u32 pad
-//   frames:            u32 length | u32 crc | body
-//
-// The frame crc is a CRC32C over the header's generation number followed by
-// the body, so replay can tell three situations apart:
+// The file layout and the frame codec are wal_format.h's. The frame crc
+// mixes in the header's generation number, so replay can tell three
+// situations apart:
 //   * torn tail — the final frame is incomplete or fails its crc: the write
 //     never finished before a crash; replay stops cleanly and the tail is
 //     truncated away;
@@ -15,7 +11,7 @@
 //     left over from before a checkpoint truncation that crashed between
 //     writing the new header and shrinking the file; replay discards them;
 //   * corruption — a crc mismatch anywhere else (e.g. a flipped bit in the
-//     middle of the log) is real damage: ReadAll returns kCorruption rather
+//     middle of the log) is real damage: Scan returns kCorruption rather
 //     than silently replaying a prefix.
 //
 // LSN = base_lsn + (file offset - header) + 1, so kInvalidLsn = 0 is never a
@@ -58,7 +54,7 @@
 // and resets the live file, so LSNs keep increasing while history becomes a
 // chain of verifiable files an archiver can copy off-box. With
 // SetRetainSegments(true), CheckpointTruncate() reclaims only segments the
-// archiver has confirmed archived — archive-before-truncate — and ReadAll /
+// archiver has confirmed archived — archive-before-truncate — and Scan /
 // ReadRecord transparently serve records from sealed segments, so restart
 // recovery and rollback chains are unaware of rotation. PinWal() (held by
 // online backup) makes rotation/truncation/reclaim return Busy so the WAL
@@ -155,11 +151,12 @@ class LogManager {
   }
   Lsn next_lsn() const { return next_lsn_.load(std::memory_order_acquire); }
 
-  /// Read the entire log (for restart recovery). A torn final record or a
-  /// stale post-truncation tail is tolerated: replay stops before it and
-  /// the tail is truncated off the file. Mid-log damage returns
-  /// kCorruption.
-  Status ReadAll(std::vector<LogRecord>* out);
+  /// Restart's forward scan: `fn` sees every retained record, oldest first,
+  /// read through a fixed-size window. A torn or stale live tail ends the
+  /// scan and is cut off the file before Scan returns; mid-log damage is
+  /// kCorruption. `fn` runs with no mutex held and may call FlushTo; no
+  /// other thread may append, rotate, truncate or close the log meanwhile.
+  Status Scan(const std::function<Status(const LogRecord&)>& fn);
 
   /// Read a single record by LSN (for rollback chains), verifying its crc.
   Status ReadRecord(Lsn lsn, LogRecord* out);
@@ -275,6 +272,9 @@ class LogManager {
   /// live base, and seed the seqno counter.
   Status DiscoverSegmentsLocked() REQUIRES(mu_);
   std::string SegmentPathLocked(uint32_t seqno) const REQUIRES(mu_);
+  /// Append the live file's bytes from `offset` through its last flushed
+  /// frame to `*out`.
+  Status ReadFlushedLocked(uint64_t offset, std::string* out) REQUIRES(mu_);
   /// Refresh the wal.sealed_unarchived gauge from segments_.
   void UpdateLagGaugeLocked() REQUIRES(mu_);
   /// Group flush: leader/follower protocol. Releases mu_ around the disk

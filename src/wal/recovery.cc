@@ -1,5 +1,7 @@
 #include "src/wal/recovery.h"
 
+#include <map>
+
 namespace dmx {
 
 Status RecoveryDriver::Rollback(TxnId txn, Lsn to_lsn, Lsn* last_lsn) {
@@ -48,37 +50,30 @@ Status RecoveryDriver::Rollback(TxnId txn, Lsn to_lsn, Lsn* last_lsn) {
 }
 
 Status RecoveryDriver::Restart(std::vector<TxnId>* losers) {
-  std::vector<LogRecord> records;
-  DMX_RETURN_IF_ERROR(log_->ReadAll(&records));
-
-  // -- Analysis: find transaction outcomes and chain heads.
-  std::map<TxnId, TxnAnalysis> txns;
-  for (const LogRecord& rec : records) {
-    if (rec.txn > max_txn_seen_) max_txn_seen_ = rec.txn;
-    TxnAnalysis& t = txns[rec.txn];
-    t.last_lsn = rec.lsn;
-    if (rec.type == LogRecType::kCommit) t.committed = true;
-    if (rec.type == LogRecType::kEnd) t.ended = true;
-  }
-
-  // -- Redo: replay every update and compensation in log order. The
+  // One forward pass over the log does ARIES' analysis and redo together.
+  // Redo replays every update and compensation in log order; the
   // extension's redo entry point is responsible for idempotence (page-LSN
-  // gating for page-based stores).
-  for (const LogRecord& rec : records) {
-    if (rec.type == LogRecType::kUpdate) {
-      DMX_RETURN_IF_ERROR(apply_(rec, /*undo=*/false, rec.lsn));
-      ++redo_count_;
-    } else if (rec.type == LogRecType::kClr) {
-      // Redo of a CLR re-applies the compensation, i.e. the undo action.
-      DMX_RETURN_IF_ERROR(apply_(rec, /*undo=*/true, rec.lsn));
-      ++redo_count_;
+  // gating for page-based stores). Analysis keeps the chain head of every
+  // transaction still in flight: a Commit or End record drops it.
+  std::map<TxnId, Lsn> in_flight;
+  DMX_RETURN_IF_ERROR(log_->Scan([&](const LogRecord& rec) -> Status {
+    if (rec.txn > max_txn_seen_) max_txn_seen_ = rec.txn;
+    if (rec.type == LogRecType::kCommit || rec.type == LogRecType::kEnd) {
+      in_flight.erase(rec.txn);
+      return Status::OK();
     }
-  }
+    if (rec.txn != kInvalidTxnId) in_flight[rec.txn] = rec.lsn;
+    if (rec.type != LogRecType::kUpdate && rec.type != LogRecType::kClr) {
+      return Status::OK();
+    }
+    ++redo_count_;
+    // Redo of a CLR re-applies the compensation, i.e. the undo action.
+    return apply_(rec, /*undo=*/rec.type == LogRecType::kClr, rec.lsn);
+  }));
 
-  // -- Undo: roll back losers (neither committed nor ended).
-  for (auto& [txn, info] : txns) {
-    if (txn == kInvalidTxnId || info.committed || info.ended) continue;
-    Lsn last = info.last_lsn;
+  // -- Undo: roll back the losers, the transactions still in flight.
+  for (auto& [txn, last_lsn] : in_flight) {
+    Lsn last = last_lsn;
     DMX_RETURN_IF_ERROR(Rollback(txn, kInvalidLsn, &last));
     LogRecord end;
     end.type = LogRecType::kEnd;

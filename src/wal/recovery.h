@@ -12,7 +12,7 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "src/wal/log_manager.h"
 
@@ -24,13 +24,6 @@ namespace dmx {
 /// (the record's own LSN for redo; the CLR's LSN for undo).
 using ApplyLogFn =
     std::function<Status(const LogRecord& rec, bool undo, Lsn apply_lsn)>;
-
-/// Per-transaction info discovered by restart analysis.
-struct TxnAnalysis {
-  Lsn last_lsn = kInvalidLsn;
-  bool committed = false;
-  bool ended = false;
-};
 
 class RecoveryDriver {
  public:
@@ -44,9 +37,10 @@ class RecoveryDriver {
   /// before the operation), savepoint rollback, and abort.
   Status Rollback(TxnId txn, Lsn to_lsn, Lsn* last_lsn);
 
-  /// Restart recovery: analysis over the whole log, redo of all update and
-  /// CLR records (extensions gate on page LSNs), then rollback of loser
-  /// transactions with kEnd records appended. Returns the set of loser
+  /// Restart recovery: one forward pass over the log (LogManager::Scan)
+  /// that redoes every update and CLR record (extensions gate on page
+  /// LSNs) while it tracks the transactions still in flight, then rollback
+  /// of those losers with kEnd records appended. Returns the set of loser
   /// transaction ids via `losers` if non-null.
   Status Restart(std::vector<TxnId>* losers = nullptr);
 

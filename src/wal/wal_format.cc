@@ -1,17 +1,100 @@
 #include "src/wal/wal_format.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
 
 namespace dmx {
 
-uint32_t WalFrameCrc(uint32_t gen, const char* body, size_t n) {
+namespace {
+
+uint32_t FrameCrc(uint32_t gen, Slice body) {
   char g[4];
   memcpy(g, &gen, 4);
-  return Crc32cExtend(Crc32c(g, 4), body, n);
+  return Crc32cExtend(Crc32c(g, 4), body.data(), body.size());
+}
+
+}  // namespace
+
+void EncodeWalFrame(uint32_t gen, Slice body, std::string* out) {
+  PutFixed32(out, static_cast<uint32_t>(body.size()));
+  PutFixed32(out, FrameCrc(gen, body));
+  out->append(body.data(), body.size());
+}
+
+const char* WalFrameProblem(WalFrameStatus status) {
+  static const char* const kText[] = {
+      "valid frame",             "end of frames",
+      "truncated frame header",  "truncated frame body",
+      "frame checksum mismatch", "frame of an older generation"};
+  return kText[static_cast<size_t>(status)];
+}
+
+WalFrame DecodeWalFrame(Slice bytes, size_t pos, uint32_t gen) {
+  using S = WalFrameStatus;
+  WalFrame f;
+  f.next = pos;
+  const size_t left = bytes.size() - pos;
+  if (left < kFrameHeaderSize) {
+    f.status = left == 0 ? S::kEnd : S::kShortHeader;
+    return f;
+  }
+  const uint32_t len = DecodeFixed32(bytes.data() + pos);
+  if (len == 0 || len > left - kFrameHeaderSize) {
+    f.status = S::kShortBody;
+    return f;
+  }
+  const uint32_t crc = DecodeFixed32(bytes.data() + pos + 4);
+  f.body = Slice(bytes.data() + pos + kFrameHeaderSize, len);
+  f.next = pos + kFrameHeaderSize + len;
+  f.status = crc == FrameCrc(gen, f.body) ? S::kOk : S::kBadCrc;
+  for (uint32_t back = 1; f.status == S::kBadCrc && back <= 8 && back < gen;
+       ++back) {
+    if (crc == FrameCrc(gen - back, f.body)) f.status = S::kStaleCrc;
+  }
+  return f;
+}
+
+WalFrameReader::WalFrameReader(RandomAccessFile* file, uint64_t begin,
+                               uint64_t end, uint32_t gen, size_t window)
+    : file_(file),
+      end_(end),
+      gen_(gen),
+      window_size_(std::max(window, kFrameHeaderSize)),
+      window_off_(begin) {}
+
+Status WalFrameReader::Next(WalFrame* frame) {
+  // Until the window holds the whole frame at pos_ or reaches end_, slide
+  // it there, sized for this frame when the frame is the larger.
+  while (window_off_ + window_.size() < end_) {
+    const size_t left = window_.size() - pos_;
+    size_t want = window_size_;
+    if (left >= kFrameHeaderSize) {
+      const size_t frame_size =
+          kFrameHeaderSize + DecodeFixed32(window_.data() + pos_);
+      if (frame_size <= left) break;
+      want = std::max(want, frame_size);
+    }
+    window_off_ += pos_;
+    pos_ = 0;
+    window_.resize(
+        static_cast<size_t>(std::min<uint64_t>(want, end_ - window_off_)));
+    size_t got = 0;
+    DMX_RETURN_IF_ERROR(
+        file_->Read(window_off_, window_.size(), window_.data(), &got));
+    if (got != window_.size()) {
+      return Status::IOError("short wal read at offset " +
+                             std::to_string(window_off_ + got));
+    }
+  }
+  *frame = DecodeWalFrame(window_, pos_, gen_);
+  if (frame->status == WalFrameStatus::kOk) pos_ = frame->next;
+  frame->next += window_off_;
+  return Status::OK();
 }
 
 void EncodeLiveHeader(Lsn base_lsn, uint32_t gen, std::string* out) {
@@ -91,63 +174,67 @@ bool ParseSegmentName(const std::string& name, const std::string& wal_basename,
   return true;
 }
 
+Status ScanWalFrames(RandomAccessFile* file, uint64_t begin, uint64_t end,
+                     uint32_t gen, bool tail_ok, const std::string& path,
+                     const std::function<Status(uint64_t, Slice)>& fn,
+                     uint64_t* stop) {
+  WalFrameReader reader(file, begin, end, gen);
+  WalFrame frame;
+  while (true) {
+    const uint64_t at = reader.offset();
+    DMX_RETURN_IF_ERROR(reader.Next(&frame));
+    if (frame.status == WalFrameStatus::kEnd) break;
+    if (frame.status != WalFrameStatus::kOk) {
+      if (tail_ok && (frame.status != WalFrameStatus::kBadCrc ||
+                      frame.next == end)) {
+        break;
+      }
+      return Status::Corruption(std::string("wal ") +
+                                WalFrameProblem(frame.status) + " at offset " +
+                                std::to_string(at) + " in '" + path + "'");
+    }
+    DMX_RETURN_IF_ERROR(fn(at, frame.body));
+  }
+  *stop = reader.offset();
+  return Status::OK();
+}
+
+Status ReadSegmentHeader(Env* env, const std::string& path,
+                         SegmentHeader* out) {
+  std::unique_ptr<RandomAccessFile> file;
+  DMX_RETURN_IF_ERROR(env->NewRandomAccessFile(path, /*create=*/false, &file));
+  char hdr[kSegHeaderSize];
+  size_t n = 0;
+  Status s = file->Read(0, kSegHeaderSize, hdr, &n);
+  // Read-only header probe; the read status is the outcome.
+  (void)file->Close();
+  DMX_RETURN_IF_ERROR(s);
+  if (n != kSegHeaderSize) {
+    return Status::Corruption("wal segment '" + path +
+                              "' shorter than header");
+  }
+  s = DecodeSegmentHeader(hdr, out);
+  return s.ok() ? s : Status::Corruption(s.message() + " in '" + path + "'");
+}
+
 Status VerifySegmentFile(Env* env, const std::string& path,
                          SegmentHeader* out) {
+  SegmentHeader parsed;
+  DMX_RETURN_IF_ERROR(ReadSegmentHeader(env, path, &parsed));
   std::unique_ptr<RandomAccessFile> file;
   DMX_RETURN_IF_ERROR(env->NewRandomAccessFile(path, /*create=*/false, &file));
   uint64_t size = 0;
   Status s = file->Size(&size);
-  char hdr[kSegHeaderSize];
-  size_t n = 0;
-  if (s.ok() && size < kSegHeaderSize) {
-    s = Status::Corruption("wal segment '" + path + "' shorter than header");
-  }
-  if (s.ok()) {
-    s = file->Read(0, kSegHeaderSize, hdr, &n);
-    if (s.ok() && n != kSegHeaderSize) {
-      s = Status::Corruption("short header read of '" + path + "'");
-    }
-  }
-  SegmentHeader parsed;
-  if (s.ok()) {
-    s = DecodeSegmentHeader(hdr, &parsed);
-    if (!s.ok()) s = Status::Corruption(s.message() + " in '" + path + "'");
-  }
   if (s.ok() &&
       size != kSegHeaderSize + (parsed.end_lsn - parsed.base_lsn)) {
     s = Status::Corruption("wal segment '" + path +
                            "' length disagrees with its header");
   }
-  std::string body;
+  uint64_t stop = 0;
   if (s.ok()) {
-    body.resize(static_cast<size_t>(size) - kSegHeaderSize);
-    s = file->Read(kSegHeaderSize, body.size(), body.data(), &n);
-    if (s.ok() && n != body.size()) {
-      s = Status::Corruption("short body read of '" + path + "'");
-    }
-  }
-  if (s.ok()) {
-    size_t pos = 0;
-    while (pos < body.size()) {
-      if (pos + kFrameHeaderSize > body.size()) {
-        s = Status::Corruption("truncated frame header in '" + path + "'");
-        break;
-      }
-      const uint32_t len = DecodeFixed32(body.data() + pos);
-      if (pos + kFrameHeaderSize + len > body.size()) {
-        s = Status::Corruption("truncated frame body in '" + path + "'");
-        break;
-      }
-      const uint32_t crc = DecodeFixed32(body.data() + pos + 4);
-      if (crc != WalFrameCrc(parsed.gen, body.data() + pos + kFrameHeaderSize,
-                             len)) {
-        s = Status::Corruption("frame checksum mismatch at segment offset " +
-                               std::to_string(kSegHeaderSize + pos) + " in '" +
-                               path + "'");
-        break;
-      }
-      pos += kFrameHeaderSize + len;
-    }
+    s = ScanWalFrames(file.get(), kSegHeaderSize, size, parsed.gen,
+                      /*tail_ok=*/false, path,
+                      [](uint64_t, Slice) { return Status::OK(); }, &stop);
   }
   Status c = file->Close();
   if (!s.ok()) return s;

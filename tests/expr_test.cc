@@ -19,10 +19,11 @@ Schema TestSchema() {
 class ExprTest : public ::testing::Test {
  protected:
   ExprTest() : schema_(TestSchema()) {
-    Record::Encode(schema_,
-                   {Value::Int(42), Value::String("guttman"),
-                    Value::Double(1250.5), Value::Bool(true)},
-                   &rec_);
+    EXPECT_TRUE(Record::Encode(schema_,
+                               {Value::Int(42), Value::String("guttman"),
+                                Value::Double(1250.5), Value::Bool(true)},
+                               &rec_)
+                    .ok());
     view_ = rec_.View(&schema_);
   }
 

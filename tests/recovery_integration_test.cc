@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 
 #include <atomic>
+#include <cstdio>
 #include <random>
 
 #include "src/core/database.h"
@@ -19,6 +20,7 @@
 namespace dmx {
 namespace {
 
+using testing::ScanAll;
 using testing::TempDir;
 
 Schema KvSchema() {
@@ -96,6 +98,87 @@ TEST_F(RecoveryIntegrationTest, WinnersRedoneLosersUndone) {
   ASSERT_EQ(keys.size(), 20u);
   EXPECT_EQ(keys.front(), 0);
   EXPECT_EQ(keys.back(), 19);
+}
+
+TEST_F(RecoveryIntegrationTest, TornTailHealedBeforeLoserUndo) {
+  // One restart both heals a torn live tail and undoes a loser. The heal
+  // must come first: the loser's CLRs and End land where the torn frame
+  // began, and never after (or inside) its bytes.
+  CreateKv("t");
+  Transaction* w = db_->Begin();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        db_->Insert(w, "t", {Value::Int(i), Value::String("win")}).ok());
+  }
+  ASSERT_TRUE(db_->Commit(w).ok());
+  Transaction* l = db_->Begin();
+  const TxnId loser = l->id();
+  for (int i = 100; i < 105; ++i) {
+    ASSERT_TRUE(
+        db_->Insert(l, "t", {Value::Int(i), Value::String("lose")}).ok());
+  }
+  ASSERT_TRUE(db_->log()->FlushAll().ok());
+  db_->SimulateCrashOnClose();
+  db_.reset();
+
+  const std::string wal = dir_.path() + "/wal";
+  std::vector<LogRecord> before;
+  Lsn healed_end = kInvalidLsn;  // where the torn frame begins
+  {
+    LogManager log;
+    ASSERT_TRUE(log.Open(wal, false).ok());
+    ASSERT_TRUE(ScanAll(&log, &before).ok());
+    healed_end = log.next_lsn();
+    ASSERT_TRUE(log.Close().ok());
+  }
+  size_t loser_updates = 0;
+  for (const LogRecord& rec : before) {
+    if (rec.txn == loser && rec.type == LogRecType::kUpdate) ++loser_updates;
+  }
+  ASSERT_GE(loser_updates, 5u);
+  {
+    // A frame header that promises 1000 bytes, then two of them: the write
+    // the crash tore.
+    FILE* f = fopen(wal.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const uint32_t bogus_len = 1000;
+    fwrite(&bogus_len, 4, 1, f);
+    fwrite("xxxxxx", 6, 1, f);
+    fclose(f);
+  }
+
+  Open();
+  const std::vector<int64_t> oracle = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_EQ(Keys("t"), oracle);
+  db_->SimulateCrashOnClose();
+  db_.reset();
+
+  std::vector<LogRecord> after;
+  Lsn end = kInvalidLsn;
+  {
+    LogManager log;
+    ASSERT_TRUE(log.Open(wal, false).ok());
+    ASSERT_TRUE(ScanAll(&log, &after).ok());
+    end = log.next_lsn();
+    ASSERT_TRUE(log.Close().ok());
+  }
+  // History up to the healed end is untouched; past it come exactly the
+  // loser's compensations, then its End.
+  ASSERT_EQ(after.size(), before.size() + loser_updates + 1);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].lsn, before[i].lsn);
+  }
+  EXPECT_EQ(after[before.size()].lsn, healed_end);
+  for (size_t i = before.size(); i < after.size(); ++i) {
+    EXPECT_EQ(after[i].txn, loser);
+    EXPECT_EQ(after[i].type, i + 1 < after.size() ? LogRecType::kClr
+                                                  : LogRecType::kEnd);
+  }
+
+  // The second restart finds nothing to heal or undo.
+  Open();
+  EXPECT_EQ(db_->log()->next_lsn(), end);
+  EXPECT_EQ(Keys("t"), oracle);
 }
 
 TEST_F(RecoveryIntegrationTest, InterleavedTransactionsRecoverIndependently) {

@@ -14,6 +14,7 @@
 namespace dmx {
 namespace {
 
+using testing::ScanAll;
 using testing::TempDir;
 
 // -- evaluator consistency property ------------------------------------------
@@ -208,7 +209,7 @@ TEST(LogTruncateTest, RefusesWithUnflushedBufferAndPersistsBase) {
     ASSERT_TRUE(log.Truncate().ok());
     // Records are gone; LSNs continue from where they were.
     std::vector<LogRecord> all;
-    ASSERT_TRUE(log.ReadAll(&all).ok());
+    ASSERT_TRUE(ScanAll(&log, &all).ok());
     EXPECT_TRUE(all.empty());
     LogRecord rec2 = MakeUpdateRecord(1, ExtKind::kStorageMethod, 0, 1, "y");
     ASSERT_TRUE(log.Append(&rec2).ok());
@@ -221,7 +222,7 @@ TEST(LogTruncateTest, RefusesWithUnflushedBufferAndPersistsBase) {
   ASSERT_TRUE(log.Open(path, false).ok());
   EXPECT_EQ(log.next_lsn(), resumed_next);
   std::vector<LogRecord> all;
-  ASSERT_TRUE(log.ReadAll(&all).ok());
+  ASSERT_TRUE(ScanAll(&log, &all).ok());
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].payload, "y");
 }

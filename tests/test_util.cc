@@ -46,5 +46,12 @@ PageId BTreeIndexAnchor(Database* db, const std::string& rel,
   return kInvalidPageId;
 }
 
+Status ScanAll(LogManager* log, std::vector<LogRecord>* out) {
+  return log->Scan([out](const LogRecord& rec) {
+    out->push_back(rec);
+    return Status::OK();
+  });
+}
+
 }  // namespace testing
 }  // namespace dmx

@@ -5,8 +5,10 @@
 
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "src/core/database.h"
+#include "src/wal/log_manager.h"
 
 namespace dmx {
 namespace testing {
@@ -31,6 +33,11 @@ class TempDir {
 /// src/attach/btree_index.h), or kInvalidPageId when there is none.
 PageId BTreeIndexAnchor(Database* db, const std::string& rel,
                         uint32_t instance_no);
+
+/// Appends every retained record of `log` to `*out`, oldest first, by way
+/// of LogManager::Scan — which, like restart, heals a torn or stale live
+/// tail as it ends.
+Status ScanAll(LogManager* log, std::vector<LogRecord>* out);
 
 }  // namespace testing
 }  // namespace dmx

@@ -138,7 +138,9 @@ TEST(CodingTest, OrderedInt64PreservesOrder) {
     std::string cur;
     PutOrderedInt64(&cur, c);
     EXPECT_EQ(DecodeOrderedInt64(cur.data()), c);
-    if (!prev.empty()) EXPECT_LT(prev, cur) << "at " << c;
+    if (!prev.empty()) {
+      EXPECT_LT(prev, cur) << "at " << c;
+    }
     prev = cur;
   }
 }
@@ -151,7 +153,9 @@ TEST(CodingTest, OrderedDoublePreservesOrder) {
     std::string cur;
     PutOrderedDouble(&cur, c);
     EXPECT_EQ(DecodeOrderedDouble(cur.data()), c) << c;
-    if (!first) EXPECT_LE(prev, cur) << "at " << c;
+    if (!first) {
+      EXPECT_LE(prev, cur) << "at " << c;
+    }
     prev = cur;
     first = false;
   }

@@ -23,6 +23,7 @@
 namespace dmx {
 namespace {
 
+using testing::ScanAll;
 using testing::TempDir;
 
 LogRecord Rec(TxnId txn, const std::string& payload) {
@@ -90,11 +91,11 @@ TEST(WalSegmentTest, RotateSealsFlushedFramesAndPreservesHistory) {
   ASSERT_TRUE(VerifySegmentFile(Env::Default(), segs[0].path, &hdr).ok());
   EXPECT_EQ(hdr.end_lsn, sealed_end);
 
-  // LSNs keep increasing across the rotation, and both ReadAll and
+  // LSNs keep increasing across the rotation, and both Scan and
   // ReadRecord serve rotated history transparently.
   AppendFlushed(&log, 2, "b");
   std::vector<LogRecord> all;
-  ASSERT_TRUE(log.ReadAll(&all).ok());
+  ASSERT_TRUE(ScanAll(&log, &all).ok());
   ASSERT_EQ(all.size(), 5u);
   EXPECT_EQ(all[0].payload, "a0");
   EXPECT_EQ(all[3].payload, "b0");
@@ -173,7 +174,7 @@ TEST(WalSegmentTest, SegmentsSurviveReopenAndRetentionOffDiscardsThem) {
     ASSERT_TRUE(log.Open(path, false).ok());
     ASSERT_EQ(log.segments().size(), 1u);
     std::vector<LogRecord> all;
-    ASSERT_TRUE(log.ReadAll(&all).ok());
+    ASSERT_TRUE(ScanAll(&log, &all).ok());
     ASSERT_EQ(all.size(), 4u);
     EXPECT_EQ(all[0].payload, "a0");
     EXPECT_EQ(all[3].payload, "b0");
@@ -224,7 +225,7 @@ TEST(WalSegmentTest, DiscoveryDeletesCrashedRotationLeftovers) {
     EXPECT_TRUE(
         Env::Default()->FileExists(path + ".000002.seg").IsNotFound());
     std::vector<LogRecord> all;
-    ASSERT_TRUE(log.ReadAll(&all).ok());
+    ASSERT_TRUE(ScanAll(&log, &all).ok());
     EXPECT_EQ(all.size(), 2u);  // the live log lost nothing
     ASSERT_TRUE(log.Close().ok());
   }
@@ -314,7 +315,7 @@ TEST(WalArchiverFaultInjectionTest, UnreachableArchiveRetainsHistory) {
   ASSERT_EQ(log.segments().size(), 1u);
   EXPECT_TRUE(env.FileExists(seg_path).ok());
   std::vector<LogRecord> all;
-  ASSERT_TRUE(log.ReadAll(&all).ok());
+  ASSERT_TRUE(ScanAll(&log, &all).ok());
   EXPECT_EQ(all.size(), 3u);
 
   // The volume comes back: the backlog drains and reclaim proceeds.
@@ -356,7 +357,7 @@ TEST(WalSegmentFaultInjectionTest, CrashMidRotationNeverLosesFlushedRecords) {
     ASSERT_TRUE(log.Open(path, false).ok())
         << "reopen failed at fail_after=" << fail_after;
     std::vector<LogRecord> all;
-    ASSERT_TRUE(log.ReadAll(&all).ok()) << "fail_after=" << fail_after;
+    ASSERT_TRUE(ScanAll(&log, &all).ok()) << "fail_after=" << fail_after;
     ASSERT_EQ(all.size(), static_cast<size_t>(appended))
         << "fail_after=" << fail_after;
     EXPECT_EQ(all[0].payload, "pre0");
@@ -473,7 +474,7 @@ TEST(WalFaultMatrixTortureTest, FlusherResumeRotationUnderTransientEnospc) {
   log.StopFlusher();
 
   std::vector<LogRecord> all;
-  ASSERT_TRUE(log.ReadAll(&all).ok());
+  ASSERT_TRUE(ScanAll(&log, &all).ok());
   // CheckpointTruncate never archived anything, so no record was
   // reclaimed: everything appended must still replay.
   ASSERT_EQ(all.size(), static_cast<size_t>(appended.load()));

@@ -7,16 +7,19 @@
 
 #include <cstdio>
 #include <map>
+#include <vector>
 
 #include "src/util/coding.h"
 #include "src/util/fault_env.h"
 #include "src/wal/log_manager.h"
 #include "src/wal/recovery.h"
+#include "src/wal/wal_format.h"
 #include "tests/test_util.h"
 
 namespace dmx {
 namespace {
 
+using testing::ScanAll;
 using testing::TempDir;
 
 TEST(LogRecordTest, EncodeDecodeAllTypes) {
@@ -75,6 +78,101 @@ TEST(LogRecordTest, EncodeDecodeAllTypes) {
   }
 }
 
+TEST(WalFrameTest, DecodeNamesEveryDefect) {
+  using S = WalFrameStatus;
+  constexpr uint32_t kGen = 5;
+  std::string bytes;
+  EncodeWalFrame(kGen, Slice("first"), &bytes);
+  const size_t second = bytes.size();
+  EncodeWalFrame(kGen, Slice("second"), &bytes);
+
+  WalFrame f = DecodeWalFrame(bytes, 0, kGen);
+  ASSERT_EQ(f.status, S::kOk);
+  EXPECT_EQ(f.body.ToString(), "first");
+  EXPECT_EQ(f.next, second);
+  f = DecodeWalFrame(bytes, second, kGen);
+  ASSERT_EQ(f.status, S::kOk);
+  EXPECT_EQ(f.body.ToString(), "second");
+  EXPECT_EQ(f.next, bytes.size());
+  EXPECT_EQ(DecodeWalFrame(bytes, bytes.size(), kGen).status, S::kEnd);
+
+  // Cut-off frames leave `next` at the frame.
+  f = DecodeWalFrame(Slice(bytes.data(), second + 3), second, kGen);
+  EXPECT_EQ(f.status, S::kShortHeader);
+  EXPECT_EQ(f.next, second);
+  f = DecodeWalFrame(Slice(bytes.data(), bytes.size() - 1), second, kGen);
+  EXPECT_EQ(f.status, S::kShortBody);
+  EXPECT_EQ(f.next, second);
+  EXPECT_EQ(DecodeWalFrame(std::string(16, '\0'), 0, kGen).status,
+            S::kShortBody);  // zero fill
+
+  // A damaged frame still spans its length, so `next` is past it.
+  std::string flipped = bytes;
+  flipped[second + kFrameHeaderSize] ^= 0x01;
+  f = DecodeWalFrame(flipped, second, kGen);
+  EXPECT_EQ(f.status, S::kBadCrc);
+  EXPECT_EQ(f.next, bytes.size());
+
+  // A frame of an earlier generation is stale, not damaged; one far older
+  // than the 8 previous generations is damage.
+  std::string old;
+  EncodeWalFrame(kGen - 1, Slice("old"), &old);
+  EXPECT_EQ(DecodeWalFrame(old, 0, kGen).status, S::kStaleCrc);
+  EXPECT_EQ(DecodeWalFrame(old, 0, kGen + 7).status, S::kStaleCrc);
+  EXPECT_EQ(DecodeWalFrame(old, 0, kGen + 8).status, S::kBadCrc);
+}
+
+TEST(WalFrameTest, ReaderSlidesItsWindowAndGrowsItForLargeFrames) {
+  TempDir dir("walframe");
+  const std::string path = dir.path() + "/frames";
+  constexpr uint32_t kGen = 2;
+  constexpr uint64_t kBegin = 10;  // frames start past a header
+  constexpr size_t kWindow = 16;
+  // Small frames straddle window boundaries; the large one outgrows the
+  // window, and the small ones after it must read as before.
+  const std::vector<std::string> bodies = {
+      "a", "bcdefghij", std::string(100, 'L'), "k", "lmnopqrstuvwxyz", "z"};
+  std::string bytes(kBegin, 'h');
+  std::vector<uint64_t> offsets;
+  for (const std::string& body : bodies) {
+    offsets.push_back(bytes.size());
+    EncodeWalFrame(kGen, body, &bytes);
+  }
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(
+      Env::Default()->NewRandomAccessFile(path, /*create=*/true, &file).ok());
+  ASSERT_TRUE(file->Write(0, bytes.data(), bytes.size()).ok());
+
+  WalFrameReader reader(file.get(), kBegin, bytes.size(), kGen, kWindow);
+  WalFrame frame;
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    EXPECT_EQ(reader.offset(), offsets[i]);
+    ASSERT_TRUE(reader.Next(&frame).ok());
+    ASSERT_EQ(frame.status, WalFrameStatus::kOk) << i;
+    EXPECT_EQ(frame.body.ToString(), bodies[i]);
+    EXPECT_EQ(frame.next, i + 1 < bodies.size() ? offsets[i + 1]
+                                                : bytes.size());
+  }
+  ASSERT_TRUE(reader.Next(&frame).ok());
+  EXPECT_EQ(frame.status, WalFrameStatus::kEnd);
+
+  // An end inside the large frame cuts it off; the reader stays at it.
+  WalFrameReader cut(file.get(), kBegin, offsets[3] - 1, kGen, kWindow);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(cut.Next(&frame).ok());
+  ASSERT_TRUE(cut.Next(&frame).ok());
+  EXPECT_EQ(frame.status, WalFrameStatus::kShortBody);
+  EXPECT_EQ(frame.next, offsets[2]);
+  EXPECT_EQ(cut.offset(), offsets[2]);
+
+  // A point read of one frame in the middle.
+  WalFrameReader point(file.get(), offsets[4], bytes.size(), kGen,
+                       WalFrameReader::kPointRead);
+  ASSERT_TRUE(point.Next(&frame).ok());
+  ASSERT_EQ(frame.status, WalFrameStatus::kOk);
+  EXPECT_EQ(frame.body.ToString(), bodies[4]);
+  ASSERT_TRUE(file->Close().ok());
+}
+
 TEST(LogManagerTest, AppendAssignsMonotoneLsns) {
   TempDir dir("log1");
   LogManager log;
@@ -131,7 +229,7 @@ TEST(LogManagerTest, ReadAllSurvivesReopenAndTornTail) {
   LogManager log;
   ASSERT_TRUE(log.Open(path, false).ok());
   std::vector<LogRecord> all;
-  ASSERT_TRUE(log.ReadAll(&all).ok());
+  ASSERT_TRUE(ScanAll(&log, &all).ok());
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].payload, "one");
   EXPECT_EQ(all[1].payload, "two");
@@ -176,7 +274,7 @@ TEST(LogManagerTest, BitFlipMidLogIsCorruption) {
   LogManager log;
   ASSERT_TRUE(log.Open(path, false).ok());
   std::vector<LogRecord> all;
-  Status s = log.ReadAll(&all);
+  Status s = ScanAll(&log, &all);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
@@ -203,10 +301,10 @@ TEST(LogManagerTest, BitFlipInFinalRecordIsTolerableTornTail) {
     LogManager log;
     ASSERT_TRUE(log.Open(path, false).ok());
     std::vector<LogRecord> all;
-    ASSERT_TRUE(log.ReadAll(&all).ok());
+    ASSERT_TRUE(ScanAll(&log, &all).ok());
     ASSERT_EQ(all.size(), 2u);
     EXPECT_EQ(all[1].payload, "two");
-    // ReadAll healed the file: the torn frame's LSN space is reusable.
+    // The scan healed the file: the torn frame's LSN space is reusable.
     LogRecord d = MakeUpdateRecord(1, ExtKind::kStorageMethod, 0, 1, "four");
     ASSERT_TRUE(log.Append(&d).ok());
     EXPECT_EQ(d.lsn, lsn_c);
@@ -215,7 +313,7 @@ TEST(LogManagerTest, BitFlipInFinalRecordIsTolerableTornTail) {
   LogManager log;
   ASSERT_TRUE(log.Open(path, false).ok());
   std::vector<LogRecord> all;
-  ASSERT_TRUE(log.ReadAll(&all).ok());
+  ASSERT_TRUE(ScanAll(&log, &all).ok());
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[2].payload, "four");
 }
@@ -243,7 +341,7 @@ TEST(LogManagerTest, PowerLossRecoversToLastFlushedLsn) {
   LogManager log;
   ASSERT_TRUE(log.Open(path, false, &env).ok());
   std::vector<LogRecord> all;
-  ASSERT_TRUE(log.ReadAll(&all).ok());
+  ASSERT_TRUE(ScanAll(&log, &all).ok());
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].payload, "one");
   EXPECT_EQ(log.flushed_lsn(), flushed);
@@ -284,7 +382,7 @@ TEST(LogManagerTest, CrashDuringTruncateDiscardsStaleFrames) {
   LogManager log;
   ASSERT_TRUE(log.Open(path, false, &env).ok());
   std::vector<LogRecord> all;
-  ASSERT_TRUE(log.ReadAll(&all).ok());
+  ASSERT_TRUE(ScanAll(&log, &all).ok());
   // Previous-generation frames are recognized as stale and discarded: the
   // truncation took effect logically even though the shrink never ran.
   EXPECT_TRUE(all.empty());
@@ -293,7 +391,7 @@ TEST(LogManagerTest, CrashDuringTruncateDiscardsStaleFrames) {
   EXPECT_EQ(c.lsn, old_next);
   ASSERT_TRUE(log.FlushAll().ok());
   all.clear();
-  ASSERT_TRUE(log.ReadAll(&all).ok());
+  ASSERT_TRUE(ScanAll(&log, &all).ok());
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].payload, "fresh");
 }
@@ -333,7 +431,7 @@ class RecoveryTest : public ::testing::Test {
                                      std::string{op, key, val});
     rec.prev_lsn = prev;
     EXPECT_TRUE(log_.Append(&rec).ok());
-    store_.Apply(rec, false);
+    EXPECT_TRUE(store_.Apply(rec, false).ok());
     return rec.lsn;
   }
 
