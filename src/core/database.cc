@@ -138,21 +138,19 @@ Database::~Database() {
 
 void Database::ResolveDispatchMetrics() {
   MetricsRegistry* metrics = MetricsRegistry::Global();
-  sm_metrics_.clear();
-  for (size_t id = 0; id < registry_.num_storage_methods(); ++id) {
-    const char* name = registry_.sm_ops(static_cast<SmId>(id)).name;
-    std::string base = "sm." + std::to_string(id) + "." +
+  auto resolve = [metrics](const char* kind, size_t id, const char* name) {
+    std::string base = std::string(kind) + "." + std::to_string(id) + "." +
                        (name != nullptr ? name : "anonymous");
-    sm_metrics_.push_back({metrics->GetCounter(base + ".calls"),
-                           metrics->GetHistogram(base + ".call_ns")});
+    return DispatchMetrics{metrics->GetCounter(base + ".calls"),
+                           metrics->GetHistogram(base + ".call_ns")};
+  };
+  sm_metrics_.clear();
+  for (SmId id = 0; id < registry_.num_storage_methods(); ++id) {
+    sm_metrics_.push_back(resolve("sm", id, registry_.sm_ops(id).name));
   }
   at_metrics_.clear();
-  for (size_t id = 0; id < registry_.num_attachment_types(); ++id) {
-    const char* name = registry_.at_ops(static_cast<AtId>(id)).name;
-    std::string base = "at." + std::to_string(id) + "." +
-                       (name != nullptr ? name : "anonymous");
-    at_metrics_.push_back({metrics->GetCounter(base + ".calls"),
-                           metrics->GetHistogram(base + ".call_ns")});
+  for (AtId id = 0; id < registry_.num_attachment_types(); ++id) {
+    at_metrics_.push_back(resolve("at", id, registry_.at_ops(id).name));
   }
   metric_vetoes_ = metrics->GetCounter("db.vetoes");
   metric_partial_rollbacks_ = metrics->GetCounter("db.partial_rollbacks");
@@ -164,6 +162,16 @@ void Database::ResolveDispatchMetrics() {
   metric_quarantine_events_ = metrics->GetCounter("quarantine.events");
   metric_quarantine_save_failures_ =
       metrics->GetCounter("quarantine.save_failures");
+}
+
+template <typename Fn>
+Status Database::Dispatch(ExtKind kind, uint32_t id, Fn&& call) {
+  const bool sm = kind == ExtKind::kStorageMethod;
+  (sm ? stats_.sm_calls : stats_.at_calls).Increment();
+  const DispatchMetrics& metrics = (sm ? sm_metrics_ : at_metrics_)[id];
+  metrics.calls->Increment();
+  ScopedTimer timer(metrics.call_ns);
+  return call();
 }
 
 ThreadPool* Database::thread_pool() {
@@ -183,10 +191,9 @@ Status Database::PartitionScan(Transaction* txn,
   }
   SmContext ctx;
   DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
-  stats_.sm_calls.Increment();
-  sm_metrics_[desc->sm_id].calls->Increment();
-  ScopedTimer timer(sm_metrics_[desc->sm_id].call_ns);
-  DMX_RETURN_IF_ERROR(sm.partition_scan(ctx, spec, target, partitions));
+  DMX_RETURN_IF_ERROR(Dispatch(ExtKind::kStorageMethod, desc->sm_id, [&] {
+    return sm.partition_scan(ctx, spec, target, partitions);
+  }));
   metric_parallel_partitions_->Increment(partitions->size());
   return Status::OK();
 }
@@ -459,14 +466,8 @@ Status Database::DropRelation(Transaction* txn, const std::string& name) {
       const RelationDescriptor* d = catalog_.Find(saved.id);
       for (AtId at = 0; at < registry_.num_attachment_types(); ++at) {
         if (!d->HasAttachment(at)) continue;
-        const AtOps& aops = registry_.at_ops(at);
-        if (aops.release_instance != nullptr) {
-          AtContext actx;
-          if (MakeAtContext(t, d, at, &actx).ok()) {
-            Status rs = aops.release_instance(actx, kAllInstances);
-            if (release.ok()) release = rs;
-          }
-        }
+        Status rs = ReleaseInstance(t, d, at, kAllInstances, d->at_desc[at]);
+        if (release.ok()) release = rs;
       }
       const SmOps& sops = registry_.sm_ops(d->sm_id);
       if (sops.drop != nullptr) {
@@ -499,47 +500,22 @@ Status Database::CreateAttachment(Transaction* txn, const std::string& rel,
   DMX_RETURN_IF_ERROR(CheckTxnWritable());
   const RelationDescriptor* desc;
   DMX_RETURN_IF_ERROR(FindRelation(rel, &desc));
-  int at = registry_.FindAttachmentType(at_name);
-  if (at < 0) {
+  int found = registry_.FindAttachmentType(at_name);
+  if (found < 0) {
     return Status::InvalidArgument("no attachment type '" + at_name + "'");
   }
-  const AtOps& ops = registry_.at_ops(static_cast<AtId>(at));
+  const AtId at = static_cast<AtId>(found);
+  const AtOps& ops = registry_.at_ops(at);
   DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kX));
 
-  std::string old_desc = desc->at_desc[at];
   AtContext ctx;
-  DMX_RETURN_IF_ERROR(
-      MakeAtContext(txn, desc, static_cast<AtId>(at), &ctx));
+  DMX_RETURN_IF_ERROR(MakeAtContext(txn, desc, at, &ctx));
   std::string new_desc;
   uint32_t inst = 0;
   DMX_RETURN_IF_ERROR(ops.create_instance(ctx, attrs, &new_desc, &inst));
   if (instance_no != nullptr) *instance_no = inst;
-
-  RelationDescriptor updated = *desc;
-  updated.at_desc[at] = new_desc;
-  DMX_RETURN_IF_ERROR(catalog_.UpdateRelation(updated));
-  InvalidateAttachmentRuntime(desc->id);
-
-  RelationId id = desc->id;
-  txn->Defer(TxnEvent::kAbort,
-             [this, id, at, old_desc, inst](Transaction* t) {
-               const RelationDescriptor* d = catalog_.Find(id);
-               if (d == nullptr) return Status::OK();
-               const AtOps& aops = registry_.at_ops(static_cast<AtId>(at));
-               if (aops.release_instance != nullptr) {
-                 AtContext actx;
-                 if (MakeAtContext(t, d, static_cast<AtId>(at), &actx).ok()) {
-                   // Abort-path cleanup: the instance was never visible, so a
-                   // failed release only leaks its storage.
-                   (void)aops.release_instance(actx, inst);
-                 }
-               }
-               RelationDescriptor reverted = *d;
-               reverted.at_desc[at] = old_desc;
-               Status st = catalog_.UpdateRelation(reverted);
-               InvalidateAttachmentRuntime(id);
-               return st;
-             });
+  DMX_RETURN_IF_ERROR(SwapAttachmentDesc(txn, desc->id, at, desc->at_desc[at],
+                                         new_desc, inst));
   txn->Defer(TxnEvent::kCommit,
              [this](Transaction*) { return catalog_.Save(); });
   return Status::OK();
@@ -551,62 +527,84 @@ Status Database::DropAttachment(Transaction* txn, const std::string& rel,
   DMX_RETURN_IF_ERROR(CheckTxnWritable());
   const RelationDescriptor* desc;
   DMX_RETURN_IF_ERROR(FindRelation(rel, &desc));
-  int at = registry_.FindAttachmentType(at_name);
-  if (at < 0) {
+  int found = registry_.FindAttachmentType(at_name);
+  if (found < 0) {
     return Status::InvalidArgument("no attachment type '" + at_name + "'");
   }
-  if (!desc->HasAttachment(static_cast<AtId>(at))) {
+  const AtId at = static_cast<AtId>(found);
+  if (!desc->HasAttachment(at)) {
     return Status::NotFound("no '" + at_name + "' attachment on " + rel);
   }
-  const AtOps& ops = registry_.at_ops(static_cast<AtId>(at));
+  const AtOps& ops = registry_.at_ops(at);
   DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kX));
 
   std::string old_desc = desc->at_desc[at];
   AtContext ctx;
-  DMX_RETURN_IF_ERROR(
-      MakeAtContext(txn, desc, static_cast<AtId>(at), &ctx));
+  DMX_RETURN_IF_ERROR(MakeAtContext(txn, desc, at, &ctx));
   std::string new_desc;
   DMX_RETURN_IF_ERROR(ops.drop_instance(ctx, instance_no, &new_desc));
+  const RelationId id = desc->id;
+  DMX_RETURN_IF_ERROR(
+      SwapAttachmentDesc(txn, id, at, old_desc, new_desc, std::nullopt));
 
-  RelationDescriptor updated = *desc;
-  updated.at_desc[at] = new_desc;
-  DMX_RETURN_IF_ERROR(catalog_.UpdateRelation(updated));
-  InvalidateAttachmentRuntime(desc->id);
-
-  RelationId id = desc->id;
-  // Deferred release at commit; catalog restore on abort.
+  // Deferred release at commit, handed the *pre-drop* descriptor so it can
+  // locate the dropped instance's storage. Dropping a quarantined instance
+  // is a remediation path: the walk may trip over the damage itself, and
+  // the drop must still commit — a failed release only leaks pages.
   txn->Defer(TxnEvent::kCommit,
              [this, id, at, instance_no, old_desc](Transaction* t) {
                const RelationDescriptor* d = catalog_.Find(id);
                if (d != nullptr) {
-                 const AtOps& aops = registry_.at_ops(static_cast<AtId>(at));
-                 if (aops.release_instance != nullptr) {
-                   AtContext actx;
-                   if (MakeAtContext(t, d, static_cast<AtId>(at), &actx)
-                           .ok()) {
-                     // Hand the release the *pre-drop* descriptor so it can
-                     // locate the dropped instance's storage. Dropping a
-                     // quarantined instance is a remediation path: the walk
-                     // may trip over the damage itself, and the drop must
-                     // still commit — a failed release only leaks pages.
-                     actx.at_desc = Slice(old_desc);
-                     // Leak-only on failure (see above).
-                     (void)aops.release_instance(actx, instance_no);
-                   }
-                 }
+                 // Leak-only on failure (see above).
+                 (void)ReleaseInstance(t, d, at, instance_no, old_desc);
                }
                return catalog_.Save();
              });
-  txn->Defer(TxnEvent::kAbort, [this, id, at, old_desc](Transaction*) {
+  return Status::OK();
+}
+
+Status Database::SwapAttachmentDesc(Transaction* txn, RelationId id, AtId at,
+                                    std::string old_desc,
+                                    std::string new_desc,
+                                    std::optional<uint32_t> fresh,
+                                    std::optional<std::string> lifted) {
+  DMX_RETURN_IF_ERROR(catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
+    d.at_desc[at] = new_desc;
+    if (lifted) d.ClearQuarantine(at, *fresh);
+    return true;
+  }));
+  InvalidateAttachmentRuntime(id);
+  txn->Defer(TxnEvent::kAbort, [this, id, at, old_desc = std::move(old_desc),
+                                new_desc = std::move(new_desc), fresh,
+                                lifted = std::move(lifted)](Transaction* t) {
     const RelationDescriptor* d = catalog_.Find(id);
     if (d == nullptr) return Status::OK();
-    RelationDescriptor reverted = *d;
-    reverted.at_desc[at] = old_desc;
-    Status st = catalog_.UpdateRelation(reverted);
+    // Abort-path cleanup: the new storage was never published, so a failed
+    // release only leaks it.
+    if (fresh) (void)ReleaseInstance(t, d, at, *fresh, new_desc);
+    Status st = catalog_.MutateRelation(id, [&](RelationDescriptor& r) {
+      r.at_desc[at] = old_desc;
+      if (lifted) r.Quarantine(at, *fresh, *lifted);
+      return true;
+    });
     InvalidateAttachmentRuntime(id);
     return st;
   });
   return Status::OK();
+}
+
+Status Database::ReleaseInstance(Transaction* txn,
+                                 const RelationDescriptor* desc, AtId at,
+                                 uint32_t instance,
+                                 const std::string& at_desc) {
+  const AtOps& ops = registry_.at_ops(at);
+  AtContext ctx;
+  if (ops.release_instance == nullptr ||
+      !MakeAtContext(txn, desc, at, &ctx).ok()) {
+    return Status::OK();
+  }
+  ctx.at_desc = Slice(at_desc);
+  return ops.release_instance(ctx, instance);
 }
 
 Status Database::ChangeStorageMethod(Transaction* txn,
@@ -666,49 +664,8 @@ Status Database::Insert(Transaction* txn, const std::string& rel,
 Status Database::InsertRecord(Transaction* txn,
                               const RelationDescriptor* desc,
                               const Slice& record, std::string* record_key) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  DMX_RETURN_IF_ERROR(CheckTxnWritable());
-  DMX_RETURN_IF_ERROR(CheckWritable(desc));
-  DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kInsert));
-  DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kIX));
-  DMX_RETURN_IF_ERROR(EnsureAttachmentStates(txn, desc));
-  const Lsn before = txn->last_lsn();
-
-  // Step 1: storage method, via the procedure vectors.
-  const SmOps& sm = registry_.sm_ops(desc->sm_id);
-  SmContext ctx;
-  DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
-  std::string key;
-  stats_.sm_calls.Increment();
-  sm_metrics_[desc->sm_id].calls->Increment();
-  Status s;
-  {
-    ScopedTimer timer(sm_metrics_[desc->sm_id].call_ns);
-    s = sm.insert(ctx, record, &key);
-  }
-  if (s.ok()) {
-    s = txn->LockRecord(desc->id, Slice(key), LockMode::kX);
-  }
-  // Step 2: attached procedures (once per attachment type with instances).
-  if (s.ok()) {
-    s = NotifyAttachments(txn, desc, /*op=*/0, Slice(), Slice(key), Slice(),
-                          record);
-  }
-  if (!s.ok()) {
-    // Veto or failure: common log drives undo of the partial effects.
-    if (s.IsVeto()) {
-      stats_.vetoes.Increment();
-      metric_vetoes_->Increment();
-    }
-    stats_.partial_rollbacks.Increment();
-    metric_partial_rollbacks_->Increment();
-    MaybeReportWriteFailure("relation insert", s);
-    Status rb = txn_mgr_->RollbackTo(txn, before);
-    if (!rb.ok()) return rb;
-    return s;
-  }
-  if (record_key != nullptr) *record_key = std::move(key);
-  return Status::OK();
+  return ModifyRecord(txn, desc, Privilege::kInsert, Slice(), record,
+                      record_key);
 }
 
 Status Database::Update(Transaction* txn, const std::string& rel,
@@ -726,57 +683,8 @@ Status Database::UpdateRecord(Transaction* txn,
                               const RelationDescriptor* desc,
                               const Slice& record_key,
                               const Slice& new_record, std::string* new_key) {
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  DMX_RETURN_IF_ERROR(CheckTxnWritable());
-  DMX_RETURN_IF_ERROR(CheckWritable(desc));
-  DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kUpdate));
-  DMX_RETURN_IF_ERROR(txn->LockRecord(desc->id, record_key, LockMode::kX));
-  DMX_RETURN_IF_ERROR(EnsureAttachmentStates(txn, desc));
-
-  const SmOps& sm = registry_.sm_ops(desc->sm_id);
-  SmContext ctx;
-  DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
-
-  // The old record value is needed by the attached procedures.
-  std::string old_record;
-  stats_.sm_calls.Increment();
-  sm_metrics_[desc->sm_id].calls->Increment();
-  {
-    ScopedTimer timer(sm_metrics_[desc->sm_id].call_ns);
-    DMX_RETURN_IF_ERROR(sm.fetch(ctx, record_key, &old_record));
-  }
-
-  const Lsn before = txn->last_lsn();
-  std::string moved_key;
-  stats_.sm_calls.Increment();
-  sm_metrics_[desc->sm_id].calls->Increment();
-  Status s;
-  {
-    ScopedTimer timer(sm_metrics_[desc->sm_id].call_ns);
-    s = sm.update(ctx, record_key, Slice(old_record), new_record,
-                  &moved_key);
-  }
-  if (s.ok() && Slice(moved_key) != record_key) {
-    s = txn->LockRecord(desc->id, Slice(moved_key), LockMode::kX);
-  }
-  if (s.ok()) {
-    s = NotifyAttachments(txn, desc, /*op=*/1, record_key, Slice(moved_key),
-                          Slice(old_record), new_record);
-  }
-  if (!s.ok()) {
-    if (s.IsVeto()) {
-      stats_.vetoes.Increment();
-      metric_vetoes_->Increment();
-    }
-    stats_.partial_rollbacks.Increment();
-    metric_partial_rollbacks_->Increment();
-    MaybeReportWriteFailure("relation update", s);
-    Status rb = txn_mgr_->RollbackTo(txn, before);
-    if (!rb.ok()) return rb;
-    return s;
-  }
-  if (new_key != nullptr) *new_key = std::move(moved_key);
-  return Status::OK();
+  return ModifyRecord(txn, desc, Privilege::kUpdate, record_key, new_record,
+                      new_key);
 }
 
 Status Database::Delete(Transaction* txn, const std::string& rel,
@@ -789,49 +697,78 @@ Status Database::Delete(Transaction* txn, const std::string& rel,
 Status Database::DeleteRecord(Transaction* txn,
                               const RelationDescriptor* desc,
                               const Slice& record_key) {
+  return ModifyRecord(txn, desc, Privilege::kDelete, record_key, Slice(),
+                      nullptr);
+}
+
+Status Database::ModifyRecord(Transaction* txn,
+                              const RelationDescriptor* desc, Privilege op,
+                              const Slice& old_key, const Slice& new_record,
+                              std::string* new_key) {
   if (!txn->active()) return Status::Aborted("transaction not active");
   DMX_RETURN_IF_ERROR(CheckTxnWritable());
   DMX_RETURN_IF_ERROR(CheckWritable(desc));
-  DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kDelete));
-  DMX_RETURN_IF_ERROR(txn->LockRecord(desc->id, record_key, LockMode::kX));
+  DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, op));
+  const bool insert = op == Privilege::kInsert;
+  DMX_RETURN_IF_ERROR(insert
+                          ? txn->LockRelation(desc->id, LockMode::kIX)
+                          : txn->LockRecord(desc->id, old_key, LockMode::kX));
   DMX_RETURN_IF_ERROR(EnsureAttachmentStates(txn, desc));
 
   const SmOps& sm = registry_.sm_ops(desc->sm_id);
   SmContext ctx;
   DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
-
+  // The old record value is needed by the attached procedures.
   std::string old_record;
-  stats_.sm_calls.Increment();
-  sm_metrics_[desc->sm_id].calls->Increment();
-  {
-    ScopedTimer timer(sm_metrics_[desc->sm_id].call_ns);
-    DMX_RETURN_IF_ERROR(sm.fetch(ctx, record_key, &old_record));
+  if (!insert) {
+    DMX_RETURN_IF_ERROR(Dispatch(ExtKind::kStorageMethod, desc->sm_id, [&] {
+      return sm.fetch(ctx, old_key, &old_record);
+    }));
   }
-
   const Lsn before = txn->last_lsn();
-  stats_.sm_calls.Increment();
-  sm_metrics_[desc->sm_id].calls->Increment();
-  Status s;
-  {
-    ScopedTimer timer(sm_metrics_[desc->sm_id].call_ns);
-    s = sm.erase(ctx, record_key, Slice(old_record));
+
+  // Step 1: storage method, via the procedure vectors.
+  std::string key;
+  Status s = Dispatch(ExtKind::kStorageMethod, desc->sm_id, [&] {
+    if (insert) return sm.insert(ctx, new_record, &key);
+    if (op == Privilege::kUpdate) {
+      return sm.update(ctx, old_key, Slice(old_record), new_record, &key);
+    }
+    return sm.erase(ctx, old_key, Slice(old_record));
+  });
+  // The record's new key, an insert's or an update's that moved it.
+  if (s.ok() && op != Privilege::kDelete && (insert || Slice(key) != old_key)) {
+    s = txn->LockRecord(desc->id, Slice(key), LockMode::kX);
   }
+  // Step 2: attached procedures (once per attachment type with instances).
   if (s.ok()) {
-    s = NotifyAttachments(txn, desc, /*op=*/2, record_key, Slice(),
-                          Slice(old_record), Slice());
+    if (insert) {
+      s = NotifyAttachments(txn, desc, &AtOps::on_insert, Slice(key),
+                            new_record);
+    } else if (op == Privilege::kUpdate) {
+      s = NotifyAttachments(txn, desc, &AtOps::on_update, old_key,
+                            Slice(key), Slice(old_record), new_record);
+    } else {
+      s = NotifyAttachments(txn, desc, &AtOps::on_delete, old_key,
+                            Slice(old_record));
+    }
   }
   if (!s.ok()) {
+    // Veto or failure: common log drives undo of the partial effects.
     if (s.IsVeto()) {
       stats_.vetoes.Increment();
       metric_vetoes_->Increment();
     }
     stats_.partial_rollbacks.Increment();
     metric_partial_rollbacks_->Increment();
-    MaybeReportWriteFailure("relation delete", s);
+    MaybeReportWriteFailure(insert                     ? "relation insert"
+                            : op == Privilege::kUpdate ? "relation update"
+                                                       : "relation delete",
+                            s);
     Status rb = txn_mgr_->RollbackTo(txn, before);
-    if (!rb.ok()) return rb;
-    return s;
+    return rb.ok() ? s : rb;
   }
+  if (new_key != nullptr) *new_key = std::move(key);
   return Status::OK();
 }
 
@@ -845,11 +782,10 @@ Status Database::EnsureAttachmentStates(Transaction* txn,
   return Status::OK();
 }
 
+template <typename Hook, typename... Args>
 Status Database::NotifyAttachments(Transaction* txn,
-                                   const RelationDescriptor* desc, int op,
-                                   const Slice& old_key, const Slice& new_key,
-                                   const Slice& old_rec,
-                                   const Slice& new_rec) {
+                                   const RelationDescriptor* desc,
+                                   Hook AtOps::*hook, const Args&... args) {
   // "The relation descriptor is consulted to determine which attachment
   // types have instances on the relation and must, therefore, be notified
   // of the relation modification." Each type is invoked at most once and
@@ -859,37 +795,9 @@ Status Database::NotifyAttachments(Transaction* txn,
     const AtOps& ops = registry_.at_ops(at);
     AtContext ctx;
     DMX_RETURN_IF_ERROR(MakeAtContext(txn, desc, at, &ctx));
-    Status s;
-    switch (op) {
-      case 0:
-        if (ops.on_insert == nullptr) continue;
-        stats_.at_calls.Increment();
-        at_metrics_[at].calls->Increment();
-        {
-          ScopedTimer timer(at_metrics_[at].call_ns);
-          s = ops.on_insert(ctx, new_key, new_rec);
-        }
-        break;
-      case 1:
-        if (ops.on_update == nullptr) continue;
-        stats_.at_calls.Increment();
-        at_metrics_[at].calls->Increment();
-        {
-          ScopedTimer timer(at_metrics_[at].call_ns);
-          s = ops.on_update(ctx, old_key, new_key, old_rec, new_rec);
-        }
-        break;
-      default:
-        if (ops.on_delete == nullptr) continue;
-        stats_.at_calls.Increment();
-        at_metrics_[at].calls->Increment();
-        {
-          ScopedTimer timer(at_metrics_[at].call_ns);
-          s = ops.on_delete(ctx, old_key, old_rec);
-        }
-        break;
-    }
-    DMX_RETURN_IF_ERROR(s);
+    if (ops.*hook == nullptr) continue;
+    DMX_RETURN_IF_ERROR(Dispatch(ExtKind::kAttachment, at,
+                                 [&] { return (ops.*hook)(ctx, args...); }));
   }
   return Status::OK();
 }
@@ -914,10 +822,8 @@ Status Database::FetchRecord(Transaction* txn,
   const SmOps& sm = registry_.sm_ops(desc->sm_id);
   SmContext ctx;
   DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
-  stats_.sm_calls.Increment();
-  sm_metrics_[desc->sm_id].calls->Increment();
-  ScopedTimer timer(sm_metrics_[desc->sm_id].call_ns);
-  return sm.fetch(ctx, record_key, record);
+  return Dispatch(ExtKind::kStorageMethod, desc->sm_id,
+                  [&] { return sm.fetch(ctx, record_key, record); });
 }
 
 Status Database::OpenScan(Transaction* txn, const std::string& rel,
@@ -938,42 +844,13 @@ Status Database::OpenScanOn(Transaction* txn, const RelationDescriptor* desc,
     const SmOps& sm = registry_.sm_ops(desc->sm_id);
     SmContext ctx;
     DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
-    stats_.sm_calls.Increment();
-    sm_metrics_[desc->sm_id].calls->Increment();
-    ScopedTimer timer(sm_metrics_[desc->sm_id].call_ns);
-    DMX_RETURN_IF_ERROR(sm.open_scan(ctx, spec, &inner));
+    DMX_RETURN_IF_ERROR(Dispatch(ExtKind::kStorageMethod, desc->sm_id, [&] {
+      return sm.open_scan(ctx, spec, &inner);
+    }));
   } else {
-    AtId at = path.at_id();
-    if (at >= registry_.num_attachment_types() ||
-        !desc->HasAttachment(at)) {
-      return Status::InvalidArgument("no such access path");
-    }
-    const AtOps& ops = registry_.at_ops(at);
-    if (ops.open_scan == nullptr) {
-      return Status::NotSupported("attachment is not an access path");
-    }
-    // The planner already skips quarantined paths; a direct probe must be
-    // refused the same way, or a damaged-but-readable structure that fell
-    // behind its base relation would answer with stale rows and OK.
-    if (desc->IsQuarantined(at, path.instance)) {
-      return Status::Corruption(
-          "access path " + ComponentName(ops, path.instance) + " on '" +
-          desc->name + "' is quarantined; run REPAIR " + desc->name +
-          " to rebuild it");
-    }
-    AtContext ctx;
-    DMX_RETURN_IF_ERROR(MakeAtContext(txn, desc, at, &ctx));
-    stats_.at_calls.Increment();
-    at_metrics_[at].calls->Increment();
-    Status s;
-    {
-      ScopedTimer timer(at_metrics_[at].call_ns);
-      s = ops.open_scan(ctx, path.instance, spec, &inner);
-    }
-    if (s.IsCorruption()) {
-      QuarantineOnAccess(desc, at, path.instance, s.ToString());
-    }
-    DMX_RETURN_IF_ERROR(s);
+    DMX_RETURN_IF_ERROR(AccessAttachment(txn, desc, path, &AtOps::open_scan,
+                                         "attachment is not an access path",
+                                         spec, &inner));
   }
   *out = std::make_unique<ManagedScan>(&scan_mgr_, txn, std::move(inner));
   return Status::OK();
@@ -984,19 +861,37 @@ Status Database::Lookup(Transaction* txn, const std::string& rel,
                         std::vector<std::string>* record_keys) {
   const RelationDescriptor* desc;
   DMX_RETURN_IF_ERROR(FindRelation(rel, &desc));
+  return LookupOn(txn, desc, path, key, record_keys);
+}
+
+Status Database::LookupOn(Transaction* txn, const RelationDescriptor* desc,
+                          const AccessPathId& path, const Slice& key,
+                          std::vector<std::string>* record_keys) {
   DMX_RETURN_IF_ERROR(auth_.Check(txn->user(), desc->id, Privilege::kSelect));
   if (path.is_storage_method()) {
     return Status::InvalidArgument("Lookup requires an access path");
   }
   DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kIS));
+  return AccessAttachment(txn, desc, path, &AtOps::lookup,
+                          "attachment has no direct-by-key access", key,
+                          record_keys);
+}
+
+template <typename Entry, typename... Args>
+Status Database::AccessAttachment(Transaction* txn,
+                                  const RelationDescriptor* desc,
+                                  const AccessPathId& path,
+                                  Entry AtOps::*entry, const char* missing,
+                                  const Args&... args) {
   AtId at = path.at_id();
   if (at >= registry_.num_attachment_types() || !desc->HasAttachment(at)) {
     return Status::InvalidArgument("no such access path");
   }
   const AtOps& ops = registry_.at_ops(at);
-  if (ops.lookup == nullptr) {
-    return Status::NotSupported("attachment has no direct-by-key access");
-  }
+  if (ops.*entry == nullptr) return Status::NotSupported(missing);
+  // The planner already skips quarantined paths; a direct probe must be
+  // refused the same way, or a damaged-but-readable structure that fell
+  // behind its base relation would answer with stale rows and OK.
   if (desc->IsQuarantined(at, path.instance)) {
     return Status::Corruption(
         "access path " + ComponentName(ops, path.instance) + " on '" +
@@ -1005,13 +900,9 @@ Status Database::Lookup(Transaction* txn, const std::string& rel,
   }
   AtContext ctx;
   DMX_RETURN_IF_ERROR(MakeAtContext(txn, desc, at, &ctx));
-  stats_.at_calls.Increment();
-  at_metrics_[at].calls->Increment();
-  Status s;
-  {
-    ScopedTimer timer(at_metrics_[at].call_ns);
-    s = ops.lookup(ctx, path.instance, key, record_keys);
-  }
+  Status s = Dispatch(ExtKind::kAttachment, at, [&] {
+    return (ops.*entry)(ctx, path.instance, args...);
+  });
   if (s.IsCorruption()) {
     QuarantineOnAccess(desc, at, path.instance, s.ToString());
   }
@@ -1184,6 +1075,31 @@ Status Database::CheckRelation(Transaction* txn, const std::string& rel,
     std::string reason;
   };
   std::vector<PendingOp> pending;
+  // One verify outcome: its findings, and a quarantine to record for a
+  // component that failed or to lift for one that verified consistent
+  // again (repair finished, or the damage record was stale).
+  auto record = [&](const std::string& component, const Status& vs,
+                    const VerifyReport& report, bool storage, AtId at,
+                    uint32_t inst, bool quarantined) {
+    if (!vs.ok()) {
+      out->findings.push_back(
+          {component, "verify could not run: " + vs.ToString()});
+      return;
+    }
+    out->items += report.items;
+    for (const std::string& p : report.problems) {
+      out->findings.push_back({component, p});
+    }
+    if (report.clean() != quarantined) return;
+    if (quarantined) {
+      out->cleared.push_back(component);
+      pending.push_back({storage, false, at, inst, ""});
+      return;
+    }
+    metric_quarantine_events_->Increment();
+    out->quarantined.push_back(component);
+    pending.push_back({storage, true, at, inst, report.problems.front()});
+  };
 
   // Storage-method structural sweep.
   const SmOps& sm = registry_.sm_ops(desc->sm_id);
@@ -1191,32 +1107,10 @@ Status Database::CheckRelation(Transaction* txn, const std::string& rel,
     SmContext ctx;
     DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
     VerifyReport report;
-    stats_.sm_calls.Increment();
-    sm_metrics_[desc->sm_id].calls->Increment();
-    Status vs;
-    {
-      ScopedTimer timer(sm_metrics_[desc->sm_id].call_ns);
-      vs = sm.verify(ctx, &report);
-    }
-    if (!vs.ok()) {
-      out->findings.push_back({"storage",
-                               "verify could not run: " + vs.ToString()});
-    } else {
-      out->items += report.items;
-      for (const std::string& p : report.problems) {
-        out->findings.push_back({"storage", p});
-      }
-      if (!report.clean()) {
-        if (!desc->sm_quarantined) {
-          metric_quarantine_events_->Increment();
-          out->quarantined.push_back("storage");
-          pending.push_back({true, true, 0, 0, report.problems.front()});
-        }
-      } else if (desc->sm_quarantined) {
-        out->cleared.push_back("storage");
-        pending.push_back({true, false, 0, 0, ""});
-      }
-    }
+    Status vs = Dispatch(ExtKind::kStorageMethod, desc->sm_id,
+                         [&] { return sm.verify(ctx, &report); });
+    record("storage", vs, report, /*storage=*/true, 0, 0,
+           desc->sm_quarantined);
   }
 
   // Per-attachment, per-instance cross-checks.
@@ -1242,36 +1136,11 @@ Status Database::CheckRelation(Transaction* txn, const std::string& rel,
     AtContext ctx;
     DMX_RETURN_IF_ERROR(MakeAtContext(txn, desc, at, &ctx));
     for (uint32_t inst : instances) {
-      const std::string component = ComponentName(ops, inst);
       VerifyReport report;
-      stats_.at_calls.Increment();
-      at_metrics_[at].calls->Increment();
-      Status vs;
-      {
-        ScopedTimer timer(at_metrics_[at].call_ns);
-        vs = ops.verify(ctx, inst, &report);
-      }
-      if (!vs.ok()) {
-        out->findings.push_back(
-            {component, "verify could not run: " + vs.ToString()});
-        continue;
-      }
-      out->items += report.items;
-      for (const std::string& p : report.problems) {
-        out->findings.push_back({component, p});
-      }
-      if (!report.clean()) {
-        if (!desc->IsQuarantined(at, inst)) {
-          metric_quarantine_events_->Increment();
-          out->quarantined.push_back(component);
-          pending.push_back({false, true, at, inst, report.problems.front()});
-        }
-      } else if (desc->IsQuarantined(at, inst)) {
-        // Verified consistent again (repair finished, or the damage record
-        // was stale) — lift the quarantine.
-        out->cleared.push_back(component);
-        pending.push_back({false, false, at, inst, ""});
-      }
+      Status vs = Dispatch(ExtKind::kAttachment, at,
+                           [&] { return ops.verify(ctx, inst, &report); });
+      record(ComponentName(ops, inst), vs, report, /*storage=*/false, at,
+             inst, desc->IsQuarantined(at, inst));
     }
   }
 
@@ -1343,26 +1212,8 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
       vs = sm.verify(ctx, &report);
     }
     if (vs.ok() && report.clean()) {
-      const std::string reason = desc->sm_quarantine_reason;
-      DMX_RETURN_IF_ERROR(
-          catalog_.MutateRelation(id, [](RelationDescriptor& d) {
-            d.sm_quarantined = false;
-            d.sm_quarantine_reason.clear();
-            return true;
-          }));
-      txn->Defer(TxnEvent::kCommit,
-                 [this](Transaction*) { return catalog_.Save(); });
-      // A rollback must resurrect the damage record, or the in-memory
-      // catalog would say clean while the durable one still says
-      // quarantined — and the quarantine would silently return on restart.
-      txn->Defer(TxnEvent::kAbort, [this, id, reason](Transaction*) {
-        return catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
-          if (d.sm_quarantined) return false;
-          d.sm_quarantined = true;
-          d.sm_quarantine_reason = reason;
-          return true;
-        });
-      });
+      DMX_RETURN_IF_ERROR(LiftQuarantine(txn, id, /*storage=*/true,
+                                         {0, 0, desc->sm_quarantine_reason}));
       out->repaired.push_back("storage");
     } else {
       out->unrepaired.push_back(
@@ -1383,22 +1234,7 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
     if (desc == nullptr) break;
     if (at >= registry_.num_attachment_types() || !desc->HasAttachment(at)) {
       // The damaged instance is gone; nothing left to repair.
-      DMX_RETURN_IF_ERROR(
-          catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
-            d.ClearQuarantine(at, inst);
-            return true;
-          }));
-      txn->Defer(TxnEvent::kCommit,
-                 [this](Transaction*) { return catalog_.Save(); });
-      txn->Defer(TxnEvent::kAbort,
-                 [this, id, at, inst, reason = q.reason](Transaction*) {
-                   return catalog_.MutateRelation(
-                       id, [&](RelationDescriptor& d) {
-                         if (d.IsQuarantined(at, inst)) return false;
-                         d.Quarantine(at, inst, reason);
-                         return true;
-                       });
-                 });
+      DMX_RETURN_IF_ERROR(LiftQuarantine(txn, id, /*storage=*/false, q));
       out->repaired.push_back("attachment " + std::to_string(q.at) + "#" +
                               std::to_string(inst) + " (dropped)");
       continue;
@@ -1415,25 +1251,16 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
       AtContext ctx;
       DMX_RETURN_IF_ERROR(MakeAtContext(txn, desc, at, &ctx));
       std::string new_desc;
-      stats_.at_calls.Increment();
-      at_metrics_[at].calls->Increment();
-      Status rs;
-      {
-        ScopedTimer timer(at_metrics_[at].call_ns);
-        rs = ops.repair_instance(ctx, inst, &new_desc);
-      }
+      Status rs = Dispatch(ExtKind::kAttachment, at, [&] {
+        return ops.repair_instance(ctx, inst, &new_desc);
+      });
       if (!rs.ok()) {
         out->unrepaired.push_back(component + ": rebuild failed: " +
                                   rs.ToString());
         continue;
       }
       DMX_RETURN_IF_ERROR(
-          catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
-            d.at_desc[at] = new_desc;
-            d.ClearQuarantine(at, inst);
-            return true;
-          }));
-      InvalidateAttachmentRuntime(id);
+          SwapAttachmentDesc(txn, id, at, old_desc, new_desc, inst, q.reason));
       metric_repair_rebuilt_->Increment();
       out->repaired.push_back(component);
       txn->Defer(TxnEvent::kCommit,
@@ -1452,48 +1279,16 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
                    DMX_RETURN_IF_ERROR(catalog_.Save());
                    const RelationDescriptor* d = catalog_.Find(id);
                    if (d != nullptr) {
-                     const AtOps& aops = registry_.at_ops(at);
-                     if (aops.release_instance != nullptr) {
-                       AtContext actx;
-                       if (MakeAtContext(t, d, at, &actx).ok()) {
-                         // Hand the release the *pre-repair* descriptor so
-                         // it can locate the damaged storage. The walk may
-                         // trip over the very corruption being repaired;
-                         // the rebuild is already durably published, so a
-                         // failed release only leaks the damaged pages.
-                         actx.at_desc = Slice(old_desc);
-                         // Leak-only on failure (see above).
-                         (void)aops.release_instance(actx, inst);
-                       }
-                     }
+                     // Hand the release the *pre-repair* descriptor so it
+                     // can locate the damaged storage. The walk may trip
+                     // over the very corruption being repaired; the
+                     // rebuild is already durably published, so a failed
+                     // release only leaks the damaged pages.
+                     (void)ReleaseInstance(t, d, at, inst, old_desc);
                    }
                    // Make the frees durable too; losing them in a crash
                    // only leaks pages.
                    return buffer_pool_->FlushAll();
-                 });
-      txn->Defer(TxnEvent::kAbort,
-                 [this, id, at, inst, old_desc, new_desc,
-                  reason = q.reason](Transaction* t) {
-                   const RelationDescriptor* d = catalog_.Find(id);
-                   if (d == nullptr) return Status::OK();
-                   const AtOps& aops = registry_.at_ops(at);
-                   if (aops.release_instance != nullptr) {
-                     AtContext actx;
-                     if (MakeAtContext(t, d, at, &actx).ok()) {
-                       actx.at_desc = Slice(new_desc);
-                       // Abort-path cleanup: the rebuilt structure was never
-                       // published, so a failed release only leaks it.
-                       (void)aops.release_instance(actx, inst);
-                     }
-                   }
-                   Status st =
-                       catalog_.MutateRelation(id, [&](RelationDescriptor& r) {
-                         r.at_desc[at] = old_desc;
-                         r.Quarantine(at, inst, reason);
-                         return true;
-                       });
-                   InvalidateAttachmentRuntime(id);
-                   return st;
                  });
     } else {
       // Purely derived in-memory state: drop the runtime and reopen (open
@@ -1506,26 +1301,7 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
                       ? ops.verify(ctx, inst, &report)
                       : Status::NotSupported("no verify procedure");
       if (vs.ok() && report.clean()) {
-        DMX_RETURN_IF_ERROR(
-            catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
-              d.ClearQuarantine(at, inst);
-              return true;
-            }));
-        txn->Defer(TxnEvent::kCommit,
-                   [this](Transaction*) { return catalog_.Save(); });
-        txn->Defer(TxnEvent::kAbort,
-                   [this, id, at, inst, reason = q.reason](Transaction*) {
-                     Status st = catalog_.MutateRelation(
-                         id, [&](RelationDescriptor& d) {
-                           if (d.IsQuarantined(at, inst)) return false;
-                           d.Quarantine(at, inst, reason);
-                           return true;
-                         });
-                     // The re-primed runtime may reflect rolled-back
-                     // data; drop it so the next open re-derives.
-                     InvalidateAttachmentRuntime(id);
-                     return st;
-                   });
+        DMX_RETURN_IF_ERROR(LiftQuarantine(txn, id, /*storage=*/false, q));
         out->repaired.push_back(component);
       } else if (!vs.ok()) {
         out->unrepaired.push_back(component + ": " + vs.ToString());
@@ -1536,6 +1312,46 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
       }
     }
   }
+  return Status::OK();
+}
+
+Status Database::LiftQuarantine(Transaction* txn, RelationId id,
+                                bool storage,
+                                RelationDescriptor::QuarantineEntry q) {
+  const AtId at = static_cast<AtId>(q.at);
+  DMX_RETURN_IF_ERROR(catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
+    if (storage) {
+      d.sm_quarantined = false;
+      d.sm_quarantine_reason.clear();
+    } else {
+      d.ClearQuarantine(at, q.instance);
+    }
+    return true;
+  }));
+  txn->Defer(TxnEvent::kCommit,
+             [this](Transaction*) { return catalog_.Save(); });
+  // A rollback must resurrect the damage record, or the in-memory catalog
+  // would say clean while the durable one still says quarantined — and the
+  // quarantine would silently return on restart.
+  txn->Defer(TxnEvent::kAbort, [this, id, storage, at,
+                                q = std::move(q)](Transaction*) {
+    Status st = catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
+      if (storage ? d.sm_quarantined : d.IsQuarantined(at, q.instance)) {
+        return false;
+      }
+      if (storage) {
+        d.sm_quarantined = true;
+        d.sm_quarantine_reason = q.reason;
+      } else {
+        d.Quarantine(at, q.instance, q.reason);
+      }
+      return true;
+    });
+    // A re-primed derived state may reflect rolled-back data; drop it so
+    // the next open re-derives.
+    if (!storage) InvalidateAttachmentRuntime(id);
+    return st;
+  });
   return Status::OK();
 }
 

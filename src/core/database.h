@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -305,6 +306,9 @@ class Database {
   Status Lookup(Transaction* txn, const std::string& rel,
                 const AccessPathId& path, const Slice& key,
                 std::vector<std::string>* record_keys);
+  Status LookupOn(Transaction* txn, const RelationDescriptor* desc,
+                  const AccessPathId& path, const Slice& key,
+                  std::vector<std::string>* record_keys);
 
   /// Cost estimation for the planner: ask one access path to judge the
   /// eligible predicates.
@@ -442,6 +446,15 @@ class Database {
   /// The recovery driver's dispatch callback.
   Status ApplyLogRecord(const LogRecord& rec, bool undo, Lsn apply_lsn);
 
+  /// The paper's two-step modification, written once for InsertRecord
+  /// (`op` kInsert, `old_key` empty), UpdateRecord and DeleteRecord
+  /// (`new_record` empty): the gate and the lock, the old record's fetch,
+  /// the storage-method step, the attached procedures, and on a veto or
+  /// failure the partial rollback through the common log.
+  Status ModifyRecord(Transaction* txn, const RelationDescriptor* desc,
+                      Privilege op, const Slice& old_key,
+                      const Slice& new_record, std::string* new_key);
+
   /// Ensure every attachment type with instances on the relation has its
   /// runtime state open *before* the storage-method step runs — states
   /// that prime themselves by scanning the relation (unique, hash, rtree,
@@ -450,11 +463,46 @@ class Database {
   Status EnsureAttachmentStates(Transaction* txn,
                                 const RelationDescriptor* desc);
 
-  /// Invoke attached procedures of all attachment types with instances on
-  /// the relation. `op`: 0 insert, 1 update, 2 delete.
+  /// Invoke the attached procedure `hook` (&AtOps::on_insert, on_update or
+  /// on_delete) of every attachment type with instances on the relation,
+  /// with `args` after the context.
+  template <typename Hook, typename... Args>
   Status NotifyAttachments(Transaction* txn, const RelationDescriptor* desc,
-                           int op, const Slice& old_key, const Slice& new_key,
-                           const Slice& old_rec, const Slice& new_rec);
+                           Hook AtOps::*hook, const Args&... args);
+
+  /// The attachment access path of OpenScanOn and Lookup, after the
+  /// caller's relation lock: validate `path`, refuse a quarantined
+  /// instance, dispatch `entry` (&AtOps::open_scan or &AtOps::lookup) with
+  /// the instance number and `args`, and quarantine the instance when it
+  /// reports Corruption. `missing` is the NotSupported text for a type
+  /// without `entry`.
+  template <typename Entry, typename... Args>
+  Status AccessAttachment(Transaction* txn, const RelationDescriptor* desc,
+                          const AccessPathId& path, Entry AtOps::*entry,
+                          const char* missing, const Args&... args);
+
+  /// Point attachment type `at` of relation `id` at `new_desc` for the
+  /// transaction and drop the cached attachment states. An abort releases
+  /// instance `fresh` (new storage that only `new_desc` holds), if given,
+  /// and puts `old_desc` back. `lifted` is REPAIR's case: the swap lifts
+  /// `fresh`'s quarantine, and an abort records it again with that reason.
+  Status SwapAttachmentDesc(Transaction* txn, RelationId id, AtId at,
+                            std::string old_desc, std::string new_desc,
+                            std::optional<uint32_t> fresh,
+                            std::optional<std::string> lifted = std::nullopt);
+
+  /// Release `instance` of attachment type `at` on `desc`, handing the
+  /// release `at_desc`: the descriptor that still locates its storage.
+  /// OK without a call when the type has no release or no context opens.
+  Status ReleaseInstance(Transaction* txn, const RelationDescriptor* desc,
+                         AtId at, uint32_t instance,
+                         const std::string& at_desc);
+
+  /// REPAIR lifting quarantine `q` (of the base storage when `storage`;
+  /// then only `q.reason` counts): cleared now, the catalog saved at
+  /// commit, and the damage record put back on abort.
+  Status LiftQuarantine(Transaction* txn, RelationId id, bool storage,
+                        RelationDescriptor::QuarantineEntry q);
 
   /// Refuse the modification when the relation's storage is quarantined or
   /// a quarantined attachment instance guards integrity (its maintenance
@@ -530,6 +578,14 @@ class Database {
     Histogram* call_ns;
   };
   void ResolveDispatchMetrics();
+
+  /// One counted, timed activation through a procedure vector: bumps
+  /// stats_.{sm,at}_calls and extension `id`'s calls counter, and times
+  /// `call` into its call_ns histogram. Entry points that are not dispatch
+  /// volume (cost, count, checkpoint, undo/redo, create/drop, release,
+  /// REPAIR's re-verify) call their procedure directly.
+  template <typename Fn>
+  Status Dispatch(ExtKind kind, uint32_t id, Fn&& call);
 
   std::string dir_;
   Env* env_ = nullptr;  // == retry_env_.get() once open

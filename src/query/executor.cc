@@ -23,8 +23,8 @@ Status AccessSource::Open() {
   if (access.probe) {
     probe_results_.clear();
     probe_pos_ = 0;
-    return db_->Lookup(txn_, desc->name, access.path, Slice(probe_key),
-                       &probe_results_);
+    return db_->LookupOn(txn_, desc, access.path, Slice(probe_key),
+                         &probe_results_);
   }
   return db_->OpenScanOn(txn_, desc, access.path, spec, &scan_);
 }
@@ -192,8 +192,8 @@ Status IndexJoinSource::Next(Row* row) {
       matches_.clear();
       match_pos_ = 0;
       if (!null) {
-        DMX_RETURN_IF_ERROR(db_->Lookup(txn_, inner_->name, inner_path_,
-                                        Slice(key), &matches_));
+        DMX_RETURN_IF_ERROR(
+            db_->LookupOn(txn_, inner_, inner_path_, Slice(key), &matches_));
       }
     }
     if (match_pos_ >= matches_.size()) {

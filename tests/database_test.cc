@@ -87,6 +87,22 @@ class DatabaseTest : public ::testing::Test {
     return ids;
   }
 
+  // The record keys that instance `inst` of access path `at_name` on `rel`
+  // maps `value` to.
+  std::vector<std::string> Probe(Transaction* txn, const std::string& rel,
+                                 const std::string& at_name, uint32_t inst,
+                                 const Value& value) {
+    std::string probe;
+    EXPECT_TRUE(EncodeValueKey({value}, &probe).ok());
+    const AtId at =
+        static_cast<AtId>(db_->registry()->FindAttachmentType(at_name));
+    std::vector<std::string> keys;
+    Status s = db_->Lookup(txn, rel, AccessPathId::Attachment(at, inst),
+                           Slice(probe), &keys);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return keys;
+  }
+
   TempDir dir_;
   std::unique_ptr<Database> db_;
 };
@@ -251,6 +267,185 @@ TEST_F(DatabaseTest, CheckConstraintVetoRollsBackStorageAndIndexes) {
   ASSERT_TRUE(db_->Commit(t2).ok());
   EXPECT_GE(db_->stats().vetoes, 1u);
   EXPECT_GE(db_->stats().partial_rollbacks, 1u);
+}
+
+TEST_F(DatabaseTest, CheckConstraintVetoOfUpdateRollsBackStorageAndIndexes) {
+  CreateEmployee();
+  uint32_t bt = 0;
+  uint32_t hash = 0;
+  MustCommit([&](Transaction* txn) {
+    DMX_RETURN_IF_ERROR(db_->CreateAttachment(
+        txn, "employee", "btree_index", {{"fields", "id"}}, &bt));
+    DMX_RETURN_IF_ERROR(db_->CreateAttachment(
+        txn, "employee", "hash_index", {{"fields", "dept"}}, &hash));
+    auto pred = Expr::Cmp(ExprOp::kGe, 2, Value::Double(0.0));
+    return db_->CreateAttachment(txn, "employee", "check",
+                                 {{"predicate", EncodePredicateAttr(pred)}});
+  });
+  std::string key;
+  MustCommit([&](Transaction* txn) {
+    key = InsertEmployee(txn, 1, "a", 10.0, "eng");
+    return Status::OK();
+  });
+  const uint64_t vetoes = db_->stats().vetoes;
+  const uint64_t rollbacks = db_->stats().partial_rollbacks;
+  Transaction* txn = db_->Begin();
+  // The new id and dept move the entry of both indexes; the negative
+  // salary makes CHECK, whose type runs after both index types, veto. The
+  // common log must undo the storage method's update and both moves.
+  Status s = db_->Update(txn, "employee", Slice(key),
+                         {Value::Int(2), Value::String("a"),
+                          Value::Double(-1.0), Value::String("ops")});
+  EXPECT_TRUE(s.IsConstraint()) << s.ToString();
+  EXPECT_EQ(db_->stats().vetoes, vetoes + 1);
+  EXPECT_EQ(db_->stats().partial_rollbacks, rollbacks + 1);
+  Record rec;
+  ASSERT_TRUE(db_->Fetch(txn, "employee", Slice(key), &rec).ok());
+  Schema schema = EmployeeSchema();
+  EXPECT_EQ(rec.View(&schema).GetInt(0), 1);
+  EXPECT_EQ(rec.View(&schema).GetDouble(2), 10.0);
+  EXPECT_EQ(rec.View(&schema).GetStringSlice(3).ToString(), "eng");
+  const std::vector<std::string> only_key = {key};
+  EXPECT_EQ(Probe(txn, "employee", "btree_index", bt, Value::Int(1)),
+            only_key);
+  EXPECT_TRUE(Probe(txn, "employee", "btree_index", bt, Value::Int(2)).empty());
+  EXPECT_EQ(Probe(txn, "employee", "hash_index", hash, Value::String("eng")),
+            only_key);
+  EXPECT_TRUE(
+      Probe(txn, "employee", "hash_index", hash, Value::String("ops")).empty());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  EXPECT_EQ(ScanIds("employee"), std::vector<int64_t>({1}));
+}
+
+TEST_F(DatabaseTest, RefintRestrictVetoOfDeleteRollsBackStorageAndIndexes) {
+  Schema dept_schema({{"dept", TypeId::kString, false},
+                      {"budget", TypeId::kDouble, true}});
+  uint32_t bt = 0;
+  uint32_t hash = 0;
+  MustCommit([&](Transaction* txn) {
+    DMX_RETURN_IF_ERROR(
+        db_->CreateRelation(txn, "department", dept_schema, "heap", {}));
+    return db_->CreateRelation(txn, "employee", EmployeeSchema(), "heap", {});
+  });
+  MustCommit([&](Transaction* txn) {
+    // Both index types run before refint on a department delete.
+    DMX_RETURN_IF_ERROR(db_->CreateAttachment(
+        txn, "department", "btree_index", {{"fields", "dept"}}, &bt));
+    DMX_RETURN_IF_ERROR(db_->CreateAttachment(
+        txn, "department", "hash_index", {{"fields", "dept"}}, &hash));
+    DMX_RETURN_IF_ERROR(db_->CreateAttachment(
+        txn, "employee", "refint",
+        {{"role", "child"}, {"other", "department"}, {"fields", "dept"},
+         {"other_fields", "dept"}}));
+    return db_->CreateAttachment(
+        txn, "department", "refint",
+        {{"role", "parent"}, {"other", "employee"}, {"fields", "dept"},
+         {"other_fields", "dept"}, {"action", "restrict"}});
+  });
+  std::string eng_key;
+  MustCommit([&](Transaction* txn) {
+    DMX_RETURN_IF_ERROR(db_->Insert(
+        txn, "department", {Value::String("eng"), Value::Double(1e6)},
+        &eng_key));
+    InsertEmployee(txn, 1, "a", 1.0, "eng");
+    return Status::OK();
+  });
+  const uint64_t vetoes = db_->stats().vetoes;
+  const uint64_t rollbacks = db_->stats().partial_rollbacks;
+  Transaction* txn = db_->Begin();
+  Status s = db_->Delete(txn, "department", Slice(eng_key));
+  EXPECT_TRUE(s.IsConstraint()) << s.ToString();
+  EXPECT_EQ(db_->stats().vetoes, vetoes + 1);
+  EXPECT_EQ(db_->stats().partial_rollbacks, rollbacks + 1);
+  // The erased record and both removed index entries are back.
+  Record rec;
+  ASSERT_TRUE(db_->Fetch(txn, "department", Slice(eng_key), &rec).ok());
+  EXPECT_EQ(rec.View(&dept_schema).GetStringSlice(0).ToString(), "eng");
+  const std::vector<std::string> only_key = {eng_key};
+  EXPECT_EQ(Probe(txn, "department", "btree_index", bt, Value::String("eng")),
+            only_key);
+  EXPECT_EQ(Probe(txn, "department", "hash_index", hash, Value::String("eng")),
+            only_key);
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  EXPECT_EQ(ScanIds("employee"), std::vector<int64_t>({1}));
+}
+
+// The dispatch counters that the end-to-end benchmark's per-layer budget
+// reads: which Database entry points count as extension activations, and
+// how many each one makes.
+TEST_F(DatabaseTest, DispatchCountsPerOperation) {
+  CreateEmployee();
+  uint32_t bt = 0;
+  uint32_t hash = 0;
+  MustCommit([&](Transaction* txn) {
+    DMX_RETURN_IF_ERROR(db_->CreateAttachment(
+        txn, "employee", "btree_index", {{"fields", "id"}}, &bt));
+    DMX_RETURN_IF_ERROR(db_->CreateAttachment(
+        txn, "employee", "hash_index", {{"fields", "dept"}}, &hash));
+    auto pred = Expr::Cmp(ExprOp::kGe, 2, Value::Double(0.0));
+    return db_->CreateAttachment(txn, "employee", "check",
+                                 {{"predicate", EncodePredicateAttr(pred)}});
+  });
+  MetricsRegistry* metrics = MetricsRegistry::Global();
+  const std::vector<std::string> names = {
+      "sm.0.heap.calls", "at.0.btree_index.calls", "at.1.hash_index.calls",
+      "at.3.check.calls"};
+  // Counter deltas since the last call, in the order of `names`, followed
+  // by the deltas of stats().sm_calls and stats().at_calls.
+  std::vector<uint64_t> last;
+  auto deltas = [&] {
+    std::vector<uint64_t> now;
+    for (const std::string& name : names) {
+      now.push_back(metrics->GetCounter(name)->value());
+    }
+    now.push_back(db_->stats().sm_calls);
+    now.push_back(db_->stats().at_calls);
+    std::vector<uint64_t> diff(now.size());
+    for (size_t i = 0; i < now.size(); ++i) {
+      diff[i] = last.empty() ? 0 : now[i] - last[i];
+    }
+    last = now;
+    return diff;
+  };
+  using Counts = std::vector<uint64_t>;
+  deltas();
+
+  Transaction* txn = db_->Begin();
+  std::string key = InsertEmployee(txn, 1, "a", 10.0, "eng");
+  EXPECT_EQ(deltas(), Counts({1, 1, 1, 1, 1, 3}));  // insert
+  std::string moved;
+  ASSERT_TRUE(db_->Update(txn, "employee", Slice(key),
+                          {Value::Int(2), Value::String("a"),
+                           Value::Double(20.0), Value::String("ops")},
+                          &moved)
+                  .ok());
+  EXPECT_EQ(deltas(), Counts({2, 1, 1, 1, 2, 3}));  // fetch + update
+  InsertEmployee(txn, 3, "b", 30.0, "eng");
+  deltas();
+  ASSERT_TRUE(db_->Delete(txn, "employee", Slice(moved)).ok());
+  EXPECT_EQ(deltas(), Counts({2, 1, 1, 0, 2, 2}));  // fetch + erase
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  deltas();
+
+  txn = db_->Begin();
+  EXPECT_EQ(Probe(txn, "employee", "hash_index", hash, Value::String("eng"))
+                .size(),
+            1u);
+  EXPECT_EQ(deltas(), Counts({0, 0, 1, 0, 0, 1}));  // hash lookup
+  std::unique_ptr<Scan> scan;
+  ASSERT_TRUE(db_->OpenScan(txn, "employee",
+                            AccessPathId::Attachment(0, bt), ScanSpec{},
+                            &scan)
+                  .ok());
+  ScanItem item;
+  ASSERT_TRUE(scan->Next(&item).ok());
+  scan.reset();
+  EXPECT_EQ(deltas(), Counts({0, 1, 0, 0, 0, 1}));  // index open_scan
+  CheckResult check;
+  ASSERT_TRUE(db_->CheckRelation(txn, "employee", &check).ok());
+  EXPECT_TRUE(check.clean);
+  EXPECT_EQ(deltas(), Counts({4, 1, 1, 1, 4, 3}));  // verify sweeps
+  ASSERT_TRUE(db_->Commit(txn).ok());
 }
 
 TEST_F(DatabaseTest, UniqueIndexVetoesDuplicates) {

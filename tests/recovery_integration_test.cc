@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <random>
+#include <stdexcept>
 
 #include "src/core/database.h"
 #include "src/sm/heap.h"
@@ -22,6 +23,14 @@ namespace {
 
 using testing::ScanAll;
 using testing::TempDir;
+
+// Ends the running test when a (re)open fails. An ASSERT in the fixtures'
+// void Open helpers would only leave the helper, and the test would go on
+// with a null db_ and crash the whole binary; gtest instead reports the
+// exception as this test's failure and runs the next test.
+void FailTestUnlessOk(const Status& s) {
+  if (!s.ok()) throw std::runtime_error("Database::Open: " + s.ToString());
+}
 
 Schema KvSchema() {
   return Schema({{"k", TypeId::kInt64, false},
@@ -36,8 +45,7 @@ class RecoveryIntegrationTest : public ::testing::Test {
     DatabaseOptions options;
     options.dir = dir_.path();
     options.buffer_pool_pages = 64;
-    Status s = Database::Open(options, &db_);
-    ASSERT_TRUE(s.ok()) << s.ToString();
+    FailTestUnlessOk(Database::Open(options, &db_));
   }
 
   // Simulated crash: force the log to disk (committed work is always
@@ -623,10 +631,7 @@ class AttachmentStateAtOpenTest : public ::testing::Test {
     return {Value::Int(k), Value::String("v" + std::to_string(k % 10))};
   }
 
-  void Open() {
-    Status s = Database::Open(options_, &db_);
-    ASSERT_TRUE(s.ok()) << s.ToString();
-  }
+  void Open() { FailTestUnlessOk(Database::Open(options_, &db_)); }
 
   // Opens every attachment state of "t" with a write that is rolled back,
   // and returns the base scans that took.
