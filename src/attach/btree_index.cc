@@ -89,6 +89,36 @@ Status RemoveEntry(AtContext& ctx, BTree* tree, uint32_t instance,
   return LogKeyEntry(ctx, {'D', instance, key, record_key});
 }
 
+// Bulk-load a fresh tree from the base relation's records, keyed on
+// `inst`'s fields, and point `inst` at it. On failure the partial tree is
+// destroyed and `inst` is left as it was.
+Status BuildTree(AtContext& ctx, IndexInstance* inst) {
+  BufferPool* bp = ctx.db->buffer_pool();
+  PageId anchor;
+  DMX_RETURN_IF_ERROR(BTree::Create(bp, &anchor));
+  BTree tree(bp, anchor);
+  std::unique_ptr<Scan> scan;
+  Status s = ctx.db->OpenScanOn(ctx.txn, ctx.desc,
+                                AccessPathId::StorageMethod(), ScanSpec{},
+                                &scan);
+  ScanItem item;
+  while (s.ok()) {
+    Status next = scan->Next(&item);
+    if (next.IsNotFound()) break;
+    std::string key;
+    s = next.ok() ? EncodeFieldKey(item.view, inst->fields, &key) : next;
+    if (s.ok()) {
+      s = tree.Insert(Slice(key), Slice(item.record_key), inst->unique);
+    }
+  }
+  if (!s.ok()) {
+    BTree::Destroy(bp, anchor).ok();
+    return s;
+  }
+  inst->anchor = anchor;
+  return Status::OK();
+}
+
 Status IdxCreateInstance(AtContext& ctx, const AttrList& attrs,
                          std::string* new_desc, uint32_t* instance_no) {
   DMX_RETURN_IF_ERROR(attrs.CheckAllowed({"fields", "unique"}));
@@ -102,39 +132,18 @@ Status IdxCreateInstance(AtContext& ctx, const AttrList& attrs,
 
   IndexList desc;
   DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
-  DMX_RETURN_IF_ERROR(BTree::Create(ctx.db->buffer_pool(), &inst.anchor));
-
-  // Bulk-load from the existing relation contents.
-  BTree tree(ctx.db->buffer_pool(), inst.anchor);
-  std::unique_ptr<Scan> scan;
-  DMX_RETURN_IF_ERROR(ctx.db->OpenScanOn(
-      ctx.txn, ctx.desc, AccessPathId::StorageMethod(), ScanSpec{}, &scan));
-  ScanItem item;
-  while (true) {
-    Status s = scan->Next(&item);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
-    std::string key;
-    DMX_RETURN_IF_ERROR(EncodeFieldKey(item.view, inst.fields, &key));
-    Status is = tree.Insert(Slice(key), Slice(item.record_key), inst.unique);
-    if (!is.ok()) {
-      BTree::Destroy(ctx.db->buffer_pool(), inst.anchor).ok();
-      return is;
-    }
-  }
-
+  DMX_RETURN_IF_ERROR(BuildTree(ctx, &inst));
   *instance_no = desc.Add(std::move(inst));
   desc.EncodeTo(new_desc);
   return Status::OK();
 }
 
 Status IdxReleaseInstance(AtContext& ctx, uint32_t instance_no) {
-  // Deferred storage release at commit of the dropping transaction (or of
-  // a relation drop, instance_no == UINT32_MAX). The descriptor visible in
-  // the context may already lack the instance (attachment drop), so also
-  // consult the cached state parsed from the pre-drop descriptor.
+  // Storage release once the catalog no longer refers to it (or of a
+  // relation drop, instance_no == UINT32_MAX): the context carries the
+  // descriptor from before the change, which still lists the instance.
   IndexList desc;
-  desc.Decode(ctx.at_desc).ok();
+  DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
   if (instance_no == UINT32_MAX) {
     for (const IndexInstance& inst : desc) {
       DMX_RETURN_IF_ERROR(BTree::Destroy(ctx.db->buffer_pool(), inst.anchor));
@@ -142,9 +151,6 @@ Status IdxReleaseInstance(AtContext& ctx, uint32_t instance_no) {
     return Status::OK();
   }
   const IndexInstance* inst = desc.Find(instance_no);
-  if (inst == nullptr && ctx.state != nullptr) {
-    inst = StateOf(ctx)->desc.Find(instance_no);
-  }
   if (inst == nullptr) return Status::OK();
   return BTree::Destroy(ctx.db->buffer_pool(), inst->anchor);
 }
@@ -480,41 +486,13 @@ Status IdxRepairInstance(AtContext& ctx, uint32_t instance_no,
   DMX_RETURN_IF_ERROR(desc.Decode(ctx.at_desc));
   IndexInstance* inst = desc.Find(instance_no);
   if (inst == nullptr) return IndexList::NotFound(instance_no);
-  PageId fresh;
-  DMX_RETURN_IF_ERROR(BTree::Create(ctx.db->buffer_pool(), &fresh));
-  BTree tree(ctx.db->buffer_pool(), fresh);
-  std::unique_ptr<Scan> scan;
-  Status s = ctx.db->OpenScanOn(ctx.txn, ctx.desc,
-                                AccessPathId::StorageMethod(), ScanSpec{},
-                                &scan);
-  if (s.ok()) {
-    ScanItem item;
-    while (true) {
-      Status ns = scan->Next(&item);
-      if (ns.IsNotFound()) break;
-      if (!ns.ok()) {
-        s = ns;
-        break;
-      }
-      std::string key;
-      s = EncodeFieldKey(item.view, inst->fields, &key);
-      if (s.ok()) {
-        s = tree.Insert(Slice(key), Slice(item.record_key), inst->unique);
-        if (s.IsConstraint()) {
-          s = Status::Constraint("unique index " +
-                                 std::to_string(instance_no) +
-                                 " cannot be rebuilt: the base relation "
-                                 "holds duplicate keys");
-        }
-      }
-      if (!s.ok()) break;
-    }
+  Status s = BuildTree(ctx, inst);
+  if (s.IsConstraint()) {
+    return Status::Constraint("unique index " + std::to_string(instance_no) +
+                              " cannot be rebuilt: the base relation holds "
+                              "duplicate keys");
   }
-  if (!s.ok()) {
-    BTree::Destroy(ctx.db->buffer_pool(), fresh).ok();
-    return s;
-  }
-  inst->anchor = fresh;
+  DMX_RETURN_IF_ERROR(s);
   desc.EncodeTo(new_desc);
   return Status::OK();
 }

@@ -78,25 +78,10 @@ Status Catalog::RestoreRelation(RelationDescriptor desc) {
   if (by_id_.contains(desc.id) || by_name_.contains(desc.name)) {
     return Status::InvalidArgument("restore collides");
   }
+  ++desc.version;
   by_name_[desc.name] = desc.id;
   RelationId id = desc.id;
   by_id_[id] = std::make_shared<RelationDescriptor>(std::move(desc));
-  return Status::OK();
-}
-
-Status Catalog::UpdateRelation(const RelationDescriptor& desc) {
-  MutexLock lock(&mu_);
-  auto it = by_id_.find(desc.id);
-  if (it == by_id_.end()) {
-    return Status::NotFound("relation id " + std::to_string(desc.id));
-  }
-  // Copy-on-write: retire the old object instead of assigning over it, so
-  // readers holding its pointer (or Slices into its strings) never race
-  // with the replacement.
-  auto fresh = std::make_shared<RelationDescriptor>(desc);
-  fresh->version = it->second->version + 1;
-  retired_.push_back(std::move(it->second));
-  it->second = std::move(fresh);
   return Status::OK();
 }
 
@@ -109,29 +94,19 @@ Status Catalog::MutateRelation(
   }
   auto fresh = std::make_shared<RelationDescriptor>(*it->second);
   if (!fn(*fresh)) return Status::OK();
-  ++fresh->version;
+  const std::string& old_name = it->second->name;
+  if (fresh->name != old_name) {
+    if (by_name_.contains(fresh->name)) {
+      return Status::InvalidArgument("relation '" + fresh->name +
+                                     "' already exists");
+    }
+    by_name_.erase(old_name);
+    by_name_[fresh->name] = id;
+  }
+  fresh->id = id;
+  fresh->version = it->second->version + 1;
   retired_.push_back(std::move(it->second));
   it->second = std::move(fresh);
-  return Status::OK();
-}
-
-Status Catalog::RenameRelation(RelationId id, const std::string& new_name) {
-  MutexLock lock(&mu_);
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) {
-    return Status::NotFound("relation id " + std::to_string(id));
-  }
-  if (by_name_.contains(new_name)) {
-    return Status::InvalidArgument("relation '" + new_name +
-                                   "' already exists");
-  }
-  auto fresh = std::make_shared<RelationDescriptor>(*it->second);
-  fresh->name = new_name;
-  ++fresh->version;
-  by_name_.erase(it->second->name);
-  retired_.push_back(std::move(it->second));
-  it->second = std::move(fresh);
-  by_name_[new_name] = id;
   return Status::OK();
 }
 

@@ -46,33 +46,26 @@ class Catalog {
   /// descriptor so a drop can be restored if the transaction aborts.
   Status RemoveRelation(RelationId id, RelationDescriptor* removed);
 
-  /// Restore a previously removed descriptor (DDL abort path).
+  /// Put a removed descriptor back (DDL undo) under a version above the
+  /// one it was removed with, so a plan built on it does not pass as valid.
   Status RestoreRelation(RelationDescriptor desc);
-
-  /// Replace a relation's descriptor (attachment create/drop). Bumps the
-  /// version so dependent plans invalidate. The previous descriptor object
-  /// is retired, never mutated: readers that already hold its pointer (or
-  /// Slices into its strings) keep a valid — if stale — snapshot.
-  Status UpdateRelation(const RelationDescriptor& desc);
 
   /// Atomic read-modify-write of a relation's descriptor: `fn` receives a
   /// copy of the *current* descriptor under the catalog lock and returns
-  /// whether it changed anything. On true the copy is installed (version
-  /// bumped, old descriptor retired as in UpdateRelation); on false the
-  /// call is a no-op. This is the safe way to flip quarantine state from
-  /// paths that hold only a shared relation lock: concurrent mutators
-  /// merge instead of overwriting each other's entries.
+  /// whether it changed anything. On true the copy is installed under the
+  /// next version (a rename moves the name, refused if it is taken); the
+  /// previous object is retired, never mutated, so readers that already
+  /// hold its pointer (or Slices into its strings) keep a valid — if
+  /// stale — snapshot. On false the call is a no-op. Concurrent mutators
+  /// merge instead of overwriting each other's entries, which is what
+  /// quarantine flips under a shared relation lock rely on.
   Status MutateRelation(RelationId id,
                         const std::function<bool(RelationDescriptor&)>& fn);
 
-  /// Rename a relation (storage-method migration swaps names). Bumps the
-  /// version.
-  Status RenameRelation(RelationId id, const std::string& new_name);
-
   /// Lookup by name / id. Returns a stable pointer owned by the catalog;
   /// valid until the relation is dropped, but frozen at the state it had
-  /// when fetched — an Update/Mutate/Rename swaps in a fresh object, so
-  /// re-Find after updating to observe the change.
+  /// when fetched — a Mutate swaps in a fresh object, so re-Find after
+  /// mutating to observe the change.
   const RelationDescriptor* Find(const std::string& name) const;
   const RelationDescriptor* Find(RelationId id) const;
 

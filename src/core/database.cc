@@ -15,6 +15,28 @@ std::string ComponentName(const AtOps& ops, uint32_t instance) {
   return std::string(ops.name != nullptr ? ops.name : "attachment") + "#" +
          std::to_string(instance);
 }
+
+// The before-image `before` that undoing a step puts back over the current
+// descriptor `cur`, the step having installed `after`. A quarantine flip
+// made since the step (CHECK, an access tripping over damage) was
+// persisted at once and is not transactional, so it stays; a quarantine
+// the step lifted comes back.
+RelationDescriptor Restored(const RelationDescriptor& before,
+                            const RelationDescriptor& after,
+                            const RelationDescriptor& cur) {
+  RelationDescriptor r = before;
+  if (!before.sm_quarantined || after.sm_quarantined) {
+    r.sm_quarantined = cur.sm_quarantined;
+    r.sm_quarantine_reason = cur.sm_quarantine_reason;
+  }
+  r.quarantined = cur.quarantined;
+  for (const RelationDescriptor::QuarantineEntry& q : before.quarantined) {
+    if (!after.IsQuarantined(q.at, q.instance)) {
+      r.Quarantine(q.at, q.instance, q.reason);
+    }
+  }
+  return r;
+}
 }  // namespace
 
 Status Database::Open(const DatabaseOptions& options,
@@ -392,219 +414,199 @@ Status Database::CreateRelation(Transaction* txn, const std::string& name,
   desc.sm_id = static_cast<SmId>(sm);
   DMX_RETURN_IF_ERROR(ops.validate(schema, attrs, &desc.sm_desc));
 
-  RelationId id;
-  DMX_RETURN_IF_ERROR(catalog_.AddRelation(desc, &id));
-  const RelationDescriptor* stored = catalog_.Find(id);
-
-  DMX_RETURN_IF_ERROR(txn->LockRelation(id, LockMode::kX));
-
   // Build initial storage; the storage method may refine its descriptor
-  // (e.g. record an allocated anchor page). The context carries no runtime
-  // state yet — state can only be derived once the descriptor is final.
+  // (e.g. record an allocated anchor page). The context carries no id and
+  // no runtime state: the relation has neither until the step adds it.
   SmContext ctx;
   ctx.db = this;
   ctx.txn = txn;
-  ctx.desc = stored;
+  ctx.desc = &desc;
   ctx.state = nullptr;
-  std::string sm_desc = stored->sm_desc;
-  Status s = ops.create(ctx, &sm_desc);
-  if (!s.ok()) {
-    // Undo our own just-added entry; the create failure takes precedence.
-    (void)catalog_.RemoveRelation(id, nullptr);
-    InvalidateRuntime(id);
-    return s;
+  std::string sm_desc = desc.sm_desc;
+  DMX_RETURN_IF_ERROR(ops.create(ctx, &sm_desc));
+  desc.sm_desc = std::move(sm_desc);
+  Status s = CatalogStep(txn, nullptr, desc);
+  if (!s.ok() && ops.drop != nullptr) {
+    // The relation was not added (its name is taken, or its lock failed):
+    // nothing refers to the new storage, and that failure takes precedence.
+    (void)ops.drop(ctx);
   }
-  RelationDescriptor updated = *stored;
-  updated.sm_desc = sm_desc;
-  DMX_RETURN_IF_ERROR(catalog_.UpdateRelation(updated));
-  InvalidateRuntime(id);  // state derived from the old descriptor
-
-  // Undoable DDL: abort destroys the storage and the catalog entry;
-  // commit persists the catalog.
-  txn->Defer(TxnEvent::kAbort, [this, id](Transaction* t) {
-    const RelationDescriptor* d = catalog_.Find(id);
-    if (d == nullptr) return Status::OK();
-    const SmOps& sm_ops = registry_.sm_ops(d->sm_id);
-    SmContext drop_ctx;
-    Status st = MakeSmContext(t, d, &drop_ctx);
-    if (st.ok() && sm_ops.drop != nullptr) st = sm_ops.drop(drop_ctx);
-    // Undoing our own add: the entry is present, so this cannot fail in a
-    // way the abort could act on.
-    (void)catalog_.RemoveRelation(id, nullptr);
-    InvalidateRuntime(id);
-    return st;
-  });
-  txn->Defer(TxnEvent::kCommit,
-             [this](Transaction*) { return catalog_.Save(); });
-  return Status::OK();
+  return s;
 }
 
 Status Database::DropRelation(Transaction* txn, const std::string& name) {
-  DMX_RETURN_IF_ERROR(CheckTxnWritable());
   const RelationDescriptor* desc;
-  DMX_RETURN_IF_ERROR(FindRelation(name, &desc));
-  RelationId id = desc->id;
-  DMX_RETURN_IF_ERROR(txn->LockRelation(id, LockMode::kX));
-  RelationDescriptor saved;
-  DMX_RETURN_IF_ERROR(catalog_.RemoveRelation(id, &saved));
-
+  DMX_RETURN_IF_ERROR(LockForDdl(txn, name, &desc));
   // "The actual release of the relation or access path state is deferred
   // until the transaction commits", making the drop undoable without
   // logging the relation's entire state.
-  txn->Defer(TxnEvent::kCommit, [this, saved](Transaction* t) {
-    // Release attachment storage first, then the relation storage.
-    // A temporary descriptor is restored into the catalog so contexts can
-    // be built, then finally removed.
-    RelationDescriptor tmp = saved;
-    tmp.name = "#dropping#" + std::to_string(saved.id);
-    // Reuse the original id so runtime state and log records line up.
-    Status st = catalog_.RestoreRelation(tmp);
-    // First release failure; surfaced through Commit's deferred-action
-    // status so a storage leak is never silent.
-    Status release = Status::OK();
-    if (st.ok()) {
-      const RelationDescriptor* d = catalog_.Find(saved.id);
-      for (AtId at = 0; at < registry_.num_attachment_types(); ++at) {
-        if (!d->HasAttachment(at)) continue;
-        Status rs = ReleaseInstance(t, d, at, kAllInstances, d->at_desc[at]);
-        if (release.ok()) release = rs;
-      }
-      const SmOps& sops = registry_.sm_ops(d->sm_id);
-      if (sops.drop != nullptr) {
-        SmContext sctx;
-        if (MakeSmContext(t, d, &sctx).ok()) {
-          Status ds = sops.drop(sctx);
-          if (release.ok()) release = ds;
-        }
-      }
-      // Removing the #dropping# descriptor we just restored cannot fail
-      // in a way the commit could act on.
-      (void)catalog_.RemoveRelation(saved.id, nullptr);
-    }
-    auth_.Clear(saved.id);
-    InvalidateRuntime(saved.id);
-    Status save = catalog_.Save();
-    return release.ok() ? save : release;
-  });
-  txn->Defer(TxnEvent::kAbort, [this, saved](Transaction*) {
-    return catalog_.RestoreRelation(saved);
-  });
-  InvalidateRuntime(id);
-  return Status::OK();
+  return CatalogStep(txn, desc, std::nullopt);
 }
 
 Status Database::CreateAttachment(Transaction* txn, const std::string& rel,
                                   const std::string& at_name,
                                   const AttrList& attrs,
                                   uint32_t* instance_no) {
-  DMX_RETURN_IF_ERROR(CheckTxnWritable());
-  const RelationDescriptor* desc;
-  DMX_RETURN_IF_ERROR(FindRelation(rel, &desc));
-  int found = registry_.FindAttachmentType(at_name);
-  if (found < 0) {
-    return Status::InvalidArgument("no attachment type '" + at_name + "'");
-  }
-  const AtId at = static_cast<AtId>(found);
-  const AtOps& ops = registry_.at_ops(at);
-  DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kX));
-
   AtContext ctx;
-  DMX_RETURN_IF_ERROR(MakeAtContext(txn, desc, at, &ctx));
+  DMX_RETURN_IF_ERROR(AttachmentDdl(txn, rel, at_name, &ctx));
+  const AtId at = ctx.at_id;
   std::string new_desc;
   uint32_t inst = 0;
-  DMX_RETURN_IF_ERROR(ops.create_instance(ctx, attrs, &new_desc, &inst));
+  DMX_RETURN_IF_ERROR(
+      registry_.at_ops(at).create_instance(ctx, attrs, &new_desc, &inst));
   if (instance_no != nullptr) *instance_no = inst;
-  DMX_RETURN_IF_ERROR(SwapAttachmentDesc(txn, desc->id, at, desc->at_desc[at],
-                                         new_desc, inst));
-  txn->Defer(TxnEvent::kCommit,
-             [this](Transaction*) { return catalog_.Save(); });
-  return Status::OK();
+  RelationDescriptor after = *ctx.desc;
+  after.at_desc[at] = std::move(new_desc);
+  return CatalogStep(txn, ctx.desc, std::move(after), InstanceRef{at, inst});
 }
 
 Status Database::DropAttachment(Transaction* txn, const std::string& rel,
                                 const std::string& at_name,
                                 uint32_t instance_no) {
+  AtContext ctx;
+  DMX_RETURN_IF_ERROR(AttachmentDdl(txn, rel, at_name, &ctx));
+  const AtId at = ctx.at_id;
+  if (!ctx.desc->HasAttachment(at)) {
+    return Status::NotFound("no '" + at_name + "' attachment on " + rel);
+  }
+  std::string new_desc;
+  DMX_RETURN_IF_ERROR(
+      registry_.at_ops(at).drop_instance(ctx, instance_no, &new_desc));
+  RelationDescriptor after = *ctx.desc;
+  after.at_desc[at] = std::move(new_desc);
+  return CatalogStep(txn, ctx.desc, std::move(after), std::nullopt,
+                     InstanceRef{at, instance_no});
+}
+
+Status Database::LockForDdl(Transaction* txn, const std::string& rel,
+                            const RelationDescriptor** desc) {
   DMX_RETURN_IF_ERROR(CheckTxnWritable());
-  const RelationDescriptor* desc;
-  DMX_RETURN_IF_ERROR(FindRelation(rel, &desc));
+  DMX_RETURN_IF_ERROR(FindRelation(rel, desc));
+  DMX_RETURN_IF_ERROR(txn->LockRelation((*desc)->id, LockMode::kX));
+  // What the lock wait may have let change (a quarantine flip, a drop).
+  *desc = catalog_.Find((*desc)->id);
+  if (*desc == nullptr) {
+    return Status::InvalidArgument("no relation named '" + rel + "'");
+  }
+  return Status::OK();
+}
+
+Status Database::AttachmentDdl(Transaction* txn, const std::string& rel,
+                               const std::string& at_name, AtContext* ctx) {
   int found = registry_.FindAttachmentType(at_name);
   if (found < 0) {
     return Status::InvalidArgument("no attachment type '" + at_name + "'");
   }
-  const AtId at = static_cast<AtId>(found);
-  if (!desc->HasAttachment(at)) {
-    return Status::NotFound("no '" + at_name + "' attachment on " + rel);
-  }
-  const AtOps& ops = registry_.at_ops(at);
-  DMX_RETURN_IF_ERROR(txn->LockRelation(desc->id, LockMode::kX));
-
-  std::string old_desc = desc->at_desc[at];
-  AtContext ctx;
-  DMX_RETURN_IF_ERROR(MakeAtContext(txn, desc, at, &ctx));
-  std::string new_desc;
-  DMX_RETURN_IF_ERROR(ops.drop_instance(ctx, instance_no, &new_desc));
-  const RelationId id = desc->id;
-  DMX_RETURN_IF_ERROR(
-      SwapAttachmentDesc(txn, id, at, old_desc, new_desc, std::nullopt));
-
-  // Deferred release at commit, handed the *pre-drop* descriptor so it can
-  // locate the dropped instance's storage. Dropping a quarantined instance
-  // is a remediation path: the walk may trip over the damage itself, and
-  // the drop must still commit — a failed release only leaks pages.
-  txn->Defer(TxnEvent::kCommit,
-             [this, id, at, instance_no, old_desc](Transaction* t) {
-               const RelationDescriptor* d = catalog_.Find(id);
-               if (d != nullptr) {
-                 // Leak-only on failure (see above).
-                 (void)ReleaseInstance(t, d, at, instance_no, old_desc);
-               }
-               return catalog_.Save();
-             });
-  return Status::OK();
+  const RelationDescriptor* desc;
+  DMX_RETURN_IF_ERROR(LockForDdl(txn, rel, &desc));
+  return MakeAtContext(txn, desc, static_cast<AtId>(found), ctx);
 }
 
-Status Database::SwapAttachmentDesc(Transaction* txn, RelationId id, AtId at,
-                                    std::string old_desc,
-                                    std::string new_desc,
-                                    std::optional<uint32_t> fresh,
-                                    std::optional<std::string> lifted) {
-  DMX_RETURN_IF_ERROR(catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
-    d.at_desc[at] = new_desc;
-    if (lifted) d.ClearQuarantine(at, *fresh);
-    return true;
-  }));
-  InvalidateAttachmentRuntime(id);
-  txn->Defer(TxnEvent::kAbort, [this, id, at, old_desc = std::move(old_desc),
-                                new_desc = std::move(new_desc), fresh,
-                                lifted = std::move(lifted)](Transaction* t) {
-    const RelationDescriptor* d = catalog_.Find(id);
-    if (d == nullptr) return Status::OK();
-    // Abort-path cleanup: the new storage was never published, so a failed
-    // release only leaks it.
-    if (fresh) (void)ReleaseInstance(t, d, at, *fresh, new_desc);
-    Status st = catalog_.MutateRelation(id, [&](RelationDescriptor& r) {
-      r.at_desc[at] = old_desc;
-      if (lifted) r.Quarantine(at, *fresh, *lifted);
+Status Database::CatalogStep(Transaction* txn,
+                             const RelationDescriptor* before_desc,
+                             std::optional<RelationDescriptor> after,
+                             std::optional<InstanceRef> fresh,
+                             std::optional<InstanceRef> superseded) {
+  std::optional<RelationDescriptor> before;
+  if (before_desc != nullptr) before = *before_desc;
+  if (!before) {
+    RelationId id;
+    DMX_RETURN_IF_ERROR(catalog_.AddRelation(*after, &id));
+    Status locked = txn->LockRelation(id, LockMode::kX);
+    if (!locked.ok()) {
+      // Undoing our own add: the entry is present, and the lock failure
+      // takes precedence.
+      (void)catalog_.RemoveRelation(id, nullptr);
+      return locked;
+    }
+    after = *catalog_.Find(id);
+  } else if (!after) {
+    // The runtime stays until commit releases the storage through it, or
+    // abort puts the relation back: a memory-resident relation's state is
+    // its data.
+    DMX_RETURN_IF_ERROR(catalog_.RemoveRelation(before->id, nullptr));
+  } else {
+    DMX_RETURN_IF_ERROR(
+        catalog_.MutateRelation(before->id, [&](RelationDescriptor& d) {
+          d = *after;
+          return true;
+        }));
+    InvalidateAttachmentRuntime(before->id);
+  }
+  const RelationId id = before ? before->id : after->id;
+
+  txn->Defer(TxnEvent::kAbort, [this, id, before, after,
+                                fresh](Transaction* t) {
+    if (!before) {
+      ReleaseStorage(t, *after, std::nullopt);
+      return catalog_.RemoveRelation(id, nullptr);
+    }
+    if (!after) return catalog_.RestoreRelation(*before);
+    if (fresh) ReleaseStorage(t, *after, fresh);
+    Status st = catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
+      d = Restored(*before, *after, d);
+      // A damage record of an instance the step created goes with it.
+      if (fresh && !before->IsQuarantined(fresh->at, fresh->no)) {
+        d.ClearQuarantine(fresh->at, fresh->no);
+      }
       return true;
     });
     InvalidateAttachmentRuntime(id);
     return st;
   });
+
+  // The one commit step of every DDL. Pages a DDL built (a new relation's
+  // storage, an index bulk load, a REPAIR rebuild) are not WAL-logged:
+  // flush them, then durably publish the catalog that points at them, and
+  // only then free the storage the step superseded, under the before-image
+  // that still locates it. A crash before the save recovers to the old
+  // catalog with its storage intact; a crash after it merely leaks the
+  // superseded pages. Freeing before the save could double-free: the
+  // flushed frees would outlive a crash whose recovery still points at
+  // them. The final flush makes the frees durable too.
+  const bool dropped = !after;
+  std::optional<RelationDescriptor> freed;
+  if (dropped || superseded) freed = std::move(before);
+  txn->Defer(TxnEvent::kCommit, [this, dropped, freed = std::move(freed),
+                                 superseded](Transaction* t) {
+    DMX_RETURN_IF_ERROR(buffer_pool_->FlushAll());
+    DMX_RETURN_IF_ERROR(catalog_.Save());
+    if (!freed) return Status::OK();
+    ReleaseStorage(t, *freed, superseded);
+    if (dropped) auth_.Clear(freed->id);
+    return buffer_pool_->FlushAll();
+  });
   return Status::OK();
 }
 
-Status Database::ReleaseInstance(Transaction* txn,
-                                 const RelationDescriptor* desc, AtId at,
-                                 uint32_t instance,
-                                 const std::string& at_desc) {
-  const AtOps& ops = registry_.at_ops(at);
-  AtContext ctx;
-  if (ops.release_instance == nullptr ||
-      !MakeAtContext(txn, desc, at, &ctx).ok()) {
-    return Status::OK();
+void Database::ReleaseStorage(Transaction* txn, const RelationDescriptor& desc,
+                              std::optional<InstanceRef> instance) {
+  // The catalog no longer refers to this storage, so a release that fails
+  // (the walk may trip over the damage a REPAIR or a DROP is removing)
+  // only leaks its pages. Contexts are built on `desc` itself, and the
+  // states they open are dropped after: they describe released storage.
+  auto release = [&](AtId at, uint32_t no) {
+    const AtOps& ops = registry_.at_ops(at);
+    AtContext ctx;
+    if (ops.release_instance != nullptr &&
+        MakeAtContext(txn, &desc, at, &ctx).ok()) {
+      (void)ops.release_instance(ctx, no);  // leak-only, see above
+    }
+  };
+  if (instance) {
+    release(instance->at, instance->no);
+    GetRuntime(desc.id)->at[instance->at].Reset();
+    return;
   }
-  ctx.at_desc = Slice(at_desc);
-  return ops.release_instance(ctx, instance);
+  for (AtId at = 0; at < registry_.num_attachment_types(); ++at) {
+    if (desc.HasAttachment(at)) release(at, kAllInstances);
+  }
+  const SmOps& ops = registry_.sm_ops(desc.sm_id);
+  SmContext ctx;
+  if (ops.drop != nullptr && MakeSmContext(txn, &desc, &ctx).ok()) {
+    (void)ops.drop(ctx);  // leak-only, see above
+  }
+  InvalidateRuntime(desc.id);
 }
 
 Status Database::ChangeStorageMethod(Transaction* txn,
@@ -636,17 +638,11 @@ Status Database::ChangeStorageMethod(Transaction* txn,
     }
   }
 
-  // Swap: drop the old relation (deferred release; abort restores it),
-  // then take over its name. On abort the rename reverts harmlessly: the
-  // new relation is destroyed by CreateRelation's abort action, which runs
-  // first (deferred actions execute in enqueue order).
+  // Swap: drop the old relation, then the new one takes over its name.
   DMX_RETURN_IF_ERROR(DropRelation(txn, rel));
-  RelationId new_id = new_desc->id;
-  DMX_RETURN_IF_ERROR(catalog_.RenameRelation(new_id, rel));
-  InvalidateAttachmentRuntime(new_id);
-  txn->Defer(TxnEvent::kCommit,
-             [this](Transaction*) { return catalog_.Save(); });
-  return Status::OK();
+  RelationDescriptor renamed = *new_desc;
+  renamed.name = rel;
+  return CatalogStep(txn, new_desc, std::move(renamed));
 }
 
 // -- relation modification -------------------------------------------------------
@@ -1199,6 +1195,19 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
   out->repaired.clear();
   out->unrepaired.clear();
   const RelationId id = desc->id;
+  // Each lift and each rebuild is a catalog step of its own. Steps retire
+  // the previous descriptor object, so each starts from the live one.
+  auto lift = [&](bool storage, AtId at, uint32_t inst) {
+    const RelationDescriptor* before = catalog_.Find(id);
+    RelationDescriptor after = *before;
+    if (storage) {
+      after.sm_quarantined = false;
+      after.sm_quarantine_reason.clear();
+    } else {
+      after.ClearQuarantine(at, inst);
+    }
+    return CatalogStep(txn, before, std::move(after));
+  };
 
   // Base storage: there is no redundant copy to rebuild from; re-verify
   // and lift the quarantine only if the sweep now comes back clean.
@@ -1212,8 +1221,7 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
       vs = sm.verify(ctx, &report);
     }
     if (vs.ok() && report.clean()) {
-      DMX_RETURN_IF_ERROR(LiftQuarantine(txn, id, /*storage=*/true,
-                                         {0, 0, desc->sm_quarantine_reason}));
+      DMX_RETURN_IF_ERROR(lift(/*storage=*/true, 0, 0));
       out->repaired.push_back("storage");
     } else {
       out->unrepaired.push_back(
@@ -1228,13 +1236,11 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
   for (const RelationDescriptor::QuarantineEntry& q : targets) {
     const AtId at = static_cast<AtId>(q.at);
     const uint32_t inst = q.instance;
-    // Catalog mutations retire the previous descriptor object; re-fetch
-    // the live one so this entry sees any swap an earlier iteration made.
     desc = catalog_.Find(id);
     if (desc == nullptr) break;
     if (at >= registry_.num_attachment_types() || !desc->HasAttachment(at)) {
       // The damaged instance is gone; nothing left to repair.
-      DMX_RETURN_IF_ERROR(LiftQuarantine(txn, id, /*storage=*/false, q));
+      DMX_RETURN_IF_ERROR(lift(/*storage=*/false, at, inst));
       out->repaired.push_back("attachment " + std::to_string(q.at) + "#" +
                               std::to_string(inst) + " (dropped)");
       continue;
@@ -1245,9 +1251,8 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
     if (ops.repair_instance != nullptr) {
       // Persistent storage: build a fresh structure off the base relation.
       // The old storage stays untouched until commit, so an abort (or a
-      // crash before the deferred catalog save) recovers to the old, still
-      // quarantined state and REPAIR can simply run again.
-      const std::string old_desc = desc->at_desc[at];
+      // crash before the commit step's catalog save) recovers to the old,
+      // still quarantined state and REPAIR can simply run again.
       AtContext ctx;
       DMX_RETURN_IF_ERROR(MakeAtContext(txn, desc, at, &ctx));
       std::string new_desc;
@@ -1259,37 +1264,14 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
                                   rs.ToString());
         continue;
       }
-      DMX_RETURN_IF_ERROR(
-          SwapAttachmentDesc(txn, id, at, old_desc, new_desc, inst, q.reason));
+      RelationDescriptor after = *desc;
+      after.at_desc[at] = std::move(new_desc);
+      after.ClearQuarantine(at, inst);
+      DMX_RETURN_IF_ERROR(CatalogStep(txn, desc, std::move(after),
+                                      InstanceRef{at, inst},
+                                      InstanceRef{at, inst}));
       metric_repair_rebuilt_->Increment();
       out->repaired.push_back(component);
-      txn->Defer(TxnEvent::kCommit,
-                 [this, id, at, inst, old_desc](Transaction* t) {
-                   // The rebuilt structure's pages are not WAL-logged;
-                   // flush them (and sync), then durably publish the new
-                   // anchor, and only then free the old storage. A crash
-                   // before the save recovers to the old, still-
-                   // quarantined descriptor with its pages intact; a
-                   // crash after the save merely leaks the old pages. The
-                   // old storage must never be freed before the save: the
-                   // flushed frees would outlive a crash whose recovery
-                   // still points at them, double-freeing on the next
-                   // release.
-                   DMX_RETURN_IF_ERROR(buffer_pool_->FlushAll());
-                   DMX_RETURN_IF_ERROR(catalog_.Save());
-                   const RelationDescriptor* d = catalog_.Find(id);
-                   if (d != nullptr) {
-                     // Hand the release the *pre-repair* descriptor so it
-                     // can locate the damaged storage. The walk may trip
-                     // over the very corruption being repaired; the
-                     // rebuild is already durably published, so a failed
-                     // release only leaks the damaged pages.
-                     (void)ReleaseInstance(t, d, at, inst, old_desc);
-                   }
-                   // Make the frees durable too; losing them in a crash
-                   // only leaks pages.
-                   return buffer_pool_->FlushAll();
-                 });
     } else {
       // Purely derived in-memory state: drop the runtime and reopen (open
       // re-primes from the base relation), then demand a clean re-verify.
@@ -1301,7 +1283,7 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
                       ? ops.verify(ctx, inst, &report)
                       : Status::NotSupported("no verify procedure");
       if (vs.ok() && report.clean()) {
-        DMX_RETURN_IF_ERROR(LiftQuarantine(txn, id, /*storage=*/false, q));
+        DMX_RETURN_IF_ERROR(lift(/*storage=*/false, at, inst));
         out->repaired.push_back(component);
       } else if (!vs.ok()) {
         out->unrepaired.push_back(component + ": " + vs.ToString());
@@ -1312,46 +1294,6 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
       }
     }
   }
-  return Status::OK();
-}
-
-Status Database::LiftQuarantine(Transaction* txn, RelationId id,
-                                bool storage,
-                                RelationDescriptor::QuarantineEntry q) {
-  const AtId at = static_cast<AtId>(q.at);
-  DMX_RETURN_IF_ERROR(catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
-    if (storage) {
-      d.sm_quarantined = false;
-      d.sm_quarantine_reason.clear();
-    } else {
-      d.ClearQuarantine(at, q.instance);
-    }
-    return true;
-  }));
-  txn->Defer(TxnEvent::kCommit,
-             [this](Transaction*) { return catalog_.Save(); });
-  // A rollback must resurrect the damage record, or the in-memory catalog
-  // would say clean while the durable one still says quarantined — and the
-  // quarantine would silently return on restart.
-  txn->Defer(TxnEvent::kAbort, [this, id, storage, at,
-                                q = std::move(q)](Transaction*) {
-    Status st = catalog_.MutateRelation(id, [&](RelationDescriptor& d) {
-      if (storage ? d.sm_quarantined : d.IsQuarantined(at, q.instance)) {
-        return false;
-      }
-      if (storage) {
-        d.sm_quarantined = true;
-        d.sm_quarantine_reason = q.reason;
-      } else {
-        d.Quarantine(at, q.instance, q.reason);
-      }
-      return true;
-    });
-    // A re-primed derived state may reflect rolled-back data; drop it so
-    // the next open re-derives.
-    if (!storage) InvalidateAttachmentRuntime(id);
-    return st;
-  });
   return Status::OK();
 }
 

@@ -481,28 +481,47 @@ class Database {
                           const AccessPathId& path, Entry AtOps::*entry,
                           const char* missing, const Args&... args);
 
-  /// Point attachment type `at` of relation `id` at `new_desc` for the
-  /// transaction and drop the cached attachment states. An abort releases
-  /// instance `fresh` (new storage that only `new_desc` holds), if given,
-  /// and puts `old_desc` back. `lifted` is REPAIR's case: the swap lifts
-  /// `fresh`'s quarantine, and an abort records it again with that reason.
-  Status SwapAttachmentDesc(Transaction* txn, RelationId id, AtId at,
-                            std::string old_desc, std::string new_desc,
-                            std::optional<uint32_t> fresh,
-                            std::optional<std::string> lifted = std::nullopt);
+  /// The preamble of DDL on an existing relation: the write gate, the
+  /// lookup of `rel`, its X lock, and its descriptor as it stands under
+  /// that lock.
+  Status LockForDdl(Transaction* txn, const std::string& rel,
+                    const RelationDescriptor** desc);
 
-  /// Release `instance` of attachment type `at` on `desc`, handing the
-  /// release `at_desc`: the descriptor that still locates its storage.
-  /// OK without a call when the type has no release or no context opens.
-  Status ReleaseInstance(Transaction* txn, const RelationDescriptor* desc,
-                         AtId at, uint32_t instance,
-                         const std::string& at_desc);
+  /// The preamble of attachment DDL: the type `at_name`, LockForDdl on
+  /// `rel`, and a context for the type on the locked descriptor.
+  Status AttachmentDdl(Transaction* txn, const std::string& rel,
+                       const std::string& at_name, AtContext* ctx);
 
-  /// REPAIR lifting quarantine `q` (of the base storage when `storage`;
-  /// then only `q.reason` counts): cleared now, the catalog saved at
-  /// commit, and the damage record put back on abort.
-  Status LiftQuarantine(Transaction* txn, RelationId id, bool storage,
-                        RelationDescriptor::QuarantineEntry q);
+  /// One instance of attachment type `at`.
+  struct InstanceRef {
+    AtId at;
+    uint32_t no;
+  };
+
+  /// The one place a DDL changes the catalog: replace the relation's
+  /// descriptor `before` (null: add a relation) with `after` (nullopt:
+  /// remove it; its runtime stays until commit or abort), drop attachment
+  /// states derived from a replaced one, and queue the step's undo and
+  /// its commit step. `fresh` is an instance whose
+  /// storage the step built, `superseded` one whose old storage it
+  /// replaced (REPAIR's rebuild names one instance in both); a removed
+  /// relation supersedes all of its storage, and an added one is fresh.
+  ///
+  /// Abort (or ROLLBACK TO an earlier savepoint) releases the fresh
+  /// storage under `after` and puts `before` back under a new version,
+  /// keeping quarantine flips made since. Commit flushes the buffer pool,
+  /// saves the catalog, then releases the superseded storage under
+  /// `before` and flushes again. A relation whose add fails is not added.
+  Status CatalogStep(Transaction* txn, const RelationDescriptor* before,
+                     std::optional<RelationDescriptor> after,
+                     std::optional<InstanceRef> fresh = std::nullopt,
+                     std::optional<InstanceRef> superseded = std::nullopt);
+
+  /// Release `instance`'s storage (all of the relation's without one) as
+  /// `desc` locates it, and drop the runtime states derived from it. A
+  /// failed release only leaks pages.
+  void ReleaseStorage(Transaction* txn, const RelationDescriptor& desc,
+                      std::optional<InstanceRef> instance);
 
   /// Refuse the modification when the relation's storage is quarantined or
   /// a quarantined attachment instance guards integrity (its maintenance

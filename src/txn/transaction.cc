@@ -38,19 +38,16 @@ Status Transaction::LockRecord(RelationId rel, const Slice& key,
 }
 
 void Transaction::Defer(TxnEvent event, DeferredAction action) {
-  deferred_[event].push_back({std::move(action), last_lsn_});
+  Queue(event).push_back({std::move(action), last_lsn_});
 }
 
 size_t Transaction::DeferredCount(TxnEvent event) const {
-  auto it = deferred_.find(event);
-  return it == deferred_.end() ? 0 : it->second.size();
+  return deferred_[static_cast<size_t>(event)].size();
 }
 
 Status Transaction::RunDeferred(TxnEvent event, bool stop_on_error) {
-  auto it = deferred_.find(event);
-  if (it == deferred_.end()) return Status::OK();
   std::vector<QueuedAction> queue;
-  queue.swap(it->second);
+  queue.swap(Queue(event));
   Status first_error;
   for (QueuedAction& qa : queue) {
     Status s = qa.action(this);
@@ -60,16 +57,6 @@ Status Transaction::RunDeferred(TxnEvent event, bool stop_on_error) {
     }
   }
   return first_error;
-}
-
-void Transaction::DropDeferredAfter(Lsn lsn) {
-  for (auto& [event, queue] : deferred_) {
-    std::vector<QueuedAction> kept;
-    for (QueuedAction& qa : queue) {
-      if (qa.enqueue_lsn <= lsn) kept.push_back(std::move(qa));
-    }
-    queue.swap(kept);
-  }
 }
 
 }  // namespace dmx

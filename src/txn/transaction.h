@@ -10,9 +10,9 @@
 #ifndef DMX_TXN_TRANSACTION_H_
 #define DMX_TXN_TRANSACTION_H_
 
+#include <array>
 #include <atomic>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -32,7 +32,8 @@ enum class TxnEvent : uint8_t {
   kBeforePrepare = 0,  // after all modifications, before commit is decided;
                        // a failing action here aborts the transaction
   kCommit = 1,         // commit is durable; complete deferred work
-  kAbort = 2,          // rollback finished; discard deferred state
+  kAbort = 2,          // undo: newest first, each action once the log
+                       // records written after it was queued are undone
 };
 
 /// A queued deferred action: the modern form of the paper's "address of the
@@ -91,16 +92,16 @@ class Transaction {
   /// granularity protocol (Gray et al., "Granularity of Locks", 1976).
   Status LockRecord(RelationId rel, const Slice& key, LockMode mode);
 
-  /// Enqueue `action` to run when `event` fires. Actions enqueued after a
-  /// savepoint are discarded if the transaction rolls back to it.
+  /// Enqueue `action` to run when `event` fires. Commit and before-prepare
+  /// actions run in the order queued; abort actions run newest first, so
+  /// each undoes its change against the state its own step left. A
+  /// rollback to a savepoint runs the abort actions queued after the
+  /// savepoint (newest first) and discards the other actions queued after
+  /// it: undo of DDL is the same under ROLLBACK and ROLLBACK TO.
   void Defer(TxnEvent event, DeferredAction action);
 
   /// Number of actions pending for `event` (tests).
   size_t DeferredCount(TxnEvent event) const;
-
-  const std::vector<std::pair<std::string, Lsn>>& savepoints() const {
-    return savepoints_;
-  }
 
  private:
   friend class TransactionManager;
@@ -112,12 +113,21 @@ class Transaction {
     Lsn enqueue_lsn;  // txn's last_lsn at enqueue time
   };
 
-  // Runs and clears the queue for `event`. If `stop_on_error`, the first
-  // failure is returned with the rest of the queue untouched.
-  Status RunDeferred(TxnEvent event, bool stop_on_error);
+  /// A named rollback point: its log record and the queue lengths then.
+  struct SavepointMark {
+    std::string name;
+    Lsn lsn;
+    std::array<size_t, 3> queued;
+  };
 
-  // Discard queued actions enqueued after `lsn` (partial rollback).
-  void DropDeferredAfter(Lsn lsn);
+  std::vector<QueuedAction>& Queue(TxnEvent event) {
+    return deferred_[static_cast<size_t>(event)];
+  }
+
+  // Runs and clears the commit or before-prepare queue in order. If
+  // `stop_on_error`, the first failure is returned and the remaining
+  // actions are dropped.
+  Status RunDeferred(TxnEvent event, bool stop_on_error);
 
   // The relation's mode held by this transaction, if any.
   LockMode* HeldMode(RelationId rel);
@@ -132,8 +142,8 @@ class Transaction {
   bool relaxed_durability_ = false;
   Lsn last_lsn_ = kInvalidLsn;
   std::atomic<Lsn> first_lsn_{kInvalidLsn};
-  std::vector<std::pair<std::string, Lsn>> savepoints_;
-  std::map<TxnEvent, std::vector<QueuedAction>> deferred_;
+  std::vector<SavepointMark> savepoints_;
+  std::array<std::vector<QueuedAction>, 3> deferred_;  // by TxnEvent
 };
 
 }  // namespace dmx

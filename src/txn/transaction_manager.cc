@@ -138,15 +138,11 @@ Status TransactionManager::Abort(Transaction* txn) {
     abort_rec.prev_lsn = txn->last_lsn();
     DMX_RETURN_IF_ERROR(log_->Append(&abort_rec));
     txn->set_last_lsn(abort_rec.lsn);
-
-    Lsn last = txn->last_lsn();
-    DMX_RETURN_IF_ERROR(driver_->Rollback(txn->id(), kInvalidLsn, &last));
-    txn->set_last_lsn(last);
   }
-
-  // Abort-time deferred actions are best-effort: a failure cannot change
-  // the outcome — the transaction is rolling back regardless.
-  (void)txn->RunDeferred(TxnEvent::kAbort, /*stop_on_error=*/false);
+  // Abort actions are best-effort: a failure cannot change the outcome —
+  // the transaction is rolling back regardless.
+  Status action_error;
+  DMX_RETURN_IF_ERROR(Unwind(txn, kInvalidLsn, 0, &action_error));
   txn->state_ = TxnState::kAborted;
   return FinishTxn(txn, /*committed=*/false);
 }
@@ -164,12 +160,16 @@ Status TransactionManager::Savepoint(Transaction* txn,
   // Replace an existing savepoint of the same name.
   auto& sps = txn->savepoints_;
   for (auto it = sps.begin(); it != sps.end(); ++it) {
-    if (it->first == name) {
+    if (it->name == name) {
       sps.erase(it);
       break;
     }
   }
-  sps.emplace_back(name, rec.lsn);
+  Transaction::SavepointMark mark{name, rec.lsn, {}};
+  for (size_t e = 0; e < mark.queued.size(); ++e) {
+    mark.queued[e] = txn->deferred_[e].size();
+  }
+  sps.push_back(std::move(mark));
   // Drive common services to capture their positions (scan manager).
   for (TxnObserver* obs : observers_) obs->OnSavepoint(txn, name);
   return Status::OK();
@@ -179,24 +179,36 @@ Status TransactionManager::RollbackToSavepoint(Transaction* txn,
                                                const std::string& name) {
   if (!txn->active()) return Status::Aborted("transaction not active");
   auto& sps = txn->savepoints_;
-  Lsn target = kInvalidLsn;
   size_t keep = 0;
   for (size_t i = 0; i < sps.size(); ++i) {
-    if (sps[i].first == name) {
-      target = sps[i].second;
-      keep = i + 1;  // keep this savepoint and all earlier ones
-    }
+    if (sps[i].name == name) keep = i + 1;  // it and all earlier ones stay
   }
-  if (target == kInvalidLsn) {
-    return Status::NotFound("savepoint '" + name + "'");
-  }
-  Lsn last = txn->last_lsn();
-  DMX_RETURN_IF_ERROR(driver_->Rollback(txn->id(), target, &last));
-  txn->set_last_lsn(last);
+  if (keep == 0) return Status::NotFound("savepoint '" + name + "'");
+  const Transaction::SavepointMark mark = sps[keep - 1];
   sps.resize(keep);
-  txn->DropDeferredAfter(target);
+  Status action_error;
+  DMX_RETURN_IF_ERROR(Unwind(
+      txn, mark.lsn, mark.queued[static_cast<size_t>(TxnEvent::kAbort)],
+      &action_error));
+  for (TxnEvent event : {TxnEvent::kBeforePrepare, TxnEvent::kCommit}) {
+    txn->Queue(event).resize(mark.queued[static_cast<size_t>(event)]);
+  }
   for (TxnObserver* obs : observers_) obs->OnPartialRollback(txn, name);
-  return Status::OK();
+  return action_error;
+}
+
+Status TransactionManager::Unwind(Transaction* txn, Lsn to_lsn, size_t keep,
+                                  Status* action_error) {
+  std::vector<Transaction::QueuedAction>& aborts =
+      txn->Queue(TxnEvent::kAbort);
+  while (aborts.size() > keep) {
+    DMX_RETURN_IF_ERROR(RollbackTo(txn, aborts.back().enqueue_lsn));
+    Transaction::QueuedAction qa = std::move(aborts.back());
+    aborts.pop_back();
+    Status s = qa.action(txn);
+    if (action_error->ok()) *action_error = s;
+  }
+  return RollbackTo(txn, to_lsn);
 }
 
 Status TransactionManager::RollbackTo(Transaction* txn, Lsn to_lsn) {

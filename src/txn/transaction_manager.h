@@ -86,15 +86,17 @@ class TransactionManager {
   /// committed.
   Status Commit(Transaction* txn);
 
-  /// Abort: log-driven rollback of all effects, then cleanup as above.
+  /// Abort: undo of all effects (log records and abort actions, newest
+  /// first), then cleanup as above.
   Status Abort(Transaction* txn);
 
   /// Establish a named rollback point. Re-using a name replaces it.
   Status Savepoint(Transaction* txn, const std::string& name);
 
-  /// Partial rollback: undo effects after the savepoint, discard deferred
-  /// actions enqueued since, and restore observer state (scan positions).
-  /// The savepoint itself remains usable.
+  /// Partial rollback: undo effects after the savepoint (log records and
+  /// abort actions, newest first), discard the other deferred actions
+  /// enqueued since, and restore observer state (scan positions). The
+  /// savepoint itself remains usable.
   Status RollbackToSavepoint(Transaction* txn, const std::string& name);
 
   /// Internal rollback used for vetoed relation modifications: undo
@@ -130,6 +132,13 @@ class TransactionManager {
  private:
   Status FinishTxn(Transaction* txn, bool committed);
   Status AbortFailedCommit(Transaction* txn, Status failure);
+  /// Undo back to log position `to_lsn` and `keep` queued abort actions,
+  /// newest first: the log records written after an abort action was
+  /// queued are rolled back before it runs. A failed log rollback stops
+  /// the unwind and is returned; a failed abort action does not stop it,
+  /// and the first such failure goes to `action_error`.
+  Status Unwind(Transaction* txn, Lsn to_lsn, size_t keep,
+                Status* action_error);
 
   LogManager* log_;
   LockManager* locks_;

@@ -93,6 +93,8 @@ TEST(CatalogTest, AddFindRemoveRestore) {
   ASSERT_TRUE(catalog.RestoreRelation(removed).ok());
   EXPECT_NE(catalog.Find("a"), nullptr);
   EXPECT_EQ(catalog.Find("a")->id, id);  // same id after restore
+  // ...under a new version: a plan built before the removal is stale.
+  EXPECT_GT(catalog.VersionOf(id), removed.version);
 }
 
 TEST(CatalogTest, UpdateBumpsVersion) {
@@ -102,11 +104,38 @@ TEST(CatalogTest, UpdateBumpsVersion) {
   RelationId id;
   ASSERT_TRUE(catalog.AddRelation(MakeDesc("a"), &id).ok());
   uint64_t v1 = catalog.VersionOf(id);
-  RelationDescriptor updated = *catalog.Find(id);
-  updated.at_desc[2] = "new-attachment";
-  ASSERT_TRUE(catalog.UpdateRelation(updated).ok());
+  ASSERT_TRUE(catalog
+                  .MutateRelation(id,
+                                  [](RelationDescriptor& d) {
+                                    d.at_desc[2] = "new-attachment";
+                                    return true;
+                                  })
+                  .ok());
   EXPECT_GT(catalog.VersionOf(id), v1);
   EXPECT_TRUE(catalog.Find(id)->HasAttachment(2));
+}
+
+TEST(CatalogTest, MutateRenamesUnlessTheNameIsTaken) {
+  TempDir dir("catalog4");
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Load(dir.path() + "/catalog").ok());
+  RelationId a, b;
+  ASSERT_TRUE(catalog.AddRelation(MakeDesc("a"), &a).ok());
+  ASSERT_TRUE(catalog.AddRelation(MakeDesc("b"), &b).ok());
+  auto rename = [](const std::string& name) {
+    return [name](RelationDescriptor& d) {
+      d.name = name;
+      return true;
+    };
+  };
+  EXPECT_TRUE(catalog.MutateRelation(a, rename("b")).IsInvalidArgument());
+  EXPECT_EQ(catalog.Find("a")->id, a);
+  const uint64_t v1 = catalog.VersionOf(a);
+  ASSERT_TRUE(catalog.MutateRelation(a, rename("c")).ok());
+  EXPECT_EQ(catalog.Find("a"), nullptr);
+  ASSERT_NE(catalog.Find("c"), nullptr);
+  EXPECT_EQ(catalog.Find("c")->id, a);
+  EXPECT_GT(catalog.VersionOf(a), v1);
 }
 
 TEST(CatalogTest, SaveLoadRoundTrip) {

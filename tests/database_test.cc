@@ -103,6 +103,58 @@ class DatabaseTest : public ::testing::Test {
     return keys;
   }
 
+  // CHECK `rel`: every component verifies clean.
+  void ExpectCheckClean(const std::string& rel) {
+    Transaction* txn = db_->Begin();
+    CheckResult check;
+    Status s = db_->CheckRelation(txn, rel, &check);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_TRUE(check.clean) << (check.findings.empty()
+                                     ? ""
+                                     : check.findings[0].component + ": " +
+                                           check.findings[0].detail);
+    EXPECT_TRUE(db_->Commit(txn).ok());
+  }
+
+  // Twenty committed employees and a committed btree_index on id; returns
+  // the index's instance number.
+  uint32_t SeedIndexedEmployees() {
+    CreateEmployee();
+    uint32_t inst = 0;
+    MustCommit([&](Transaction* txn) {
+      for (int i = 0; i < 20; ++i) InsertEmployee(txn, i, "e", i * 1.0);
+      return db_->CreateAttachment(txn, "employee", "btree_index",
+                                   {{"fields", "id"}}, &inst);
+    });
+    return inst;
+  }
+
+  // After SeedIndexedEmployees: a new row commits, the id index `inst`
+  // finds it and an old one, and CHECK is clean.
+  void ExpectIndexServesNewRows(uint32_t inst) {
+    MustCommit([&](Transaction* txn) {
+      InsertEmployee(txn, 20, "late", 20.0);
+      return Status::OK();
+    });
+    Transaction* txn = db_->Begin();
+    for (int64_t id : {20, 3}) {
+      EXPECT_EQ(
+          Probe(txn, "employee", "btree_index", inst, Value::Int(id)).size(),
+          1u)
+          << "id " << id;
+    }
+    ASSERT_TRUE(db_->Commit(txn).ok());
+    ExpectCheckClean("employee");
+  }
+
+  // The btree_index field of `rel`'s descriptor.
+  std::string BtreeField(const std::string& rel) {
+    const RelationDescriptor* desc;
+    EXPECT_TRUE(db_->FindRelation(rel, &desc).ok());
+    return desc->at_desc[static_cast<size_t>(
+        db_->registry()->FindAttachmentType("btree_index"))];
+  }
+
   TempDir dir_;
   std::unique_ptr<Database> db_;
 };
@@ -594,6 +646,75 @@ TEST_F(DatabaseTest, DropAttachmentInvalidatesDescriptorField) {
   ASSERT_TRUE(db_->FindRelation("employee", &desc).ok());
   EXPECT_FALSE(desc->HasAttachment(static_cast<AtId>(bt)));
   EXPECT_GT(desc->version, v1);  // plan invalidation signal
+}
+
+// Abort undoes a transaction's attachment DDL newest first, so each step
+// puts back the descriptor it replaced: two creates of one type end on the
+// descriptor from before both, not on the one between them.
+TEST_F(DatabaseTest, AbortOfTwoIndexCreatesRestoresTheFirstDescriptor) {
+  const uint32_t kept = SeedIndexedEmployees();
+  const std::string field = BtreeField("employee");
+  Transaction* txn = db_->Begin();
+  ASSERT_TRUE(db_->CreateAttachment(txn, "employee", "btree_index",
+                                    {{"fields", "salary"}})
+                  .ok());
+  ASSERT_TRUE(db_->CreateAttachment(txn, "employee", "btree_index",
+                                    {{"fields", "name"}})
+                  .ok());
+  ASSERT_TRUE(db_->Abort(txn).ok());
+  EXPECT_EQ(BtreeField("employee"), field);
+  ExpectIndexServesNewRows(kept);
+}
+
+// A create and a drop of the same instance in one aborted transaction: the
+// drop's undo brings the instance back, then the create's undo releases it
+// and restores the descriptor from before the transaction.
+TEST_F(DatabaseTest, AbortOfCreateAndDropOfOneInstanceUnwindsBoth) {
+  const uint32_t kept = SeedIndexedEmployees();
+  const std::string field = BtreeField("employee");
+  Transaction* txn = db_->Begin();
+  uint32_t fresh = 0;
+  ASSERT_TRUE(db_->CreateAttachment(txn, "employee", "btree_index",
+                                    {{"fields", "salary"}}, &fresh)
+                  .ok());
+  ASSERT_TRUE(
+      db_->DropAttachment(txn, "employee", "btree_index", fresh).ok());
+  ASSERT_TRUE(db_->Abort(txn).ok());
+  EXPECT_EQ(BtreeField("employee"), field);
+  ExpectIndexServesNewRows(kept);
+}
+
+// Abort undoes log records and DDL in one newest-first order: a row
+// inserted before a DROP TABLE is rolled back while the relation is back
+// in the catalog, so the restored relation does not keep it.
+TEST_F(DatabaseTest, AbortUndoesRowsWrittenBeforeADrop) {
+  CreateEmployee();
+  MustCommit([&](Transaction* txn) {
+    InsertEmployee(txn, 1, "a", 1.0);
+    return Status::OK();
+  });
+  Transaction* txn = db_->Begin();
+  InsertEmployee(txn, 99, "aborted", 9.0);
+  ASSERT_TRUE(db_->DropRelation(txn, "employee").ok());
+  ASSERT_TRUE(db_->Abort(txn).ok());
+  EXPECT_EQ(ScanIds("employee"), std::vector<int64_t>{1});
+  ExpectCheckClean("employee");
+}
+
+// A dropped relation's runtime lives until commit releases its storage
+// through it; for a memory-resident relation that state is its rows, so an
+// aborted DROP TABLE keeps them.
+TEST_F(DatabaseTest, AbortedDropKeepsMainMemoryRows) {
+  CreateEmployee("mainmemory");
+  MustCommit([&](Transaction* txn) {
+    InsertEmployee(txn, 1, "a", 1.0);
+    InsertEmployee(txn, 2, "b", 2.0);
+    return Status::OK();
+  });
+  Transaction* txn = db_->Begin();
+  ASSERT_TRUE(db_->DropRelation(txn, "employee").ok());
+  ASSERT_TRUE(db_->Abort(txn).ok());
+  EXPECT_EQ(ScanIds("employee"), (std::vector<int64_t>{1, 2}));
 }
 
 TEST_F(DatabaseTest, IndexBulkLoadsExistingData) {

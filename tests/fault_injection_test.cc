@@ -313,29 +313,22 @@ TEST(FaultInjectionDbTest, CorruptedPageReadReturnsCorruption) {
 
 // -- crash during REPAIR -----------------------------------------------------
 
-// A crash after REPAIR rebuilt the index but before its transaction
-// committed must recover to the old, still-quarantined descriptor: the
-// deferred catalog save never ran, so the damage record survives power loss
-// and a second REPAIR completes the job.
-TEST(FaultInjectionRepairTest, CrashMidRepairKeepsQuarantineAndData) {
-  TempDir dir("repaircrash");
-  FaultInjectionEnv env;
-  DatabaseOptions options;
-  options.dir = dir.path() + "/db";
-  options.env = &env;
+// Opens `options` with `kRows` committed rows in relation t and a btree_index
+// on k, each checkpointed, scribbles one index page out of band, reopens
+// and CHECKs: the index is quarantined, and the quarantine persisted.
+constexpr int kRepairRows = 500;
+void OpenWithQuarantinedIndex(const DatabaseOptions& options,
+                              std::unique_ptr<Database>* out,
+                              uint32_t* index_no, AtId* bt_at) {
   const std::string pages = options.dir + "/db.pages";
-  constexpr int kRows = 500;
-
-  uint32_t index_no = 0;
-  AtId bt_at = 0;
-  std::unique_ptr<Database> db;
+  std::unique_ptr<Database>& db = *out;
 
   // Committed rows, checkpointed so the heap pages are synced.
   ASSERT_TRUE(Database::Open(options, &db).ok());
   {
     Transaction* txn = db->Begin();
     ASSERT_TRUE(db->CreateRelation(txn, "t", KvSchema(), "heap", {}).ok());
-    for (int i = 0; i < kRows; ++i) {
+    for (int i = 0; i < kRepairRows; ++i) {
       ASSERT_TRUE(db->Insert(txn, "t",
                              {Value::Int(i),
                               Value::String("v" + std::to_string(i))})
@@ -353,11 +346,11 @@ TEST(FaultInjectionRepairTest, CrashMidRepairKeepsQuarantineAndData) {
   {
     Transaction* txn = db->Begin();
     ASSERT_TRUE(db->CreateAttachment(txn, "t", "btree_index",
-                                     {{"fields", "k"}}, &index_no)
+                                     {{"fields", "k"}}, index_no)
                     .ok());
     ASSERT_TRUE(db->Commit(txn).ok());
     ASSERT_TRUE(db->Checkpoint().ok());
-    bt_at = static_cast<AtId>(
+    *bt_at = static_cast<AtId>(
         db->registry()->FindAttachmentType("btree_index"));
   }
   ASSERT_TRUE(Env::Default()->GetFileSize(pages, &size).ok());
@@ -381,7 +374,7 @@ TEST(FaultInjectionRepairTest, CrashMidRepairKeepsQuarantineAndData) {
     fclose(f);
   }
   ASSERT_TRUE(Database::Open(options, &db).ok());
-  const std::string component = "btree_index#" + std::to_string(index_no);
+  const std::string component = "btree_index#" + std::to_string(*index_no);
   {
     Transaction* txn = db->Begin();
     CheckResult check;
@@ -390,6 +383,26 @@ TEST(FaultInjectionRepairTest, CrashMidRepairKeepsQuarantineAndData) {
     ASSERT_EQ(check.quarantined.size(), 1u);
     EXPECT_EQ(check.quarantined[0], component);
   }
+}
+
+// A crash after REPAIR rebuilt the index but before its transaction
+// committed must recover to the old, still-quarantined descriptor: the
+// deferred catalog save never ran, so the damage record survives power loss
+// and a second REPAIR completes the job.
+TEST(FaultInjectionRepairTest, CrashMidRepairKeepsQuarantineAndData) {
+  TempDir dir("repaircrash");
+  FaultInjectionEnv env;
+  DatabaseOptions options;
+  options.dir = dir.path() + "/db";
+  options.env = &env;
+  constexpr int kRows = kRepairRows;
+
+  uint32_t index_no = 0;
+  AtId bt_at = 0;
+  std::unique_ptr<Database> db;
+  ASSERT_NO_FATAL_FAILURE(
+      OpenWithQuarantinedIndex(options, &db, &index_no, &bt_at));
+  const std::string component = "btree_index#" + std::to_string(index_no);
 
   // REPAIR rebuilds the tree, then the process dies before Commit: power
   // loss drops every write that was not synced.
@@ -459,6 +472,150 @@ TEST(FaultInjectionRepairTest, CrashMidRepairKeepsQuarantineAndData) {
   }
   db->SimulateCrashOnClose();
   db.reset();
+}
+
+// REPAIR that lifts a stale storage quarantine, then rebuilds a damaged
+// btree_index, commits two catalog steps, and the first step's save
+// publishes the whole catalog, the rebuilt tree's anchor included. Wherever
+// the disk dies during that commit, the reopened database must not point
+// at a tree whose pages never reached the disk: the index is either still
+// quarantined (and a second REPAIR fixes it) or CHECKs clean.
+TEST(FaultInjectionRepairTest, RepairCommitNeverPublishesUnwrittenPages) {
+  for (int64_t writes = 0;; ++writes) {
+    SCOPED_TRACE("the disk dies after " + std::to_string(writes) +
+                 " writes of the commit");
+    TempDir dir("repaircommit");
+    FaultInjectionEnv env;
+    DatabaseOptions options;
+    options.dir = dir.path() + "/db";
+    options.env = &env;
+    uint32_t index_no = 0;
+    AtId bt_at = 0;
+    std::unique_ptr<Database> db;
+    ASSERT_NO_FATAL_FAILURE(
+        OpenWithQuarantinedIndex(options, &db, &index_no, &bt_at));
+    // A damage record of the base storage whose sweep now comes back
+    // clean: REPAIR lifts it first, then rebuilds the index.
+    const RelationDescriptor* desc;
+    ASSERT_TRUE(db->FindRelation("t", &desc).ok());
+    ASSERT_TRUE(db->catalog()
+                    ->MutateRelation(desc->id,
+                                     [](RelationDescriptor& d) {
+                                       d.sm_quarantined = true;
+                                       d.sm_quarantine_reason = "stale";
+                                       return true;
+                                     })
+                    .ok());
+    Transaction* txn = db->Begin();
+    RepairResult rep;
+    ASSERT_TRUE(db->RepairRelation(txn, "t", &rep).ok());
+    ASSERT_EQ(rep.repaired.size(), 2u);
+    env.SetWriteFailAfter(writes);
+    // Fails once the disk dies; what survives is checked after reopen.
+    (void)db->Commit(txn);
+    const bool died = env.dead_disk();
+    db->SimulateCrashOnClose();
+    db.reset();
+    ASSERT_TRUE(env.DropUnsyncedWrites().ok());
+    env.ClearFaults();
+
+    Status open = Database::Open(options, &db);
+    ASSERT_TRUE(open.ok()) << open.ToString();
+    ASSERT_TRUE(db->FindRelation("t", &desc).ok());
+    txn = db->Begin();
+    if (desc->IsQuarantined(bt_at, index_no)) {
+      ASSERT_TRUE(db->RepairRelation(txn, "t", &rep).ok());
+      ASSERT_TRUE(db->Commit(txn).ok());
+      txn = db->Begin();
+    }
+    CheckResult check;
+    ASSERT_TRUE(db->CheckRelation(txn, "t", &check).ok());
+    EXPECT_TRUE(check.clean) << check.findings[0].component << ": "
+                             << check.findings[0].detail;
+    ASSERT_TRUE(db->Commit(txn).ok());
+    db->SimulateCrashOnClose();
+    db.reset();
+    if (!died || ::testing::Test::HasFailure()) break;
+  }
+}
+
+// -- committed DDL survives a crash -------------------------------------------
+
+// A DDL builds pages without logging them (a btree relation's root, an
+// index's bulk load), so its commit flushes them before the catalog that
+// points at them is saved. Each case commits DDL (and rows after it), then
+// kills the disk, crashes and drops every unsynced write: the reopened
+// table must take an insert and CHECK clean.
+class FaultInjectionDdlCrashTest : public ::testing::Test {
+ protected:
+  FaultInjectionDdlCrashTest() : dir_("ddlcrash") {
+    options_.dir = dir_.path() + "/db";
+    options_.env = &env_;
+    Open();
+  }
+
+  void Open() {
+    Status s = Database::Open(options_, &db_);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    session_ = std::make_unique<Session>(db_.get());
+  }
+
+  QueryResult Must(const std::string& sql) {
+    QueryResult result;
+    Status s = session_->Execute(sql, &result);
+    EXPECT_TRUE(s.ok()) << sql << " -> " << s.ToString();
+    return result;
+  }
+
+  void InsertRows(int from, int to) {
+    for (int i = from; i < to; ++i) {
+      Must("INSERT INTO t VALUES (" + std::to_string(i) + ", 'v')");
+    }
+  }
+
+  void CrashAndExpectUsable() {
+    env_.SetWriteFailAfter(0);
+    db_->SimulateCrashOnClose();
+    session_.reset();
+    db_.reset();
+    ASSERT_TRUE(env_.DropUnsyncedWrites().ok());
+    env_.ClearFaults();
+    ASSERT_NO_FATAL_FAILURE(Open());
+    Must("INSERT INTO t VALUES (100000, 'after')");
+    const std::string message = Must("CHECK t").message;
+    EXPECT_EQ(message.rfind("CHECK t: clean", 0), 0u) << message;
+  }
+
+  TempDir dir_;
+  FaultInjectionEnv env_;
+  DatabaseOptions options_;
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<Session> session_;
+};
+
+TEST_F(FaultInjectionDdlCrashTest, BtreeStorageCreate) {
+  Must("CREATE TABLE t (k INT NOT NULL, v STRING) USING btree WITH (key = k)");
+  CrashAndExpectUsable();
+}
+
+TEST_F(FaultInjectionDdlCrashTest, IndexCreateOnPopulatedTable) {
+  Must("CREATE TABLE t (k INT NOT NULL, v STRING)");
+  InsertRows(0, 200);
+  Must("CREATE INDEX ON t (k)");
+  CrashAndExpectUsable();
+}
+
+TEST_F(FaultInjectionDdlCrashTest, IndexCreateOnEmptyTable) {
+  Must("CREATE TABLE t (k INT NOT NULL, v STRING)");
+  Must("CREATE INDEX ON t (k)");
+  CrashAndExpectUsable();
+}
+
+TEST_F(FaultInjectionDdlCrashTest, IndexCreateThenCommittedInserts) {
+  Must("CREATE TABLE t (k INT NOT NULL, v STRING)");
+  Must("CREATE INDEX ON t (k)");
+  InsertRows(0, 300);
+  CrashAndExpectUsable();
 }
 
 // -- graceful degradation & auto-recovery ------------------------------------

@@ -15,7 +15,11 @@ using testing::TempDir;
 
 class SqlTest : public ::testing::Test {
  protected:
-  SqlTest() : dir_("sql") {
+  SqlTest() : dir_("sql") { Reopen(); }
+
+  void Reopen() {
+    session_.reset();
+    db_.reset();
     DatabaseOptions options;
     options.dir = dir_.path();
     EXPECT_TRUE(Database::Open(options, &db_).ok());
@@ -389,6 +393,68 @@ TEST_F(SqlTest, SetStorageAbortRestoresOriginal) {
   EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 1);
 }
 
+// ROLLBACK TO undoes the DDL made since the savepoint as ROLLBACK would,
+// newest first, and keeps the DDL made before it.
+TEST_F(SqlTest, RollbackToSavepointUndoesDdl) {
+  Must("CREATE TABLE a (x INT NOT NULL, y STRING)");
+  Must("INSERT INTO a VALUES (1, 'one'), (2, 'two')");
+  Must("BEGIN");
+  Must("CREATE TABLE kept (x INT NOT NULL)");
+  Must("ALTER TABLE kept ADD DEFERRED CHECK (x < 100)");
+  Must("SAVEPOINT s");
+  Must("CREATE INDEX ON a (x)");
+  Must("DROP TABLE a");
+  Must("CREATE TABLE b (x INT)");
+  Must("INSERT INTO b VALUES (7)");
+  Must("CREATE INDEX ON kept (x)");
+  Must("INSERT INTO kept VALUES (500)");  // its deferred check is dropped
+  Must("ROLLBACK TO s");
+  Must("INSERT INTO kept VALUES (5)");
+  Must("COMMIT");
+
+  Reopen();
+  QueryResult count = Must("SELECT COUNT(*) FROM a");
+  ASSERT_EQ(count.rows.size(), 1u);
+  EXPECT_EQ(count.rows[0][0].int_value(), 2);
+  EXPECT_TRUE(Try("SELECT * FROM b").IsInvalidArgument());
+  EXPECT_EQ(Must("SELECT x FROM kept").rows.size(), 1u);
+  const int bt = db_->registry()->FindAttachmentType("btree_index");
+  for (const char* rel : {"a", "kept"}) {
+    const RelationDescriptor* desc;
+    ASSERT_TRUE(db_->FindRelation(rel, &desc).ok());
+    EXPECT_FALSE(desc->HasAttachment(static_cast<AtId>(bt))) << rel;
+    const std::string check = "CHECK " + std::string(rel);
+    const std::string message = Must(check).message;
+    EXPECT_EQ(message.rfind(check + ": clean", 0), 0u) << message;
+  }
+  EXPECT_TRUE(Try("INSERT INTO kept VALUES (500)").IsConstraint());
+}
+
+// A plan built inside an index create that is rolled back must not pass
+// as valid once a later create brings the relation to the same number of
+// DDL changes: undo installs the old descriptor under a new version.
+TEST_F(SqlTest, PlanFromRolledBackIndexIsNotReused) {
+  Must("CREATE TABLE t (x INT NOT NULL, y INT NOT NULL)");
+  for (int i = 0; i < 200; i += 20) {
+    std::string values;
+    for (int j = i; j < i + 20; ++j) {
+      values += (j > i ? ", (" : "(") + std::to_string(j) + ", " +
+                std::to_string(1000 + j) + ")";
+    }
+    Must("INSERT INTO t VALUES " + values);
+  }
+  const std::string query = "SELECT y FROM t WHERE x = 7";
+  Must("BEGIN");
+  Must("CREATE INDEX ON t (x)");
+  QueryResult r = Must(query);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].int_value(), 1007);
+  Must("ROLLBACK");
+  Must("CREATE INDEX ON t (y)");  // the same instance number, on y
+  r = Must(query);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].int_value(), 1007);
+}
 
 TEST_F(SqlTest, BetweenAndInSugar) {
   Must("CREATE TABLE t (x INT, y STRING)");

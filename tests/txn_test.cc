@@ -377,6 +377,53 @@ TEST_F(TxnManagerTest, DeferredAbortActionsRunOnAbort) {
   EXPECT_EQ(abort_ran, 1);
 }
 
+// Undo is one newest-first order over log records and abort actions: each
+// action runs after the records logged since it was queued are undone, and
+// before the older ones.
+TEST_F(TxnManagerTest, AbortActionsUnwindNewestFirstBetweenLogRecords) {
+  Transaction* txn = tm_.Begin();
+  std::string seen;  // per action: its tag and the data it saw
+  auto record = [&](char tag) {
+    return [&, tag](Transaction*) {
+      seen += tag + std::to_string(data_.size()) + " ";
+      return Status::OK();
+    };
+  };
+  Put(txn, 'a', '1');
+  txn->Defer(TxnEvent::kAbort, record('x'));
+  Put(txn, 'b', '2');
+  txn->Defer(TxnEvent::kAbort, record('y'));
+  Put(txn, 'c', '3');
+  ASSERT_TRUE(tm_.Abort(txn).ok());
+  EXPECT_EQ(seen, "y2 x1 ");
+  EXPECT_TRUE(data_.empty());
+}
+
+// ROLLBACK TO runs the abort actions queued after the savepoint, newest
+// first and interleaved with the log undo, and keeps the older ones for a
+// later abort.
+TEST_F(TxnManagerTest, RollbackToSavepointRunsNewerAbortActions) {
+  Transaction* txn = tm_.Begin();
+  std::string seen;
+  auto record = [&](char tag) {
+    return [&, tag](Transaction*) {
+      seen += tag + std::to_string(data_.size()) + " ";
+      return Status::OK();
+    };
+  };
+  txn->Defer(TxnEvent::kAbort, record('o'));
+  ASSERT_TRUE(tm_.Savepoint(txn, "sp").ok());
+  Put(txn, 'a', '1');
+  txn->Defer(TxnEvent::kAbort, record('x'));
+  Put(txn, 'b', '2');
+  txn->Defer(TxnEvent::kAbort, record('y'));
+  ASSERT_TRUE(tm_.RollbackToSavepoint(txn, "sp").ok());
+  EXPECT_EQ(seen, "y2 x1 ");
+  EXPECT_EQ(txn->DeferredCount(TxnEvent::kAbort), 1u);
+  ASSERT_TRUE(tm_.Abort(txn).ok());
+  EXPECT_EQ(seen, "y2 x1 o0 ");
+}
+
 TEST_F(TxnManagerTest, PartialRollbackDropsNewerDeferredActions) {
   Transaction* txn = tm_.Begin();
   int ran = 0;
